@@ -26,10 +26,12 @@ from .densities import (
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
     count_squarefree_multiples,
+    count_squarefree_multiples_at,
     phi_claim_identity_check,
     phi_claim_first_failure,
     phi_ratio_counts,
     phi_ratio_sum,
+    phi_ratio_sums_at,
     predicted_density_oddly,
     predicted_density_squarefree,
     predicted_phi_density,
@@ -88,6 +90,7 @@ __all__ = [
     "count_oddly_divisible_fast",
     "count_oddly_divisible_oracle",
     "count_squarefree_multiples",
+    "count_squarefree_multiples_at",
     "divisibility_exponent",
     "emit_report",
     "evaluate_G",
@@ -100,6 +103,7 @@ __all__ = [
     "phi_claim_identity_check",
     "phi_ratio_counts",
     "phi_ratio_sum",
+    "phi_ratio_sums_at",
     "predicted_density_oddly",
     "predicted_density_squarefree",
     "predicted_limit",

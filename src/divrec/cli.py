@@ -182,17 +182,12 @@ REPRODUCE_RTOL = 5e-3
 
 def _reproduce_rows(threads: int) -> list[dict]:
     out = []
-    by_m: dict[int, list[int]] = {}
+    points: dict[int, list[int]] = {}  # PUBLISHED_ROWS ascend in N per m
     for m, n, *_ in PUBLISHED_ROWS:
-        by_m.setdefault(m, []).append(n)
+        points.setdefault(m, []).append(n)
     sums = {
-        m: dict(
-            zip(
-                points,
-                convergence._phi_checkpoint_sums_float(m, sorted(points), threads),
-            )
-        )
-        for m, points in ((m, sorted(set(ns))) for m, ns in by_m.items())
+        m: dict(zip(ns, densities.phi_ratio_sums_at(m, ns, threads=threads)))
+        for m, ns in points.items()
     }
     for m, n, pub_emp, pub_pred, expect in PUBLISHED_ROWS:
         empirical = sums[m][n] / n

@@ -9,17 +9,16 @@ single largest point and the row at N equals a from-scratch run at N.
 
 from __future__ import annotations
 
+import decimal
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import numpy as np
-
 from . import densities
-from .accumulators import ExactRatioSum, NeumaierSum
-from .limits import EXACT_PHI_SUM_MAX_N, SIEVE_MAX_N
-from .sieves import factorize, iter_sieve_tables
+from .limits import SCHEDULE_MAX_POINTS, RangeLimitError
+from .sieves import factorize
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,29 @@ class CheckpointSchedule:
     def points(self) -> list[int]:
         if self.start > self.stop:
             return []
+        # at most log(stop/start) / log(ratio) + 2 points; clipping a huge
+        # ratio's log can only raise that bound
+        log_r = math.log1p(float(min(self.ratio - 1, 2**1000)))
+        span = math.log(self.stop) - math.log(self.start)
+        if span > (SCHEDULE_MAX_POINTS - 2) * log_r:
+            raise RangeLimitError(
+                f"schedule steps through more than {SCHEDULE_MAX_POINTS} points"
+            )
+        # start * ratio**k kept exactly as num/den, one multiplication a step
+        p, q = self.ratio.numerator, self.ratio.denominator
+        num, den = self.start, 1
         pts: list[int] = []
-        k = 0
         while True:
-            raw = round(self.start * self.ratio**k)
+            raw, rem = divmod(num, den)
+            if 2 * rem > den or (2 * rem == den and raw % 2):
+                raw += 1  # round half to even, like round(Fraction)
             value = min(raw, self.stop)
             if not pts or value > pts[-1]:
                 pts.append(value)
             if raw >= self.stop:
                 return pts
-            k += 1
+            num *= p
+            den *= q
 
 
 @dataclass(frozen=True)
@@ -129,106 +141,25 @@ def run_convergence(
         pred = densities.predicted_density_squarefree(
             [p for p, _ in factorize(family.t)]
         )
-        counts = _squarefree_checkpoint_counts(family.t, points, threads)
+        counts = densities.count_squarefree_multiples_at(
+            family.t, points, threads=threads
+        )
         return [
             _row(N, c / N, pred.float_value, Fraction(c, N))
             for N, c in zip(points, counts)
         ]
     if isinstance(family, PhiSumFamily):
         pred = densities.predicted_phi_density(family.m)
+        sums = densities.phi_ratio_sums_at(
+            family.m, points, family.mode, threads=threads
+        )
         if family.mode == "exact":
-            sums = _phi_checkpoint_sums_exact(family.m, points, threads)
             return [
                 _row(N, float(s) / N, pred.float_value, s / N)
                 for N, s in zip(points, sums)
             ]
-        if family.mode == "float":
-            sums = _phi_checkpoint_sums_float(family.m, points, threads)
-            return [
-                _row(N, s / N, pred.float_value) for N, s in zip(points, sums)
-            ]
-        raise ValueError(f"unknown phi-sum mode {family.mode!r}")
+        return [_row(N, s / N, pred.float_value) for N, s in zip(points, sums)]
     raise ValueError(f"unknown family {family!r}")
-
-
-def _checked_points(points: Sequence[int], cap: int) -> list[int]:
-    densities._check_count_range(points[-1], cap)
-    return list(points)
-
-
-def _squarefree_checkpoint_counts(
-    t: int, points: Sequence[int], threads: int
-) -> list[int]:
-    densities._squarefree_prime_factors(t)
-    if not points:
-        return []
-    points = _checked_points(points, SIEVE_MAX_N)
-    results = []
-    running = 0
-    idx = 0
-    for table in iter_sieve_tables(1, points[-1], threads=threads):
-        while idx < len(points) and points[idx] <= table.hi:
-            partial = densities._count_squarefree_multiples_in_table(
-                table, t, upto=points[idx]
-            )
-            results.append(running + partial)
-            idx += 1
-        running += densities._count_squarefree_multiples_in_table(table, t)
-    return results
-
-
-def _phi_checkpoint_sums_float(
-    m: int, points: Sequence[int], threads: int
-) -> list[float]:
-    if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {m}")
-    if not points:
-        return []
-    points = _checked_points(points, SIEVE_MAX_N)
-    acc = NeumaierSum()
-    results = []
-    idx = 0
-    for phis, ns in densities._phi_ratio_segments(m, points[-1], threads):
-        ratios = phis / ns
-        done = 0
-        # snapshot exactly at each checkpoint without disturbing term order
-        while idx < len(points) and points[idx] <= ns[-1]:
-            upto = int(np.searchsorted(ns, points[idx], side="right"))
-            acc.extend(ratios[done:upto].tolist())
-            done = upto
-            results.append(acc.value)
-            idx += 1
-        acc.extend(ratios[done:].tolist())
-    while idx < len(points):  # checkpoints below m, or past the last multiple
-        results.append(acc.value)
-        idx += 1
-    return results
-
-
-def _phi_checkpoint_sums_exact(
-    m: int, points: Sequence[int], threads: int
-) -> list[Fraction]:
-    if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {m}")
-    if not points:
-        return []
-    points = _checked_points(points, EXACT_PHI_SUM_MAX_N)
-    acc = ExactRatioSum()
-    results = []
-    idx = 0
-    for phis, ns in densities._phi_ratio_segments(m, points[-1], threads):
-        for ph, n in zip(phis.tolist(), ns.tolist()):
-            while idx < len(points) and points[idx] < n:
-                results.append(acc.value)
-                idx += 1
-            acc.add(ph, n)
-            while idx < len(points) and points[idx] == n:
-                results.append(acc.value)
-                idx += 1
-    while idx < len(points):
-        results.append(acc.value)
-        idx += 1
-    return results
 
 
 CSV_HEADER = "N,empirical,predicted,abs_err,rel_err"
@@ -270,8 +201,10 @@ def emit_report(
                 "rel_err": r.rel_err,
             }
             if include_exact and r.empirical_exact is not None:
-                entry["empirical_numerator"] = str(r.empirical_exact.numerator)
-                entry["empirical_denominator"] = str(r.empirical_exact.denominator)
+                # Decimal prints every digit; str(int) stops at 4300 of them
+                exact = r.empirical_exact
+                entry["empirical_numerator"] = str(decimal.Decimal(exact.numerator))
+                entry["empirical_denominator"] = str(decimal.Decimal(exact.denominator))
             payload.append(entry)
         return (json.dumps(payload, indent=2) + "\n").encode("ascii")
     raise ValueError(f"unknown report format {fmt!r}, expected 'csv' or 'json'")

@@ -36,7 +36,13 @@ from .limits import (
     RangeLimitError,
 )
 from .recursion import CountingFunction
-from .sieves import divisibility_exponent, factorize, is_prime, iter_sieve_tables
+from .sieves import (
+    SieveTable,
+    divisibility_exponent,
+    factorize,
+    is_prime,
+    iter_sieve_tables,
+)
 
 #: pi**2 to 20 significant digits (rounds to the nearest double).
 PI_SQUARED = 9.8696044010893586188
@@ -75,6 +81,32 @@ def _check_count_range(N: int, cap: int) -> None:
         raise ValueError(f"need N >= 0, got {N}")
     if N > cap:
         raise RangeLimitError(f"N = {N} exceeds the cap {cap} for this operation")
+
+
+def _checked_points(points: Sequence[int], cap: int) -> list[int]:
+    pts = list(points)
+    if pts != sorted(pts):
+        raise ValueError("checkpoints must be in ascending order")
+    for N in pts[:1] + pts[-1:]:
+        _check_count_range(N, cap)
+    return pts
+
+
+def _multiples_walk(
+    step: int, points: list[int], threads: int
+) -> Iterator[tuple[SieveTable, list[int]]]:
+    # ascending tables over k <= points[-1] // step, each with one cut per
+    # checkpoint N whose last k = N // step it holds: the entries up to that k
+    top = points[-1] // step if points else 0
+    if top < 1:
+        return
+    idx = 0
+    for table in iter_sieve_tables(1, top, threads=threads):
+        cuts = []
+        while idx < len(points) and points[idx] // step <= table.hi:
+            cuts.append(points[idx] // step - table.lo + 1)
+            idx += 1
+        yield table, cuts
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +168,33 @@ def _squarefree_prime_factors(t: int) -> list[int]:
 
 def count_squarefree_multiples(t: int, N: int, *, threads: int = 1) -> int:
     """Count square-free r <= N with t | r, for square-free t (sieve-backed)."""
-    _squarefree_prime_factors(t)
-    _check_count_range(N, SIEVE_MAX_N)
-    if N < t:
-        return 0
-    total = 0
-    for table in iter_sieve_tables(1, N, threads=threads):
-        total += _count_squarefree_multiples_in_table(table, t)
-    return total
+    return count_squarefree_multiples_at(t, [N], threads=threads)[0]
 
 
-def _count_squarefree_multiples_in_table(table, t: int, upto: int | None = None) -> int:
-    hi = table.hi if upto is None else min(upto, table.hi)
-    first = -(table.lo // -t) * t
-    if first > hi:
-        return 0
-    return int(table.squarefree[first - table.lo : hi - table.lo + 1 : t].sum())
+def count_squarefree_multiples_at(
+    t: int, points: Sequence[int], *, threads: int = 1
+) -> list[int]:
+    """Counts of square-free multiples of t up to each of ascending ``points``.
+
+    The square-free multiples of t up to N are t*k for the square-free
+    k <= N // t with gcd(k, t) = 1, so one ascending pass sieves only
+    k <= points[-1] // t and clears the stride of each prime of t.
+    """
+    primes = _squarefree_prime_factors(t)
+    pts = _checked_points(points, SIEVE_MAX_N)
+    counts: list[int] = []
+    running = 0
+    for table, cuts in _multiples_walk(t, pts, threads):
+        flags = table.squarefree
+        if primes:
+            flags = flags.copy()
+            for p in primes:
+                flags[-(table.lo // -p) * p - table.lo :: p] = False
+        for cut in cuts:
+            counts.append(running + int(flags[:cut].sum()))
+        running += int(flags.sum())
+    counts.extend([running] * (len(pts) - len(counts)))
+    return counts
 
 
 def _squarefree_flags(X: int) -> np.ndarray:
@@ -243,18 +286,6 @@ def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
 # family 3: totient-ratio sums over multiples of m
 
 
-def _phi_ratio_segments(
-    m: int, N: int, threads: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # ascending (phi values, n values) pairs over multiples of m up to N
-    for table in iter_sieve_tables(1, N, threads=threads):
-        first = -(table.lo // -m) * m
-        if first > table.hi:
-            continue
-        s = first - table.lo
-        yield table.phi[s::m], np.arange(first, table.hi + 1, m, dtype=np.int64)
-
-
 def phi_ratio_sum(m: int, N: int, mode: str = "float", *, threads: int = 1):
     """Sum of phi(n)/n over multiples n of m with n <= N.
 
@@ -269,38 +300,65 @@ def phi_ratio_sum(m: int, N: int, mode: str = "float", *, threads: int = 1):
         float in "float" mode, Fraction in "exact" mode. Terms are always
         accumulated in ascending n, so results are reproducible bit for bit.
     """
+    return phi_ratio_sums_at(m, [N], mode, threads=threads)[0]
+
+
+def phi_ratio_sums_at(
+    m: int, points: Sequence[int], mode: str = "float", *, threads: int = 1
+) -> list:
+    """:func:`phi_ratio_sum` at each of ascending ``points``, in one pass.
+
+    Only k <= points[-1] // m is sieved: phi(m*k) is m*phi(k) times
+    (p-1)/p for every prime p of m that does not divide k, and every
+    intermediate stays at most m*k. Each term phi(n)/n is the same double as
+    over a sieve of all n, summed in the same ascending order, so a row
+    equals a from-scratch sum at its point bit for bit.
+    """
     if m < 1:
         raise ValueError(f"need modulus m >= 1, got {m}")
-    if mode == "exact":
-        _check_count_range(N, EXACT_PHI_SUM_MAX_N)
-        if N < m:
-            return Fraction(0)
-        acc = ExactRatioSum()
-        for phis, ns in _phi_ratio_segments(m, N, threads):
-            for ph, n in zip(phis.tolist(), ns.tolist()):
-                acc.add(ph, n)
-        return acc.value
-    if mode == "float":
-        _check_count_range(N, SIEVE_MAX_N)
-        if N < m:
-            return 0.0
-        acc = NeumaierSum()
-        for phis, ns in _phi_ratio_segments(m, N, threads):
-            acc.extend((phis / ns).tolist())
-        return acc.value
-    raise ValueError(f"unknown mode {mode!r}, expected 'float' or 'exact'")
+    if mode not in ("float", "exact"):
+        raise ValueError(f"unknown mode {mode!r}, expected 'float' or 'exact'")
+    exact = mode == "exact"
+    pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
+    acc = ExactRatioSum() if exact else NeumaierSum()
+    sums: list = []
+    for table, cuts in _multiples_walk(m, pts, threads):
+        phis = _phi_of_multiples(table, m)
+        ns = np.arange(table.lo * m, table.hi * m + 1, m, dtype=np.int64)
+        ratios = None if exact else phis / ns
+        done = 0
+        for cut in [*cuts, None]:
+            if exact:
+                for ph, n in zip(phis[done:cut].tolist(), ns[done:cut].tolist()):
+                    acc.add(ph, n)
+            else:
+                acc.extend(ratios[done:cut].tolist())
+            if cut is not None:
+                sums.append(acc.value)
+                done = cut
+    sums.extend([acc.value] * (len(pts) - len(sums)))
+    return sums
+
+
+def _phi_of_multiples(table, m: int) -> np.ndarray:
+    # phi(m*k) for k in [table.lo, table.hi]; m = 1 is the table itself
+    if m == 1:
+        return table.phi
+    phis = table.phi * m
+    for p, _ in factorize(m):
+        s = -(table.lo // -p) * p - table.lo  # first k divisible by p
+        keep = phis[s::p].copy()  # p | k: m*phi(k) already has p's factor
+        phis //= p
+        phis *= p - 1
+        phis[s::p] = keep
+    return phis
 
 
 def _phi_ratio_prefix_list(step: int, limit: int) -> list[Fraction]:
     # entry k = exact sum over the first k multiples of step (k*step <= limit)
-    values = [Fraction(0)]
-    if limit >= step:
-        acc = ExactRatioSum()
-        for phis, ns in _phi_ratio_segments(step, limit, 1):
-            for ph, n in zip(phis.tolist(), ns.tolist()):
-                acc.add(ph, n)
-                values.append(acc.value)
-    return values
+    return [Fraction(0)] + phi_ratio_sums_at(
+        step, range(step, limit + 1, step), "exact"
+    )
 
 
 def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:

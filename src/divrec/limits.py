@@ -33,9 +33,23 @@ BROWN_CHECK_MAX_X = 10**6
 #: prefix sum is kept as a full-precision rational).
 PHI_CLAIM_MAX_X = 10**4
 
-#: Sieve segment length. Overridable through the environment; the value only
-#: affects memory and speed, never any numeric result.
-DEFAULT_SEGMENT_SIZE = int(os.environ.get("DIVREC_SEGMENT_SIZE", 1 << 20))
+#: Most points a checkpoint schedule may step through, bounded from its
+#: start, stop and ratio before any stepping. Each step multiplies an exact
+#: rational whose size grows with the step count, so stepping costs grow
+#: quadratically; at the cap, 1:1e12:1.001 steps in about a second.
+SCHEDULE_MAX_POINTS = 30_000
+
+#: Sieve segment length when ``DIVREC_SEGMENT_SIZE`` is unset. The length
+#: only affects memory and speed, never any numeric result.
+DEFAULT_SEGMENT_SIZE = 1 << 20
+
+
+def segment_size_from_env() -> int:
+    """``DIVREC_SEGMENT_SIZE``, read per call so a bad value cannot break import."""
+    text = os.environ.get("DIVREC_SEGMENT_SIZE", str(DEFAULT_SEGMENT_SIZE))
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"DIVREC_SEGMENT_SIZE must be a positive integer: {text!r}")
+    return int(text)
 
 
 class RangeLimitError(ValueError):

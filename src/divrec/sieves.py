@@ -20,10 +20,10 @@ from typing import Iterator
 import numpy as np
 
 from .limits import (
-    DEFAULT_SEGMENT_SIZE,
     FACTORIZE_MAX_N,
     SIEVE_MAX_N,
     RangeLimitError,
+    segment_size_from_env,
 )
 
 #: (prime, exponent) pairs, primes ascending.
@@ -81,13 +81,13 @@ def sieve_segment(lo: int, hi: int, *, segment_size: int | None = None) -> Sieve
         lo: Segment start, at least 1.
         hi: Segment end, at most ``SIEVE_MAX_N``.
         segment_size: Maximum permitted length (default
-            ``DEFAULT_SEGMENT_SIZE``); longer requests are refused so a typo
-            cannot allocate an enormous array.
+            ``DIVREC_SEGMENT_SIZE`` or 2**20); longer requests are refused so
+            a typo cannot allocate an enormous array.
 
     Returns:
         A read-only :class:`SieveTable` covering exactly [lo, hi].
     """
-    size = DEFAULT_SEGMENT_SIZE if segment_size is None else segment_size
+    size = segment_size_from_env() if segment_size is None else segment_size
     if size < 1:
         raise ValueError(f"segment size must be positive, got {size}")
     if lo < 1 or lo > hi:
@@ -146,7 +146,7 @@ def iter_sieve_tables(
     but they are handed back strictly in range order, so any accumulation on
     the consumer side stays deterministic regardless of the thread count.
     """
-    size = DEFAULT_SEGMENT_SIZE if segment_size is None else segment_size
+    size = segment_size_from_env() if segment_size is None else segment_size
     if size < 1:
         raise ValueError(f"segment size must be positive, got {size}")
     if lo < 1 or lo > hi:

@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from divrec import convergence, densities, verify
+from divrec import densities, verify
 from divrec.recursion import RecurrenceSpec, identity_counts, predicted_limit
 from divrec.sieves import divisibility_exponent
 
@@ -64,7 +64,7 @@ def test_c2_totient_ratio_m200_n1e5(capfd):
 
 def test_c3_totient_ratio_m12348_both_ranges(capfd):
     start = time.perf_counter()
-    small_sum, big_sum = convergence._phi_checkpoint_sums_float(
+    small_sum, big_sum = densities.phi_ratio_sums_at(
         12348, [10**6, 10**7], threads=1
     )
     elapsed = time.perf_counter() - start

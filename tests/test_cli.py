@@ -1,11 +1,19 @@
 """CLI behavior: table output, identity checks, exit codes."""
 
+import decimal
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from divrec import densities
 from divrec.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -158,3 +166,46 @@ def test_reproduce_json(capsys):
     payload = json.loads(out)
     assert [r["match"] for r in payload] == [True, True, False, True]
     assert all(r["match"] == r["expected_match"] for r in payload)
+
+
+def test_phisum_exact_json_prints_integers_past_the_digit_limit(capsys):
+    # the exact numerators here run past str(int)'s 4300-digit default limit
+    code, out, err = run_cli(
+        capsys, "phisum", "--m", "2", "--schedule", "1e3:1e5:10",
+        "--mode", "exact", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "857907f7a0974ddeea00f33a63ba13e831def93437a5ccee38f5aa5222b722c6"
+    )
+    payload = json.loads(out)
+    assert [entry["N"] for entry in payload] == [10**3, 10**4, 10**5]
+    assert max(len(e["empirical_numerator"]) for e in payload) > 4300
+    for entry in payload:
+        exact = Fraction(
+            int(decimal.Decimal(entry["empirical_numerator"])),
+            int(decimal.Decimal(entry["empirical_denominator"])),
+        )
+        assert float(exact * entry["N"]) / entry["N"] == entry["empirical"]
+
+
+def test_exit_code_schedule_with_too_many_points(capsys):
+    code, _, err = run_cli(capsys, "oddly", "--m", "2", "--schedule", "1:1e12:1.0001")
+    assert code == 3 and "more than 30000 points" in err
+
+
+def test_bad_segment_size_variable_exits_two():
+    env = dict(os.environ, DIVREC_SEGMENT_SIZE="abc")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    imported = subprocess.run(
+        [sys.executable, "-c", "import divrec"], capture_output=True, env=env
+    )
+    assert imported.returncode == 0, imported.stderr.decode()
+    proc = subprocess.run(
+        [sys.executable, "-m", "divrec", "phisum", "--m", "1", "--n", "100"],
+        capture_output=True,
+        env=env,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert "DIVREC_SEGMENT_SIZE" in err and "Traceback" not in err

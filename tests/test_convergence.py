@@ -59,6 +59,54 @@ def test_schedule_validation():
         CheckpointSchedule(1, 10, Fraction(1, 2))
 
 
+def points_from_scratch(start: int, stop: int, ratio: Fraction) -> list[int]:
+    """The schedule's defining formula, with ratio**k recomputed at each k."""
+    if start > stop:
+        return []
+    pts: list[int] = []
+    k = 0
+    while True:
+        raw = round(start * ratio**k)
+        value = min(raw, stop)
+        if not pts or value > pts[-1]:
+            pts.append(value)
+        if raw >= stop:
+            return pts
+        k += 1
+
+
+@pytest.mark.parametrize(
+    "start, stop, ratio",
+    [
+        (1, 10**12, Fraction("1.01")),
+        (10**3, 10**7, Fraction(10)),
+        (1, 100, Fraction(5, 2)),  # 2.5 rounds half to even, to 2
+        (3, 10**6, Fraction(5, 2)),
+        (1, 100, Fraction(3, 2)),
+        (7, 60, Fraction(1001, 1000)),
+        (5, 10**12, Fraction(3 * 10**50 + 1, 10**50 - 7)),  # wide terms
+        (2, 10**12, Fraction(10**18)),
+        (100, 5, Fraction(2)),
+        (7, 7, Fraction(2)),
+    ],
+)
+def test_schedule_steps_match_the_formula(start, stop, ratio):
+    sched = CheckpointSchedule(start, stop, ratio)
+    assert sched.points == points_from_scratch(start, stop, ratio)
+
+
+def test_schedule_point_cap():
+    assert len(CheckpointSchedule(1, 10**12, Fraction("1.01")).points) == 2414
+    for ratio in ("1.0001", "1.000000001"):
+        with pytest.raises(RangeLimitError):
+            CheckpointSchedule(1, 10**12, Fraction(ratio)).points
+    tiny = Fraction(1, 10**400)
+    with pytest.raises(RangeLimitError):
+        CheckpointSchedule(1, 2, 1 + tiny).points
+    # a ratio past the stop is one step, however large its terms
+    assert CheckpointSchedule(1, 2, Fraction(10**500, 3)).points == [1, 2]
+
+
 def test_oddly_single_row():
     rows = run_convergence(OddlyFamily(2), CheckpointSchedule(10, 10, Fraction(2)))
     (row,) = rows
@@ -139,7 +187,7 @@ def test_checkpoints_cross_segment_boundaries(monkeypatch):
     # several segments per checkpoint interval; results must not move
     sched = CheckpointSchedule(5, 5000, Fraction(3))
     expected = run_convergence(PhiSumFamily(3), sched)
-    monkeypatch.setattr("divrec.sieves.DEFAULT_SEGMENT_SIZE", 64)
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "64")
     assert run_convergence(PhiSumFamily(3), sched) == expected
     for row in expected:
         assert row.empirical == phi_ratio_sum(3, row.N) / row.N
