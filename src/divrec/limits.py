@@ -36,7 +36,8 @@ PHI_CLAIM_MAX_X = 10**4
 #: Most points a checkpoint schedule may step through, bounded from its
 #: start, stop and ratio before any stepping. Each step multiplies an exact
 #: rational whose size grows with the step count, so stepping costs grow
-#: quadratically; at the cap, 1:1e12:1.001 steps in about a second.
+#: quadratically: 1:1e12:1.001, just under the cap, takes about 1.5 s on a
+#: 2-vCPU x86 machine.
 SCHEDULE_MAX_POINTS = 30_000
 
 #: Sieve segment length when ``DIVREC_SEGMENT_SIZE`` is unset. The length

@@ -132,16 +132,6 @@ def test_walkers_above_n_sieve_nothing():
     assert phi_ratio_sum(10**13, 10**6) == 0.0
 
 
-def test_walkers_threads_do_not_matter():
-    points = checkpoints(12, 300_000)
-    assert bits(phi_ratio_sums_at(12, points, threads=3)) == bits(
-        phi_ratio_sums_at(12, points)
-    )
-    assert count_squarefree_multiples_at(6, points, threads=3) == (
-        count_squarefree_multiples_at(6, points)
-    )
-
-
 def test_walkers_take_nondecreasing_points():
     assert phi_ratio_sums_at(5, []) == []
     assert count_squarefree_multiples_at(6, []) == []
