@@ -29,13 +29,7 @@ class NeumaierSum:
         self._compensation = 0.0
 
     def add(self, x: float) -> None:
-        s = self._sum
-        t = s + x
-        if abs(s) >= abs(x):
-            self._compensation += (s - t) + x
-        else:
-            self._compensation += (x - t) + s
-        self._sum = t
+        self.extend((x,))
 
     def extend(self, values: Iterable[float]) -> None:
         s = self._sum

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import convergence, densities, verify
-from .limits import RangeLimitError
+from .limits import RangeLimitError, positive_int_from_env
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -57,13 +56,6 @@ def _prime_list(text: str) -> list[int]:
     return [_int_literal(piece) for piece in items if piece]
 
 
-def _default_threads() -> int:
-    env = os.environ.get("DIVREC_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _add_table_args(sub: argparse.ArgumentParser, *, required: bool = True) -> None:
     group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--n", type=_int_literal, help="single sample size")
@@ -91,7 +83,7 @@ def _resolve_schedule(args) -> convergence.CheckpointSchedule:
 
 
 def _resolve_threads(args) -> int:
-    return args.threads if args.threads else _default_threads()
+    return args.threads or positive_int_from_env("DIVREC_THREADS", 1)
 
 
 def _print_report(rows, args, *, include_exact: bool = False) -> None:

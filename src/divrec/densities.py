@@ -131,19 +131,15 @@ def count_oddly_divisible_oracle(m: int, N: int) -> int:
 def count_oddly_divisible_fast(m: int, N: int) -> int:
     """O(log N) count of the same set via G(n) = n//m - G(n//m).
 
-    Multiples of m not divisible by m**2 are counted by n//m - n//m**2;
-    recursing on n//m flips parity, which the subtraction implements.
+    Unrolled, the recursion is the alternating series
+    N//m - N//m**2 + N//m**3 - ..., since (N//m**i)//m = N//m**(i+1).
     """
     _check_modulus(m)
     _check_count_range(N, ENGINE_MAX_N)
-    count = 0
-    chain = []
-    v = N
-    while v:
-        chain.append(v)
-        v //= m
-    for v in reversed(chain):
-        count = v // m - count
+    count, sign, q = 0, 1, N // m
+    while q:
+        count += sign * q
+        sign, q = -sign, q // m
     return count
 
 
@@ -178,31 +174,41 @@ def count_squarefree_multiples_at(
 
     The square-free multiples of t up to N are t*k for the square-free
     k <= N // t with gcd(k, t) = 1, so one ascending pass sieves only
-    k <= points[-1] // t and clears the stride of each prime of t.
+    k <= points[-1] // t.
     """
     primes = _squarefree_prime_factors(t)
     pts = _checked_points(points, SIEVE_MAX_N)
     counts: list[int] = []
     running = 0
     for table, cuts in _multiples_walk(t, pts, threads):
-        flags = table.squarefree
-        if primes:
-            flags = flags.copy()
-            for p in primes:
-                flags[-(table.lo // -p) * p - table.lo :: p] = False
+        flags = _squarefree_multiple_flags(table, primes)
         for cut in cuts:
-            counts.append(running + int(flags[:cut].sum()))
-        running += int(flags.sum())
+            counts.append(running + int(np.count_nonzero(flags[:cut])))
+        running += int(np.count_nonzero(flags))
     counts.extend([running] * (len(pts) - len(counts)))
     return counts
 
 
-def _squarefree_flags(X: int) -> np.ndarray:
-    # bool array over [0, X]; index 0 unused
-    flags = np.zeros(X + 1, dtype=bool)
-    for table in iter_sieve_tables(1, X):
-        flags[table.lo : table.hi + 1] = table.squarefree
+def _squarefree_multiple_flags(table: SieveTable, primes: list[int]) -> np.ndarray:
+    # entry k - table.lo marks t*k square-free, t the product of ``primes``:
+    # k square-free and divisible by none of them; t = 1 is the table itself
+    flags = table.squarefree
+    if primes:
+        flags = flags.copy()
+        for p in primes:
+            flags[-(table.lo // -p) * p - table.lo :: p] = False
     return flags
+
+
+def _squarefree_prefix(t: int, limit: int) -> np.ndarray:
+    # entry k = square-free multiples of t up to k*t, for 0 <= k <= limit // t
+    primes = _squarefree_prime_factors(t)
+    prefix = np.zeros(limit // t + 1, dtype=np.int64)
+    for table, _ in _multiples_walk(t, [limit], 1):
+        seg = prefix[table.lo : table.hi + 1]
+        np.cumsum(_squarefree_multiple_flags(table, primes), out=seg)
+        seg += prefix[table.lo - 1]
+    return prefix
 
 
 def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
@@ -211,7 +217,8 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     F counts square-free multiples of t, G of p*t; p must be a prime not
     dividing t. The identity holds for all x, so None is the expected
     outcome; the first counterexample is returned for reporting if a sieve
-    or counting bug ever breaks it.
+    or counting bug ever breaks it. Only k <= X // (t*p) is sieved for
+    each side.
     """
     _squarefree_prime_factors(t)
     if not is_prime(p):
@@ -223,21 +230,13 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     if X > BROWN_CHECK_MAX_X:
         raise RangeLimitError(f"X = {X} exceeds the cap {BROWN_CHECK_MAX_X}")
 
-    flags = _squarefree_flags(X)
-    f_pref = _prefix_counts(flags, t)
-    g_pref = _prefix_counts(flags, t * p)
+    f_pref = _squarefree_prefix(t, X // p)
+    g_pref = _squarefree_prefix(t * p, X)
     xs = np.arange(1, X + 1)
-    lhs = f_pref[xs // p]
-    rhs = g_pref[xs // p] + g_pref[xs]
+    lhs = f_pref[xs // p // t]
+    rhs = g_pref[xs // p // (t * p)] + g_pref[xs // (t * p)]
     bad = np.nonzero(lhs != rhs)[0]
     return int(xs[bad[0]]) if bad.size else None
-
-
-def _prefix_counts(flags: np.ndarray, step: int) -> np.ndarray:
-    marked = np.zeros(flags.shape, dtype=np.int64)
-    if step < flags.size:
-        marked[step::step] = flags[step::step]
-    return np.cumsum(marked)
 
 
 def brown_identity_check(t: int, p: int, X: int) -> bool:
@@ -265,21 +264,26 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
 def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
     """Prefix-table-backed counting function n -> #{square-free r <= n: t | r}.
 
-    Valid for 0 <= n <= limit; the whole table is sieved up front, so build
+    Valid for 0 <= n <= limit; k <= limit // t is sieved up front, so build
     cost is one pass and each call is O(1).
     """
-    _squarefree_prime_factors(t)
     _check_count_range(limit, SIEVE_MAX_N)
     if limit < 1:
         raise ValueError("need limit >= 1")
-    pref = _prefix_counts(_squarefree_flags(limit), t)
+    prefix = memoryview(_squarefree_prefix(t, limit))  # items are plain ints
+    return _prefix_lookup(prefix, t, limit, f"square-free multiples of {t}")
 
+
+def _prefix_lookup(
+    values: Sequence, step: int, limit: int, description: str
+) -> CountingFunction:
+    # n -> values[n // step] for 0 <= n <= limit: entry k covers k*step
     def fn(n: int) -> Fraction:
         if n < 0 or n > limit:
             raise ValueError(f"n = {n} outside the prepared range [0, {limit}]")
-        return Fraction(int(pref[n]))
+        return Fraction(values[n // step])
 
-    return CountingFunction(fn, f"square-free multiples of {t}")
+    return CountingFunction(fn, description)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +439,4 @@ def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
     if limit < 1:
         raise ValueError("need limit >= 1")
     values = _phi_ratio_prefix_list(m, limit)
-
-    def fn(n: int) -> Fraction:
-        if n < 0 or n > limit:
-            raise ValueError(f"n = {n} outside the prepared range [0, {limit}]")
-        return values[n // m]
-
-    return CountingFunction(fn, f"totient-ratio sum over multiples of {m}")
+    return _prefix_lookup(values, m, limit, f"totient-ratio sum over multiples of {m}")

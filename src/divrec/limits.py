@@ -45,12 +45,18 @@ SCHEDULE_MAX_POINTS = 30_000
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 
-def segment_size_from_env() -> int:
-    """``DIVREC_SEGMENT_SIZE``, read per call so a bad value cannot break import."""
-    text = os.environ.get("DIVREC_SEGMENT_SIZE", str(DEFAULT_SEGMENT_SIZE))
+def positive_int_from_env(name: str, default: int) -> int:
+    """Environment variable ``name``, read per call so a bad value cannot
+    break import; anything but a positive decimal integer is a ValueError."""
+    text = os.environ.get(name, str(default))
     if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"DIVREC_SEGMENT_SIZE must be a positive integer: {text!r}")
+        raise ValueError(f"{name} must be a positive integer: {text!r}")
     return int(text)
+
+
+def segment_size_from_env() -> int:
+    """``DIVREC_SEGMENT_SIZE``, or :data:`DEFAULT_SEGMENT_SIZE` when unset."""
+    return positive_int_from_env("DIVREC_SEGMENT_SIZE", DEFAULT_SEGMENT_SIZE)
 
 
 class RangeLimitError(ValueError):

@@ -11,10 +11,12 @@ for ranges up to the 1e9 cap and lets callers sieve ahead on worker threads.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count
 from typing import Iterator
 
 import numpy as np
@@ -142,9 +144,10 @@ def iter_sieve_tables(
 ) -> Iterator[SieveTable]:
     """Yield consecutive segments covering [lo, hi], always in ascending order.
 
-    With ``threads > 1`` upcoming segments are sieved ahead on a thread pool,
-    but they are handed back strictly in range order, so any accumulation on
-    the consumer side stays deterministic regardless of the thread count.
+    With ``threads > 1`` upcoming segments are sieved ahead on a thread pool
+    of at most the usable CPUs, but they are handed back strictly in range
+    order, so any accumulation on the consumer side stays deterministic
+    regardless of the thread count.
     """
     size = segment_size_from_env() if segment_size is None else segment_size
     if size < 1:
@@ -155,6 +158,10 @@ def iter_sieve_tables(
         raise RangeLimitError(f"sieve range ends at {hi}, cap is {SIEVE_MAX_N}")
 
     starts = iter(range(lo, hi + 1, size))
+    # at most threads + 1 segments are in flight, so more threads than usable
+    # CPUs would only hold more memory
+    if hasattr(os, "sched_getaffinity"):
+        threads = min(threads, len(os.sched_getaffinity(0)))
     if threads <= 1:
         for s in starts:
             yield sieve_segment(s, min(s + size - 1, hi), segment_size=size)
@@ -191,29 +198,17 @@ def factorize(n: int) -> Factorization:
         raise RangeLimitError(f"refusing to trial-divide {n} > {FACTORIZE_MAX_N}")
     factors: Factorization = []
     m = n
-    for p in _base_prime_list():
+    # base primes cover n <= 1e9; above that, odd candidates continue the walk
+    base = _base_prime_list()
+    for p in chain(base, count(base[-1] + 2, 2)):
         if p * p > m:
             break
         if m % p == 0:
-            e = 1
-            m //= p
+            e = 0
             while m % p == 0:
                 e += 1
                 m //= p
             factors.append((p, e))
-    else:
-        # base primes exhausted with m still composite-sized (only possible
-        # for n > 1e9): continue with odd candidates
-        d = _base_prime_list()[-1] + 2
-        while d * d <= m:
-            if m % d == 0:
-                e = 1
-                m //= d
-                while m % d == 0:
-                    e += 1
-                    m //= d
-                factors.append((d, e))
-            d += 2
     if m > 1:
         factors.append((m, 1))
     return factors

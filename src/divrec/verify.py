@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import densities, recursion
+from .limits import ORACLE_MAX_N, RangeLimitError
 from .sieves import divisibility_exponent
 
 
@@ -100,6 +101,8 @@ def run_app1_suite(
     max_n; the fast counter must match at every n, and the table must satisfy
     G(n) = n//m - G(n//m) throughout.
     """
+    if max_n > ORACLE_MAX_N:  # before the (max_n + 1)-entry table below
+        raise RangeLimitError(f"max_n = {max_n} exceeds the cap {ORACLE_MAX_N}")
     failures: list[str] = []
     checks = 0
     for m in ms:

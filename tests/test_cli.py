@@ -189,6 +189,24 @@ def test_phisum_exact_json_prints_integers_past_the_digit_limit(capsys):
         assert float(exact * entry["N"]) / entry["N"] == entry["empirical"]
 
 
+def test_app1_cap_is_checked_before_any_work(capsys, monkeypatch):
+    def no_work(n, m):
+        raise AssertionError("app1 started work past its cap")
+
+    monkeypatch.setattr("divrec.verify.divisibility_exponent", no_work)
+    code, _, err = run_cli(capsys, "verify", "--suite", "app1", "--max-n", "1.1e7")
+    assert code == 3 and "exceeds the cap" in err
+
+
+def test_bad_threads_variable_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("DIVREC_THREADS", "abc")
+    code, out, err = run_cli(capsys, "phisum", "--m", "1", "--n", "100")
+    assert code == 2 and out == ""
+    assert "DIVREC_THREADS must be a positive integer: 'abc'" in err
+    monkeypatch.setenv("DIVREC_THREADS", "2")
+    assert run_cli(capsys, "phisum", "--m", "1", "--n", "100")[0] == 0
+
+
 def test_exit_code_schedule_with_too_many_points(capsys):
     code, _, err = run_cli(capsys, "oddly", "--m", "2", "--schedule", "1:1e12:1.0001")
     assert code == 3 and "more than 30000 points" in err

@@ -1,6 +1,8 @@
 """Sieve correctness against trial-division oracles and algebraic identities."""
 
+import os
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +111,44 @@ def test_threads_do_not_change_tables():
     for a, b in zip(seq, par):
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.squarefree, b.squarefree)
+
+
+def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Runs each job at submit and records pool size and jobs in flight."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.in_flight = self.peak = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args, **kwargs):
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            value = fn(*args, **kwargs)
+            return SimpleNamespace(result=lambda: self.hand_back(value))
+
+        def hand_back(self, value):
+            self.in_flight -= 1
+            return value
+
+    monkeypatch.setattr("divrec.sieves.ThreadPoolExecutor", RecordingPool)
+    seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500, segment_size=10)]
+    for cpus, pool_sizes, peak in (({0, 1, 2}, [3], 4), ({0}, [], None)):
+        pools.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        tables = list(iter_sieve_tables(1, 500, segment_size=10, threads=64))
+        assert [t.phi.tolist() for t in tables] == seq
+        assert [pool.max_workers for pool in pools] == pool_sizes
+        assert [pool.peak for pool in pools] == ([peak] if pools else [])
 
 
 def test_segment_argument_errors():

@@ -3,7 +3,9 @@
 The oracles below sieve all of [1, N] and read every m-th (t-th) entry, which
 is how the phisum and square-free families walked the range before they
 sieved only k <= N // m. Float sums must agree bit for bit, exact sums and
-counts exactly, at every segment size.
+counts exactly, at every segment size. The square-free prefix tables behind
+the splitting-identity checker and ``squarefree_multiple_counts`` are held to
+the same oracle.
 """
 
 import struct
@@ -12,12 +14,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from divrec import densities
 from divrec.accumulators import ExactRatioSum, NeumaierSum
 from divrec.densities import (
+    brown_identity_first_failure,
     count_squarefree_multiples,
     count_squarefree_multiples_at,
     phi_ratio_sum,
     phi_ratio_sums_at,
+    squarefree_multiple_counts,
 )
 from divrec.limits import RangeLimitError
 from divrec.sieves import iter_sieve_tables
@@ -116,12 +121,68 @@ def test_phisum_exact_walker_equals_the_full_range_sum(monkeypatch, m):
 @pytest.mark.parametrize("t", [1, 2, 6, 30, 210])
 def test_squarefree_walker_equals_the_full_range_count(monkeypatch, t):
     N = 40_000
-    points = checkpoints(t, N)
-    expected = full_range_squarefree_counts(t, points)
+    every_multiple = list(range(1, t)) + list(range(t, N + 1, t))
+    for points in (checkpoints(t, N), every_multiple):
+        expected = full_range_squarefree_counts(t, points)
+        for size in SEGMENT_SIZES:
+            use_segment_size(monkeypatch, size)
+            got = count_squarefree_multiples_at(t, points)
+            assert all(type(c) is int for c in got)
+            assert got == expected
+            assert count_squarefree_multiples(t, N) == expected[-1]
+
+
+def brown_first_failure_oracle(t: int, p: int, X: int, g_shift=lambda k: 0):
+    """First x <= X with F(x//p) != G(x//p) + G(x), counting on the full range.
+
+    ``g_shift(k)`` is added to G at every n with n // (t*p) == k.
+    """
+    xs = list(range(X + 1))
+    F = full_range_squarefree_counts(t, xs)
+    G = [
+        g + g_shift(x // (t * p))
+        for x, g in zip(xs, full_range_squarefree_counts(t * p, xs))
+    ]
+    return next((x for x in xs[1:] if F[x // p] != G[x // p] + G[x]), None)
+
+
+@pytest.mark.parametrize(
+    "t, primes", [(1, (2, 5)), (2, (3, 7)), (6, (5, 11)), (30, (7,)), (210, (11, 13))]
+)
+def test_squarefree_prefix_tables_equal_the_full_range_count(monkeypatch, t, primes):
+    X = 20_000
+    ns = list(range(X + 1))
+    expected = full_range_squarefree_counts(t, ns)
+    for p in primes:
+        assert brown_first_failure_oracle(t, p, X) is None
     for size in SEGMENT_SIZES:
         use_segment_size(monkeypatch, size)
-        assert count_squarefree_multiples_at(t, points) == expected
-        assert count_squarefree_multiples(t, N) == expected[-1]
+        for p in primes:
+            assert brown_identity_first_failure(t, p, X) is None
+        F = squarefree_multiple_counts(t, X)
+        got = [F(n) for n in ns]
+        assert all(type(c.numerator) is int for c in got)
+        assert got == expected
+
+
+@pytest.mark.parametrize(
+    "t, p, k0", [(1, 2, 1), (1, 5, 300), (6, 5, 17), (210, 11, 4)]
+)
+def test_brown_checker_reports_the_first_broken_x(monkeypatch, t, p, k0):
+    # an off-by-one count from entry k0 on in the prefix table of t*p
+    build = densities._squarefree_prefix
+
+    def off_by_one(step, limit):
+        prefix = build(step, limit)
+        if step == t * p:
+            prefix[k0:] += 1
+        return prefix
+
+    monkeypatch.setattr(densities, "_squarefree_prefix", off_by_one)
+    X = 20_000
+    expected = brown_first_failure_oracle(t, p, X, lambda k: int(k >= k0))
+    assert expected == k0 * t * p
+    assert brown_identity_first_failure(t, p, X) == expected
 
 
 def test_walkers_above_n_sieve_nothing():
