@@ -71,8 +71,9 @@ def _add_table_args(sub: argparse.ArgumentParser, *, required: bool = True) -> N
         "--threads",
         type=int,
         default=None,
-        help="sieve worker threads (default $DIVREC_THREADS or 1); results "
-        "do not depend on this",
+        help="worker threads for the totient sieve of phisum and "
+        "reproduce-paper (default $DIVREC_THREADS or 1); squarefree and oddly "
+        "accept and ignore it; results do not depend on this",
     )
 
 
@@ -126,9 +127,7 @@ def _cmd_squarefree(args) -> int:
     if args.n is None and args.schedule is None:
         raise ValueError("need --n or --schedule (or --check-identity)")
     family = convergence.SquarefreeFamily(t)
-    rows = convergence.run_convergence(
-        family, _resolve_schedule(args), threads=_resolve_threads(args)
-    )
+    rows = convergence.run_convergence(family, _resolve_schedule(args))
     _print_report(rows, args)
     return EXIT_OK
 

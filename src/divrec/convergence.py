@@ -127,7 +127,8 @@ def run_convergence(
 
     Parameter validation is delegated to the family's counters, so a bad
     modulus or a non-square-free t raises ValueError and an over-cap stop
-    raises RangeLimitError before any work starts.
+    raises RangeLimitError before any work starts. ``threads`` sieves the
+    totients of a :class:`PhiSumFamily` ahead; the other families ignore it.
     """
     points = schedule.points
     if isinstance(family, OddlyFamily):
@@ -141,9 +142,7 @@ def run_convergence(
         pred = densities.predicted_density_squarefree(
             [p for p, _ in factorize(family.t)]
         )
-        counts = densities.count_squarefree_multiples_at(
-            family.t, points, threads=threads
-        )
+        counts = densities.count_squarefree_multiples_at(family.t, points)
         return [
             _row(N, c / N, pred.float_value, Fraction(c, N))
             for N, c in zip(points, counts)

@@ -19,9 +19,10 @@ and predictions can be cross-checked independently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,14 +35,15 @@ from .limits import (
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
     RangeLimitError,
+    segment_size_from_env,
 )
 from .recursion import CountingFunction
 from .sieves import (
-    SieveTable,
     divisibility_exponent,
     factorize,
     is_prime,
     iter_sieve_tables,
+    squarefree_flags,
 )
 
 #: pi**2 to 20 significant digits (rounds to the nearest double).
@@ -92,21 +94,13 @@ def _checked_points(points: Sequence[int], cap: int) -> list[int]:
     return pts
 
 
-def _multiples_walk(
-    step: int, points: list[int], threads: int
-) -> Iterator[tuple[SieveTable, list[int]]]:
-    # ascending tables over k <= points[-1] // step, each with one cut per
-    # checkpoint N whose last k = N // step it holds: the entries up to that k
-    top = points[-1] // step if points else 0
-    if top < 1:
-        return
-    idx = 0
-    for table in iter_sieve_tables(1, top, threads=threads):
-        cuts = []
-        while idx < len(points) and points[idx] // step <= table.hi:
-            cuts.append(points[idx] // step - table.lo + 1)
-            idx += 1
-        yield table, cuts
+def _cuts(step: int, points: list[int], lo: int, hi: int) -> list[int]:
+    # one cut per checkpoint N whose last k = N // step lies in the segment
+    # [lo, hi] of k (the first segment, lo = 1, also takes every N < step):
+    # the number of the segment's entries up to that k
+    first = bisect_left(points, lo * step) if lo > 1 else 0
+    last = bisect_left(points, (hi + 1) * step)
+    return [N // step - lo + 1 for N in points[first:last]]
 
 
 # ---------------------------------------------------------------------------
@@ -162,52 +156,40 @@ def _squarefree_prime_factors(t: int) -> list[int]:
     return [p for p, _ in factors]
 
 
-def count_squarefree_multiples(t: int, N: int, *, threads: int = 1) -> int:
+def count_squarefree_multiples(t: int, N: int) -> int:
     """Count square-free r <= N with t | r, for square-free t (sieve-backed)."""
-    return count_squarefree_multiples_at(t, [N], threads=threads)[0]
+    return count_squarefree_multiples_at(t, [N])[0]
 
 
-def count_squarefree_multiples_at(
-    t: int, points: Sequence[int], *, threads: int = 1
-) -> list[int]:
+def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
     """Counts of square-free multiples of t up to each of ascending ``points``.
 
     The square-free multiples of t up to N are t*k for the square-free
     k <= N // t with gcd(k, t) = 1, so one ascending pass sieves only
-    k <= points[-1] // t.
+    k <= points[-1] // t, and only their square-free flags.
     """
     primes = _squarefree_prime_factors(t)
     pts = _checked_points(points, SIEVE_MAX_N)
+    top = pts[-1] // t if pts else 0
+    size = segment_size_from_env()
     counts: list[int] = []
     running = 0
-    for table, cuts in _multiples_walk(t, pts, threads):
-        flags = _squarefree_multiple_flags(table, primes)
-        for cut in cuts:
+    for lo in range(1, top + 1, size):
+        hi = min(lo + size - 1, top)
+        flags = squarefree_flags(lo, hi, primes)
+        for cut in _cuts(t, pts, lo, hi):
             counts.append(running + int(np.count_nonzero(flags[:cut])))
         running += int(np.count_nonzero(flags))
     counts.extend([running] * (len(pts) - len(counts)))
     return counts
 
 
-def _squarefree_multiple_flags(table: SieveTable, primes: list[int]) -> np.ndarray:
-    # entry k - table.lo marks t*k square-free, t the product of ``primes``:
-    # k square-free and divisible by none of them; t = 1 is the table itself
-    flags = table.squarefree
-    if primes:
-        flags = flags.copy()
-        for p in primes:
-            flags[-(table.lo // -p) * p - table.lo :: p] = False
-    return flags
-
-
 def _squarefree_prefix(t: int, limit: int) -> np.ndarray:
     # entry k = square-free multiples of t up to k*t, for 0 <= k <= limit // t
     primes = _squarefree_prime_factors(t)
     prefix = np.zeros(limit // t + 1, dtype=np.int64)
-    for table, _ in _multiples_walk(t, [limit], 1):
-        seg = prefix[table.lo : table.hi + 1]
-        np.cumsum(_squarefree_multiple_flags(table, primes), out=seg)
-        seg += prefix[table.lo - 1]
+    if prefix.size > 1:
+        np.cumsum(squarefree_flags(1, prefix.size - 1, primes), out=prefix[1:])
     return prefix
 
 
@@ -217,8 +199,9 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     F counts square-free multiples of t, G of p*t; p must be a prime not
     dividing t. The identity holds for all x, so None is the expected
     outcome; the first counterexample is returned for reporting if a sieve
-    or counting bug ever breaks it. Only k <= X // (t*p) is sieved for
-    each side.
+    or counting bug ever breaks it. Both sides depend on x only through
+    j = x // (t*p): F is read at (x//p)//t = j and G at j // p and j, so
+    only k <= X // (t*p) is sieved and compared for each side.
     """
     _squarefree_prime_factors(t)
     if not is_prime(p):
@@ -232,11 +215,9 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
 
     f_pref = _squarefree_prefix(t, X // p)
     g_pref = _squarefree_prefix(t * p, X)
-    xs = np.arange(1, X + 1)
-    lhs = f_pref[xs // p // t]
-    rhs = g_pref[xs // p // (t * p)] + g_pref[xs // (t * p)]
-    bad = np.nonzero(lhs != rhs)[0]
-    return int(xs[bad[0]]) if bad.size else None
+    bad = np.nonzero(f_pref != g_pref[np.arange(g_pref.size) // p] + g_pref)[0]
+    # the first x <= X with x // (t*p) = j is j*t*p, or 1 for j = 0
+    return max(1, int(bad[0]) * t * p) if bad.size else None
 
 
 def brown_identity_check(t: int, p: int, X: int) -> bool:
@@ -264,8 +245,8 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
 def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
     """Prefix-table-backed counting function n -> #{square-free r <= n: t | r}.
 
-    Valid for 0 <= n <= limit; k <= limit // t is sieved up front, so build
-    cost is one pass and each call is O(1).
+    Valid for 0 <= n <= limit; the square-free flags of k <= limit // t are
+    sieved up front, so build cost is one pass and each call is O(1).
     """
     _check_count_range(limit, SIEVE_MAX_N)
     if limit < 1:
@@ -326,7 +307,9 @@ def phi_ratio_sums_at(
     pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
     acc = ExactRatioSum() if exact else NeumaierSum()
     sums: list = []
-    for table, cuts in _multiples_walk(m, pts, threads):
+    top = pts[-1] // m if pts else 0
+    for table in iter_sieve_tables(1, top, threads=threads) if top else ():
+        cuts = _cuts(m, pts, table.lo, table.hi)
         phis = _phi_of_multiples(table, m)
         ns = np.arange(table.lo * m, table.hi * m + 1, m, dtype=np.int64)
         ratios = None if exact else phis / ns
@@ -373,7 +356,9 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
 
         S_{t*p**j}(N) = ((p-1)/p) * S_t(N // p**j) + (1/p) * S_{t*p}(N // p**j)
 
-    checked in full-precision rational arithmetic for every N up to X.
+    checked in full-precision rational arithmetic for every N up to X. Both
+    sides depend on N only through k = N // p**j (the left side is read at
+    N // (t*p**j) = k // t), so each k is checked once.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -396,15 +381,9 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     w_f = Fraction(p - 1, p)
     w_g = Fraction(1, p)
 
-    rhs = Fraction(0)
-    k_prev = -1
-    for N in range(1, X + 1):
-        k = N // pj
-        if k != k_prev:
-            rhs = w_f * f_pref[k // t] + w_g * g_pref[k // (t * p)]
-            k_prev = k
-        if lhs_pref[N // (t * pj)] != rhs:
-            return N
+    for k in range(lim + 1):
+        if lhs_pref[k // t] != w_f * f_pref[k // t] + w_g * g_pref[k // (t * p)]:
+            return max(1, k * pj)  # the first N with N // p**j = k
     return None
 
 

@@ -1,11 +1,13 @@
 """Segmented sieves for Euler's totient and square-free flags.
 
 A segment is sieved with the primes up to sqrt(hi): each prime contributes
-its factor to the totient in place and marks multiples of its square as not
-square-free. Whatever remains of an entry after dividing out those primes is
-either 1 or a single prime above sqrt(hi), so one vectorized fix-up finishes
-the totients. Segments never depend on each other, which keeps memory flat
-for ranges up to the 1e9 cap and lets callers sieve ahead on worker threads.
+its factor to the totient in place, and :func:`squarefree_flags` clears the
+multiples of its square. Whatever remains of an entry after dividing out those
+primes is either 1 or a single prime above sqrt(hi), so one vectorized fix-up
+finishes the totients. Callers that read only square-free flags call
+:func:`squarefree_flags` directly and build no totients. Segments never
+depend on each other, which keeps memory flat for ranges up to the 1e9 cap
+and lets callers sieve ahead on worker threads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -92,10 +94,7 @@ def sieve_segment(lo: int, hi: int, *, segment_size: int | None = None) -> Sieve
     size = segment_size_from_env() if segment_size is None else segment_size
     if size < 1:
         raise ValueError(f"segment size must be positive, got {size}")
-    if lo < 1 or lo > hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > SIEVE_MAX_N:
-        raise RangeLimitError(f"sieve range ends at {hi}, cap is {SIEVE_MAX_N}")
+    _check_range(lo, hi)
     if hi - lo + 1 > size:
         raise RangeLimitError(
             f"segment [{lo}, {hi}] is longer than the segment size {size}"
@@ -104,10 +103,7 @@ def sieve_segment(lo: int, hi: int, *, segment_size: int | None = None) -> Sieve
     n = np.arange(lo, hi + 1, dtype=np.int64)
     phi = n.copy()
     rem = n.copy()  # entry after dividing out all primes <= sqrt(hi)
-    squarefree = np.ones(n.shape, dtype=bool)
-    primes = _base_primes()
-    root = math.isqrt(hi)
-    for p in primes[: int(np.searchsorted(primes, root, side="right"))].tolist():
+    for p in _root_primes(hi):
         first = -(lo // -p) * p
         if first > hi:
             continue
@@ -120,19 +116,45 @@ def sieve_segment(lo: int, hi: int, *, segment_size: int | None = None) -> Sieve
                 break
             rem[firstq - lo :: q] //= p
             q *= p
-        pp = p * p
-        firstpp = -(lo // -pp) * pp
-        if firstpp <= hi:
-            squarefree[firstpp - lo :: pp] = False
 
     # leftover cofactors are single primes > sqrt(hi): multiply in (p-1)/p
     big = rem > 1
     if big.any():
         phi[big] = phi[big] // rem[big] * (rem[big] - 1)
 
+    squarefree = squarefree_flags(lo, hi)
     phi.setflags(write=False)
     squarefree.setflags(write=False)
     return SieveTable(lo, hi, phi, squarefree)
+
+
+def squarefree_flags(lo: int, hi: int, primes: Sequence[int] = ()) -> np.ndarray:
+    """Writable bool array over [lo, hi] marking k with t*k square-free.
+
+    ``t`` is the product of the distinct primes ``primes`` (t = 1 by
+    default), so entry k - lo is True iff k is square-free and divisible by
+    none of them. Only strides are cleared, each p in ``primes`` and p*p for
+    every prime p <= sqrt(hi); no totients are built. The caller chooses the
+    length: the array takes hi - lo + 1 bytes.
+    """
+    _check_range(lo, hi)
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    for q in [*primes, *(p * p for p in _root_primes(hi))]:
+        flags[-(lo // -q) * q - lo :: q] = False
+    return flags
+
+
+def _root_primes(hi: int) -> list[int]:
+    # the base primes p <= sqrt(hi), which sieve any segment ending at hi
+    primes = _base_primes()
+    return primes[: int(np.searchsorted(primes, math.isqrt(hi), side="right"))].tolist()
+
+
+def _check_range(lo: int, hi: int) -> None:
+    if lo < 1 or lo > hi:
+        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi > SIEVE_MAX_N:
+        raise RangeLimitError(f"sieve range ends at {hi}, cap is {SIEVE_MAX_N}")
 
 
 def iter_sieve_tables(
@@ -152,11 +174,7 @@ def iter_sieve_tables(
     size = segment_size_from_env() if segment_size is None else segment_size
     if size < 1:
         raise ValueError(f"segment size must be positive, got {size}")
-    if lo < 1 or lo > hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > SIEVE_MAX_N:
-        raise RangeLimitError(f"sieve range ends at {hi}, cap is {SIEVE_MAX_N}")
-
+    _check_range(lo, hi)
     starts = iter(range(lo, hi + 1, size))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory

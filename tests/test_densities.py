@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrec import densities
 from divrec.densities import (
     PI_SQUARED,
     brown_identity_check,
@@ -166,12 +167,6 @@ def test_count_squarefree_multiples_matches_enumeration():
             assert count_squarefree_multiples(t, upper) == expected
 
 
-def test_count_squarefree_multiples_threads_agree():
-    assert count_squarefree_multiples(3, 10**5, threads=4) == count_squarefree_multiples(
-        3, 10**5
-    )
-
-
 def test_count_squarefree_multiples_errors():
     with pytest.raises(ValueError):
         count_squarefree_multiples(4, 100)  # 4 is not square-free
@@ -306,6 +301,52 @@ def test_phi_claim_identity_by_hand():
             1, p
         ) * phi_ratio_sum(t * p, k, "exact")
         assert lhs == rhs
+
+
+def phi_claim_first_failure_oracle(t: int, p: int, j: int, X: int):
+    """First N <= X failing the totient-ratio splitting, one N at a time."""
+    pj = p**j
+    lhs = densities._phi_ratio_prefix_list(t * pj, X)
+    f = densities._phi_ratio_prefix_list(t, X // pj)
+    g = densities._phi_ratio_prefix_list(t * p, X // pj)
+    for N in range(1, X + 1):
+        k = N // pj
+        rhs = Fraction(p - 1, p) * f[k // t] + Fraction(1, p) * g[k // (t * p)]
+        if lhs[N // (t * pj)] != rhs:
+            return N
+    return None
+
+
+@pytest.mark.parametrize(
+    "t, p, j, side, k0",
+    [
+        (1, 2, 1, "lhs", 0),
+        (1, 2, 1, "lhs", 37),
+        (1, 3, 2, "f", 5),
+        (3, 5, 1, "g", 4),
+        (2, 3, 1, "lhs", 333),  # the last entry: N = 1998
+    ],
+)
+def test_phi_claim_checker_reports_the_first_broken_n(monkeypatch, t, p, j, side, k0):
+    # one prefix entry of one side is off by 1/7
+    X = 2000
+    build = densities._phi_ratio_prefix_list
+    broken = {
+        "lhs": (t * p**j, X),
+        "f": (t, X // p**j),
+        "g": (t * p, X // p**j),
+    }[side]
+
+    def perturbed(step, limit):
+        values = build(step, limit)
+        if (step, limit) == broken:
+            values[k0] += Fraction(1, 7)
+        return values
+
+    monkeypatch.setattr(densities, "_phi_ratio_prefix_list", perturbed)
+    expected = phi_claim_first_failure_oracle(t, p, j, X)
+    assert expected is not None
+    assert phi_claim_first_failure(t, p, j, X) == expected
 
 
 def test_phi_claim_errors():

@@ -16,6 +16,7 @@ from divrec.sieves import (
     is_prime,
     iter_sieve_tables,
     sieve_segment,
+    squarefree_flags,
 )
 
 
@@ -162,9 +163,31 @@ def test_segment_argument_errors():
         sieve_segment(1, 2 * 10**6)  # longer than the default segment
     with pytest.raises(ValueError):
         list(iter_sieve_tables(3, 2))
+    with pytest.raises(ValueError):
+        squarefree_flags(0, 10)
+    with pytest.raises(RangeLimitError):
+        squarefree_flags(SIEVE_MAX_N, SIEVE_MAX_N + 1)
     table = sieve_segment(10, 20)
     with pytest.raises(ValueError):
         table.phi_of(9)
+
+
+@pytest.mark.parametrize("lo", [1, 99_900, 10**8 + 7])
+@pytest.mark.parametrize(
+    "primes", [(), (2,), (3, 5), (2, 3, 5, 7), (10_007,), (1_000_000_007,)]
+)
+def test_squarefree_flags_against_trial_division(lo, primes):
+    # t*k is square-free iff k is and no prime of the square-free t divides k;
+    # 10_007 is longer than the window and has one multiple in the middle one,
+    # 1_000_000_007 has none in any window
+    hi = lo + 299
+    flags = squarefree_flags(lo, hi, primes)
+    assert flags.dtype == bool and flags.flags.writeable
+    expected = [
+        squarefree_oracle(k) and all(k % p for p in primes)
+        for k in range(lo, hi + 1)
+    ]
+    assert flags.tolist() == expected
 
 
 def test_tables_are_read_only():

@@ -5,9 +5,12 @@ is how the phisum and square-free families walked the range before they
 sieved only k <= N // m. Float sums must agree bit for bit, exact sums and
 counts exactly, at every segment size. The square-free prefix tables behind
 the splitting-identity checker and ``squarefree_multiple_counts`` are held to
-the same oracle.
+the same oracle. That oracle shares the p*p marking with the flags sieve
+under test, so the t = 1 counts are also held to the Moebius sum
+Q(x) = sum over d <= sqrt(x) of mu(d) * (x // d**2), which marks nothing.
 """
 
+import math
 import struct
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ import pytest
 
 from divrec import densities
 from divrec.accumulators import ExactRatioSum, NeumaierSum
+from divrec.convergence import CheckpointSchedule, SquarefreeFamily, run_convergence
 from divrec.densities import (
     brown_identity_first_failure,
     count_squarefree_multiples,
@@ -183,6 +187,47 @@ def test_brown_checker_reports_the_first_broken_x(monkeypatch, t, p, k0):
     expected = brown_first_failure_oracle(t, p, X, lambda k: int(k >= k0))
     assert expected == k0 * t * p
     assert brown_identity_first_failure(t, p, X) == expected
+
+
+def moebius_squarefree_count(x: int) -> int:
+    """Q(x) = sum of mu(d) * (x // d**2) over d <= sqrt(x)."""
+    root = math.isqrt(x)
+    mu = [1] * (root + 1)
+    is_composite = [False] * (root + 1)
+    for p in range(2, root + 1):
+        if not is_composite[p]:
+            for d in range(p, root + 1, p):
+                is_composite[d] = d > p
+                mu[d] = -mu[d]
+            for d in range(p * p, root + 1, p * p):
+                mu[d] = 0
+    return sum(mu[d] * (x // (d * d)) for d in range(1, root + 1))
+
+
+def test_squarefree_counts_equal_the_moebius_sum():
+    xs = [1, 10, 10**3, 10**6, 10**8]
+    assert [moebius_squarefree_count(x) for x in xs[:3]] == [1, 7, 608]
+    assert count_squarefree_multiples_at(1, xs) == [
+        moebius_squarefree_count(x) for x in xs
+    ]
+
+
+def test_squarefree_paths_build_no_totients(monkeypatch):
+    points = [10, 5000, 30_000]
+    counts = {t: full_range_squarefree_counts(t, points) for t in (6, 30)}
+
+    def totient_sieve(*args, **kwargs):
+        raise AssertionError("a square-free path built totients")
+
+    monkeypatch.setattr("divrec.sieves.sieve_segment", totient_sieve)
+    monkeypatch.setattr("divrec.densities.iter_sieve_tables", totient_sieve)
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "1000")
+    assert count_squarefree_multiples_at(6, points) == counts[6]
+    assert densities._squarefree_prefix(6, 5000)[-1] == counts[6][1]
+    assert brown_identity_first_failure(6, 5, 30_000) is None
+    assert squarefree_multiple_counts(30, 30_000)(30_000) == counts[30][2]
+    rows = run_convergence(SquarefreeFamily(6), CheckpointSchedule(10, 30_000, 3))
+    assert rows[-1].empirical_exact == Fraction(counts[6][2], 30_000)
 
 
 def test_walkers_above_n_sieve_nothing():
