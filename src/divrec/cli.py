@@ -262,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("float", "exact"),
         default="float",
-        help="float: compensated doubles (N <= 1e9); exact: full-precision "
-        "rationals (N <= 1e5, included in JSON output)",
+        help="float: double terms exactly summed, rounded once (N <= 1e9); "
+        "exact: full-precision rationals (N <= 1e5, included in JSON output)",
     )
     _add_table_args(p)
     p.set_defaults(handler=_cmd_phisum)

@@ -22,11 +22,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .accumulators import ExactRatioSum, NeumaierSum
+from .accumulators import ExactFloatSum, ExactRatioSum
 from .limits import (
     BROWN_CHECK_MAX_X,
     ENGINE_MAX_N,
@@ -277,13 +278,15 @@ def phi_ratio_sum(m: int, N: int, mode: str = "float", *, threads: int = 1):
     Args:
         m: Modulus, at least 1 (m = 1 sums over every integer).
         N: Upper end of the range.
-        mode: "float" for compensated double summation (cap 1e9), "exact"
-            for a full-precision Fraction (cap 1e5).
+        mode: "float" for the exact sum of the double terms rounded once to
+            a double (cap 1e9), "exact" for a full-precision Fraction
+            (cap 1e5).
         threads: Worker threads for sieving; never affects the result.
 
     Returns:
-        float in "float" mode, Fraction in "exact" mode. Terms are always
-        accumulated in ascending n, so results are reproducible bit for bit.
+        float in "float" mode, Fraction in "exact" mode. Both are exact sums
+        of their terms, so neither depends on summation order, threads or
+        segment size.
     """
     return phi_ratio_sums_at(m, [N], mode, threads=threads)[0]
 
@@ -296,16 +299,22 @@ def phi_ratio_sums_at(
     Only k <= points[-1] // m is sieved: phi(m*k) is m*phi(k) times
     (p-1)/p for every prime p of m that does not divide k, and every
     intermediate stays at most m*k. Each term phi(n)/n is the same double as
-    over a sieve of all n, summed in the same ascending order, so a row
+    over a sieve of all n, and its sum is exact until it is read, so a row
     equals a from-scratch sum at its point bit for bit.
     """
-    if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {m}")
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}, expected 'float' or 'exact'")
-    exact = mode == "exact"
+    return _phi_ratio_walk(m, points, mode == "exact", attrgetter("value"), threads)
+
+
+def _phi_ratio_walk(
+    m: int, points: Sequence[int], exact: bool, read: Callable, threads: int = 1
+) -> list:
+    # the one totient-ratio walker: read(accumulator) at each point
+    if m < 1:
+        raise ValueError(f"need modulus m >= 1, got {m}")
     pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
-    acc = ExactRatioSum() if exact else NeumaierSum()
+    acc = ExactRatioSum() if exact else ExactFloatSum()
     sums: list = []
     top = pts[-1] // m if pts else 0
     for table in iter_sieve_tables(1, top, threads=threads) if top else ():
@@ -319,11 +328,11 @@ def phi_ratio_sums_at(
                 for ph, n in zip(phis[done:cut].tolist(), ns[done:cut].tolist()):
                     acc.add(ph, n)
             else:
-                acc.extend(ratios[done:cut].tolist())
+                acc.extend(ratios[done:cut])
             if cut is not None:
-                sums.append(acc.value)
+                sums.append(read(acc))
                 done = cut
-    sums.extend([acc.value] * (len(pts) - len(sums)))
+    sums.extend([read(acc)] * (len(pts) - len(sums)))
     return sums
 
 
@@ -341,11 +350,11 @@ def _phi_of_multiples(table, m: int) -> np.ndarray:
     return phis
 
 
-def _phi_ratio_prefix_list(step: int, limit: int) -> list[Fraction]:
-    # entry k = exact sum over the first k multiples of step (k*step <= limit)
-    return [Fraction(0)] + phi_ratio_sums_at(
-        step, range(step, limit + 1, step), "exact"
-    )
+def _phi_ratio_prefix_pairs(step: int, limit: int) -> list[tuple[int, int]]:
+    # entry k = the exact sum over the first k multiples of step (k*step <=
+    # limit) as an unreduced (numerator, denominator) pair
+    points = range(step, limit + 1, step)
+    return [(0, 1)] + _phi_ratio_walk(step, points, True, attrgetter("unreduced"))
 
 
 def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
@@ -357,8 +366,10 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
         S_{t*p**j}(N) = ((p-1)/p) * S_t(N // p**j) + (1/p) * S_{t*p}(N // p**j)
 
     checked in full-precision rational arithmetic for every N up to X. Both
-    sides depend on N only through k = N // p**j (the left side is read at
-    N // (t*p**j) = k // t), so each k is checked once.
+    sides depend on N only through i = N // (t*p**j): the left side and S_t
+    are read at i, S_{t*p} at i // p. So each i is checked once, with the
+    three sums as unreduced fractions L/L_d, F/F_d and G/G_d compared by
+    cross-multiplication, p*L*F_d*G_d == L_d*((p-1)*F*G_d + G*F_d).
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -374,16 +385,17 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
         raise RangeLimitError(f"X = {X} exceeds the cap {PHI_CLAIM_MAX_X}")
 
     pj = p**j
-    lhs_pref = _phi_ratio_prefix_list(t * pj, X)
     lim = X // pj
-    f_pref = _phi_ratio_prefix_list(t, lim)
-    g_pref = _phi_ratio_prefix_list(t * p, lim)
-    w_f = Fraction(p - 1, p)
-    w_g = Fraction(1, p)
+    lhs = _phi_ratio_prefix_pairs(t * pj, X)
+    f = _phi_ratio_prefix_pairs(t, lim)
+    g = _phi_ratio_prefix_pairs(t * p, lim)
 
-    for k in range(lim + 1):
-        if lhs_pref[k // t] != w_f * f_pref[k // t] + w_g * g_pref[k // (t * p)]:
-            return max(1, k * pj)  # the first N with N // p**j = k
+    for i in range(lim // t + 1):
+        L, L_d = lhs[i]
+        F, F_d = f[i]
+        G, G_d = g[i // p]
+        if p * L * F_d * G_d != L_d * ((p - 1) * F * G_d + G * F_d):
+            return max(1, i * t * pj)  # the first N with N // (t*p**j) = i
     return None
 
 
@@ -417,5 +429,5 @@ def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
     _check_count_range(limit, EXACT_PHI_SUM_MAX_N)
     if limit < 1:
         raise ValueError("need limit >= 1")
-    values = _phi_ratio_prefix_list(m, limit)
+    values = [Fraction(*pair) for pair in _phi_ratio_prefix_pairs(m, limit)]
     return _prefix_lookup(values, m, limit, f"totient-ratio sum over multiples of {m}")

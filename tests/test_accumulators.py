@@ -1,18 +1,70 @@
-"""Accumulator exactness and bit-reproducibility."""
+"""Accumulator exactness and bit-reproducibility.
+
+The ``test_neumaier_*`` tests hold :class:`ExactFloatSum` to the assertions
+the compensated Neumaier sum it replaced was held to. That Neumaier loop
+lives on below as :class:`NeumaierOracle`, the oracle the float walker is
+checked against bit for bit.
+"""
 
 import math
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.accumulators import ExactRatioSum, NeumaierSum
+from divrec.accumulators import ExactFloatSum, ExactRatioSum
+from divrec.convergence import CheckpointSchedule
+from divrec.densities import phi_ratio_sums_at
+from divrec.sieves import iter_sieve_tables
+
+
+class NeumaierOracle:
+    """Kahan-Babuska-Neumaier compensated sum, one Python step per term."""
+
+    def __init__(self) -> None:
+        self._sum = 0.0
+        self._compensation = 0.0
+
+    def extend(self, values) -> None:
+        s = self._sum
+        c = self._compensation
+        for x in values:
+            t = s + x
+            if abs(s) >= abs(x):
+                c += (s - t) + x
+            else:
+                c += (x - t) + s
+            s = t
+        self._sum = s
+        self._compensation = c
+
+    @property
+    def value(self) -> float:
+        return self._sum + self._compensation
+
+
+def fraction_sum(values) -> float:
+    """The exact sum of the doubles, rounded once (OverflowError past range)."""
+    return float(sum(map(Fraction, values), Fraction(0)))
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except OverflowError:
+        return OverflowError
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
 
 
 def test_neumaier_recovers_cancellation():
-    acc = NeumaierSum()
+    acc = ExactFloatSum()
     for x in (1.0, 1e100, 1.0, -1e100):
         acc.add(x)
     assert acc.value == 2.0  # naive summation returns 0.0 here
@@ -21,22 +73,23 @@ def test_neumaier_recovers_cancellation():
 def test_neumaier_close_to_fsum():
     rng = random.Random(5)
     values = [rng.uniform(0, 1) for _ in range(50_000)]
-    acc = NeumaierSum()
+    acc = ExactFloatSum()
     acc.extend(values)
     assert math.isclose(acc.value, math.fsum(values), rel_tol=1e-14)
+    assert acc.value == math.fsum(values)  # both are correctly rounded
 
 
 def test_neumaier_snapshot_equals_fresh_prefix_sum():
     rng = random.Random(6)
     values = [rng.uniform(0, 1e-3) for _ in range(10_000)]
-    running = NeumaierSum()
+    running = ExactFloatSum()
     snapshots = {}
     for i, x in enumerate(values, start=1):
         running.add(x)
         if i % 2500 == 0:
             snapshots[i] = running.value
     for i, snap in snapshots.items():
-        fresh = NeumaierSum()
+        fresh = ExactFloatSum()
         fresh.extend(values[:i])
         assert fresh.value == snap  # bitwise, not approximately
 
@@ -44,12 +97,127 @@ def test_neumaier_snapshot_equals_fresh_prefix_sum():
 def test_neumaier_chunking_does_not_matter():
     rng = random.Random(7)
     values = [rng.uniform(0, 1) for _ in range(1000)]
-    one = NeumaierSum()
+    one = ExactFloatSum()
     one.extend(values)
-    other = NeumaierSum()
+    other = ExactFloatSum()
     for i in range(0, 1000, 37):
         other.extend(values[i : i + 37])
     assert one.value == other.value
+
+
+# the whole double range: signed zeros, subnormals, magnitudes near 1e308
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.floats(min_value=-1.7976931348623157e308, max_value=-1e307),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(finite_doubles, max_size=40))
+def test_exact_float_sum_is_the_rounded_fraction_sum(xs):
+    acc = ExactFloatSum()
+    acc.extend(xs)
+    assert outcome(lambda: acc.value) == outcome(lambda: fraction_sum(xs))
+
+
+@settings(max_examples=200)
+@given(st.lists(finite_doubles, max_size=40), st.randoms(use_true_random=False))
+def test_exact_float_sum_ignores_chunking_and_order(xs, rnd):
+    whole = ExactFloatSum()
+    whole.extend(np.array(xs, dtype=np.float64))
+    shuffled = list(xs)
+    rnd.shuffle(shuffled)
+    pieces = ExactFloatSum()
+    i = 0
+    while i < len(shuffled):
+        step = rnd.randint(1, 5)
+        pieces.extend(shuffled[i : i + step])
+        i += step
+    assert outcome(lambda: pieces.value) == outcome(lambda: whole.value)
+
+
+def test_exact_float_sum_crosses_blocks_and_bands():
+    # more values than one numpy pass takes, with exponents 2000 apart
+    rng = random.Random(8)
+    values = [
+        rng.uniform(-1, 1) * 2.0 ** rng.choice((-1070, -500, -3, 0, 40, 900))
+        for _ in range(70_000)
+    ]
+    acc = ExactFloatSum()
+    acc.extend(values)
+    assert acc.value == fraction_sum(values)
+    assert acc.value == math.fsum(values)
+
+
+@pytest.mark.parametrize(
+    "xs, expected",
+    [
+        ([1.0, 2.0**-53], 1.0),
+        ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
+        ([2.0**60, 2.0**7, -0.0], 2.0**60),
+        ([-(2.0**60), -(2.0**7), 2.0**-1074, -(2.0**-1074)], -(2.0**60)),
+    ],
+)
+def test_exact_float_sum_rounds_exact_ties_to_even(xs, expected):
+    # each sum lies exactly halfway between two doubles: only an exact sum
+    # rounds it to the even neighbour, however the terms are split
+    for padded in (xs, xs + [0.0] * 40):
+        acc = ExactFloatSum()
+        acc.extend(padded)
+        assert acc.value == expected == fraction_sum(padded)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exact_float_sum_rejects_non_finite_values(bad):
+    acc = ExactFloatSum()
+    acc.extend([0.25, 0.5])
+    with pytest.raises(ValueError):
+        acc.extend([1.0] * 40_000 + [bad])  # the bad value is in a later block
+    assert acc.value == 0.75  # nothing of the rejected call was added
+    with pytest.raises(ValueError):
+        acc.add(bad)
+
+
+def test_exact_float_sum_past_the_double_range_overflows():
+    big = 1.7976931348623157e308
+    acc = ExactFloatSum()
+    acc.extend([big, big])
+    with pytest.raises(OverflowError):
+        acc.value
+    acc.add(-big)
+    assert acc.value == big  # the exact state never overflowed
+    assert ExactFloatSum().value == 0.0
+
+
+def neumaier_phi_sums(m: int, points: list[int]) -> list[float]:
+    """The Neumaier sums of phi(n)/n over multiples n of m, sieving all n."""
+    acc = NeumaierOracle()
+    sums = []
+    for table in iter_sieve_tables(1, points[-1]):
+        first = -(table.lo // -m) * m
+        ns = np.arange(first, table.hi + 1, m, dtype=np.int64)
+        ratios = table.phi[first - table.lo :: m] / ns
+        done = 0
+        while len(sums) < len(points) and points[len(sums)] <= table.hi:
+            cut = int(np.searchsorted(ns, points[len(sums)], side="right"))
+            acc.extend(ratios[done:cut].tolist())
+            done = cut
+            sums.append(acc.value)
+        acc.extend(ratios[done:].tolist())
+    return sums
+
+
+@pytest.mark.parametrize(
+    "m, points",
+    [
+        (12348, [10**6, 10**7]),  # the C3 points
+        (1, CheckpointSchedule(1, 10**7, Fraction(13, 10)).points),
+    ],
+)
+def test_walker_equals_the_neumaier_sums_it_replaced(m, points):
+    assert bits(phi_ratio_sums_at(m, points)) == bits(neumaier_phi_sums(m, points))
 
 
 @settings(max_examples=100)
@@ -67,6 +235,8 @@ def test_exact_ratio_sum_is_exact(pairs):
     for num, den in pairs:
         acc.add(num, den)
     assert acc.value == sum(Fraction(n, d) for n, d in pairs)
+    num, den = acc.unreduced
+    assert den > 0 and Fraction(num, den) == acc.value
 
 
 def test_exact_ratio_sum_rejects_bad_denominator():
@@ -80,3 +250,4 @@ def test_exact_ratio_sum_value_is_nondestructive():
     assert acc.value == Fraction(1, 3)
     acc.add(1, 6)
     assert acc.value == Fraction(1, 2)
+    assert acc.unreduced == (3, 6)  # read without reducing

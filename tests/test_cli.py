@@ -1,7 +1,9 @@
 """CLI behavior: table output, identity checks, exit codes."""
 
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from divrec import densities
 from divrec.cli import main
@@ -227,3 +231,156 @@ def test_bad_segment_size_variable_exits_two():
     err = proc.stderr.decode()
     assert proc.returncode == 2 and proc.stdout == b""
     assert "DIVREC_SEGMENT_SIZE" in err and "Traceback" not in err
+
+
+# The fuzz below draws argv from the subcommands, their flags and small or
+# invalid values, plus DIVREC_THREADS and DIVREC_SEGMENT_SIZE. Sizes stay at
+# most FUZZ_MAX_N or lie past some cap, and thread counts stay at most 4.
+FUZZ_MAX_N = 10**4
+SIZES = ("1e3", "7", "2", "12", "1", "360", "1e4")  # hypothesis favours the first
+NOT_SIZES = ("0", "-1", "2.5", "1/2", "abc", "", "2e9", "2e12", "1e30")
+
+#: flag -> (usual values, invalid or over-cap values)
+FUZZ_VALUES = {
+    "--m": (SIZES, NOT_SIZES),
+    "--n": (SIZES, NOT_SIZES),
+    "--x": (SIZES, NOT_SIZES),
+    "--max-n": (SIZES, NOT_SIZES),
+    "--max-x": (SIZES, NOT_SIZES),
+    "--claim-max-n": (SIZES, NOT_SIZES),
+    "--schedule": (
+        ("1:1e4:10", "1e3:1e4:2", "7:1e4:1.5", "10:1:2"),
+        ("0:1e4:3", "1:1e4:1", "1:1e4:1/0", "1:1e4:nan", "a:b:c", "1:2",
+         "1:2e9:10", "1:2e12:10", "1:1e30:1.0001"),
+    ),
+    "--t": (("1", "2", "6", "30", "210"), ("4", "12", "0", "2e12")),
+    "--primes": (("", "2", "2,3", "3,5,7"), ("2,2", "4", "2,abc", "-2")),
+    "--check-identity": (("2", "3", "5", "7"), ("1", "4", "abc", "2e12")),
+    "--mode": (("float", "exact"), ("fast",)),
+    "--format": (("json", "csv"), ("text", "xml")),
+    "--threads": (("1", "2", "4"), ("0", "-1", "abc")),
+    "--suite": (("lemma", "app1", "brown", "phi-claim"), ("all",)),
+    "--count": (("0", "1", "3"), ("-1", "abc")),  # no cap: never a large count
+    "--seed": (("0", "1", "7"), ("abc", "1e3")),
+}
+TABLE_FLAGS = [("--n", "--schedule"), ("--format",), ("--threads",)]
+#: subcommand -> groups of mutually exclusive flags; the first ones are set
+#: in every argv, the rest in three of four
+FUZZ_COMMANDS = {
+    "oddly": (2, [("--m",), *TABLE_FLAGS]),
+    "squarefree": (
+        0,
+        [("--t", "--primes"), ("--check-identity",), ("--x",), *TABLE_FLAGS],
+    ),
+    "phisum": (2, [("--m",), *TABLE_FLAGS, ("--mode",)]),
+    # the lemma suite has no cap on --count, so verify always sets it
+    "verify": (
+        2,
+        [
+            ("--suite",), ("--count",), ("--seed",),
+            ("--max-n",), ("--max-x",), ("--claim-max-n",),
+        ],
+    ),
+    "reproduce-paper": (0, [("--format",), ("--threads",)]),
+}
+
+
+def pick(draw, usual, invalid):
+    # one value in eight is invalid or over a cap (hypothesis favours 0)
+    return draw(st.sampled_from(invalid if draw(st.integers(0, 7)) == 7 else usual))
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    command = pick(draw, list(FUZZ_COMMANDS), ("bogus",))
+    argv = [command]
+    required, groups = FUZZ_COMMANDS.get(command, (0, []))
+    for i, group in enumerate(groups):
+        if i >= required and draw(st.integers(0, 3)) == 3:
+            continue
+        flag = draw(st.sampled_from(group))
+        argv += [flag, pick(draw, *FUZZ_VALUES[flag])]
+    return argv + pick(draw, [[]], [["--help"], ["--bogus"], ["7"]])
+
+
+#: environment variable -> (usual values, invalid values); None unsets it
+FUZZ_ENV = {
+    "DIVREC_THREADS": ((None, "1", "2", "4"), ("0", "-3", "abc", "")),
+    "DIVREC_SEGMENT_SIZE": ((None, "256", "7"), ("0", "abc", "1e3")),
+}
+
+
+@st.composite
+def fuzz_env(draw) -> dict:
+    return {name: pick(draw, *values) for name, values in FUZZ_ENV.items()}
+
+
+def small_sieve(sieve):
+    # every fuzzed size is at most FUZZ_MAX_N or past a cap, and a cap must
+    # stop a run before it sieves anything
+    def checked(lo, hi, *args, **kwargs):
+        assert hi <= FUZZ_MAX_N, f"sieved up to {hi}"
+        return sieve(lo, hi, *args, **kwargs)
+
+    return checked
+
+
+def fuzzed_exit_code(argv: list[str], env: dict) -> int:
+    """``main(argv)`` under ``env`` (None unsets), output discarded."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in env.items():
+            if value is None:
+                mp.delenv(name, raising=False)
+            else:
+                mp.setenv(name, value)
+        for name in ("iter_sieve_tables", "squarefree_flags"):
+            mp.setattr(densities, name, small_sieve(getattr(densities, name)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            try:
+                return main(argv)
+            except SystemExit as exc:  # argparse: --help or a rejected argv
+                return exc.code
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=fuzz_argv(), env=fuzz_env())
+def test_fuzzed_argv_and_environment_exit_zero_to_three(argv, env):
+    code = fuzzed_exit_code(argv, env)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3)
+
+
+#: a valid argv per subcommand, as flag -> value
+FUZZ_BASE = {
+    "oddly": {"--m": "2", "--n": "1e3"},
+    "squarefree": {"--t": "6", "--n": "1e3"},
+    "phisum": {"--m": "7", "--n": "1e3"},
+    "verify": {"--suite": "brown", "--count": "1"},
+    "reproduce-paper": {},
+}
+
+
+def test_every_invalid_fuzz_value_exits_zero_to_three():
+    # the random fuzz may miss a rare value; here each invalid or over-cap
+    # value is tried once in each subcommand that takes its flag, in an
+    # otherwise valid argv, and each invalid environment value once
+    runs = []
+    for command, groups in FUZZ_COMMANDS.items():
+        for group in groups[1]:
+            for flag in group:
+                for value in FUZZ_VALUES[flag][1]:
+                    flags = {
+                        k: v for k, v in FUZZ_BASE[command].items() if k not in group
+                    }
+                    flags[flag] = value
+                    runs.append(([command, *sum(flags.items(), ())], {}))
+    for name, (_, invalid) in FUZZ_ENV.items():
+        for value in invalid:
+            for command in ("phisum", "squarefree", "reproduce-paper"):
+                argv = [command, *sum(FUZZ_BASE[command].items(), ())]
+                runs.append((argv, {name: value}))
+    assert len(runs) > 100
+    for argv, env in runs:
+        assert fuzzed_exit_code(argv, env) in (0, 1, 2, 3), (argv, env)

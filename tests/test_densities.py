@@ -306,9 +306,14 @@ def test_phi_claim_identity_by_hand():
 def phi_claim_first_failure_oracle(t: int, p: int, j: int, X: int):
     """First N <= X failing the totient-ratio splitting, one N at a time."""
     pj = p**j
-    lhs = densities._phi_ratio_prefix_list(t * pj, X)
-    f = densities._phi_ratio_prefix_list(t, X // pj)
-    g = densities._phi_ratio_prefix_list(t * p, X // pj)
+
+    def prefix(step, limit):
+        pairs = densities._phi_ratio_prefix_pairs(step, limit)
+        return [Fraction(num, den) for num, den in pairs]
+
+    lhs = prefix(t * pj, X)
+    f = prefix(t, X // pj)
+    g = prefix(t * p, X // pj)
     for N in range(1, X + 1):
         k = N // pj
         rhs = Fraction(p - 1, p) * f[k // t] + Fraction(1, p) * g[k // (t * p)]
@@ -330,7 +335,7 @@ def phi_claim_first_failure_oracle(t: int, p: int, j: int, X: int):
 def test_phi_claim_checker_reports_the_first_broken_n(monkeypatch, t, p, j, side, k0):
     # one prefix entry of one side is off by 1/7
     X = 2000
-    build = densities._phi_ratio_prefix_list
+    build = densities._phi_ratio_prefix_pairs
     broken = {
         "lhs": (t * p**j, X),
         "f": (t, X // p**j),
@@ -338,12 +343,13 @@ def test_phi_claim_checker_reports_the_first_broken_n(monkeypatch, t, p, j, side
     }[side]
 
     def perturbed(step, limit):
-        values = build(step, limit)
+        values = build(step, limit)  # unreduced (numerator, denominator) pairs
         if (step, limit) == broken:
-            values[k0] += Fraction(1, 7)
+            num, den = values[k0]
+            values[k0] = (7 * num + den, 7 * den)  # + 1/7
         return values
 
-    monkeypatch.setattr(densities, "_phi_ratio_prefix_list", perturbed)
+    monkeypatch.setattr(densities, "_phi_ratio_prefix_pairs", perturbed)
     expected = phi_claim_first_failure_oracle(t, p, j, X)
     assert expected is not None
     assert phi_claim_first_failure(t, p, j, X) == expected

@@ -2,8 +2,9 @@
 
 The oracles below sieve all of [1, N] and read every m-th (t-th) entry, which
 is how the phisum and square-free families walked the range before they
-sieved only k <= N // m. Float sums must agree bit for bit, exact sums and
-counts exactly, at every segment size. The square-free prefix tables behind
+sieved only k <= N // m. Float sums must agree bit for bit with
+``math.fsum`` of the same terms, exact sums and counts exactly, at every
+segment size. The square-free prefix tables behind
 the splitting-identity checker and ``squarefree_multiple_counts`` are held to
 the same oracle. That oracle shares the p*p marking with the flags sieve
 under test, so the t = 1 counts are also held to the Moebius sum
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from divrec import densities
-from divrec.accumulators import ExactRatioSum, NeumaierSum
+from divrec.accumulators import ExactRatioSum
 from divrec.convergence import CheckpointSchedule, SquarefreeFamily, run_convergence
 from divrec.densities import (
     brown_identity_first_failure,
@@ -35,8 +36,17 @@ SEGMENT_SIZES = (13, 256, None)  # None: the library default
 
 
 def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
-    """Sum of phi(n)/n over multiples n of m up to each point, sieving all n."""
-    acc = NeumaierSum() if mode == "float" else ExactRatioSum()
+    """Sum of phi(n)/n over multiples n of m up to each point, sieving all n.
+
+    Float sums are ``math.fsum`` of the prefix terms, correctly rounded and
+    independent of the library's accumulator.
+    """
+    exact = ExactRatioSum()
+    terms: list[float] = []
+
+    def value():
+        return math.fsum(terms) if mode == "float" else exact.value
+
     sums = []
     idx = 0
     if points[-1] >= 1:
@@ -48,13 +58,13 @@ def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
             ns = np.arange(first, table.hi + 1, m, dtype=np.int64)
             for ph, n, ratio in zip(phis.tolist(), ns.tolist(), (phis / ns).tolist()):
                 while idx < len(points) and points[idx] < n:
-                    sums.append(acc.value)
+                    sums.append(value())
                     idx += 1
                 if mode == "float":
-                    acc.add(ratio)
+                    terms.append(ratio)
                 else:
-                    acc.add(ph, n)
-    sums.extend([acc.value] * (len(points) - len(sums)))
+                    exact.add(ph, n)
+    sums.extend([value()] * (len(points) - len(sums)))
     return sums
 
 
