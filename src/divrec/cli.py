@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument(
-        "--count", type=_int_literal, default=1000, help="lemma: random instances"
+        "--count", type=_int_literal, default=1000, help="lemma: instances, 0 to 1e4"
     )
     p.add_argument("--seed", type=int, default=0, help="lemma: RNG seed")
     p.add_argument(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from . import densities
+from . import densities, limits
 from .limits import SCHEDULE_MAX_POINTS, RangeLimitError
 from .sieves import factorize
 
@@ -120,16 +120,29 @@ class PhiSumFamily:
 Family = Union[OddlyFamily, SquarefreeFamily, PhiSumFamily]
 
 
+def _cap(family: Family) -> int:
+    # the largest N the family's counter accepts
+    if isinstance(family, OddlyFamily):
+        return limits.ENGINE_MAX_N
+    if isinstance(family, PhiSumFamily) and family.mode == "exact":
+        return limits.EXACT_PHI_SUM_MAX_N
+    return limits.SIEVE_MAX_N
+
+
 def run_convergence(
     family: Family, schedule: CheckpointSchedule, *, threads: int = 1
 ) -> list[ConvergenceRow]:
     """One row per checkpoint, computed in a single ascending pass.
 
-    Parameter validation is delegated to the family's counters, so a bad
-    modulus or a non-square-free t raises ValueError and an over-cap stop
-    raises RangeLimitError before any work starts. ``threads`` sieves the
-    totients of a :class:`PhiSumFamily` ahead; the other families ignore it.
+    A stop past the family's cap raises RangeLimitError before the schedule
+    is stepped. Parameter validation is delegated to the family's counters,
+    so a bad modulus or a non-square-free t raises ValueError before any
+    work starts. ``threads`` sieves the totients of a :class:`PhiSumFamily`
+    ahead; the other families ignore it.
     """
+    cap = _cap(family)
+    if schedule.start <= schedule.stop and schedule.stop > cap:
+        raise RangeLimitError(f"N = {schedule.stop} exceeds the cap {cap}")
     points = schedule.points
     if isinstance(family, OddlyFamily):
         pred = densities.predicted_density_oddly(family.m)

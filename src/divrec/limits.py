@@ -33,6 +33,11 @@ BROWN_CHECK_MAX_X = 10**6
 #: prefix sum is kept as a full-precision rational).
 PHI_CLAIM_MAX_X = 10**4
 
+#: Most random instances of the recursion lemma suite. An instance costs
+#: 5 to 6 ms of exact Fraction arithmetic on a 2-vCPU x86 machine, so the
+#: cap is about a minute of work.
+LEMMA_MAX_COUNT = 10**4
+
 #: Most points a checkpoint schedule may step through, bounded from its
 #: start, stop and ratio before any stepping. Each step multiplies an exact
 #: rational whose size grows with the step count, so stepping costs grow

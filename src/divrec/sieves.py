@@ -1,13 +1,14 @@
-"""Segmented sieves for Euler's totient and square-free flags.
+"""Segmented sieves: totient-only segment tables, and square-free flags.
 
-A segment is sieved with the primes up to sqrt(hi): each prime contributes
-its factor to the totient in place, and :func:`squarefree_flags` clears the
-multiples of its square. Whatever remains of an entry after dividing out those
-primes is either 1 or a single prime above sqrt(hi), so one vectorized fix-up
-finishes the totients. Callers that read only square-free flags call
-:func:`squarefree_flags` directly and build no totients. Segments never
-depend on each other, which keeps memory flat for ranges up to the 1e9 cap
-and lets callers sieve ahead on worker threads.
+A totient segment is sieved with the primes up to sqrt(hi): each prime p
+turns phi into phi * (p-1)/p along its stride, and its powers multiply up the
+part of each n made of those primes. Whatever remains of n after dividing
+that part out is either 1 or a single prime above sqrt(hi), so one
+branch-free pass finishes the totients. A :class:`SieveTable` holds the
+totients only; square-free flags come from the separate
+:func:`squarefree_flags`, which builds no totients. Segments never depend on
+each other, which keeps memory flat for ranges up to the 1e9 cap and lets
+callers sieve ahead on worker threads.
 """
 
 from __future__ import annotations
@@ -36,29 +37,22 @@ Factorization = list[tuple[int, int]]
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Totient values and square-free flags for one segment [lo, hi].
+    """Totient values for one segment [lo, hi].
 
     Attributes:
         lo: First integer covered (inclusive).
         hi: Last integer covered (inclusive).
-        phi: int64 array, ``phi[n - lo]`` is the totient of n.
-        squarefree: bool array, ``squarefree[n - lo]`` marks n square-free.
+        phi: read-only int64 array, ``phi[n - lo]`` is the totient of n.
     """
 
     lo: int
     hi: int
     phi: np.ndarray
-    squarefree: np.ndarray
 
     def phi_of(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
             raise ValueError(f"{n} outside segment [{self.lo}, {self.hi}]")
         return int(self.phi[n - self.lo])
-
-    def is_squarefree(self, n: int) -> bool:
-        if not self.lo <= n <= self.hi:
-            raise ValueError(f"{n} outside segment [{self.lo}, {self.hi}]")
-        return bool(self.squarefree[n - self.lo])
 
 
 @lru_cache(maxsize=1)
@@ -78,22 +72,20 @@ def _base_prime_list() -> list[int]:
     return _base_primes().tolist()
 
 
-def sieve_segment(lo: int, hi: int, *, segment_size: int | None = None) -> SieveTable:
-    """Sieve totients and square-free flags over [lo, hi].
+def sieve_segment(lo: int, hi: int) -> SieveTable:
+    """Sieve the totients of [lo, hi].
 
     Args:
         lo: Segment start, at least 1.
         hi: Segment end, at most ``SIEVE_MAX_N``.
-        segment_size: Maximum permitted length (default
-            ``DIVREC_SEGMENT_SIZE`` or 2**20); longer requests are refused so
-            a typo cannot allocate an enormous array.
+
+    A segment longer than ``DIVREC_SEGMENT_SIZE`` (default 2**20) is refused,
+    so a typo cannot allocate an enormous array.
 
     Returns:
         A read-only :class:`SieveTable` covering exactly [lo, hi].
     """
-    size = segment_size_from_env() if segment_size is None else segment_size
-    if size < 1:
-        raise ValueError(f"segment size must be positive, got {size}")
+    size = segment_size_from_env()
     _check_range(lo, hi)
     if hi - lo + 1 > size:
         raise RangeLimitError(
@@ -102,30 +94,23 @@ def sieve_segment(lo: int, hi: int, *, segment_size: int | None = None) -> Sieve
 
     n = np.arange(lo, hi + 1, dtype=np.int64)
     phi = n.copy()
-    rem = n.copy()  # entry after dividing out all primes <= sqrt(hi)
+    small = np.ones_like(n)  # the part of n made of primes <= sqrt(hi)
     for p in _root_primes(hi):
-        first = -(lo // -p) * p
-        if first > hi:
-            continue
-        s = first - lo
-        phi[s::p] -= phi[s::p] // p
+        stride = phi[-lo % p :: p]
+        stride //= p
+        stride *= p - 1
         q = p
-        while True:
-            firstq = -(lo // -q) * q
-            if firstq > hi:
-                break
-            rem[firstq - lo :: q] //= p
+        while q <= hi:
+            small[-lo % q :: q] *= p
             q *= p
 
-    # leftover cofactors are single primes > sqrt(hi): multiply in (p-1)/p
-    big = rem > 1
-    if big.any():
-        phi[big] = phi[big] // rem[big] * (rem[big] - 1)
-
-    squarefree = squarefree_flags(lo, hi)
+    # what is left of n is 1 or one prime q > sqrt(hi): phi -= phi // q if q > 1
+    big = np.floor_divide(n, small, out=n)
+    share = np.floor_divide(phi, big, out=small)
+    share *= big > 1
+    phi -= share
     phi.setflags(write=False)
-    squarefree.setflags(write=False)
-    return SieveTable(lo, hi, phi, squarefree)
+    return SieveTable(lo, hi, phi)
 
 
 def squarefree_flags(lo: int, hi: int, primes: Sequence[int] = ()) -> np.ndarray:
@@ -140,7 +125,7 @@ def squarefree_flags(lo: int, hi: int, primes: Sequence[int] = ()) -> np.ndarray
     _check_range(lo, hi)
     flags = np.ones(hi - lo + 1, dtype=bool)
     for q in [*primes, *(p * p for p in _root_primes(hi))]:
-        flags[-(lo // -q) * q - lo :: q] = False
+        flags[-lo % q :: q] = False
     return flags
 
 
@@ -157,45 +142,34 @@ def _check_range(lo: int, hi: int) -> None:
         raise RangeLimitError(f"sieve range ends at {hi}, cap is {SIEVE_MAX_N}")
 
 
-def iter_sieve_tables(
-    lo: int,
-    hi: int,
-    *,
-    segment_size: int | None = None,
-    threads: int = 1,
-) -> Iterator[SieveTable]:
+def iter_sieve_tables(lo: int, hi: int, *, threads: int = 1) -> Iterator[SieveTable]:
     """Yield consecutive segments covering [lo, hi], always in ascending order.
 
+    Segments are ``DIVREC_SEGMENT_SIZE`` numbers long; the last may be shorter.
     With ``threads > 1`` upcoming segments are sieved ahead on a thread pool
     of at most the usable CPUs, but they are handed back strictly in range
     order, so any accumulation on the consumer side stays deterministic
     regardless of the thread count.
     """
-    size = segment_size_from_env() if segment_size is None else segment_size
-    if size < 1:
-        raise ValueError(f"segment size must be positive, got {size}")
+    size = segment_size_from_env()
     _check_range(lo, hi)
-    starts = iter(range(lo, hi + 1, size))
+    spans = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory
     if hasattr(os, "sched_getaffinity"):
         threads = min(threads, len(os.sched_getaffinity(0)))
     if threads <= 1:
-        for s in starts:
-            yield sieve_segment(s, min(s + size - 1, hi), segment_size=size)
+        for span in spans:
+            yield sieve_segment(*span)
         return
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
 
         def submit_next() -> None:
-            s = next(starts, None)
-            if s is not None:
-                pending.append(
-                    pool.submit(
-                        sieve_segment, s, min(s + size - 1, hi), segment_size=size
-                    )
-                )
+            span = next(spans, None)
+            if span is not None:
+                pending.append(pool.submit(sieve_segment, *span))
 
         for _ in range(threads + 1):
             submit_next()

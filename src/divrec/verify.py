@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import densities, recursion
-from .limits import ORACLE_MAX_N, RangeLimitError
+from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, RangeLimitError
 from .sieves import divisibility_exponent
 
 
@@ -58,8 +58,12 @@ def run_lemma_suite(
 
     Each instance draws m in [2, 10], rational alpha and beta with |beta| < m,
     one of several driving functions, and an N up to 1e9; the expansion is
-    telescoped for every j up to max_j.
+    telescoped for every j up to max_j; count is at most LEMMA_MAX_COUNT.
     """
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
+    if count > LEMMA_MAX_COUNT:
+        raise RangeLimitError(f"count = {count} exceeds the cap {LEMMA_MAX_COUNT}")
     rng = random.Random(seed)
     fns = _sample_counting_functions()
     failures: list[str] = []

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from divrec import densities
 from divrec.cli import main
+from divrec.convergence import CheckpointSchedule
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -216,6 +217,39 @@ def test_exit_code_schedule_with_too_many_points(capsys):
     assert code == 3 and "more than 30000 points" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oddly", "--m", "2", "--schedule", "1:2e12:1.001"],
+        ["squarefree", "--t", "1", "--schedule", "1:2e9:1.001"],
+        ["phisum", "--m", "1", "--schedule", "1:2e9:1.001"],
+        ["phisum", "--m", "2", "--mode", "exact", "--schedule", "1:2e5:1.001"],
+    ],
+)
+def test_schedule_past_the_cap_exits_before_stepping(capsys, monkeypatch, argv):
+    def no_stepping(self):
+        raise AssertionError("stepped through a schedule past the cap")
+
+    monkeypatch.setattr(CheckpointSchedule, "points", property(no_stepping))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == "" and "exceeds the cap" in err
+
+
+def test_lemma_count_is_checked_before_any_work(capsys, monkeypatch):
+    def no_work(spec, N):
+        raise AssertionError("the lemma suite started work past its cap")
+
+    monkeypatch.setattr("divrec.verify.recursion.evaluate_G", no_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--count", "1e9")
+    assert code == 3 and out == "" and "exceeds the cap 10000" in err
+    with pytest.raises(AssertionError, match="started work"):
+        main(["verify", "--suite", "lemma", "--count", "1e4"])  # at the cap
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--count", "-3")
+    assert code == 2 and out == "" and "need count >= 0" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--count", "0")
+    assert code == 0 and out == "lemma: pass (0 checks)\n"
+
+
 def test_bad_segment_size_variable_exits_two():
     env = dict(os.environ, DIVREC_SEGMENT_SIZE="abc")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -260,7 +294,7 @@ FUZZ_VALUES = {
     "--format": (("json", "csv"), ("text", "xml")),
     "--threads": (("1", "2", "4"), ("0", "-1", "abc")),
     "--suite": (("lemma", "app1", "brown", "phi-claim"), ("all",)),
-    "--count": (("0", "1", "3"), ("-1", "abc")),  # no cap: never a large count
+    "--count": (("0", "1", "3"), ("-1", "abc", "1e9")),
     "--seed": (("0", "1", "7"), ("abc", "1e3")),
 }
 TABLE_FLAGS = [("--n", "--schedule"), ("--format",), ("--threads",)]
@@ -273,7 +307,8 @@ FUZZ_COMMANDS = {
         [("--t", "--primes"), ("--check-identity",), ("--x",), *TABLE_FLAGS],
     ),
     "phisum": (2, [("--m",), *TABLE_FLAGS, ("--mode",)]),
-    # the lemma suite has no cap on --count, so verify always sets it
+    # the lemma suite's default of 1000 instances takes seconds, so verify
+    # always sets --count
     "verify": (
         2,
         [

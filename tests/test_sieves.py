@@ -1,5 +1,6 @@
 """Sieve correctness against trial-division oracles and algebraic identities."""
 
+import math
 import os
 import random
 from types import SimpleNamespace
@@ -44,6 +45,41 @@ def squarefree_oracle(n: int) -> bool:
     return True
 
 
+def previous_sieve_phi(lo: int, hi: int) -> np.ndarray:
+    """Totients of [lo, hi] the way ``sieve_segment`` computed them before.
+
+    Each prime p <= sqrt(hi) applies phi -= phi // p on its stride and
+    divides every power of p out of a copy of n; the leftover prime above
+    sqrt(hi) is then folded in under a boolean mask.
+    """
+    root = math.isqrt(hi)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    phi = n.copy()
+    rem = n.copy()
+    for p in np.nonzero(is_prime)[0].tolist():
+        first = -(lo // -p) * p
+        if first > hi:
+            continue
+        s = first - lo
+        phi[s::p] -= phi[s::p] // p
+        q = p
+        while True:
+            firstq = -(lo // -q) * q
+            if firstq > hi:
+                break
+            rem[firstq - lo :: q] //= p
+            q *= p
+    big = rem > 1
+    if big.any():
+        phi[big] = phi[big] // rem[big] * (rem[big] - 1)
+    return phi
+
+
 PHI_FIRST_TEN = [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 SQUAREFREE_UP_TO_TEN = {1, 2, 3, 5, 6, 7, 10}
 
@@ -51,22 +87,24 @@ SQUAREFREE_UP_TO_TEN = {1, 2, 3, 5, 6, 7, 10}
 def test_first_ten():
     table = sieve_segment(1, 10)
     assert table.phi.tolist() == PHI_FIRST_TEN
-    assert {n for n in range(1, 11) if table.is_squarefree(n)} == SQUAREFREE_UP_TO_TEN
+    flags = squarefree_flags(1, 10)
+    assert {n for n in range(1, 11) if flags[n - 1]} == SQUAREFREE_UP_TO_TEN
 
 
 def test_single_entry_segments():
     one = sieve_segment(1, 1)
-    assert one.phi_of(1) == 1 and one.is_squarefree(1)
+    assert one.phi_of(1) == 1 and squarefree_flags(1, 1).tolist() == [True]
     big = sieve_segment(10**6, 10**6)
     assert big.phi_of(10**6) == 400000
-    assert not big.is_squarefree(10**6)
+    assert squarefree_flags(10**6, 10**6).tolist() == [False]
 
 
 def test_segment_against_oracle():
     table = sieve_segment(99_900, 100_100)
+    flags = squarefree_flags(99_900, 100_100)
     for n in range(99_900, 100_101):
         assert table.phi_of(n) == phi_oracle(n)
-        assert table.is_squarefree(n) == squarefree_oracle(n)
+        assert flags[n - 99_900] == squarefree_oracle(n)
 
 
 def test_random_points_against_oracle():
@@ -75,7 +113,25 @@ def test_random_points_against_oracle():
         n = rng.randint(1, 10**6)
         table = sieve_segment(n, n)
         assert table.phi_of(n) == phi_oracle(n)
-        assert table.is_squarefree(n) == squarefree_oracle(n)
+        assert squarefree_flags(n, n)[0] == squarefree_oracle(n)
+
+
+@pytest.mark.parametrize(
+    "lo, length",
+    [
+        (1, 1 << 20),
+        (10**8, 1 << 20),
+        (SIEVE_MAX_N - (1 << 20) + 1, 1 << 20),  # ends at the cap
+        (1, 1),
+        (2, 3),
+        (10**6 - 1, 997),
+        (31_607 * 31_607 - 500, 1001),  # the largest prime square below the cap
+        (SIEVE_MAX_N - 12_344, 12_345),
+    ],
+)
+def test_segment_equals_the_previous_sieve(lo, length):
+    hi = lo + length - 1
+    assert np.array_equal(sieve_segment(lo, hi).phi, previous_sieve_phi(lo, hi))
 
 
 def test_totient_divisor_sum_identity():
@@ -88,30 +144,33 @@ def test_totient_divisor_sum_identity():
     assert np.array_equal(sums[1:], np.arange(1, limit + 1))
 
 
-def test_partition_independence():
-    whole = sieve_segment(1, 30_000, segment_size=30_000)
+def test_partition_independence(monkeypatch):
+    whole = sieve_segment(1, 30_000)
+    whole_flags = squarefree_flags(1, 30_000)
     for size in (997, 4096, 30_000):
+        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(size))
         phis = []
         flags = []
-        for t in iter_sieve_tables(1, 30_000, segment_size=size):
+        for t in iter_sieve_tables(1, 30_000):
             phis.append(t.phi)
-            flags.append(t.squarefree)
+            flags.append(squarefree_flags(t.lo, t.hi))
         assert np.array_equal(np.concatenate(phis), whole.phi)
-        assert np.array_equal(np.concatenate(flags), whole.squarefree)
+        assert np.array_equal(np.concatenate(flags), whole_flags)
 
 
-def test_iter_covers_range_exactly():
-    spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 23, segment_size=7)]
+def test_iter_covers_range_exactly(monkeypatch):
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "7")
+    spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 23)]
     assert spans == [(5, 11), (12, 18), (19, 23)]
 
 
-def test_threads_do_not_change_tables():
-    seq = list(iter_sieve_tables(1, 50_000, segment_size=9973))
-    par = list(iter_sieve_tables(1, 50_000, segment_size=9973, threads=4))
+def test_threads_do_not_change_tables(monkeypatch):
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "9973")
+    seq = list(iter_sieve_tables(1, 50_000))
+    par = list(iter_sieve_tables(1, 50_000, threads=4))
     assert [(t.lo, t.hi) for t in seq] == [(t.lo, t.hi) for t in par]
     for a, b in zip(seq, par):
         assert np.array_equal(a.phi, b.phi)
-        assert np.array_equal(a.squarefree, b.squarefree)
 
 
 def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
@@ -142,25 +201,39 @@ def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
             return value
 
     monkeypatch.setattr("divrec.sieves.ThreadPoolExecutor", RecordingPool)
-    seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500, segment_size=10)]
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "10")
+    seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500)]
     for cpus, pool_sizes, peak in (({0, 1, 2}, [3], 4), ({0}, [], None)):
         pools.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        tables = list(iter_sieve_tables(1, 500, segment_size=10, threads=64))
+        tables = list(iter_sieve_tables(1, 500, threads=64))
         assert [t.phi.tolist() for t in tables] == seq
         assert [pool.max_workers for pool in pools] == pool_sizes
         assert [pool.peak for pool in pools] == ([peak] if pools else [])
 
 
-def test_segment_argument_errors():
+def test_segment_argument_errors(monkeypatch):
     with pytest.raises(ValueError):
         sieve_segment(0, 10)
     with pytest.raises(ValueError):
         sieve_segment(10, 5)
     with pytest.raises(RangeLimitError):
-        sieve_segment(1, SIEVE_MAX_N + 1, segment_size=10**7)
-    with pytest.raises(RangeLimitError):
         sieve_segment(1, 2 * 10**6)  # longer than the default segment
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(10**7))
+    with pytest.raises(RangeLimitError):
+        sieve_segment(1, SIEVE_MAX_N + 1)
+    with pytest.raises(RangeLimitError):
+        sieve_segment(SIEVE_MAX_N, SIEVE_MAX_N + 1)
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "10")
+    with pytest.raises(RangeLimitError):
+        sieve_segment(1, 11)
+    for size in ("0", "-3"):
+        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
+        with pytest.raises(ValueError, match="DIVREC_SEGMENT_SIZE"):
+            sieve_segment(1, 1)
+        with pytest.raises(ValueError, match="DIVREC_SEGMENT_SIZE"):
+            next(iter_sieve_tables(1, 10))
+    monkeypatch.delenv("DIVREC_SEGMENT_SIZE")
     with pytest.raises(ValueError):
         list(iter_sieve_tables(3, 2))
     with pytest.raises(ValueError):
@@ -194,6 +267,7 @@ def test_tables_are_read_only():
     table = sieve_segment(1, 10)
     with pytest.raises(ValueError):
         table.phi[0] = 99
+    assert table.phi.dtype == np.int64
 
 
 @settings(max_examples=100)
@@ -210,9 +284,8 @@ def test_splitting_a_segment_changes_nothing(lo, length, cut):
     if mid < hi:
         parts.append(sieve_segment(mid + 1, hi))
     assert np.array_equal(np.concatenate([p.phi for p in parts]), whole.phi)
-    assert np.array_equal(
-        np.concatenate([p.squarefree for p in parts]), whole.squarefree
-    )
+    flags = [squarefree_flags(p.lo, p.hi) for p in parts]
+    assert np.array_equal(np.concatenate(flags), squarefree_flags(lo, hi))
 
 
 def test_factorize_known_values():

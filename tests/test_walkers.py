@@ -4,10 +4,10 @@ The oracles below sieve all of [1, N] and read every m-th (t-th) entry, which
 is how the phisum and square-free families walked the range before they
 sieved only k <= N // m. Float sums must agree bit for bit with
 ``math.fsum`` of the same terms, exact sums and counts exactly, at every
-segment size. The square-free prefix tables behind
+segment size. The square-free oracle marks the multiples of every d*d,
+d >= 2, not of prime squares only, and the square-free prefix tables behind
 the splitting-identity checker and ``squarefree_multiple_counts`` are held to
-the same oracle. That oracle shares the p*p marking with the flags sieve
-under test, so the t = 1 counts are also held to the Moebius sum
+it too. The t = 1 counts are also held to the Moebius sum
 Q(x) = sum over d <= sqrt(x) of mu(d) * (x // d**2), which marks nothing.
 """
 
@@ -69,11 +69,14 @@ def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
 
 
 def full_range_squarefree_counts(t: int, points: list[int]) -> list[int]:
-    """Square-free multiples of t up to each point, sieving all n."""
-    flags = np.zeros(points[-1] + 1, dtype=bool)
-    if points[-1] >= 1:
-        for table in iter_sieve_tables(1, points[-1]):
-            flags[table.lo : table.hi + 1] = table.squarefree
+    """Square-free multiples of t up to each point, marking all n.
+
+    n is marked not square-free on the multiples of d*d for every d >= 2,
+    prime or not, so this shares no code with ``squarefree_flags``.
+    """
+    flags = np.ones(points[-1] + 1, dtype=bool)
+    for d in range(2, math.isqrt(points[-1]) + 1):
+        flags[d * d :: d * d] = False
     marked = np.zeros(flags.shape, dtype=np.int64)
     marked[t::t] = flags[t::t]
     prefix = np.cumsum(marked)
