@@ -67,14 +67,18 @@ def _add_table_args(sub: argparse.ArgumentParser, *, required: bool = True) -> N
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="table format"
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for the totient sieve of phisum and "
-        "reproduce-paper (default $DIVREC_THREADS or 1); squarefree and oddly "
-        "accept and ignore it; results do not depend on this",
-    )
+
+
+def _thread_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return int(text)
+
+
+THREADS_HELP = (
+    "worker threads for the totient sieve (default $DIVREC_THREADS or 1); "
+    "results do not depend on this"
+)
 
 
 def _resolve_schedule(args) -> convergence.CheckpointSchedule:
@@ -173,25 +177,20 @@ REPRODUCE_RTOL = 5e-3
 
 def _reproduce_rows(threads: int) -> list[dict]:
     out = []
-    points: dict[int, list[int]] = {}  # PUBLISHED_ROWS ascend in N per m
-    for m, n, *_ in PUBLISHED_ROWS:
-        points.setdefault(m, []).append(n)
-    sums = {
-        m: dict(zip(ns, densities.phi_ratio_sums_at(m, ns, threads=threads)))
-        for m, ns in points.items()
-    }
     for m, n, pub_emp, pub_pred, expect in PUBLISHED_ROWS:
-        empirical = sums[m][n] / n
-        predicted = densities.predicted_phi_density(m).float_value
-        emp_ok = abs(empirical - pub_emp) <= REPRODUCE_RTOL * pub_emp
-        pred_ok = abs(predicted - pub_pred) <= REPRODUCE_RTOL * pub_pred
+        schedule = convergence.CheckpointSchedule(n, n, Fraction(2))
+        row = convergence.run_convergence(
+            convergence.PhiSumFamily(m), schedule, threads=threads
+        )[0]
+        emp_ok = abs(row.empirical - pub_emp) <= REPRODUCE_RTOL * pub_emp
+        pred_ok = abs(row.predicted - pub_pred) <= REPRODUCE_RTOL * pub_pred
         out.append(
             {
                 "m": m,
                 "N": n,
-                "empirical": empirical,
+                "empirical": row.empirical,
                 "published_empirical": pub_emp,
-                "predicted": predicted,
+                "predicted": row.predicted,
                 "published_predicted": pub_pred,
                 "match": emp_ok and pred_ok,
                 "expected_match": expect,
@@ -254,6 +253,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--x", type=_int_literal, default=10**4, help="identity window (default 1e4)"
     )
     _add_table_args(p, required=False)
+    # accepted so existing invocations that pass it keep working
+    p.add_argument(
+        "--threads", type=_thread_count, help="ignored: counts run on one thread"
+    )
     p.set_defaults(handler=_cmd_squarefree)
 
     p = sub.add_parser("phisum", help="totient-ratio sums over multiples of m")
@@ -266,6 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact: full-precision rationals (N <= 1e5, included in JSON output)",
     )
     _add_table_args(p)
+    p.add_argument("--threads", type=_thread_count, help=THREADS_HELP)
     p.set_defaults(handler=_cmd_phisum)
 
     p = sub.add_parser("verify", help="run an exact identity suite")
@@ -297,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute the published totient-ratio evidence table and compare",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, help=THREADS_HELP)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser

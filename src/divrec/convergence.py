@@ -87,9 +87,14 @@ class ConvergenceRow:
     empirical_exact: Fraction | None = None
 
 
-def _row(
-    N: int, empirical: float, predicted: float, exact: Fraction | None = None
-) -> ConvergenceRow:
+def _row(N: int, total: int | Fraction | float, predicted: float) -> ConvergenceRow:
+    # total is a count up to N (below 2**53, so float(total) is exact), an
+    # exact sum or a float sum, which has no exact ratio
+    empirical = float(total) / N
+    if isinstance(total, float):
+        exact = None
+    else:  # Fraction(total, N) would redo an exact sum's long gcd
+        exact = total / N if isinstance(total, Fraction) else Fraction(total, N)
     abs_err = abs(empirical - predicted)
     rel_err = abs_err / abs(predicted) if predicted else float("nan")
     return ConvergenceRow(N, empirical, predicted, abs_err, rel_err, exact)
@@ -146,32 +151,20 @@ def run_convergence(
     points = schedule.points
     if isinstance(family, OddlyFamily):
         pred = densities.predicted_density_oddly(family.m)
-        rows = []
-        for N in points:
-            c = densities.count_oddly_divisible_fast(family.m, N)
-            rows.append(_row(N, c / N, pred.float_value, Fraction(c, N)))
-        return rows
-    if isinstance(family, SquarefreeFamily):
+        totals = [densities.count_oddly_divisible_fast(family.m, N) for N in points]
+    elif isinstance(family, SquarefreeFamily):
         pred = densities.predicted_density_squarefree(
             [p for p, _ in factorize(family.t)]
         )
-        counts = densities.count_squarefree_multiples_at(family.t, points)
-        return [
-            _row(N, c / N, pred.float_value, Fraction(c, N))
-            for N, c in zip(points, counts)
-        ]
-    if isinstance(family, PhiSumFamily):
+        totals = densities.count_squarefree_multiples_at(family.t, points)
+    elif isinstance(family, PhiSumFamily):
         pred = densities.predicted_phi_density(family.m)
-        sums = densities.phi_ratio_sums_at(
+        totals = densities.phi_ratio_sums_at(
             family.m, points, family.mode, threads=threads
         )
-        if family.mode == "exact":
-            return [
-                _row(N, float(s) / N, pred.float_value, s / N)
-                for N, s in zip(points, sums)
-            ]
-        return [_row(N, s / N, pred.float_value) for N, s in zip(points, sums)]
-    raise ValueError(f"unknown family {family!r}")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return [_row(N, total, pred.float_value) for N, total in zip(points, totals)]
 
 
 CSV_HEADER = "N,empirical,predicted,abs_err,rel_err"

@@ -178,9 +178,12 @@ def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
     for lo in range(1, top + 1, size):
         hi = min(lo + size - 1, top)
         flags = squarefree_flags(lo, hi, primes)
-        for cut in _cuts(t, pts, lo, hi):
-            counts.append(running + int(np.count_nonzero(flags[:cut])))
-        running += int(np.count_nonzero(flags))
+        done = 0
+        for cut in [*_cuts(t, pts, lo, hi), None]:
+            running += int(np.count_nonzero(flags[done:cut]))
+            if cut is not None:
+                counts.append(running)
+                done = cut
     counts.extend([running] * (len(pts) - len(counts)))
     return counts
 
@@ -247,9 +250,10 @@ def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
     """Prefix-table-backed counting function n -> #{square-free r <= n: t | r}.
 
     Valid for 0 <= n <= limit; the square-free flags of k <= limit // t are
-    sieved up front, so build cost is one pass and each call is O(1).
+    sieved up front, so build cost is one pass and each call is O(1). limit
+    is capped like the Brown checker, which builds the same table.
     """
-    _check_count_range(limit, SIEVE_MAX_N)
+    _check_count_range(limit, BROWN_CHECK_MAX_X)
     if limit < 1:
         raise ValueError("need limit >= 1")
     prefix = memoryview(_squarefree_prefix(t, limit))  # items are plain ints
@@ -421,12 +425,13 @@ def predicted_phi_density(m: int) -> DensityPrediction:
 def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
     """Prefix-backed exact map n -> sum of phi(k)/k over multiples k of m, k <= n.
 
-    Valid for 0 <= n <= limit (limit capped like exact-mode sums); built once,
-    O(1) per call. Useful as the F of a recursion instance.
+    Valid for 0 <= n <= limit, capped like the phi-claim checker that keeps
+    the same full-precision prefixes; built once, O(1) per call. Useful as
+    the F of a recursion instance.
     """
     if m < 1:
         raise ValueError(f"need modulus m >= 1, got {m}")
-    _check_count_range(limit, EXACT_PHI_SUM_MAX_N)
+    _check_count_range(limit, PHI_CLAIM_MAX_X)
     if limit < 1:
         raise ValueError("need limit >= 1")
     values = [Fraction(*pair) for pair in _phi_ratio_prefix_pairs(m, limit)]

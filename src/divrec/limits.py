@@ -26,11 +26,13 @@ ORACLE_MAX_N = 10**7
 #: grows roughly linearly in the term count; capped to stay interactive.
 EXACT_PHI_SUM_MAX_N = 10**5
 
-#: Exhaustive window for the square-free splitting identity.
+#: Exhaustive window for the square-free splitting identity, and the largest
+#: limit of ``squarefree_multiple_counts``, which builds the same table.
 BROWN_CHECK_MAX_X = 10**6
 
-#: Exhaustive window for the exact totient-ratio splitting identity (every
-#: prefix sum is kept as a full-precision rational).
+#: Exhaustive window for the exact totient-ratio splitting identity, and the
+#: largest limit of ``phi_ratio_counts`` (both keep every prefix sum as a
+#: full-precision rational).
 PHI_CLAIM_MAX_X = 10**4
 
 #: Most random instances of the recursion lemma suite. An instance costs

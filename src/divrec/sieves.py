@@ -165,18 +165,12 @@ def iter_sieve_tables(lo: int, hi: int, *, threads: int = 1) -> Iterator[SieveTa
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
-
-        def submit_next() -> None:
-            span = next(spans, None)
-            if span is not None:
-                pending.append(pool.submit(sieve_segment, *span))
-
-        for _ in range(threads + 1):
-            submit_next()
+        for span in spans:
+            pending.append(pool.submit(sieve_segment, *span))
+            if len(pending) > threads:
+                yield pending.popleft().result()
         while pending:
-            table = pending.popleft().result()
-            submit_next()
-            yield table
+            yield pending.popleft().result()
 
 
 def factorize(n: int) -> Factorization:

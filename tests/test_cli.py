@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from divrec import densities
 from divrec.cli import main
-from divrec.convergence import CheckpointSchedule
+from divrec.convergence import CheckpointSchedule, PhiSumFamily, run_convergence
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -173,6 +173,19 @@ def test_reproduce_json(capsys):
     assert all(r["match"] == r["expected_match"] for r in payload)
 
 
+def test_reproduce_rows_are_phisum_rows(capsys):
+    # each published row is the one-point phisum table at its N, bit for bit
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--format", "json")
+    assert code == 0
+    for entry in json.loads(out):
+        m, N = entry["m"], entry["N"]
+        (row,) = run_convergence(PhiSumFamily(m), CheckpointSchedule(N, N, 2))
+        assert entry["empirical"] == row.empirical
+        assert entry["predicted"] == row.predicted
+        assert row.empirical == densities.phi_ratio_sum(m, N) / N
+        assert row.predicted == densities.predicted_phi_density(m).float_value
+
+
 def test_phisum_exact_json_prints_integers_past_the_digit_limit(capsys):
     # the exact numerators here run past str(int)'s 4300-digit default limit
     code, out, err = run_cli(
@@ -210,6 +223,22 @@ def test_bad_threads_variable_exits_two(capsys, monkeypatch):
     assert "DIVREC_THREADS must be a positive integer: 'abc'" in err
     monkeypatch.setenv("DIVREC_THREADS", "2")
     assert run_cli(capsys, "phisum", "--m", "1", "--n", "100")[0] == 0
+    # the flag takes positive integers only, on every command that offers it
+    for argv in (
+        ["phisum", "--m", "1", "--n", "100"],
+        ["reproduce-paper"],
+        ["squarefree", "--t", "6", "--n", "100"],
+    ):
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--threads", value])
+            assert exc.value.code == 2
+            assert f"need a positive integer, got '{value}'" in capsys.readouterr().err
+        assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
+    # oddly never sieves, so it offers no --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["oddly", "--m", "2", "--n", "10", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_schedule_with_too_many_points(capsys):
@@ -301,7 +330,7 @@ TABLE_FLAGS = [("--n", "--schedule"), ("--format",), ("--threads",)]
 #: subcommand -> groups of mutually exclusive flags; the first ones are set
 #: in every argv, the rest in three of four
 FUZZ_COMMANDS = {
-    "oddly": (2, [("--m",), *TABLE_FLAGS]),
+    "oddly": (2, [("--m",), *TABLE_FLAGS[:2]]),
     "squarefree": (
         0,
         [("--t", "--primes"), ("--check-identity",), ("--x",), *TABLE_FLAGS],

@@ -118,6 +118,27 @@ def test_oddly_single_row():
     assert row.empirical_exact == Fraction(2, 5)
 
 
+@pytest.mark.parametrize(
+    "family, total",
+    [
+        (OddlyFamily(3), lambda N: count_oddly_divisible_fast(3, N)),
+        (SquarefreeFamily(6), lambda N: count_squarefree_multiples(6, N)),
+        (PhiSumFamily(6, "exact"), lambda N: phi_ratio_sum(6, N, "exact")),
+        (PhiSumFamily(6), None),
+    ],
+)
+def test_rows_carry_an_exact_ratio_unless_the_sum_is_float(family, total):
+    rows = run_convergence(family, CheckpointSchedule(10, 1000, Fraction(10)))
+    assert [r.N for r in rows] == [10, 100, 1000]
+    for row in rows:
+        if total is None:
+            assert row.empirical_exact is None
+        else:
+            assert type(row.empirical_exact) is Fraction
+            assert row.empirical_exact == Fraction(total(row.N), row.N)
+            assert row.empirical == float(total(row.N)) / row.N
+
+
 def test_empty_schedule_runs_to_empty_table():
     sched = CheckpointSchedule(100, 5, Fraction(2))
     for family in (OddlyFamily(2), SquarefreeFamily(2), PhiSumFamily(5)):

@@ -25,7 +25,7 @@ from divrec.densities import (
     predicted_phi_density,
     squarefree_multiple_counts,
 )
-from divrec.limits import RangeLimitError
+from divrec.limits import BROWN_CHECK_MAX_X, PHI_CLAIM_MAX_X, RangeLimitError
 from divrec.recursion import RecurrenceSpec, evaluate_G, identity_counts
 
 
@@ -211,6 +211,23 @@ def test_squarefree_counts_drive_the_engine():
         spec = RecurrenceSpec(p, 1, -1, Fraction(1), F)
         for x in (1, 9, 100, 3999):
             assert evaluate_G(spec, x) == count_squarefree_multiples(t * p, x)
+
+
+def test_prefix_table_builders_are_capped_before_any_work(monkeypatch):
+    # each builder shares its table with a checker and takes the checker's cap
+    def no_work(*args):
+        raise AssertionError("built a prefix table")
+
+    monkeypatch.setattr(densities, "_squarefree_prefix", no_work)
+    monkeypatch.setattr(densities, "_phi_ratio_prefix_pairs", no_work)
+    with pytest.raises(RangeLimitError):
+        squarefree_multiple_counts(1, BROWN_CHECK_MAX_X + 1)
+    with pytest.raises(RangeLimitError):
+        phi_ratio_counts(1, PHI_CLAIM_MAX_X + 1)
+    with pytest.raises(AssertionError, match="built a prefix table"):
+        squarefree_multiple_counts(1, BROWN_CHECK_MAX_X)  # at the cap
+    with pytest.raises(AssertionError, match="built a prefix table"):
+        phi_ratio_counts(1, PHI_CLAIM_MAX_X)
 
 
 def test_predicted_density_squarefree_values():

@@ -139,7 +139,9 @@ def test_phisum_exact_walker_equals_the_full_range_sum(monkeypatch, m):
 def test_squarefree_walker_equals_the_full_range_count(monkeypatch, t):
     N = 40_000
     every_multiple = list(range(1, t)) + list(range(t, N + 1, t))
-    for points in (checkpoints(t, N), every_multiple):
+    # thousands of checkpoints in one segment at the default size
+    dense = CheckpointSchedule(1, N, Fraction("1.001")).points
+    for points in (checkpoints(t, N), every_multiple, dense):
         expected = full_range_squarefree_counts(t, points)
         for size in SEGMENT_SIZES:
             use_segment_size(monkeypatch, size)
