@@ -84,15 +84,25 @@ def _band_total(values: np.ndarray, lo: int) -> int:
 # the name the benchmark's layer probes import and trace
 NeumaierSum = ExactFloatSum
 
+#: Leaves per block of ``ExactRatioSum.extend``: a power of two, so every
+#: block is a whole subtree of the balanced tree over the piece.
+_LEAVES = 1 << 10
+
 
 class ExactRatioSum:
-    """Exact sum of fractions kept over a running common denominator.
+    """Exact sum of fractions kept as one unreduced (numerator, denominator).
 
-    Adding a term only rescales the accumulator when the denominator brings a
-    new factor to the running lcm, so per-term cost is one small gcd instead
-    of a full-size normalization. ``value`` reduces once and returns the
-    canonical Fraction; ``unreduced`` returns the running pair without any
-    gcd.
+    ``extend`` sums a run of terms by binary splitting: it reduces each term
+    with ``np.gcd``, adds the terms pairwise as a balanced tree, where a node
+    adds two pairs over the lcm of their denominators with one gcd of
+    equal-sized operands, and folds the root into the running pair once.
+    The running denominator grows to thousands of digits, so ``add``, which
+    folds one term at a time, pays a long division per term; ``extend`` pays
+    one per run. Either way the running denominator is the lcm of the
+    reduced term denominators and the numerator is not reduced against it,
+    so the pair depends on the terms only, not on their order or chunking.
+    ``value`` reduces once and returns the canonical Fraction;
+    ``unreduced`` returns the running pair without any gcd.
     """
 
     __slots__ = ("_num", "_den")
@@ -102,14 +112,34 @@ class ExactRatioSum:
         self._den = 1
 
     def add(self, numerator: int, denominator: int) -> None:
+        """Add one fraction of any int sizes, without the tree."""
         if denominator < 1:
             raise ValueError(f"need a positive denominator, got {denominator}")
-        g = gcd(self._den, denominator)
-        scale = denominator // g
-        if scale > 1:
-            self._num *= scale
-            self._den *= scale
-        self._num += numerator * (self._den // denominator)
+        g = gcd(numerator, denominator)
+        self._num, self._den = _pair_sum(
+            self._num, self._den, numerator // g, denominator // g
+        )
+
+    def extend(self, numerators: Iterable[int], denominators: Iterable[int]) -> None:
+        """Add numerators[i] / denominators[i] for two int64 array-likes of
+        one length; ValueError unless every denominator is positive."""
+        num = np.asarray(numerators, dtype=np.int64)
+        den = np.asarray(denominators, dtype=np.int64)
+        if num.shape != den.shape:
+            raise ValueError(f"got {num.size} numerators for {den.size} denominators")
+        if not den.size:
+            return
+        if den.min() < 1:
+            raise ValueError(f"need positive denominators, got {den.min()}")
+        g = np.gcd(num, den)
+        num, den = num // g, den // g
+        # the tree of each block of leaves, then the tree of the block roots:
+        # only one block's leaves are Python ints at a time
+        roots = []
+        for i in range(0, den.size, _LEAVES):
+            block = zip(num[i : i + _LEAVES].tolist(), den[i : i + _LEAVES].tolist())
+            roots.append(_tree_sum(list(block)))
+        self._num, self._den = _pair_sum(self._num, self._den, *_tree_sum(roots))
 
     @property
     def unreduced(self) -> tuple[int, int]:
@@ -119,3 +149,18 @@ class ExactRatioSum:
     @property
     def value(self) -> Fraction:
         return Fraction(self._num, self._den)
+
+
+def _tree_sum(nodes: list[tuple[int, int]]) -> tuple[int, int]:
+    # balanced binary tree of pairwise sums of a nonempty list of pairs
+    while len(nodes) > 1:
+        odd = nodes[-1:] if len(nodes) % 2 else []
+        nodes = [_pair_sum(*x, *y) for x, y in zip(nodes[::2], nodes[1::2])] + odd
+    return nodes[0]
+
+
+def _pair_sum(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    # a/b + c/d over lcm(b, d), not reduced
+    g = gcd(b, d)
+    b //= g
+    return a * (d // g) + c * b, b * d

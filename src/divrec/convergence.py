@@ -74,9 +74,11 @@ class CheckpointSchedule:
 class ConvergenceRow:
     """One checkpoint: empirical ratio against the predicted limit.
 
-    ``empirical_exact`` carries the full-precision ratio when the family
-    computes one (integer counts and exact-mode sums); float families leave
-    it None.
+    ``exact_ratio`` carries the full-precision ratio as a (numerator,
+    denominator) pair when the family computes one (integer counts and
+    exact-mode sums); float families leave it None. The pair need not be in
+    lowest terms, and ``empirical_exact`` reduces it on each read, so rows
+    that print only floats never pay for the gcd.
     """
 
     N: int
@@ -84,17 +86,24 @@ class ConvergenceRow:
     predicted: float
     abs_err: float
     rel_err: float
-    empirical_exact: Fraction | None = None
+    exact_ratio: tuple[int, int] | None = None
+
+    @property
+    def empirical_exact(self) -> Fraction | None:
+        return None if self.exact_ratio is None else Fraction(*self.exact_ratio)
 
 
-def _row(N: int, total: int | Fraction | float, predicted: float) -> ConvergenceRow:
-    # total is a count up to N (below 2**53, so float(total) is exact), an
-    # exact sum or a float sum, which has no exact ratio
-    empirical = float(total) / N
+def _row(
+    N: int, total: int | tuple[int, int] | float, predicted: float
+) -> ConvergenceRow:
+    # total is a count up to N, an exact sum as an unreduced (numerator,
+    # denominator) pair or a float sum, which has no exact ratio; CPython
+    # rounds int / int correctly, so num / den is float(Fraction(num, den))
     if isinstance(total, float):
-        exact = None
-    else:  # Fraction(total, N) would redo an exact sum's long gcd
-        exact = total / N if isinstance(total, Fraction) else Fraction(total, N)
+        empirical, exact = total / N, None
+    else:
+        num, den = (total, 1) if isinstance(total, int) else total
+        empirical, exact = num / den / N, (num, den * N)
     abs_err = abs(empirical - predicted)
     rel_err = abs_err / abs(predicted) if predicted else float("nan")
     return ConvergenceRow(N, empirical, predicted, abs_err, rel_err, exact)
@@ -159,9 +168,12 @@ def run_convergence(
         totals = densities.count_squarefree_multiples_at(family.t, points)
     elif isinstance(family, PhiSumFamily):
         pred = densities.predicted_phi_density(family.m)
-        totals = densities.phi_ratio_sums_at(
-            family.m, points, family.mode, threads=threads
-        )
+        if family.mode == "exact":
+            totals = densities.phi_ratio_pairs_at(family.m, points, threads=threads)
+        else:
+            totals = densities.phi_ratio_sums_at(
+                family.m, points, family.mode, threads=threads
+            )
     else:
         raise ValueError(f"unknown family {family!r}")
     return [_row(N, total, pred.float_value) for N, total in zip(points, totals)]
@@ -205,7 +217,7 @@ def emit_report(
                 "abs_err": r.abs_err,
                 "rel_err": r.rel_err,
             }
-            if include_exact and r.empirical_exact is not None:
+            if include_exact and r.exact_ratio is not None:
                 # Decimal prints every digit; str(int) stops at 4300 of them
                 exact = r.empirical_exact
                 entry["empirical_numerator"] = str(decimal.Decimal(exact.numerator))

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -306,19 +306,35 @@ def phi_ratio_sums_at(
     over a sieve of all n, and its sum is exact until it is read, so a row
     equals a from-scratch sum at its point bit for bit.
     """
-    if mode not in ("float", "exact"):
+    if mode == "exact":
+        pairs = phi_ratio_pairs_at(m, points, threads=threads)
+        return [Fraction(*pair) for pair in pairs]
+    if mode != "float":
         raise ValueError(f"unknown mode {mode!r}, expected 'float' or 'exact'")
-    return _phi_ratio_walk(m, points, mode == "exact", attrgetter("value"), threads)
+    return _phi_ratio_walk(m, points, False, threads)
 
 
-def _phi_ratio_walk(
-    m: int, points: Sequence[int], exact: bool, read: Callable, threads: int = 1
-) -> list:
-    # the one totient-ratio walker: read(accumulator) at each point
+def phi_ratio_pairs_at(
+    m: int, points: Sequence[int], *, threads: int = 1
+) -> list[tuple[int, int]]:
+    """The exact sums of :func:`phi_ratio_sums_at` as unreduced pairs.
+
+    Each sum is a (numerator, denominator) pair, not in lowest terms, so no
+    point pays for the gcd of two numbers that grow to thousands of digits.
+    The denominator is the lcm of the reduced denominators of the terms, so
+    a pair does not depend on threads, segment size or the other points.
+    """
+    return _phi_ratio_walk(m, points, True, threads)
+
+
+def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) -> list:
+    # the one totient-ratio walker: the unreduced exact pair or the rounded
+    # float sum at each point
     if m < 1:
         raise ValueError(f"need modulus m >= 1, got {m}")
     pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
     acc = ExactRatioSum() if exact else ExactFloatSum()
+    read = attrgetter("unreduced" if exact else "value")
     sums: list = []
     top = pts[-1] // m if pts else 0
     for table in iter_sieve_tables(1, top, threads=threads) if top else ():
@@ -328,11 +344,12 @@ def _phi_ratio_walk(
         ratios = None if exact else phis / ns
         done = 0
         for cut in [*cuts, None]:
-            if exact:
-                for ph, n in zip(phis[done:cut].tolist(), ns[done:cut].tolist()):
-                    acc.add(ph, n)
-            else:
+            if not exact:
                 acc.extend(ratios[done:cut])
+            elif cut == done + 1:  # every prefix is read: skip numpy's call cost
+                acc.add(int(phis[done]), int(ns[done]))
+            else:
+                acc.extend(phis[done:cut], ns[done:cut])
             if cut is not None:
                 sums.append(read(acc))
                 done = cut
@@ -358,7 +375,7 @@ def _phi_ratio_prefix_pairs(step: int, limit: int) -> list[tuple[int, int]]:
     # entry k = the exact sum over the first k multiples of step (k*step <=
     # limit) as an unreduced (numerator, denominator) pair
     points = range(step, limit + 1, step)
-    return [(0, 1)] + _phi_ratio_walk(step, points, True, attrgetter("unreduced"))
+    return [(0, 1)] + phi_ratio_pairs_at(step, points)
 
 
 def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:

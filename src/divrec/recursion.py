@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Union
 
 from .limits import ENGINE_MAX_N, RangeLimitError
@@ -110,10 +111,17 @@ def evaluate_G(spec: RecurrenceSpec, N: int) -> Fraction:
     is needed. G(0) = 0 by definition.
     """
     _check_engine_n(N)
-    g = Fraction(0)
+    a, a_den = spec.alpha.numerator, spec.alpha.denominator
+    b, b_den = spec.beta.numerator, spec.beta.denominator
+    num, den = 0, 1  # G(v) = num / den, reduced once at the end
     for v in reversed(_floor_chain(N, spec.m)):
-        g = spec.alpha * spec.F(v // spec.m) + spec.beta * g
-    return g
+        f = spec.F(v // spec.m)
+        # alpha * F + beta * G over the lcm of the two denominators
+        f_num, f_den = a * f.numerator, a_den * f.denominator
+        num, den = b * num, b_den * den
+        g = gcd(f_den, den)
+        num, den = f_num * (den // g) + num * (f_den // g), f_den // g * den
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -154,20 +162,35 @@ def expand_eq_star(spec: RecurrenceSpec, N: int, j: int) -> list[ExpansionTerm]:
         raise ValueError("expansion needs N >= 1")
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
+    # each value is built as one Fraction of exact integers, so it is
+    # normalised once
+    a, a_den = spec.alpha.numerator, spec.alpha.denominator
+    b, b_den = spec.beta.numerator, spec.beta.denominator
     terms = []
-    beta_pow = Fraction(1)  # beta**(i-1)
+    b_pow, b_den_pow = 1, 1  # beta**(i-1) = b_pow / b_den_pow
     m_pow = 1
     floor = N
     for i in range(1, j + 1):
         m_pow *= spec.m
         floor //= spec.m
-        coefficient = spec.alpha * beta_pow / m_pow
-        ratio = spec.F(floor) * m_pow / N
+        coefficient = Fraction(a * b_pow, a_den * b_den_pow * m_pow)
+        ratio = _scaled_ratio(spec.F(floor), m_pow, N)
         terms.append(ExpansionTerm(i, coefficient, ratio))
-        beta_pow *= spec.beta
-    remainder_ratio = evaluate_G(spec, floor) * m_pow / N
-    terms.append(ExpansionTerm(j, beta_pow / m_pow, remainder_ratio, True))
+        b_pow *= b
+        b_den_pow *= b_den
+    coefficient = Fraction(b_pow, b_den_pow * m_pow)
+    ratio = _scaled_ratio(evaluate_G(spec, floor), m_pow, N)
+    terms.append(ExpansionTerm(j, coefficient, ratio, True))
     return terms
+
+
+def _scaled_ratio(value: Fraction, m_pow: int, N: int) -> Fraction:
+    # value / (N / m_pow), normalised once while value's denominator is
+    # short; past a word, Fraction's product is cheaper, as it takes only
+    # gcds with m_pow and N, not one of two long numbers
+    if value.denominator >> 64:
+        return value * Fraction(m_pow, N)
+    return Fraction(value.numerator * m_pow, value.denominator * N)
 
 
 def series_form(spec: RecurrenceSpec, N: int) -> Fraction:

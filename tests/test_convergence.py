@@ -20,6 +20,8 @@ from divrec.densities import (
     count_oddly_divisible_fast,
     count_squarefree_multiples,
     phi_ratio_sum,
+    phi_ratio_sums_at,
+    predicted_phi_density,
 )
 from divrec.limits import RangeLimitError
 
@@ -201,6 +203,43 @@ def test_phisum_exact_checkpoints_equal_from_scratch():
     )
     for row in rows:
         assert row.empirical_exact == phi_ratio_sum(7, row.N, "exact") / row.N
+
+
+@pytest.mark.parametrize("size", [None, "257"])
+def test_dense_exact_csv_equals_the_reduced_fraction_path(monkeypatch, size):
+    # rows read unreduced pairs; the oracle prints every row from the
+    # reduced Fraction, float(total) / N
+    if size is not None:
+        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
+    sched = CheckpointSchedule(1, 30_000, Fraction("1.006"))
+    points = sched.points
+    assert len(points) >= 1000
+    sums = phi_ratio_sums_at(3, points, "exact")
+    assert all(type(s) is Fraction for s in sums)
+    pred = predicted_phi_density(3).float_value
+    lines = [CSV_HEADER]
+    for N, total in zip(points, sums):
+        emp = float(total) / N
+        err = abs(emp - pred)
+        lines.append(f"{N},{emp:.12g},{pred:.12g},{err:.12g},{err / pred:.12g}")
+    expected = ("\n".join(lines) + "\n").encode("ascii")
+    rows = run_convergence(PhiSumFamily(3, "exact"), sched)
+    assert emit_report(rows, "csv") == expected
+    for row, total in zip(rows[::50], sums[::50]):
+        assert row.empirical_exact == total / row.N
+
+
+def test_exact_rows_do_not_depend_on_the_segment_size(monkeypatch):
+    # one-term pieces go through ExactRatioSum.add, longer ones through
+    # extend; the pairs are the same however the segments cut them
+    sched = CheckpointSchedule(7, 3000, Fraction("1.2"))
+    family = PhiSumFamily(7, "exact")
+    rows = run_convergence(family, sched)
+    for size in ("1", "13", "64"):
+        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
+        assert run_convergence(family, sched) == rows
+    assert all(r.exact_ratio[1] > 0 for r in rows)
+    assert rows[-1].empirical_exact == phi_ratio_sum(7, 3000, "exact") / 3000
 
 
 def test_checkpoints_cross_segment_boundaries(monkeypatch):

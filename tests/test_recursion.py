@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.limits import RangeLimitError
+from divrec.limits import ENGINE_MAX_N, RangeLimitError
 from divrec.recursion import (
     CountingFunction,
     RecurrenceSpec,
@@ -228,3 +228,89 @@ def test_results_are_reduced_rationals(spec, N):
     from math import gcd
 
     assert gcd(g.numerator, g.denominator) == 1
+
+
+def previous_evaluate_G(spec: RecurrenceSpec, N: int) -> Fraction:
+    """``evaluate_G`` as it was: three normalising Fraction operations a level."""
+    g = Fraction(0)
+    v, chain = N, []
+    while v:
+        chain.append(v)
+        v //= spec.m
+    for v in reversed(chain):
+        g = spec.alpha * spec.F(v // spec.m) + spec.beta * g
+    return g
+
+
+def previous_expand_eq_star(spec: RecurrenceSpec, N: int, j: int) -> list:
+    """``expand_eq_star`` as it was: two normalising operations per value."""
+    terms = []
+    beta_pow = Fraction(1)  # beta**(i-1)
+    m_pow = 1
+    floor = N
+    for i in range(1, j + 1):
+        m_pow *= spec.m
+        floor //= spec.m
+        coefficient = spec.alpha * beta_pow / m_pow
+        ratio = spec.F(floor) * m_pow / N
+        terms.append((i, coefficient, ratio, False))
+        beta_pow *= spec.beta
+    remainder_ratio = previous_evaluate_G(spec, floor) * m_pow / N
+    terms.append((j, beta_pow / m_pow, remainder_ratio, True))
+    return terms
+
+
+#: Driving functions as the lemma suite draws them, plus one whose
+#: denominators pass 64 bits, as prefix sums of phi(n)/n do.
+ORACLE_FNS = (
+    identity_counts(),
+    CountingFunction(lambda n: Fraction(3 * n, 2), "F(n) = 3n/2"),
+    CountingFunction(lambda n: Fraction(n // 3), "F(n) = n//3"),
+    CountingFunction(lambda n: Fraction(n) * n, "F(n) = n**2"),
+    CountingFunction(
+        lambda n: Fraction(7**30 * n, 3**50 * (2 * n + 1)),
+        "F(n) = 7**30 n / (3**50 (2n + 1))",
+    ),
+)
+
+
+@st.composite
+def lemma_specs(draw):
+    m = draw(st.integers(min_value=2, max_value=10))
+    alpha = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 8)))
+    beta = Fraction(draw(st.integers(-(8 * m - 1), 8 * m - 1)), 8)
+    D = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+    return RecurrenceSpec(m, alpha, beta, D, draw(st.sampled_from(ORACLE_FNS)))
+
+
+@settings(max_examples=300)
+@given(
+    spec=lemma_specs(),
+    N=st.one_of(
+        st.integers(min_value=1, max_value=100),
+        st.integers(min_value=1, max_value=ENGINE_MAX_N),
+        st.just(ENGINE_MAX_N),
+    ),
+    j=st.integers(min_value=1, max_value=45),  # past 40 = log2(1e12) levels
+)
+def test_expansion_equals_the_previous_expansion(spec, N, j):
+    terms = expand_eq_star(spec, N, j)
+    expected = previous_expand_eq_star(spec, N, j)
+    got = [(t.index, t.coefficient, t.ratio, t.remainder_flag) for t in terms]
+    assert got == expected
+    for t in terms:
+        assert type(t.coefficient) is Fraction and type(t.ratio) is Fraction
+    assert evaluate_G(spec, N) == previous_evaluate_G(spec, N)
+
+
+def test_expansion_oracle_draws_reach_the_edges():
+    # drawn above only by chance: negative weights, F(n) = n**2 and the long
+    # denominators at the engine cap, and j past the end of the floor chain
+    for F in ORACLE_FNS[3:]:
+        spec = RecurrenceSpec(2, Fraction(-7, 8), Fraction(-15, 8), 0, F)
+        for j in (1, 39, 40, 41, 45):
+            got = expand_eq_star(spec, ENGINE_MAX_N, j)
+            expected = previous_expand_eq_star(spec, ENGINE_MAX_N, j)
+            fields = [(t.index, t.coefficient, t.ratio, t.remainder_flag) for t in got]
+            assert fields == expected
+        assert got[-1].ratio == 0  # 2**45 > 1e12

@@ -25,6 +25,7 @@ from divrec.densities import (
     brown_identity_first_failure,
     count_squarefree_multiples,
     count_squarefree_multiples_at,
+    phi_ratio_pairs_at,
     phi_ratio_sum,
     phi_ratio_sums_at,
     squarefree_multiple_counts,
@@ -39,13 +40,17 @@ def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
     """Sum of phi(n)/n over multiples n of m up to each point, sieving all n.
 
     Float sums are ``math.fsum`` of the prefix terms, correctly rounded and
-    independent of the library's accumulator.
+    independent of the library's accumulator. Exact sums are read as
+    reduced Fractions, or as unreduced pairs for mode "pairs", from
+    ``ExactRatioSum.add``, one term at a time.
     """
     exact = ExactRatioSum()
     terms: list[float] = []
 
     def value():
-        return math.fsum(terms) if mode == "float" else exact.value
+        if mode == "float":
+            return math.fsum(terms)
+        return exact.unreduced if mode == "pairs" else exact.value
 
     sums = []
     idx = 0
@@ -126,13 +131,19 @@ def test_phisum_float_walker_is_bitwise_the_full_range_sum(monkeypatch, m, N):
 @pytest.mark.parametrize("m", [1, 2, 7, 12, 360, 12348])
 def test_phisum_exact_walker_equals_the_full_range_sum(monkeypatch, m):
     N = 3000 if m < 360 else 10**5
-    points = checkpoints(m, N)
+    # one-term pieces at the first 40 multiples, then long pieces that
+    # straddle the edges of the odd-sized segments
+    points = sorted(set(checkpoints(m, N)) | set(range(m, min(40 * m, N) + 1, m)))
     expected = full_range_phi_sums(m, points, "exact")
+    expected_pairs = full_range_phi_sums(m, points, "pairs")
     for size in SEGMENT_SIZES:
         use_segment_size(monkeypatch, size)
         got = phi_ratio_sums_at(m, points, "exact")
         assert all(type(s) is Fraction for s in got)
         assert got == expected
+        pairs = phi_ratio_pairs_at(m, points)
+        assert [Fraction(*pair) for pair in pairs] == expected
+        assert pairs == expected_pairs  # the lcm of the reduced denominators
 
 
 @pytest.mark.parametrize("t", [1, 2, 6, 30, 210])
