@@ -30,7 +30,6 @@ from .densities import (
     phi_claim_identity_check,
     phi_claim_first_failure,
     phi_ratio_counts,
-    phi_ratio_pairs_at,
     phi_ratio_sum,
     phi_ratio_sums_at,
     predicted_density_oddly,
@@ -103,7 +102,6 @@ __all__ = [
     "phi_claim_first_failure",
     "phi_claim_identity_check",
     "phi_ratio_counts",
-    "phi_ratio_pairs_at",
     "phi_ratio_sum",
     "phi_ratio_sums_at",
     "predicted_density_oddly",

@@ -185,11 +185,7 @@ def expand_eq_star(spec: RecurrenceSpec, N: int, j: int) -> list[ExpansionTerm]:
 
 
 def _scaled_ratio(value: Fraction, m_pow: int, N: int) -> Fraction:
-    # value / (N / m_pow), normalised once while value's denominator is
-    # short; past a word, Fraction's product is cheaper, as it takes only
-    # gcds with m_pow and N, not one of two long numbers
-    if value.denominator >> 64:
-        return value * Fraction(m_pow, N)
+    # value / (N / m_pow), normalised once
     return Fraction(value.numerator * m_pow, value.denominator * N)
 
 
