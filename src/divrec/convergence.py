@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from . import densities, limits
+from . import arith, limits
 from .limits import SCHEDULE_MAX_POINTS, RangeLimitError
-from .sieves import factorize
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,18 @@ def run_convergence(
         raise RangeLimitError(f"N = {schedule.stop} exceeds the cap {cap}")
     points = schedule.points
     if isinstance(family, OddlyFamily):
-        pred = densities.predicted_density_oddly(family.m)
-        totals = [densities.count_oddly_divisible_fast(family.m, N) for N in points]
+        pred = arith.predicted_density_oddly(family.m)
+        totals = [arith.count_oddly_divisible_fast(family.m, N) for N in points]
     elif isinstance(family, SquarefreeFamily):
+        from . import densities  # the sieve-backed families load numpy here
+
         pred = densities.predicted_density_squarefree(
-            [p for p, _ in factorize(family.t)]
+            [p for p, _ in arith.factorize(family.t)]
         )
         totals = densities.count_squarefree_multiples_at(family.t, points)
     elif isinstance(family, PhiSumFamily):
+        from . import densities
+
         pred = densities.predicted_phi_density(family.m)
         if family.mode == "exact":
             totals = densities.phi_ratio_pairs_at(family.m, points, threads=threads)

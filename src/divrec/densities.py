@@ -14,13 +14,13 @@ density D*alpha/(m - beta). Concretely:
 
 Each family pairs a brute-force or sieve-backed counter with the exact
 identity behind it and the closed-form limit, so empirical ratios, algebra,
-and predictions can be cross-checked independently.
+and predictions can be cross-checked independently. The first family needs
+no sieve; it lives in :mod:`divrec.arith` and is re-exported here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
@@ -28,62 +28,28 @@ from typing import Sequence
 import numpy as np
 
 from .accumulators import ExactFloatSum, ExactRatioSum
+
+# re-exported: the odd-exponent family lives in arith, which imports no numpy
+from .arith import (
+    PI_SQUARED,
+    DensityPrediction,
+    check_count_range,
+    count_oddly_divisible_fast,
+    count_oddly_divisible_oracle,
+    factorize,
+    is_prime,
+    predicted_density_oddly,
+)
 from .limits import (
     BROWN_CHECK_MAX_X,
-    ENGINE_MAX_N,
     EXACT_PHI_SUM_MAX_N,
-    ORACLE_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
     RangeLimitError,
     segment_size_from_env,
 )
 from .recursion import CountingFunction
-from .sieves import (
-    divisibility_exponent,
-    factorize,
-    is_prime,
-    iter_sieve_tables,
-    squarefree_flags,
-)
-
-#: pi**2 to 20 significant digits (rounds to the nearest double).
-PI_SQUARED = 9.8696044010893586188
-
-
-@dataclass(frozen=True)
-class DensityPrediction:
-    """A closed-form density split into its rational part and pi power.
-
-    The predicted value is ``exact_factor * (pi**2)**pi_squared_power`` with
-    ``pi_squared_power`` either 0 (fully rational) or -1 (one reciprocal
-    pi**2). ``float_value`` is that product rounded once to a double, pi**2
-    being represented by :data:`PI_SQUARED`.
-    """
-
-    exact_factor: Fraction
-    pi_squared_power: int
-    float_value: float
-
-
-def _prediction(exact_factor: Fraction, pi_squared_power: int) -> DensityPrediction:
-    if pi_squared_power == 0:
-        value = float(exact_factor)
-    else:
-        value = float(exact_factor * Fraction(PI_SQUARED) ** pi_squared_power)
-    return DensityPrediction(exact_factor, pi_squared_power, value)
-
-
-def _check_modulus(m: int) -> None:
-    if m < 2:
-        raise ValueError(f"need modulus m >= 2, got {m}")
-
-
-def _check_count_range(N: int, cap: int) -> None:
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
-    if N > cap:
-        raise RangeLimitError(f"N = {N} exceeds the cap {cap} for this operation")
+from .sieves import iter_sieve_tables, squarefree_flags
 
 
 def _checked_points(points: Sequence[int], cap: int) -> list[int]:
@@ -91,7 +57,7 @@ def _checked_points(points: Sequence[int], cap: int) -> list[int]:
     if pts != sorted(pts):
         raise ValueError("checkpoints must be in ascending order")
     for N in pts[:1] + pts[-1:]:
-        _check_count_range(N, cap)
+        check_count_range(N, cap)
     return pts
 
 
@@ -102,46 +68,6 @@ def _cuts(step: int, points: list[int], lo: int, hi: int) -> list[int]:
     first = bisect_left(points, lo * step) if lo > 1 else 0
     last = bisect_left(points, (hi + 1) * step)
     return [N // step - lo + 1 for N in points[first:last]]
-
-
-# ---------------------------------------------------------------------------
-# family 1: largest m-power divisor has odd exponent
-
-
-def count_oddly_divisible_oracle(m: int, N: int) -> int:
-    """Count 1 <= i <= N whose m-adic valuation is odd, by direct inspection.
-
-    Quadratic-ish and deliberately independent of the recursion: every
-    multiple of m has its exponent measured by repeated division.
-    """
-    _check_modulus(m)
-    _check_count_range(N, ORACLE_MAX_N)
-    count = 0
-    for i in range(m, N + 1, m):
-        if divisibility_exponent(i, m) % 2 == 1:
-            count += 1
-    return count
-
-
-def count_oddly_divisible_fast(m: int, N: int) -> int:
-    """O(log N) count of the same set via G(n) = n//m - G(n//m).
-
-    Unrolled, the recursion is the alternating series
-    N//m - N//m**2 + N//m**3 - ..., since (N//m**i)//m = N//m**(i+1).
-    """
-    _check_modulus(m)
-    _check_count_range(N, ENGINE_MAX_N)
-    count, sign, q = 0, 1, N // m
-    while q:
-        count += sign * q
-        sign, q = -sign, q // m
-    return count
-
-
-def predicted_density_oddly(m: int) -> DensityPrediction:
-    """Density 1/(m+1) of integers whose m-exponent is odd."""
-    _check_modulus(m)
-    return _prediction(Fraction(1, m + 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +169,7 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         factor /= p + 1
-    return _prediction(factor, -1)
+    return DensityPrediction.of(factor, -1)
 
 
 def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
@@ -253,7 +179,7 @@ def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
     sieved up front, so build cost is one pass and each call is O(1). limit
     is capped like the Brown checker, which builds the same table.
     """
-    _check_count_range(limit, BROWN_CHECK_MAX_X)
+    check_count_range(limit, BROWN_CHECK_MAX_X)
     if limit < 1:
         raise ValueError("need limit >= 1")
     prefix = memoryview(_squarefree_prefix(t, limit))  # items are plain ints
@@ -439,7 +365,7 @@ def predicted_phi_density(m: int) -> DensityPrediction:
     factor = Fraction(6, m)
     for p, _ in factorize(m):
         factor *= Fraction(p, p + 1)
-    return _prediction(factor, -1)
+    return DensityPrediction.of(factor, -1)
 
 
 def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
@@ -451,7 +377,7 @@ def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
     """
     if m < 1:
         raise ValueError(f"need modulus m >= 1, got {m}")
-    _check_count_range(limit, PHI_CLAIM_MAX_X)
+    check_count_range(limit, PHI_CLAIM_MAX_X)
     if limit < 1:
         raise ValueError("need limit >= 1")
     values = [Fraction(*pair) for pair in _phi_ratio_prefix_pairs(m, limit)]

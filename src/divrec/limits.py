@@ -40,8 +40,9 @@ BROWN_CHECK_MAX_X = 10**6
 PHI_CLAIM_MAX_X = 10**4
 
 #: Most random instances of the recursion lemma suite. An instance costs
-#: 2.3 to 2.9 ms of exact Fraction arithmetic on a 2-vCPU x86 machine, so
-#: the cap is about half a minute of work.
+#: 1.2 to 2.2 ms of exact Fraction and integer arithmetic on a 2-vCPU x86
+#: machine (``run_lemma_suite(1000, seed)``, seeds 0-4), so the cap is 12 to
+#: 22 seconds of work.
 LEMMA_MAX_COUNT = 10**4
 
 #: Most points a checkpoint schedule may step through, bounded from its

@@ -19,20 +19,19 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .limits import (
-    FACTORIZE_MAX_N,
-    SIEVE_MAX_N,
-    RangeLimitError,
-    segment_size_from_env,
+# re-exported: the pure-integer helpers live in arith, which imports no numpy
+from .arith import (
+    Factorization,
+    base_primes,
+    divisibility_exponent,
+    factorize,
+    is_prime,
 )
-
-#: (prime, exponent) pairs, primes ascending.
-Factorization = list[tuple[int, int]]
+from .limits import SIEVE_MAX_N, RangeLimitError, segment_size_from_env
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,7 @@ class SieveTable:
 @lru_cache(maxsize=1)
 def _base_primes() -> np.ndarray:
     # primes up to sqrt(SIEVE_MAX_N), enough for any permitted segment
-    limit = math.isqrt(SIEVE_MAX_N) + 1
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
-@lru_cache(maxsize=1)
-def _base_prime_list() -> list[int]:
-    return _base_primes().tolist()
+    return np.array(base_primes(), dtype=np.int64)
 
 
 def sieve_segment(lo: int, hi: int) -> SieveTable:
@@ -171,48 +159,3 @@ def iter_sieve_tables(lo: int, hi: int, *, threads: int = 1) -> Iterator[SieveTa
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
-
-
-def factorize(n: int) -> Factorization:
-    """Factor n by trial division; primes ascending, exponents positive.
-
-    Accepts 1 <= n <= ``FACTORIZE_MAX_N``. ``factorize(1)`` is the empty list.
-    """
-    if n < 1:
-        raise ValueError(f"can only factor positive integers, got {n}")
-    if n > FACTORIZE_MAX_N:
-        raise RangeLimitError(f"refusing to trial-divide {n} > {FACTORIZE_MAX_N}")
-    factors: Factorization = []
-    m = n
-    # base primes cover n <= 1e9; above that, odd candidates continue the walk
-    base = _base_prime_list()
-    for p in chain(base, count(base[-1] + 2, 2)):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                e += 1
-                m //= p
-            factors.append((p, e))
-    if m > 1:
-        factors.append((m, 1))
-    return factors
-
-
-def is_prime(n: int) -> bool:
-    """True iff n is prime (same cap as :func:`factorize`)."""
-    return n >= 2 and factorize(n) == [(n, 1)]
-
-
-def divisibility_exponent(n: int, m: int) -> int:
-    """Largest t with m**t dividing n, for n >= 1 and m >= 2."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    t = 0
-    while n % m == 0:
-        n //= m
-        t += 1
-    return t

@@ -13,13 +13,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-import numpy as np
-
-from . import densities, recursion
+from . import recursion
+from .arith import (
+    count_oddly_divisible_fast,
+    count_oddly_divisible_oracle,
+    divisibility_exponent,
+)
 from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, RangeLimitError
-from .sieves import divisibility_exponent
 
 
 @dataclass(frozen=True)
@@ -86,14 +89,29 @@ def run_lemma_suite(
         for j in range(1, max_j + 1):
             checks += 1
             terms = recursion.expand_eq_star(spec, N, j)
-            total = sum(t.value for t in terms)
-            if total * N != g:
+            if not _expansion_matches(terms, N, g):
                 failures.append(f"expansion with j={j} != G(N)/N at {label}")
                 break
             if m**j > N and terms[-1].ratio != 0:
                 failures.append(f"nonzero remainder past the chain at {label}, j={j}")
                 break
     return SuiteResult("lemma", checks, failures)
+
+
+def _expansion_matches(
+    terms: Sequence[recursion.ExpansionTerm], N: int, g: Fraction
+) -> bool:
+    # sum(t.value for t in terms) * N == g without a normalised Fraction per
+    # term: the numerators add up over a running lcm of the term denominators,
+    # one gcd a term, and the total is compared once by cross-multiplying
+    num, den = 0, 1
+    for t in terms:
+        c, r = t.coefficient, t.ratio
+        t_den = c.denominator * r.denominator
+        d = gcd(den, t_den)
+        num = num * (t_den // d) + c.numerator * r.numerator * (den // d)
+        den = den // d * t_den
+    return num * N * g.denominator == g.numerator * den
 
 
 def run_app1_suite(
@@ -105,8 +123,12 @@ def run_app1_suite(
     max_n; the fast counter must match at every n, and the table must satisfy
     G(n) = n//m - G(n//m) throughout.
     """
-    if max_n > ORACLE_MAX_N:  # before the (max_n + 1)-entry table below
+    if max_n < 1:  # both checks come before the (max_n + 1)-entry table below
+        raise ValueError(f"need max_n >= 1, got {max_n}")
+    if max_n > ORACLE_MAX_N:
         raise RangeLimitError(f"max_n = {max_n} exceeds the cap {ORACLE_MAX_N}")
+    import numpy as np  # only this suite and the sieve-backed ones build arrays
+
     failures: list[str] = []
     checks = 0
     for m in ms:
@@ -115,7 +137,7 @@ def run_app1_suite(
             flags[i] = divisibility_exponent(i, m) % 2
         counts = np.cumsum(flags)
         checks += 1
-        if densities.count_oddly_divisible_oracle(m, max_n) != int(counts[max_n]):
+        if count_oddly_divisible_oracle(m, max_n) != int(counts[max_n]):
             failures.append(f"oracle disagrees with its own flag table at m={m}")
         ns = np.arange(1, max_n + 1)
         checks += max_n
@@ -125,7 +147,7 @@ def run_app1_suite(
             failures.append(f"G(n) = n//m - G(n//m) fails at m={m}, n={n}")
         for n in range(1, max_n + 1):
             checks += 1
-            if densities.count_oddly_divisible_fast(m, n) != int(counts[n]):
+            if count_oddly_divisible_fast(m, n) != int(counts[n]):
                 failures.append(f"fast count != oracle at m={m}, n={n}")
                 break
     return SuiteResult("app1", checks, failures)
@@ -136,6 +158,8 @@ def run_brown_suite(
     max_x: int = 10**4,
 ) -> SuiteResult:
     """Exhaustive square-free splitting identity over several (t, p) pairs."""
+    from . import densities
+
     failures: list[str] = []
     checks = 0
     for t, p in pairs:
@@ -158,6 +182,8 @@ def run_phi_claim_suite(
     max_n: int = 10**3,
 ) -> SuiteResult:
     """Exhaustive exact totient-ratio splitting over several (t, p, j) triples."""
+    from . import densities
+
     failures: list[str] = []
     checks = 0
     for t, p, j in triples:

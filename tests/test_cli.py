@@ -142,7 +142,7 @@ def test_verify_suites_pass_quickly(capsys):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(
-        "divrec.verify.densities.brown_identity_first_failure",
+        "divrec.densities.brown_identity_first_failure",
         lambda t, p, x: 7,
     )
     code, out, _ = run_cli(capsys, "verify", "--suite", "brown", "--max-x", "100")
@@ -214,6 +214,14 @@ def test_app1_cap_is_checked_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr("divrec.verify.divisibility_exponent", no_work)
     code, _, err = run_cli(capsys, "verify", "--suite", "app1", "--max-n", "1.1e7")
     assert code == 3 and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("max_n", ["-5", "0"])
+def test_app1_window_below_one_exits_two(capsys, max_n):
+    # -5 used to reach numpy ("negative dimensions"), 0 to pass with no check
+    code, out, err = run_cli(capsys, "verify", "--suite", "app1", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert f"need max_n >= 1, got {max_n}" in err
 
 
 def test_bad_threads_variable_exits_two(capsys, monkeypatch):

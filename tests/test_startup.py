@@ -1,0 +1,101 @@
+"""Start-up: lazy package exports, and the engine commands run without numpy."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import divrec
+from divrec import densities, sieves
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: run cli.main on argv in a fresh interpreter; report exit code, stdout and
+#: whether numpy was loaded
+PROBE = """
+import contextlib, io, json, sys
+from divrec import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def fresh_cli(*argv: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, env=env, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "lemma", "--count", "5"],
+        ["oddly", "--m", "2", "--n", "1e6"],
+        ["--help"],
+    ],
+)
+def test_engine_commands_do_not_load_numpy(argv):
+    run = fresh_cli(*argv)
+    assert run["code"] == 0 and run["out"]
+    assert not run["numpy"]
+
+
+def test_sieve_commands_still_load_numpy():
+    run = fresh_cli("phisum", "--m", "5", "--n", "1e3")
+    assert run["code"] == 0 and run["numpy"]
+    assert run["out"].splitlines()[1] == (
+        "1000,0.101637749494,0.101321183642,0.000316565851912,0.00312437972527"
+    )
+
+
+def test_import_divrec_loads_no_submodule():
+    code = (
+        "import sys, divrec; "
+        "print(sorted(m for m in sys.modules if 'divrec' in m or m == 'numpy')); "
+        "print(divrec.sieves.squarefree_flags(1, 4).tolist(), "
+        "divrec.accumulators.ExactFloatSum.__name__)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, text=True
+    )
+    # a submodule still loads on first attribute access, as before
+    assert proc.stdout.splitlines() == [
+        "['divrec']",
+        "[True, True, True, False] ExactFloatSum",
+    ], proc.stderr
+
+
+def test_every_export_resolves_and_is_listed():
+    listed = dir(divrec)
+    for name in divrec.__all__:
+        assert getattr(divrec, name) is not None
+        assert name in listed
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from divrec import *", namespace)
+    assert set(divrec.__all__) <= set(namespace)
+    # names re-exported by a submodule resolve to the same objects
+    assert namespace["factorize"] is sieves.factorize
+    assert namespace["count_oddly_divisible_fast"] is (
+        densities.count_oddly_divisible_fast
+    )
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        divrec.no_such_name
+    assert not hasattr(divrec, "no_such_name")
