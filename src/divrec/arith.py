@@ -21,6 +21,7 @@ from .limits import (
     ORACLE_MAX_N,
     SIEVE_MAX_N,
     RangeLimitError,
+    shown,
 )
 
 #: (prime, exponent) pairs, primes ascending.
@@ -49,9 +50,11 @@ def factorize(n: int) -> Factorization:
     Accepts 1 <= n <= ``FACTORIZE_MAX_N``. ``factorize(1)`` is the empty list.
     """
     if n < 1:
-        raise ValueError(f"can only factor positive integers, got {n}")
+        raise ValueError(f"can only factor positive integers, got {shown(n)}")
     if n > FACTORIZE_MAX_N:
-        raise RangeLimitError(f"refusing to trial-divide {n} > {FACTORIZE_MAX_N}")
+        raise RangeLimitError(
+            f"refusing to trial-divide {shown(n)} > {FACTORIZE_MAX_N}"
+        )
     factors: Factorization = []
     m = n
     # base primes cover n <= 1e9; above that, odd candidates continue the walk
@@ -115,15 +118,17 @@ class DensityPrediction:
 def check_modulus(m: int) -> None:
     """ValueError unless the modulus m is at least 2."""
     if m < 2:
-        raise ValueError(f"need modulus m >= 2, got {m}")
+        raise ValueError(f"need modulus m >= 2, got {shown(m)}")
 
 
 def check_count_range(N: int, cap: int) -> None:
     """ValueError for N < 0, RangeLimitError for N above ``cap``."""
     if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+        raise ValueError(f"need N >= 0, got {shown(N)}")
     if N > cap:
-        raise RangeLimitError(f"N = {N} exceeds the cap {cap} for this operation")
+        raise RangeLimitError(
+            f"N = {shown(N)} exceeds the cap {cap} for this operation"
+        )
 
 
 # ---------------------------------------------------------------------------

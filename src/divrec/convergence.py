@@ -155,7 +155,9 @@ def run_convergence(
     """
     cap = _cap(family)
     if schedule.start <= schedule.stop and schedule.stop > cap:
-        raise RangeLimitError(f"N = {schedule.stop} exceeds the cap {cap}")
+        raise RangeLimitError(
+            f"N = {limits.shown(schedule.stop)} exceeds the cap {cap}"
+        )
     points = schedule.points
     if isinstance(family, OddlyFamily):
         pred = arith.predicted_density_oddly(family.m)

@@ -47,6 +47,7 @@ from .limits import (
     SIEVE_MAX_N,
     RangeLimitError,
     segment_size_from_env,
+    shown,
 )
 from .recursion import CountingFunction
 from .sieves import iter_sieve_tables, squarefree_flags
@@ -76,7 +77,7 @@ def _cuts(step: int, points: list[int], lo: int, hi: int) -> list[int]:
 
 def _squarefree_prime_factors(t: int) -> list[int]:
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+        raise ValueError(f"need t >= 1, got {shown(t)}")
     factors = factorize(t)
     if any(e > 1 for _, e in factors):
         raise ValueError(f"t = {t} is not square-free")
@@ -139,9 +140,9 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     if t % p == 0:
         raise ValueError(f"p = {p} already divides t = {t}")
     if X < 1:
-        raise ValueError(f"need X >= 1, got {X}")
+        raise ValueError(f"need X >= 1, got {shown(X)}")
     if X > BROWN_CHECK_MAX_X:
-        raise RangeLimitError(f"X = {X} exceeds the cap {BROWN_CHECK_MAX_X}")
+        raise RangeLimitError(f"X = {shown(X)} exceeds the cap {BROWN_CHECK_MAX_X}")
 
     f_pref = _squarefree_prefix(t, X // p)
     g_pref = _squarefree_prefix(t * p, X)
@@ -257,7 +258,7 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     # the one totient-ratio walker: the unreduced exact pair or the rounded
     # float sum at each point
     if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {m}")
+        raise ValueError(f"need modulus m >= 1, got {shown(m)}")
     pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
     acc = ExactRatioSum() if exact else ExactFloatSum()
     read = attrgetter("unreduced" if exact else "value")
@@ -322,17 +323,17 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     cross-multiplication, p*L*F_d*G_d == L_d*((p-1)*F*G_d + G*F_d).
     """
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+        raise ValueError(f"need t >= 1, got {shown(t)}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if t % p == 0:
         raise ValueError(f"p = {p} already divides t = {t}")
     if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
+        raise ValueError(f"need j >= 1, got {shown(j)}")
     if X < 1:
-        raise ValueError(f"need X >= 1, got {X}")
+        raise ValueError(f"need X >= 1, got {shown(X)}")
     if X > PHI_CLAIM_MAX_X:
-        raise RangeLimitError(f"X = {X} exceeds the cap {PHI_CLAIM_MAX_X}")
+        raise RangeLimitError(f"X = {shown(X)} exceeds the cap {PHI_CLAIM_MAX_X}")
 
     pj = p**j
     lim = X // pj
@@ -361,7 +362,7 @@ def predicted_phi_density(m: int) -> DensityPrediction:
     classical 6/pi**2.
     """
     if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {m}")
+        raise ValueError(f"need modulus m >= 1, got {shown(m)}")
     factor = Fraction(6, m)
     for p, _ in factorize(m):
         factor *= Fraction(p, p + 1)
@@ -376,7 +377,7 @@ def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
     the F of a recursion instance.
     """
     if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {m}")
+        raise ValueError(f"need modulus m >= 1, got {shown(m)}")
     check_count_range(limit, PHI_CLAIM_MAX_X)
     if limit < 1:
         raise ValueError("need limit >= 1")

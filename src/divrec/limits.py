@@ -7,13 +7,17 @@ prime is required, and so on) raises plain ``ValueError``, so callers and the
 CLI can tell "bad input" apart from "input too large".
 """
 
+import math
 import os
 
 #: Largest N accepted by the floor-chain recursion engine and the O(log N)
 #: counters built on it.
 ENGINE_MAX_N = 10**12
 
-#: Largest endpoint for any sieve-backed count or sum.
+#: Largest endpoint for any sieve-backed count or sum. ``sieve_segment``
+#: works in int32 because every value it forms is at most the segment's
+#: end, so the cap must stay below 2**31; a cap above 2**31 - 1 needs int64
+#: sieve arrays, at twice the memory traffic of every stride.
 SIEVE_MAX_N = 10**9
 
 #: Trial-division factorization cap (needs primes up to 10**6 only).
@@ -55,6 +59,25 @@ SCHEDULE_MAX_POINTS = 30_000
 #: Sieve segment length when ``DIVREC_SEGMENT_SIZE`` is unset. The length
 #: only affects memory and speed, never any numeric result.
 DEFAULT_SEGMENT_SIZE = 1 << 20
+
+
+#: Messages name an integer with more digits than this by its digit count.
+MAX_SHOWN_DIGITS = 30
+
+
+def shown(n: int) -> str:
+    """``n`` in decimal, or by its digit count once it is longer than
+    :data:`MAX_SHOWN_DIGITS` digits, so that a message about a huge argument
+    stays short and never trips Python's limit on int-to-str conversion."""
+    m = abs(n)
+    if m < 10**MAX_SHOWN_DIGITS:
+        return str(n)
+    digits = int(math.log10(m)) + 1  # the float log may be one off
+    if 10 ** (digits - 1) > m:
+        digits -= 1
+    elif 10**digits <= m:
+        digits += 1
+    return f"a {'negative ' if n < 0 else ''}{digits}-digit integer"
 
 
 def positive_int_from_env(name: str, default: int) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Union
 
-from .limits import ENGINE_MAX_N, RangeLimitError
+from .limits import ENGINE_MAX_N, RangeLimitError, shown
 
 #: Exact rational scalar used for all engine arithmetic.
 Rational = Fraction
@@ -34,9 +34,11 @@ RationalLike = Union[int, Fraction]
 
 def _check_engine_n(N: int) -> None:
     if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+        raise ValueError(f"need N >= 0, got {shown(N)}")
     if N > ENGINE_MAX_N:
-        raise RangeLimitError(f"N = {N} exceeds the engine cap {ENGINE_MAX_N}")
+        raise RangeLimitError(
+            f"N = {shown(N)} exceeds the engine cap {ENGINE_MAX_N}"
+        )
 
 
 @dataclass(frozen=True)

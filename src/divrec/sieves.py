@@ -1,14 +1,20 @@
 """Segmented sieves: totient-only segment tables, and square-free flags.
 
-A totient segment is sieved with the primes up to sqrt(hi): each prime p
-turns phi into phi * (p-1)/p along its stride, and its powers multiply up the
-part of each n made of those primes. Whatever remains of n after dividing
-that part out is either 1 or a single prime above sqrt(hi), so one
-branch-free pass finishes the totients. A :class:`SieveTable` holds the
-totients only; square-free flags come from the separate
-:func:`squarefree_flags`, which builds no totients. Segments never depend on
-each other, which keeps memory flat for ranges up to the 1e9 cap and lets
-callers sieve ahead on worker threads.
+A totient segment is sieved in int32 with the primes up to sqrt(hi), by
+multiplications along strides and no division but one. Two arrays start
+from a cached wheel for the primes up to 13: tiled from ``lo % 30030``, it
+gives each n the product of the wheel primes dividing it (``small``) and of
+their p - 1 (``phi``), so those six primes need no strides. Every larger
+root prime p multiplies ``small`` by p and ``phi`` by p - 1 along its
+stride, and the power strides p**2, p**3, ... of every root prime multiply
+both by p. ``small`` is then the part of n made of root primes and ``phi``
+its totient. Only after those strides is ``n // small`` taken, once: it is
+1 or a single prime q above sqrt(hi), and one branch-free pass multiplies
+``phi`` by q - 1 where q > 1. A :class:`SieveTable` holds the totients only,
+as int64; square-free flags come from the separate :func:`squarefree_flags`,
+which builds no totients. Segments never depend on each other, which keeps
+memory flat for ranges up to the 1e9 cap and lets callers sieve ahead on
+worker threads.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .arith import (
     factorize,
     is_prime,
 )
-from .limits import SIEVE_MAX_N, RangeLimitError, segment_size_from_env
+from .limits import SIEVE_MAX_N, RangeLimitError, segment_size_from_env, shown
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,25 @@ class SieveTable:
         if not self.lo <= n <= self.hi:
             raise ValueError(f"{n} outside segment [{self.lo}, {self.hi}]")
         return int(self.phi[n - self.lo])
+
+
+#: The wheel primes, and their product 30030, the period of the wheel.
+WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+WHEEL = math.prod(WHEEL_PRIMES)
+
+
+@lru_cache(maxsize=1)
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    # entry k holds, for n = k (mod WHEEL), the product of the wheel primes
+    # dividing n and of their p - 1
+    radical = np.ones(WHEEL, dtype=np.int32)
+    totient = np.ones(WHEEL, dtype=np.int32)
+    for p in WHEEL_PRIMES:
+        radical[::p] *= p
+        totient[::p] *= p - 1
+    radical.setflags(write=False)
+    totient.setflags(write=False)
+    return radical, totient
 
 
 @lru_cache(maxsize=1)
@@ -80,23 +105,33 @@ def sieve_segment(lo: int, hi: int) -> SieveTable:
             f"segment [{lo}, {hi}] is longer than the segment size {size}"
         )
 
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    phi = n.copy()
-    small = np.ones_like(n)  # the part of n made of primes <= sqrt(hi)
-    for p in _root_primes(hi):
-        stride = phi[-lo % p :: p]
-        stride //= p
-        stride *= p - 1
-        q = p
+    # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32 holds it
+    n = np.arange(lo, hi + 1, dtype=np.int32)
+    # small becomes the part of n made of primes <= sqrt(hi) and phi its
+    # totient; the wheel starts both with the primes <= 13
+    radical, totient = _wheel()
+    small = np.resize(np.roll(radical, -lo), n.size)
+    phi = np.resize(np.roll(totient, -lo), n.size)
+    primes = _root_primes(hi)
+    for p in primes[len(WHEEL_PRIMES) :]:  # the primes past the wheel's
+        s = -lo % p
+        small[s::p] *= p
+        phi[s::p] *= p - 1
+    # the powers finish both products; a wheel prime above sqrt(hi) has no
+    # multiple of its square up to hi
+    for p in primes:
+        q = p * p
         while q <= hi:
-            small[-lo % q :: q] *= p
+            s = -lo % q
+            small[s::q] *= p
+            phi[s::q] *= p
             q *= p
 
-    # what is left of n is 1 or one prime q > sqrt(hi): phi -= phi // q if q > 1
+    # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1)
     big = np.floor_divide(n, small, out=n)
-    share = np.floor_divide(phi, big, out=small)
-    share *= big > 1
-    phi -= share
+    big -= 1
+    phi *= np.maximum(big, 1, out=big)
+    phi = phi.astype(np.int64)
     phi.setflags(write=False)
     return SieveTable(lo, hi, phi)
 
@@ -125,9 +160,11 @@ def _root_primes(hi: int) -> list[int]:
 
 def _check_range(lo: int, hi: int) -> None:
     if lo < 1 or lo > hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+        raise ValueError(f"need 1 <= lo <= hi, got [{shown(lo)}, {shown(hi)}]")
     if hi > SIEVE_MAX_N:
-        raise RangeLimitError(f"sieve range ends at {hi}, cap is {SIEVE_MAX_N}")
+        raise RangeLimitError(
+            f"sieve range ends at {shown(hi)}, cap is {SIEVE_MAX_N}"
+        )
 
 
 def iter_sieve_tables(lo: int, hi: int, *, threads: int = 1) -> Iterator[SieveTable]:

@@ -22,7 +22,7 @@ from .arith import (
     count_oddly_divisible_oracle,
     divisibility_exponent,
 )
-from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, RangeLimitError
+from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, RangeLimitError, shown
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,11 @@ def run_lemma_suite(
     telescoped for every j up to max_j; count is at most LEMMA_MAX_COUNT.
     """
     if count < 0:
-        raise ValueError(f"need count >= 0, got {count}")
+        raise ValueError(f"need count >= 0, got {shown(count)}")
     if count > LEMMA_MAX_COUNT:
-        raise RangeLimitError(f"count = {count} exceeds the cap {LEMMA_MAX_COUNT}")
+        raise RangeLimitError(
+            f"count = {shown(count)} exceeds the cap {LEMMA_MAX_COUNT}"
+        )
     rng = random.Random(seed)
     fns = _sample_counting_functions()
     failures: list[str] = []
@@ -124,9 +126,11 @@ def run_app1_suite(
     G(n) = n//m - G(n//m) throughout.
     """
     if max_n < 1:  # both checks come before the (max_n + 1)-entry table below
-        raise ValueError(f"need max_n >= 1, got {max_n}")
+        raise ValueError(f"need max_n >= 1, got {shown(max_n)}")
     if max_n > ORACLE_MAX_N:
-        raise RangeLimitError(f"max_n = {max_n} exceeds the cap {ORACLE_MAX_N}")
+        raise RangeLimitError(
+            f"max_n = {shown(max_n)} exceeds the cap {ORACLE_MAX_N}"
+        )
     import numpy as np  # only this suite and the sieve-backed ones build arrays
 
     failures: list[str] = []

@@ -272,6 +272,35 @@ def test_schedule_past_the_cap_exits_before_stepping(capsys, monkeypatch, argv):
     assert code == 3 and out == "" and "exceeds the cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["phisum", "--m", "1", "--n", "1e5000"], "a 5001-digit integer"),
+        (["oddly", "--m", "2", "--n", "1e5000"], "a 5001-digit integer"),
+        (["squarefree", "--t", "1", "--n", "1e5000"], "a 5001-digit integer"),
+        (["phisum", "--m", "1", "--schedule", "1:1e5000:10"], "a 5001-digit integer"),
+        (["phisum", "--m", "1", "--n", "1e1000"], "a 1001-digit integer"),
+        (["squarefree", "--t", "1e5000", "--n", "10"], "a 5001-digit integer"),
+        (["verify", "--suite", "lemma", "--count", "1e5000"], "a 5001-digit integer"),
+        (["verify", "--suite", "brown", "--max-x", "1e5000"], "a 5001-digit integer"),
+        # the last N shown in full has 30 digits
+        (["phisum", "--m", "1", "--n", "999999999999999999999999999999"], "= 9999"),
+        (["phisum", "--m", "1", "--n", "1e30"], "a 31-digit integer"),
+    ],
+)
+def test_oversized_argument_exits_three_with_a_short_message(capsys, argv, shown):
+    # past 4300 digits Python refuses int-to-str conversion, so a message that
+    # echoed such an N in full raised instead and exited 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == "" and shown in err and len(err) < 100
+
+
+def test_oversized_negative_argument_exits_two_with_a_short_message(capsys):
+    code, out, err = run_cli(capsys, "phisum", "--m=-1e5000", "--n", "10")
+    assert code == 2 and out == ""
+    assert err == "error: need modulus m >= 1, got a negative 5001-digit integer\n"
+
+
 def test_lemma_count_is_checked_before_any_work(capsys, monkeypatch):
     def no_work(spec, N):
         raise AssertionError("the lemma suite started work past its cap")

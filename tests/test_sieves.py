@@ -127,11 +127,35 @@ def test_random_points_against_oracle():
         (10**6 - 1, 997),
         (31_607 * 31_607 - 500, 1001),  # the largest prime square below the cap
         (SIEVE_MAX_N - 12_344, 12_345),
+        # the 30030 wheel of the primes <= 13: tiles starting at each edge
+        *(
+            (max(1, base + offset), length)
+            for base in (0, 30_030 * 3_330)
+            for offset in (0, 1, 30_029)
+            for length in (1, 168, 30_029, 30_030, 30_031, 3 * 30_030 + 7)
+        ),
+        # hi < 169: wheel primes above sqrt(hi), which sieve no square
+        (1, 168),
+        (11, 3),
+        (12, 1),
+        (100, 69),
+        (150, 19),
+        # the last segments before the cap; 1e9 = 30030 * 33300 + 1000
+        (SIEVE_MAX_N - 3 * 30_030 - 6, 3 * 30_030 + 7),
+        (SIEVE_MAX_N - 1000 - 30_030 + 1, 30_030),
+        (SIEVE_MAX_N - 999, 1000),
+        (SIEVE_MAX_N, 1),
     ],
 )
 def test_segment_equals_the_previous_sieve(lo, length):
     hi = lo + length - 1
     assert np.array_equal(sieve_segment(lo, hi).phi, previous_sieve_phi(lo, hi))
+
+
+def test_cap_fits_the_int32_sieve():
+    # sieve_segment works in int32 because no value it forms exceeds hi; a
+    # cap above 2**31 - 1 needs int64 sieve arrays
+    assert SIEVE_MAX_N <= np.iinfo(np.int32).max
 
 
 def test_totient_divisor_sum_identity():
