@@ -30,11 +30,11 @@ _EXPORTS = {
         "SquarefreeFamily", "emit_report", "run_convergence",
     ),
     "densities": (
-        "brown_identity_check", "brown_identity_first_failure",
-        "count_squarefree_multiples", "count_squarefree_multiples_at",
-        "phi_claim_first_failure", "phi_claim_identity_check", "phi_ratio_counts",
-        "phi_ratio_sum", "phi_ratio_sums_at", "predicted_density_squarefree",
-        "predicted_phi_density", "squarefree_multiple_counts",
+        "brown_identity_first_failure", "count_squarefree_multiples",
+        "count_squarefree_multiples_at", "phi_claim_first_failure",
+        "phi_ratio_counts", "phi_ratio_sum", "phi_ratio_sums_at",
+        "predicted_density_squarefree", "predicted_phi_density",
+        "squarefree_multiple_counts",
     ),
     "limits": ("RangeLimitError",),
     "recursion": (

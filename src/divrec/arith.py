@@ -20,8 +20,7 @@ from .limits import (
     FACTORIZE_MAX_N,
     ORACLE_MAX_N,
     SIEVE_MAX_N,
-    RangeLimitError,
-    shown,
+    check_range,
 )
 
 #: (prime, exponent) pairs, primes ascending.
@@ -49,12 +48,7 @@ def factorize(n: int) -> Factorization:
 
     Accepts 1 <= n <= ``FACTORIZE_MAX_N``. ``factorize(1)`` is the empty list.
     """
-    if n < 1:
-        raise ValueError(f"can only factor positive integers, got {shown(n)}")
-    if n > FACTORIZE_MAX_N:
-        raise RangeLimitError(
-            f"refusing to trial-divide {shown(n)} > {FACTORIZE_MAX_N}"
-        )
+    check_range("n", n, 1, FACTORIZE_MAX_N)
     factors: Factorization = []
     m = n
     # base primes cover n <= 1e9; above that, odd candidates continue the walk
@@ -80,10 +74,8 @@ def is_prime(n: int) -> bool:
 
 def divisibility_exponent(n: int, m: int) -> int:
     """Largest t with m**t dividing n, for n >= 1 and m >= 2."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    check_range("n", n, 1)
+    check_range("m", m, 2)
     t = 0
     while n % m == 0:
         n //= m
@@ -115,22 +107,6 @@ class DensityPrediction:
         return cls(exact_factor, pi_squared_power, value)
 
 
-def check_modulus(m: int) -> None:
-    """ValueError unless the modulus m is at least 2."""
-    if m < 2:
-        raise ValueError(f"need modulus m >= 2, got {shown(m)}")
-
-
-def check_count_range(N: int, cap: int) -> None:
-    """ValueError for N < 0, RangeLimitError for N above ``cap``."""
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {shown(N)}")
-    if N > cap:
-        raise RangeLimitError(
-            f"N = {shown(N)} exceeds the cap {cap} for this operation"
-        )
-
-
 # ---------------------------------------------------------------------------
 # family 1: largest m-power divisor has odd exponent
 
@@ -141,8 +117,8 @@ def count_oddly_divisible_oracle(m: int, N: int) -> int:
     Quadratic-ish and deliberately independent of the recursion: every
     multiple of m has its exponent measured by repeated division.
     """
-    check_modulus(m)
-    check_count_range(N, ORACLE_MAX_N)
+    check_range("modulus m", m, 2)
+    check_range("N", N, 0, ORACLE_MAX_N)
     count = 0
     for i in range(m, N + 1, m):
         if divisibility_exponent(i, m) % 2 == 1:
@@ -156,8 +132,8 @@ def count_oddly_divisible_fast(m: int, N: int) -> int:
     Unrolled, the recursion is the alternating series
     N//m - N//m**2 + N//m**3 - ..., since (N//m**i)//m = N//m**(i+1).
     """
-    check_modulus(m)
-    check_count_range(N, ENGINE_MAX_N)
+    check_range("modulus m", m, 2)
+    check_range("N", N, 0, ENGINE_MAX_N)
     count, sign, q = 0, 1, N // m
     while q:
         count += sign * q
@@ -167,5 +143,5 @@ def count_oddly_divisible_fast(m: int, N: int) -> int:
 
 def predicted_density_oddly(m: int) -> DensityPrediction:
     """Density 1/(m+1) of integers whose m-exponent is odd."""
-    check_modulus(m)
+    check_range("modulus m", m, 2)
     return DensityPrediction.of(Fraction(1, m + 1), 0)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import arith, limits
-from .limits import SCHEDULE_MAX_POINTS, RangeLimitError
+from .limits import SCHEDULE_MAX_POINTS, RangeLimitError, check_range
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class CheckpointSchedule:
     ratio: Fraction
 
     def __post_init__(self) -> None:
-        if self.start < 1 or self.stop < 1:
-            raise ValueError("schedule endpoints must be at least 1")
+        check_range("start", self.start, 1)
+        check_range("stop", self.stop, 1)
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         if self.ratio <= 1:
             raise ValueError(f"schedule ratio must exceed 1, got {self.ratio}")
@@ -153,11 +153,8 @@ def run_convergence(
     work starts. ``threads`` sieves the totients of a :class:`PhiSumFamily`
     ahead; the other families ignore it.
     """
-    cap = _cap(family)
-    if schedule.start <= schedule.stop and schedule.stop > cap:
-        raise RangeLimitError(
-            f"N = {limits.shown(schedule.stop)} exceeds the cap {cap}"
-        )
+    if schedule.start <= schedule.stop:
+        check_range("N", schedule.stop, 1, _cap(family))
     points = schedule.points
     if isinstance(family, OddlyFamily):
         pred = arith.predicted_density_oddly(family.m)

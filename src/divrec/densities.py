@@ -15,7 +15,7 @@ density D*alpha/(m - beta). Concretely:
 Each family pairs a brute-force or sieve-backed counter with the exact
 identity behind it and the closed-form limit, so empirical ratios, algebra,
 and predictions can be cross-checked independently. The first family needs
-no sieve; it lives in :mod:`divrec.arith` and is re-exported here.
+no sieve; it lives in :mod:`divrec.arith`.
 """
 
 from __future__ import annotations
@@ -29,25 +29,14 @@ import numpy as np
 
 from .accumulators import ExactFloatSum, ExactRatioSum
 
-# re-exported: the odd-exponent family lives in arith, which imports no numpy
-from .arith import (
-    PI_SQUARED,
-    DensityPrediction,
-    check_count_range,
-    count_oddly_divisible_fast,
-    count_oddly_divisible_oracle,
-    factorize,
-    is_prime,
-    predicted_density_oddly,
-)
+from .arith import DensityPrediction, factorize, is_prime
 from .limits import (
     BROWN_CHECK_MAX_X,
     EXACT_PHI_SUM_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
-    RangeLimitError,
+    check_range,
     segment_size_from_env,
-    shown,
 )
 from .recursion import CountingFunction
 from .sieves import iter_sieve_tables, squarefree_flags
@@ -58,7 +47,7 @@ def _checked_points(points: Sequence[int], cap: int) -> list[int]:
     if pts != sorted(pts):
         raise ValueError("checkpoints must be in ascending order")
     for N in pts[:1] + pts[-1:]:
-        check_count_range(N, cap)
+        check_range("N", N, 0, cap)
     return pts
 
 
@@ -76,8 +65,7 @@ def _cuts(step: int, points: list[int], lo: int, hi: int) -> list[int]:
 
 
 def _squarefree_prime_factors(t: int) -> list[int]:
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {shown(t)}")
+    check_range("t", t, 1)
     factors = factorize(t)
     if any(e > 1 for _, e in factors):
         raise ValueError(f"t = {t} is not square-free")
@@ -139,21 +127,13 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
         raise ValueError(f"p = {p} is not prime")
     if t % p == 0:
         raise ValueError(f"p = {p} already divides t = {t}")
-    if X < 1:
-        raise ValueError(f"need X >= 1, got {shown(X)}")
-    if X > BROWN_CHECK_MAX_X:
-        raise RangeLimitError(f"X = {shown(X)} exceeds the cap {BROWN_CHECK_MAX_X}")
+    check_range("X", X, 1, BROWN_CHECK_MAX_X)
 
     f_pref = _squarefree_prefix(t, X // p)
     g_pref = _squarefree_prefix(t * p, X)
     bad = np.nonzero(f_pref != g_pref[np.arange(g_pref.size) // p] + g_pref)[0]
     # the first x <= X with x // (t*p) = j is j*t*p, or 1 for j = 0
     return max(1, int(bad[0]) * t * p) if bad.size else None
-
-
-def brown_identity_check(t: int, p: int, X: int) -> bool:
-    """True iff the square-free splitting identity holds for every x <= X."""
-    return brown_identity_first_failure(t, p, X) is None
 
 
 def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
@@ -180,9 +160,7 @@ def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
     sieved up front, so build cost is one pass and each call is O(1). limit
     is capped like the Brown checker, which builds the same table.
     """
-    check_count_range(limit, BROWN_CHECK_MAX_X)
-    if limit < 1:
-        raise ValueError("need limit >= 1")
+    check_range("limit", limit, 1, BROWN_CHECK_MAX_X)
     prefix = memoryview(_squarefree_prefix(t, limit))  # items are plain ints
     return _prefix_lookup(prefix, t, limit, f"square-free multiples of {t}")
 
@@ -257,8 +235,7 @@ def phi_ratio_pairs_at(
 def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) -> list:
     # the one totient-ratio walker: the unreduced exact pair or the rounded
     # float sum at each point
-    if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {shown(m)}")
+    check_range("modulus m", m, 1)
     pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
     acc = ExactRatioSum() if exact else ExactFloatSum()
     read = attrgetter("unreduced" if exact else "value")
@@ -322,18 +299,13 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     three sums as unreduced fractions L/L_d, F/F_d and G/G_d compared by
     cross-multiplication, p*L*F_d*G_d == L_d*((p-1)*F*G_d + G*F_d).
     """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {shown(t)}")
+    check_range("t", t, 1)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if t % p == 0:
         raise ValueError(f"p = {p} already divides t = {t}")
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {shown(j)}")
-    if X < 1:
-        raise ValueError(f"need X >= 1, got {shown(X)}")
-    if X > PHI_CLAIM_MAX_X:
-        raise RangeLimitError(f"X = {shown(X)} exceeds the cap {PHI_CLAIM_MAX_X}")
+    check_range("j", j, 1)
+    check_range("X", X, 1, PHI_CLAIM_MAX_X)
 
     pj = p**j
     lim = X // pj
@@ -350,19 +322,13 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     return None
 
 
-def phi_claim_identity_check(t: int, p: int, j: int, X: int) -> bool:
-    """True iff the totient-ratio splitting identity holds for every N <= X."""
-    return phi_claim_first_failure(t, p, j, X) is None
-
-
 def predicted_phi_density(m: int) -> DensityPrediction:
     """Limit (6/(pi**2 m)) * prod p/(p+1) of the ratio sum over N.
 
     The product runs over the distinct primes p dividing m; m = 1 gives the
     classical 6/pi**2.
     """
-    if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {shown(m)}")
+    check_range("modulus m", m, 1)
     factor = Fraction(6, m)
     for p, _ in factorize(m):
         factor *= Fraction(p, p + 1)
@@ -376,10 +342,7 @@ def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
     the same full-precision prefixes; built once, O(1) per call. Useful as
     the F of a recursion instance.
     """
-    if m < 1:
-        raise ValueError(f"need modulus m >= 1, got {shown(m)}")
-    check_count_range(limit, PHI_CLAIM_MAX_X)
-    if limit < 1:
-        raise ValueError("need limit >= 1")
+    check_range("modulus m", m, 1)
+    check_range("limit", limit, 1, PHI_CLAIM_MAX_X)
     values = [Fraction(*pair) for pair in _phi_ratio_prefix_pairs(m, limit)]
     return _prefix_lookup(values, m, limit, f"totient-ratio sum over multiples of {m}")

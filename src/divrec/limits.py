@@ -96,3 +96,15 @@ def segment_size_from_env() -> int:
 
 class RangeLimitError(ValueError):
     """An argument exceeded the documented size cap for its operation."""
+
+
+def check_range(name: str, value: int, low: int, cap: int | None = None) -> None:
+    """ValueError for ``value`` below ``low``, RangeLimitError above ``cap``.
+
+    The one bound-and-cap check of the package: every message names the
+    argument and shows each value through :func:`shown`.
+    """
+    if value < low:
+        raise ValueError(f"need {name} >= {shown(low)}, got {shown(value)}")
+    if cap is not None and value > cap:
+        raise RangeLimitError(f"{name} = {shown(value)} exceeds the cap {cap}")

@@ -23,22 +23,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Union
 
-from .limits import ENGINE_MAX_N, RangeLimitError, shown
+from .limits import ENGINE_MAX_N, check_range
 
 #: Exact rational scalar used for all engine arithmetic.
 Rational = Fraction
 
 #: Anything the engine coerces to a Rational.
 RationalLike = Union[int, Fraction]
-
-
-def _check_engine_n(N: int) -> None:
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {shown(N)}")
-    if N > ENGINE_MAX_N:
-        raise RangeLimitError(
-            f"N = {shown(N)} exceeds the engine cap {ENGINE_MAX_N}"
-        )
 
 
 @dataclass(frozen=True)
@@ -86,8 +77,7 @@ class RecurrenceSpec:
     F: CountingFunction
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"need modulus m >= 2, got {self.m}")
+        check_range("modulus m", self.m, 2)
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         object.__setattr__(self, "D", Fraction(self.D))
@@ -112,7 +102,7 @@ def evaluate_G(spec: RecurrenceSpec, N: int) -> Fraction:
     entries, so the cost is one F evaluation per level and no memoization
     is needed. G(0) = 0 by definition.
     """
-    _check_engine_n(N)
+    check_range("N", N, 0, ENGINE_MAX_N)
     a, a_den = spec.alpha.numerator, spec.alpha.denominator
     b, b_den = spec.beta.numerator, spec.beta.denominator
     num, den = 0, 1  # G(v) = num / den, reduced once at the end
@@ -159,11 +149,8 @@ def expand_eq_star(spec: RecurrenceSpec, N: int, j: int) -> list[ExpansionTerm]:
         N: Point of expansion, at least 1.
         j: Number of leading terms, at least 1.
     """
-    _check_engine_n(N)
-    if N < 1:
-        raise ValueError("expansion needs N >= 1")
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
+    check_range("N", N, 1, ENGINE_MAX_N)
+    check_range("j", j, 1)
     # each value is built as one Fraction of exact integers, so it is
     # normalised once
     a, a_den = spec.alpha.numerator, spec.alpha.denominator
@@ -198,9 +185,7 @@ def series_form(spec: RecurrenceSpec, N: int) -> Fraction:
     the coefficient cancels against the one in the ratio); the series is
     finite because F(N // m**i) vanishes once m**i > N.
     """
-    _check_engine_n(N)
-    if N < 1:
-        raise ValueError("series form needs N >= 1")
+    check_range("N", N, 1, ENGINE_MAX_N)
     total = Fraction(0)
     weight = spec.alpha  # alpha * beta**(i-1)
     floor = N // spec.m
@@ -231,8 +216,7 @@ def tail_bound(spec: RecurrenceSpec, k: int, B: RationalLike) -> Fraction:
     where B must be a caller-supplied uniform bound on the deviation
     |F(N // m**i) / (N / m**i) - D| over the levels being discarded.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    check_range("k", k, 1)
     bound = Fraction(B)
     if bound < 0:
         raise ValueError(f"deviation bound must be nonnegative, got {bound}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,15 +30,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# re-exported: the pure-integer helpers live in arith, which imports no numpy
-from .arith import (
-    Factorization,
-    base_primes,
-    divisibility_exponent,
-    factorize,
-    is_prime,
-)
-from .limits import SIEVE_MAX_N, RangeLimitError, segment_size_from_env, shown
+from .arith import base_primes
+from .limits import SIEVE_MAX_N, RangeLimitError, check_range, segment_size_from_env
 
 
 @dataclass(frozen=True)
@@ -68,21 +62,16 @@ WHEEL = math.prod(WHEEL_PRIMES)
 @lru_cache(maxsize=1)
 def _wheel() -> tuple[np.ndarray, np.ndarray]:
     # entry k holds, for n = k (mod WHEEL), the product of the wheel primes
-    # dividing n and of their p - 1
-    radical = np.ones(WHEEL, dtype=np.int32)
-    totient = np.ones(WHEEL, dtype=np.int32)
+    # dividing n and of their p - 1; two periods, so that any WHEEL entries
+    # from lo % WHEEL on are one slice
+    radical = np.ones(2 * WHEEL, dtype=np.int32)
+    totient = np.ones(2 * WHEEL, dtype=np.int32)
     for p in WHEEL_PRIMES:
         radical[::p] *= p
         totient[::p] *= p - 1
     radical.setflags(write=False)
     totient.setflags(write=False)
     return radical, totient
-
-
-@lru_cache(maxsize=1)
-def _base_primes() -> np.ndarray:
-    # primes up to sqrt(SIEVE_MAX_N), enough for any permitted segment
-    return np.array(base_primes(), dtype=np.int64)
 
 
 def sieve_segment(lo: int, hi: int) -> SieveTable:
@@ -99,7 +88,8 @@ def sieve_segment(lo: int, hi: int) -> SieveTable:
         A read-only :class:`SieveTable` covering exactly [lo, hi].
     """
     size = segment_size_from_env()
-    _check_range(lo, hi)
+    check_range("lo", lo, 1)
+    check_range("hi", hi, lo, SIEVE_MAX_N)
     if hi - lo + 1 > size:
         raise RangeLimitError(
             f"segment [{lo}, {hi}] is longer than the segment size {size}"
@@ -108,10 +98,13 @@ def sieve_segment(lo: int, hi: int) -> SieveTable:
     # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32 holds it
     n = np.arange(lo, hi + 1, dtype=np.int32)
     # small becomes the part of n made of primes <= sqrt(hi) and phi its
-    # totient; the wheel starts both with the primes <= 13
+    # totient; the wheel starts both with the primes <= 13, tiled from a
+    # slice of at most one period, so a short segment copies only its length
     radical, totient = _wheel()
-    small = np.resize(np.roll(radical, -lo), n.size)
-    phi = np.resize(np.roll(totient, -lo), n.size)
+    start = lo % WHEEL
+    tile = slice(start, start + min(n.size, WHEEL))
+    small = np.resize(radical[tile], n.size)
+    phi = np.resize(totient[tile], n.size)
     primes = _root_primes(hi)
     for p in primes[len(WHEEL_PRIMES) :]:  # the primes past the wheel's
         s = -lo % p
@@ -145,26 +138,18 @@ def squarefree_flags(lo: int, hi: int, primes: Sequence[int] = ()) -> np.ndarray
     every prime p <= sqrt(hi); no totients are built. The caller chooses the
     length: the array takes hi - lo + 1 bytes.
     """
-    _check_range(lo, hi)
+    check_range("lo", lo, 1)
+    check_range("hi", hi, lo, SIEVE_MAX_N)
     flags = np.ones(hi - lo + 1, dtype=bool)
     for q in [*primes, *(p * p for p in _root_primes(hi))]:
         flags[-lo % q :: q] = False
     return flags
 
 
-def _root_primes(hi: int) -> list[int]:
+def _root_primes(hi: int) -> tuple[int, ...]:
     # the base primes p <= sqrt(hi), which sieve any segment ending at hi
-    primes = _base_primes()
-    return primes[: int(np.searchsorted(primes, math.isqrt(hi), side="right"))].tolist()
-
-
-def _check_range(lo: int, hi: int) -> None:
-    if lo < 1 or lo > hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{shown(lo)}, {shown(hi)}]")
-    if hi > SIEVE_MAX_N:
-        raise RangeLimitError(
-            f"sieve range ends at {shown(hi)}, cap is {SIEVE_MAX_N}"
-        )
+    primes = base_primes()
+    return primes[: bisect_right(primes, math.isqrt(hi))]
 
 
 def iter_sieve_tables(lo: int, hi: int, *, threads: int = 1) -> Iterator[SieveTable]:
@@ -177,7 +162,8 @@ def iter_sieve_tables(lo: int, hi: int, *, threads: int = 1) -> Iterator[SieveTa
     regardless of the thread count.
     """
     size = segment_size_from_env()
-    _check_range(lo, hi)
+    check_range("lo", lo, 1)
+    check_range("hi", hi, lo, SIEVE_MAX_N)
     spans = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory

@@ -22,7 +22,7 @@ from .arith import (
     count_oddly_divisible_oracle,
     divisibility_exponent,
 )
-from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, RangeLimitError, shown
+from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, check_range
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,7 @@ def run_lemma_suite(
     one of several driving functions, and an N up to 1e9; the expansion is
     telescoped for every j up to max_j; count is at most LEMMA_MAX_COUNT.
     """
-    if count < 0:
-        raise ValueError(f"need count >= 0, got {shown(count)}")
-    if count > LEMMA_MAX_COUNT:
-        raise RangeLimitError(
-            f"count = {shown(count)} exceeds the cap {LEMMA_MAX_COUNT}"
-        )
+    check_range("count", count, 0, LEMMA_MAX_COUNT)
     rng = random.Random(seed)
     fns = _sample_counting_functions()
     failures: list[str] = []
@@ -125,12 +120,8 @@ def run_app1_suite(
     max_n; the fast counter must match at every n, and the table must satisfy
     G(n) = n//m - G(n//m) throughout.
     """
-    if max_n < 1:  # both checks come before the (max_n + 1)-entry table below
-        raise ValueError(f"need max_n >= 1, got {shown(max_n)}")
-    if max_n > ORACLE_MAX_N:
-        raise RangeLimitError(
-            f"max_n = {shown(max_n)} exceeds the cap {ORACLE_MAX_N}"
-        )
+    # before the (max_n + 1)-entry table below
+    check_range("max_n", max_n, 1, ORACLE_MAX_N)
     import numpy as np  # only this suite and the sieve-backed ones build arrays
 
     failures: list[str] = []

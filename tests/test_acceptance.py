@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 from divrec import densities, verify
+from divrec.arith import count_oddly_divisible_fast, divisibility_exponent
 from divrec.recursion import RecurrenceSpec, identity_counts, predicted_limit
-from divrec.sieves import divisibility_exponent
 
 
 def report(capfd, name: str, ok: bool, detail: str) -> None:
@@ -91,13 +91,13 @@ def test_c4_oddly_divisible_fast_and_oracle(capfd):
     worst_density_err = 0.0
     mismatch = None
     for m in (2, 3, 5, 10):
-        density = densities.count_oddly_divisible_fast(m, 10**7) / 10**7
+        density = count_oddly_divisible_fast(m, 10**7) / 10**7
         worst_density_err = max(worst_density_err, abs(density - 1 / (m + 1)))
         running = 0
         for n in range(1, 10**4 + 1):
             if n % m == 0:
                 running += divisibility_exponent(n, m) % 2
-            if densities.count_oddly_divisible_fast(m, n) != running:
+            if count_oddly_divisible_fast(m, n) != running:
                 mismatch = (m, n)
                 break
     ok = worst_density_err < 1e-3 and mismatch is None

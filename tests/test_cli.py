@@ -338,7 +338,7 @@ def test_bad_segment_size_variable_exits_two():
 # most FUZZ_MAX_N or lie past some cap, and thread counts stay at most 4.
 FUZZ_MAX_N = 10**4
 SIZES = ("1e3", "7", "2", "12", "1", "360", "1e4")  # hypothesis favours the first
-NOT_SIZES = ("0", "-1", "2.5", "1/2", "abc", "", "2e9", "2e12", "1e30")
+NOT_SIZES = ("0", "-1", "2.5", "1/2", "abc", "", "2e9", "2e12", "1e30", "1e5000")
 
 #: flag -> (usual values, invalid or over-cap values)
 FUZZ_VALUES = {
@@ -461,12 +461,45 @@ FUZZ_BASE = {
     "verify": {"--suite": "brown", "--count": "1"},
     "reproduce-paper": {},
 }
+#: (subcommand, flag) -> the flags that make the subcommand read that flag
+FUZZ_READERS = {
+    ("squarefree", "--x"): {"--check-identity": "5"},
+    ("verify", "--count"): {"--suite": "lemma"},
+    ("verify", "--seed"): {"--suite": "lemma"},
+    ("verify", "--max-n"): {"--suite": "app1"},
+    ("verify", "--claim-max-n"): {"--suite": "phi-claim"},
+}
+#: the invalid values that lie past a cap: they exit 3, the malformed and
+#: too small ones exit 2
+OVER_CAP = {
+    "2e9", "2e12", "1e30", "1e5000", "1e9",
+    "1:2e9:10", "1:2e12:10", "1:1e30:1.0001",
+}
+#: (subcommand, flag or variable, value) that the subcommand accepts (exit 0)
+ACCEPTED = {
+    # the odd-exponent counts put no cap on m and count up to N = 1e12
+    *(("oddly", "--m", value) for value in OVER_CAP),
+    ("oddly", "--n", "2e9"),
+    ("oddly", "--schedule", "1:2e9:10"),
+    # a modulus is capped where it is factored, at 1e12
+    ("phisum", "--m", "2e9"),
+    ("reproduce-paper", "--format", "text"),  # the default format
+    # square-free counts run on one thread and do not read DIVREC_THREADS
+    *(("squarefree", "DIVREC_THREADS", v) for v in FUZZ_ENV["DIVREC_THREADS"][1]),
+}
+
+
+def expected_exit(command: str, name: str, value: str) -> int:
+    if (command, name, value) in ACCEPTED:
+        return 0
+    return 3 if value in OVER_CAP else 2
 
 
 def test_every_invalid_fuzz_value_exits_zero_to_three():
     # the random fuzz may miss a rare value; here each invalid or over-cap
     # value is tried once in each subcommand that takes its flag, in an
-    # otherwise valid argv, and each invalid environment value once
+    # otherwise valid argv that reads it, and each invalid environment value
+    # once; each run must exit with the code its value calls for
     runs = []
     for command, groups in FUZZ_COMMANDS.items():
         for group in groups[1]:
@@ -475,13 +508,15 @@ def test_every_invalid_fuzz_value_exits_zero_to_three():
                     flags = {
                         k: v for k, v in FUZZ_BASE[command].items() if k not in group
                     }
+                    flags.update(FUZZ_READERS.get((command, flag), {}))
                     flags[flag] = value
-                    runs.append(([command, *sum(flags.items(), ())], {}))
+                    argv = [command, *sum(flags.items(), ())]
+                    runs.append((argv, {}, expected_exit(command, flag, value)))
     for name, (_, invalid) in FUZZ_ENV.items():
         for value in invalid:
             for command in ("phisum", "squarefree", "reproduce-paper"):
                 argv = [command, *sum(FUZZ_BASE[command].items(), ())]
-                runs.append((argv, {name: value}))
+                runs.append((argv, {name: value}, expected_exit(command, name, value)))
     assert len(runs) > 100
-    for argv, env in runs:
-        assert fuzzed_exit_code(argv, env) in (0, 1, 2, 3), (argv, env)
+    for argv, env, code in runs:
+        assert fuzzed_exit_code(argv, env) == code, (argv, env)

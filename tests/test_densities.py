@@ -9,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divrec import densities
-from divrec.densities import (
+from divrec.arith import (
     PI_SQUARED,
-    brown_identity_check,
-    brown_identity_first_failure,
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
+    predicted_density_oddly,
+)
+from divrec.densities import (
+    brown_identity_first_failure,
     count_squarefree_multiples,
     phi_claim_first_failure,
-    phi_claim_identity_check,
     phi_ratio_counts,
     phi_ratio_sum,
-    predicted_density_oddly,
     predicted_density_squarefree,
     predicted_phi_density,
     squarefree_multiple_counts,
@@ -177,8 +177,8 @@ def test_count_squarefree_multiples_errors():
 
 
 def test_brown_identity_holds():
-    assert brown_identity_check(1, 2, 5000)
-    assert brown_identity_check(3, 2, 5000)
+    assert brown_identity_first_failure(1, 2, 5000) is None
+    assert brown_identity_first_failure(3, 2, 5000) is None
     assert brown_identity_first_failure(2, 3, 5000) is None
 
 
@@ -195,13 +195,13 @@ def test_brown_identity_by_hand():
 
 def test_brown_identity_errors():
     with pytest.raises(ValueError):
-        brown_identity_check(2, 2, 100)  # p divides t
+        brown_identity_first_failure(2, 2, 100)  # p divides t
     with pytest.raises(ValueError):
-        brown_identity_check(1, 4, 100)  # not prime
+        brown_identity_first_failure(1, 4, 100)  # not prime
     with pytest.raises(ValueError):
-        brown_identity_check(12, 5, 100)  # t not square-free
+        brown_identity_first_failure(12, 5, 100)  # t not square-free
     with pytest.raises(RangeLimitError):
-        brown_identity_check(1, 2, 10**6 + 1)
+        brown_identity_first_failure(1, 2, 10**6 + 1)
 
 
 def test_squarefree_counts_drive_the_engine():
@@ -303,8 +303,8 @@ def test_phi_ratio_published_windows():
 
 
 def test_phi_claim_identity_holds():
-    assert phi_claim_identity_check(1, 2, 1, 500)
-    assert phi_claim_identity_check(1, 3, 2, 500)
+    assert phi_claim_first_failure(1, 2, 1, 500) is None
+    assert phi_claim_first_failure(1, 3, 2, 500) is None
     assert phi_claim_first_failure(3, 5, 1, 500) is None
 
 
@@ -374,13 +374,13 @@ def test_phi_claim_checker_reports_the_first_broken_n(monkeypatch, t, p, j, side
 
 def test_phi_claim_errors():
     with pytest.raises(ValueError):
-        phi_claim_identity_check(2, 2, 1, 100)
+        phi_claim_first_failure(2, 2, 1, 100)
     with pytest.raises(ValueError):
-        phi_claim_identity_check(1, 6, 1, 100)
+        phi_claim_first_failure(1, 6, 1, 100)
     with pytest.raises(ValueError):
-        phi_claim_identity_check(1, 2, 0, 100)
+        phi_claim_first_failure(1, 2, 0, 100)
     with pytest.raises(RangeLimitError):
-        phi_claim_identity_check(1, 2, 1, 10**4 + 1)
+        phi_claim_first_failure(1, 2, 1, 10**4 + 1)
 
 
 def test_phi_ratio_counts_drive_the_engine():

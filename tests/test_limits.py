@@ -1,0 +1,132 @@
+"""One policy for arguments: ValueError below a minimum, RangeLimitError
+past a cap, and a short message whatever the size of the value."""
+
+from fractions import Fraction
+
+import pytest
+
+from divrec.arith import (
+    count_oddly_divisible_fast,
+    count_oddly_divisible_oracle,
+    divisibility_exponent,
+    factorize,
+    predicted_density_oddly,
+)
+from divrec.convergence import CheckpointSchedule, OddlyFamily, run_convergence
+from divrec.densities import (
+    brown_identity_first_failure,
+    count_squarefree_multiples,
+    phi_claim_first_failure,
+    phi_ratio_counts,
+    phi_ratio_sum,
+    predicted_phi_density,
+    squarefree_multiple_counts,
+)
+from divrec.limits import (
+    BROWN_CHECK_MAX_X,
+    ENGINE_MAX_N,
+    EXACT_PHI_SUM_MAX_N,
+    FACTORIZE_MAX_N,
+    LEMMA_MAX_COUNT,
+    ORACLE_MAX_N,
+    PHI_CLAIM_MAX_X,
+    SIEVE_MAX_N,
+    RangeLimitError,
+)
+from divrec.recursion import (
+    RecurrenceSpec,
+    evaluate_G,
+    expand_eq_star,
+    identity_counts,
+    series_form,
+    tail_bound,
+)
+from divrec.sieves import iter_sieve_tables, sieve_segment, squarefree_flags
+from divrec.verify import run_app1_suite, run_lemma_suite
+
+SPEC = RecurrenceSpec(2, 1, -1, Fraction(1, 3), identity_counts())
+
+#: entry point and argument -> (call on the value, its minimum, its cap or None)
+CHECKED = {
+    "factorize": (factorize, 1, FACTORIZE_MAX_N),
+    "divisibility_exponent n": (lambda n: divisibility_exponent(n, 2), 1, None),
+    "divisibility_exponent m": (lambda m: divisibility_exponent(8, m), 2, None),
+    "oddly_oracle m": (lambda m: count_oddly_divisible_oracle(m, 10), 2, None),
+    "oddly_oracle N": (lambda N: count_oddly_divisible_oracle(2, N), 0, ORACLE_MAX_N),
+    "oddly_fast m": (lambda m: count_oddly_divisible_fast(m, 10), 2, None),
+    "oddly_fast N": (lambda N: count_oddly_divisible_fast(2, N), 0, ENGINE_MAX_N),
+    "predicted_density_oddly": (predicted_density_oddly, 2, None),
+    "RecurrenceSpec m": (
+        lambda m: RecurrenceSpec(m, 1, 0, 1, identity_counts()), 2, None
+    ),
+    "evaluate_G N": (lambda N: evaluate_G(SPEC, N), 0, ENGINE_MAX_N),
+    "expand_eq_star N": (lambda N: expand_eq_star(SPEC, N, 3), 1, ENGINE_MAX_N),
+    "expand_eq_star j": (lambda j: expand_eq_star(SPEC, 10, j), 1, None),
+    "series_form N": (lambda N: series_form(SPEC, N), 1, ENGINE_MAX_N),
+    "tail_bound k": (lambda k: tail_bound(SPEC, k, 1), 1, None),
+    "sieve_segment lo": (lambda lo: sieve_segment(lo, 10), 1, None),
+    "sieve_segment hi": (lambda hi: sieve_segment(5, hi), 5, SIEVE_MAX_N),
+    "squarefree_flags lo": (lambda lo: squarefree_flags(lo, 10), 1, None),
+    "squarefree_flags hi": (lambda hi: squarefree_flags(5, hi), 5, SIEVE_MAX_N),
+    "iter_sieve_tables hi": (
+        lambda hi: next(iter_sieve_tables(5, hi)), 5, SIEVE_MAX_N
+    ),
+    "count_squarefree_multiples t": (
+        lambda t: count_squarefree_multiples(t, 10), 1, None
+    ),
+    "count_squarefree_multiples N": (
+        lambda N: count_squarefree_multiples(1, N), 0, SIEVE_MAX_N
+    ),
+    "brown_identity_first_failure X": (
+        lambda X: brown_identity_first_failure(1, 2, X), 1, BROWN_CHECK_MAX_X
+    ),
+    "squarefree_multiple_counts limit": (
+        lambda limit: squarefree_multiple_counts(1, limit), 1, BROWN_CHECK_MAX_X
+    ),
+    "phi_ratio_sum m": (lambda m: phi_ratio_sum(m, 10), 1, None),
+    "phi_ratio_sum N": (lambda N: phi_ratio_sum(1, N), 0, SIEVE_MAX_N),
+    "phi_ratio_sum exact N": (
+        lambda N: phi_ratio_sum(1, N, "exact"), 0, EXACT_PHI_SUM_MAX_N
+    ),
+    "predicted_phi_density": (predicted_phi_density, 1, None),
+    "phi_claim_first_failure t": (
+        lambda t: phi_claim_first_failure(t, 2, 1, 10), 1, None
+    ),
+    "phi_claim_first_failure j": (
+        lambda j: phi_claim_first_failure(1, 2, j, 10), 1, None
+    ),
+    "phi_claim_first_failure X": (
+        lambda X: phi_claim_first_failure(1, 2, 1, X), 1, PHI_CLAIM_MAX_X
+    ),
+    "phi_ratio_counts m": (lambda m: phi_ratio_counts(m, 10), 1, None),
+    "phi_ratio_counts limit": (
+        lambda limit: phi_ratio_counts(1, limit), 1, PHI_CLAIM_MAX_X
+    ),
+    "CheckpointSchedule start": (lambda s: CheckpointSchedule(s, 10, 2), 1, None),
+    "CheckpointSchedule stop": (lambda s: CheckpointSchedule(1, s, 2), 1, None),
+    # the schedule refuses a stop below 1, run_convergence one past the cap
+    "run_convergence stop": (
+        lambda N: run_convergence(OddlyFamily(2), CheckpointSchedule(1, N, 2)),
+        1,
+        ENGINE_MAX_N,
+    ),
+    "run_lemma_suite count": (run_lemma_suite, 0, LEMMA_MAX_COUNT),
+    "run_app1_suite max_n": (lambda n: run_app1_suite(max_n=n), 1, ORACLE_MAX_N),
+}
+
+
+@pytest.mark.parametrize("call, low, cap", CHECKED.values(), ids=CHECKED)
+def test_bad_and_over_cap_arguments_raise_short_messages(call, low, cap):
+    cases = [(low - 1, ValueError), (-(10**5000), ValueError)]
+    if cap is not None:
+        cases += [(cap + 1, RangeLimitError), (10**5000, RangeLimitError)]
+    for value, error in cases:
+        with pytest.raises(ValueError) as caught:  # RangeLimitError is one too
+            call(value)
+        message = str(caught.value)
+        assert type(caught.value) is error, message
+        assert len(message) < 100
+        if error is RangeLimitError:
+            assert " exceeds the cap " in message
+        else:
+            assert message.startswith("need ")

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrec.arith import divisibility_exponent, factorize, is_prime
 from divrec.limits import SIEVE_MAX_N, RangeLimitError
 from divrec.sieves import (
-    divisibility_exponent,
-    factorize,
-    is_prime,
     iter_sieve_tables,
     sieve_segment,
     squarefree_flags,
@@ -152,6 +151,20 @@ def test_random_points_against_oracle():
 def test_segment_equals_the_previous_sieve(lo, length):
     hi = lo + length - 1
     assert np.array_equal(sieve_segment(lo, hi).phi, previous_sieve_phi(lo, hi))
+
+
+def test_a_short_segment_copies_no_whole_wheel_period():
+    # the wheel tiles are cut from at most one period, so a segment shorter
+    # than the period allocates about its own length, not whole periods
+    sieve_segment(1, 809)  # builds the cached wheel and base primes
+    tracemalloc.start()
+    try:
+        table = sieve_segment(1, 809)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert np.array_equal(table.phi, previous_sieve_phi(1, 809))
 
 
 def test_cap_fits_the_int32_sieve():
