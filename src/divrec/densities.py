@@ -37,6 +37,7 @@ from .limits import (
     SIEVE_MAX_N,
     check_range,
     segment_size_from_env,
+    shown,
 )
 from .recursion import CountingFunction
 from .sieves import iter_sieve_tables, squarefree_flags
@@ -144,7 +145,8 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
     """
     ps = list(primes)
     if len(set(ps)) != len(ps):
-        raise ValueError(f"primes must be distinct, got {ps}")
+        shown_ps = ", ".join(map(shown, ps))
+        raise ValueError(f"primes must be distinct, got {shown_ps}")
     factor = Fraction(6)
     for p in ps:
         if not is_prime(p):

@@ -44,9 +44,9 @@ BROWN_CHECK_MAX_X = 10**6
 PHI_CLAIM_MAX_X = 10**4
 
 #: Most random instances of the recursion lemma suite. An instance costs
-#: 1.2 to 2.2 ms of exact Fraction and integer arithmetic on a 2-vCPU x86
-#: machine (``run_lemma_suite(1000, seed)``, seeds 0-4), so the cap is 12 to
-#: 22 seconds of work.
+#: 0.3 to 0.6 ms of exact Fraction and integer arithmetic on a shared 2-vCPU
+#: x86 machine (``run_lemma_suite(1000, seed)``, seeds 0-4, idle to loaded),
+#: so the cap is 3 to 6 seconds of work.
 LEMMA_MAX_COUNT = 10**4
 
 #: Most points a checkpoint schedule may step through, bounded from its

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Union
 
-from .limits import ENGINE_MAX_N, check_range
+from .limits import ENGINE_MAX_N, check_range, shown
 
 #: Exact rational scalar used for all engine arithmetic.
 Rational = Fraction
@@ -82,17 +82,35 @@ class RecurrenceSpec:
         object.__setattr__(self, "beta", Fraction(self.beta))
         object.__setattr__(self, "D", Fraction(self.D))
         if abs(self.beta) >= self.m:
-            raise ValueError(f"need |beta| < m, got beta={self.beta}, m={self.m}")
+            n, d = self.beta.numerator, self.beta.denominator
+            beta = shown(n) if d == 1 else f"{shown(n)}/{shown(d)}"
+            raise ValueError(f"need |beta| < m, got beta={beta}, m={shown(self.m)}")
 
 
-def _floor_chain(N: int, m: int) -> list[int]:
-    # [N, N//m, N//m**2, ...], stopping before 0
+def _walk(spec: RecurrenceSpec, N: int) -> tuple[list, list]:
+    # the one walk of the floor chain N, N//m, N//m**2, ..., bottom-up, for
+    # L chain levels: fs[L - i] = F(N // m**i) for i = 1..L, and
+    # gs[L - i] = G(N // m**i) as an unreduced (numerator, denominator) pair
+    # for i = 0..L, where gs[0] = G(0) = 0
     chain = []
     v = N
     while v:
         chain.append(v)
-        v //= m
-    return chain
+        v //= spec.m
+    a, a_den = spec.alpha.numerator, spec.alpha.denominator
+    b, b_den = spec.beta.numerator, spec.beta.denominator
+    fs, gs = [], [(0, 1)]
+    num, den = 0, 1
+    for v in reversed(chain):
+        f = spec.F(v // spec.m)
+        # alpha * F + beta * G over the lcm of the two denominators
+        f_num, f_den = a * f.numerator, a_den * f.denominator
+        num, den = b * num, b_den * den
+        g = gcd(f_den, den)
+        num, den = f_num * (den // g) + num * (f_den // g), f_den // g * den
+        fs.append(f)
+        gs.append((num, den))
+    return fs, gs
 
 
 def evaluate_G(spec: RecurrenceSpec, N: int) -> Fraction:
@@ -103,17 +121,7 @@ def evaluate_G(spec: RecurrenceSpec, N: int) -> Fraction:
     is needed. G(0) = 0 by definition.
     """
     check_range("N", N, 0, ENGINE_MAX_N)
-    a, a_den = spec.alpha.numerator, spec.alpha.denominator
-    b, b_den = spec.beta.numerator, spec.beta.denominator
-    num, den = 0, 1  # G(v) = num / den, reduced once at the end
-    for v in reversed(_floor_chain(N, spec.m)):
-        f = spec.F(v // spec.m)
-        # alpha * F + beta * G over the lcm of the two denominators
-        f_num, f_den = a * f.numerator, a_den * f.denominator
-        num, den = b * num, b_den * den
-        g = gcd(f_den, den)
-        num, den = f_num * (den // g) + num * (f_den // g), f_den // g * den
-    return Fraction(num, den)
+    return Fraction(*_walk(spec, N)[1][-1])  # reduced once, at the top
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,15 @@ class ExpansionTerm:
         return self.coefficient * self.ratio
 
 
+#: The expansion of the last (spec, N) asked for: (spec, N, fs, gs, levels,
+#: remainders), where fs[i - 1] = F(N // m**i) and gs[i] = G(N // m**i)
+#: come from its chain walk, levels[i - 1] is level term i and
+#: remainders[j - 1] the remainder term for j. Level terms are added when a
+#: larger j asks for them; the entry is replaced, never mutated, so a
+#: concurrent caller can at worst build it twice.
+_expansion: tuple | None = None
+
+
 def expand_eq_star(spec: RecurrenceSpec, N: int, j: int) -> list[ExpansionTerm]:
     """Expand G(N)/N into j leading terms plus one remainder term.
 
@@ -144,38 +161,42 @@ def expand_eq_star(spec: RecurrenceSpec, N: int, j: int) -> list[ExpansionTerm]:
     evaluate_G(spec, N) / N. Once m**j exceeds N the remainder ratio is
     G(0)/..., identically zero, and the leading terms alone carry the value.
 
+    Every j reads the same floor chain: the terms of the last (spec, N)
+    are kept, so a run of calls for one instance walks its chain once.
+
     Args:
         spec: The recursion instance.
         N: Point of expansion, at least 1.
         j: Number of leading terms, at least 1.
     """
+    global _expansion
     check_range("N", N, 1, ENGINE_MAX_N)
     check_range("j", j, 1)
-    # each value is built as one Fraction of exact integers, so it is
-    # normalised once
-    a, a_den = spec.alpha.numerator, spec.alpha.denominator
-    b, b_den = spec.beta.numerator, spec.beta.denominator
-    terms = []
-    b_pow, b_den_pow = 1, 1  # beta**(i-1) = b_pow / b_den_pow
-    m_pow = 1
-    floor = N
-    for i in range(1, j + 1):
-        m_pow *= spec.m
-        floor //= spec.m
-        coefficient = Fraction(a * b_pow, a_den * b_den_pow * m_pow)
-        ratio = _scaled_ratio(spec.F(floor), m_pow, N)
-        terms.append(ExpansionTerm(i, coefficient, ratio))
-        b_pow *= b
-        b_den_pow *= b_den
-    coefficient = Fraction(b_pow, b_den_pow * m_pow)
-    ratio = _scaled_ratio(evaluate_G(spec, floor), m_pow, N)
-    terms.append(ExpansionTerm(j, coefficient, ratio, True))
-    return terms
-
-
-def _scaled_ratio(value: Fraction, m_pow: int, N: int) -> Fraction:
-    # value / (N / m_pow), normalised once
-    return Fraction(value.numerator * m_pow, value.denominator * N)
+    entry = _expansion
+    if entry is None or entry[0] is not spec or entry[1] != N:
+        fs, gs = _walk(spec, N)
+        entry = (spec, N, tuple(reversed(fs)), tuple(reversed(gs)), (), ())
+    _, _, fs, gs, levels, remainders = entry
+    if len(levels) < j:
+        # each value is built as one Fraction of exact integers, so it is
+        # normalised once; past the end of the chain F and G read 0
+        a, a_den = spec.alpha.numerator, spec.alpha.denominator
+        b, b_den = spec.beta.numerator, spec.beta.denominator
+        new_levels, new_remainders = [], []
+        for i in range(len(levels) + 1, j + 1):
+            b_pow, b_den_pow, m_pow = b ** (i - 1), b_den ** (i - 1), spec.m**i
+            f = fs[i - 1] if i <= len(fs) else Fraction(0)
+            g_num, g_den = gs[i] if i < len(gs) else (0, 1)
+            coefficient = Fraction(a * b_pow, a_den * b_den_pow * m_pow)
+            ratio = Fraction(f.numerator * m_pow, f.denominator * N)
+            new_levels.append(ExpansionTerm(i, coefficient, ratio))
+            coefficient = Fraction(b_pow * b, b_den_pow * b_den * m_pow)
+            ratio = Fraction(g_num * m_pow, g_den * N)
+            new_remainders.append(ExpansionTerm(i, coefficient, ratio, True))
+        levels += tuple(new_levels)
+        remainders += tuple(new_remainders)
+        _expansion = (spec, N, fs, gs, levels, remainders)
+    return [*levels[:j], remainders[j - 1]]
 
 
 def series_form(spec: RecurrenceSpec, N: int) -> Fraction:

@@ -83,10 +83,16 @@ def run_lemma_suite(
         checks += 1
         if recursion.series_form(spec, N) * N != g:
             failures.append(f"series form != G(N)/N at {label}")
+        summed, partial = [], (0, 1)  # leading terms already summed, and their sum
         for j in range(1, max_j + 1):
             checks += 1
             terms = recursion.expand_eq_star(spec, N, j)
-            if not _expansion_matches(terms, N, g):
+            k = len(summed)
+            if terms[:k] != summed:  # not the last call's terms: sum afresh
+                k, partial = 0, (0, 1)
+            partial = _term_sum(terms[k:j], *partial)
+            summed = terms[:j]
+            if not _expansion_matches(terms[j:], N, g, partial):
                 failures.append(f"expansion with j={j} != G(N)/N at {label}")
                 break
             if m**j > N and terms[-1].ratio != 0:
@@ -96,19 +102,27 @@ def run_lemma_suite(
 
 
 def _expansion_matches(
-    terms: Sequence[recursion.ExpansionTerm], N: int, g: Fraction
+    terms: Sequence[recursion.ExpansionTerm], N: int, g: Fraction, partial=(0, 1)
 ) -> bool:
-    # sum(t.value for t in terms) * N == g without a normalised Fraction per
-    # term: the numerators add up over a running lcm of the term denominators,
-    # one gcd a term, and the total is compared once by cross-multiplying
-    num, den = 0, 1
+    # (partial + sum(t.value for t in terms)) * N == g, compared once by
+    # cross-multiplying the unreduced sum
+    num, den = _term_sum(terms, *partial)
+    return num * N * g.denominator == g.numerator * den
+
+
+def _term_sum(
+    terms: Sequence[recursion.ExpansionTerm], num: int, den: int
+) -> tuple[int, int]:
+    # num/den plus the term values without a normalised Fraction per term:
+    # the numerators add up over a running lcm of the term denominators, one
+    # gcd a term
     for t in terms:
         c, r = t.coefficient, t.ratio
         t_den = c.denominator * r.denominator
         d = gcd(den, t_den)
         num = num * (t_den // d) + c.numerator * r.numerator * (den // d)
         den = den // d * t_den
-    return num * N * g.denominator == g.numerator * den
+    return num, den
 
 
 def run_app1_suite(

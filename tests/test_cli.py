@@ -301,6 +301,17 @@ def test_oversized_negative_argument_exits_two_with_a_short_message(capsys):
     assert err == "error: need modulus m >= 1, got a negative 5001-digit integer\n"
 
 
+def test_repeated_oversized_primes_exit_two_with_a_short_message(capsys):
+    code, out, err = run_cli(
+        capsys, "squarefree", "--primes", "1e5000,1e5000", "--n", "10"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: primes must be distinct, "
+        "got a 5001-digit integer, a 5001-digit integer\n"
+    )
+
+
 def test_lemma_count_is_checked_before_any_work(capsys, monkeypatch):
     def no_work(spec, N):
         raise AssertionError("the lemma suite started work past its cap")

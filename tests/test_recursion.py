@@ -1,5 +1,6 @@
 """Engine algebra: exact agreement between evaluation, expansion, and series."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,13 @@ def test_spec_validation():
         RecurrenceSpec(2, 1, -2, Fraction(1), identity_counts())
     spec = RecurrenceSpec(2, 1, Fraction(-19, 10), Fraction(1), identity_counts())
     assert spec.beta == Fraction(-19, 10)
+
+
+def test_spec_validation_shows_a_huge_beta_by_its_length():
+    with pytest.raises(ValueError) as info:
+        RecurrenceSpec(2, 1, 10**5000, Fraction(1), identity_counts())
+    assert str(info.value).startswith("need |beta| < m")
+    assert "a 5001-digit integer" in str(info.value)
 
 
 def test_counting_function_must_vanish_at_zero():
@@ -314,3 +322,44 @@ def test_expansion_oracle_draws_reach_the_edges():
             fields = [(t.index, t.coefficient, t.ratio, t.remainder_flag) for t in got]
             assert fields == expected
         assert got[-1].ratio == 0  # 2**45 > 1e12
+
+
+def test_expansion_cache_across_call_orders():
+    # one fixed shuffle of calls that hit, extend, miss and replace the
+    # one-entry cache: alternating specs, equal specs built apart, repeated
+    # and descending j, j past the end of the chain, and N = 1
+    spec_a = RecurrenceSpec(3, Fraction(-5, 4), Fraction(17, 8), 0, ORACLE_FNS[4])
+    spec_b = RecurrenceSpec(2, Fraction(7, 8), Fraction(-15, 8), 0, ORACLE_FNS[3])
+    twin = RecurrenceSpec(2, Fraction(7, 8), Fraction(-15, 8), 0, ORACLE_FNS[3])
+    calls = [
+        (spec, N, j)
+        for spec, N in (
+            (spec_a, 10**9 + 7),
+            (spec_a, ENGINE_MAX_N),
+            (spec_b, ENGINE_MAX_N),
+            (twin, ENGINE_MAX_N),
+            (spec_a, 1),
+            (HALVING, 10),
+        )
+        for j in (1, 2, 5, 5, 3, 20, 40, 41, 45, 1)
+    ]
+    random.Random(12).shuffle(calls)
+    for spec, N, j in calls:
+        expected = previous_expand_eq_star(spec, N, j)
+        for _ in range(2):  # the second call reads the terms the first left
+            got = expand_eq_star(spec, N, j)
+            fields = [(t.index, t.coefficient, t.ratio, t.remainder_flag) for t in got]
+            assert fields == expected
+            got.clear()  # the caller's list: clearing it must not reach the cache
+
+
+@pytest.mark.parametrize("F", ORACLE_FNS, ids=lambda F: F.description)
+def test_evaluation_equals_the_previous_evaluation_along_a_chain(F):
+    # the walk that serves the expansion gives G at every level of the chain
+    spec = RecurrenceSpec(3, Fraction(-7, 8), Fraction(-23, 8), 0, F)
+    v = ENGINE_MAX_N
+    while True:
+        assert evaluate_G(spec, v) == previous_evaluate_G(spec, v)
+        if v == 0:
+            break
+        v //= spec.m

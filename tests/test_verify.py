@@ -109,3 +109,18 @@ def test_lemma_suite_expands_every_j_of_every_instance(monkeypatch):
     result = verify.run_lemma_suite(count=300, seed=0)
     assert result.ok and result.checks == 6300
     assert calls == list(range(1, 21)) * 300
+
+
+def test_lemma_suite_reports_a_leading_term_that_changes_with_j(monkeypatch):
+    # the suite reuses the sum of the leading terms of the previous j only
+    # while those terms stay the same, so a change at j = 3 is still seen
+    real = recursion.expand_eq_star
+
+    def broken(spec, N, j):
+        terms = real(spec, N, j)
+        return shifted(terms, 0, Fraction(1, N)) if j == 3 else terms
+
+    monkeypatch.setattr(recursion, "expand_eq_star", broken)
+    result = verify.run_lemma_suite(count=5, seed=0)
+    assert not result.ok
+    assert result.failures[0].startswith("expansion with j=3 != G(N)/N at")
