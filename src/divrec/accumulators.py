@@ -8,9 +8,10 @@ sieving bit-reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,26 +60,67 @@ class ExactFloatSum:
             exps = np.frexp(block)[1]
             lo = int(exps.min())
             if int(exps.max()) - lo < _BAND:
-                num += _band_total(block, lo)
+                num += _band_totals(block, lo)[-1]
                 continue
             bands = (exps - lo) // _BAND
             for b in np.unique(bands).tolist():
-                num += _band_total(block[bands == b], lo + b * _BAND)
+                num += _band_totals(block[bands == b], lo + b * _BAND)[-1]
         self._num = num
+
+    def extend_at(self, values: Iterable[float], cuts: Sequence[int]) -> list[int]:
+        """Add finite doubles as :meth:`extend` does, and return the exact sum
+        in units of 2**-1126 after each of the ascending entry counts
+        ``cuts`` of ``values``. A block with cuts in one band of exponents,
+        as totient ratios always are, takes running sums in numpy; any other
+        goes through :meth:`extend`, one piece between cuts at a time."""
+        x = np.asarray(values, dtype=np.float64).ravel()
+        if not np.isfinite(x).all():
+            raise ValueError("can only sum finite values")
+        out: list[int] = []
+        for start in range(0, x.size, _BLOCK):
+            block = x[start : start + _BLOCK]
+            end = bisect_right(cuts, start + block.size)
+            ends = [c - start for c in cuts[len(out) : end]]
+            exps = np.frexp(block)[1] if ends else None
+            if ends and int(exps.max()) - int(exps.min()) < _BAND:
+                *running, total = _band_totals(block, int(exps.min()), ends)
+                out += [self._num + r for r in running]
+                self._num += total
+                continue
+            for lo, hi in zip([0, *ends], [*ends, block.size]):
+                self.extend(block[lo:hi])
+                out.append(self._num)
+            out.pop()
+        return out + [self._num] * (len(cuts) - len(out))
+
+    @staticmethod
+    def rounded(units: int) -> float:
+        """``units`` units of 2**-1126 rounded to the nearest double, once;
+        OverflowError past the double range."""
+        return units / _UNIT
 
     @property
     def value(self) -> float:
         """The sum rounded to the nearest double; OverflowError past its range."""
-        return self._num / _UNIT
+        return self.rounded(self._num)
 
 
-def _band_total(values: np.ndarray, lo: int) -> int:
-    # sum of values whose frexp exponents lie in [lo, lo + _BAND), in units
-    # of 2**(_MIN_EXP - 53); each ldexp result is an integer below 2**62
+def _band_totals(values: np.ndarray, lo: int, ends: Sequence[int] = ()) -> list[int]:
+    # the sums of values[:e] for each e in ends, then of all values, whose
+    # frexp exponents lie in [lo, lo + _BAND), in units of 2**(_MIN_EXP - 53):
+    # each ldexp result is an integer below 2**62, and the running int64
+    # sums of its 32-bit halves over a block stay below 2**15 * 2**32
     ints = np.ldexp(values, 53 - lo).astype(np.int64)
     high = ints >> 32
     ints &= 0xFFFFFFFF
-    return ((int(high.sum()) << 32) + int(ints.sum())) << (lo - _MIN_EXP)
+    if not ends:
+        return [((int(high.sum()) << 32) + int(ints.sum())) << (lo - _MIN_EXP)]
+    sums = []
+    for half in (high, ints):
+        running = np.zeros(half.size + 1, dtype=np.int64)
+        np.cumsum(half, out=running[1:])
+        sums.append(running[[*ends, half.size]].tolist())
+    return [((h << 32) + l) << (lo - _MIN_EXP) for h, l in zip(*sums)]
 
 
 # the name the benchmark's layer probes import and trace
@@ -138,8 +180,8 @@ class ExactRatioSum:
         roots = []
         for i in range(0, den.size, _LEAVES):
             block = zip(num[i : i + _LEAVES].tolist(), den[i : i + _LEAVES].tolist())
-            roots.append(_tree_sum(list(block)))
-        self._num, self._den = _pair_sum(self._num, self._den, *_tree_sum(roots))
+            roots.append(sum_pairs(list(block)))
+        self._num, self._den = _pair_sum(self._num, self._den, *sum_pairs(roots))
 
     @property
     def unreduced(self) -> tuple[int, int]:
@@ -151,8 +193,11 @@ class ExactRatioSum:
         return Fraction(self._num, self._den)
 
 
-def _tree_sum(nodes: list[tuple[int, int]]) -> tuple[int, int]:
-    # balanced binary tree of pairwise sums of a nonempty list of pairs
+def sum_pairs(nodes: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of unreduced (numerator, denominator) pairs as a balanced tree,
+    over the lcm of their denominators and not reduced; [] sums to (0, 1)."""
+    if not nodes:
+        return 0, 1
     while len(nodes) > 1:
         odd = nodes[-1:] if len(nodes) % 2 else []
         nodes = [_pair_sum(*x, *y) for x, y in zip(nodes[::2], nodes[1::2])] + odd

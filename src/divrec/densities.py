@@ -20,14 +20,13 @@ no sieve; it lives in :mod:`divrec.arith`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .accumulators import ExactFloatSum, ExactRatioSum
+from .accumulators import ExactFloatSum, ExactRatioSum, sum_pairs
 
 from .arith import DensityPrediction, factorize, is_prime
 from .limits import (
@@ -207,11 +206,15 @@ def phi_ratio_sums_at(
 ) -> list:
     """:func:`phi_ratio_sum` at each of ascending ``points``, in one pass.
 
-    Only k <= points[-1] // m is sieved: phi(m*k) is m*phi(k) times
-    (p-1)/p for every prime p of m that does not divide k, and every
-    intermediate stays at most m*k. Each term phi(n)/n is the same double as
-    over a sieve of all n, and its sum is exact until it is read, so a row
-    equals a from-scratch sum at its point bit for bit.
+    Only the odd k <= points[-1] // m are sieved: phi(m*k) is m*phi(k)
+    times (p-1)/p for every prime p of m that does not divide k, and every
+    intermediate stays at most m*k. The even k come from the paper's
+    splitting with p = 2: phi(2n)/(2n) is phi(n)/n for even n and half of
+    it for odd n, so the sum over k <= K is the odd part O(K) plus the sum
+    over k <= K // 2, less O(K // 2) / 2 for odd m. Each term phi(n)/n is
+    the same double as over a sieve of all n, halving a double is exact,
+    and every sum stays exact until it is read, so a row equals a
+    from-scratch sum of all its terms at its point bit for bit.
     """
     if mode == "exact":
         pairs = phi_ratio_pairs_at(m, points, threads=threads)
@@ -230,49 +233,103 @@ def phi_ratio_pairs_at(
     point pays for the gcd of two numbers that grow to thousands of digits.
     The denominator is the lcm of the reduced denominators of the terms, so
     a pair does not depend on threads, segment size or the other points.
+    The walk sieves odd k only, as in :func:`phi_ratio_sums_at`: between two
+    points it sums the new odd terms of every halving of the range as
+    balanced trees and folds them into the long sum once.
     """
     return _phi_ratio_walk(m, points, True, threads)
 
 
 def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) -> list:
     # the one totient-ratio walker: the unreduced exact pair or the rounded
-    # float sum at each point
+    # float sum at each point. With f(n) = phi(n)/n, S(K) the sum of f(m*k)
+    # over k <= K and O(K) its part over odd k, the paper's splitting with
+    # p = 2 (f(2n) is f(n) for even n and f(n) / 2 for odd n) gives
+    #     S(K) = O(K) + S(K // 2) - [m odd] O(K // 2) / 2
+    #          = O(K) + w * (O(K >> 1) + O(K >> 2) + ...),  w = 1/2 or 1,
+    # so only odd k are sieved. From one point's K' to the next K, S grows
+    # by the odd terms in (K' >> a, K >> a] for every a, times w for a >= 1.
     check_range("modulus m", m, 1)
     pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
-    acc = ExactRatioSum() if exact else ExactFloatSum()
-    read = attrgetter("unreduced" if exact else "value")
+    # O is cut at every K >> a, each K shifted only until it meets a shift of
+    # an earlier one, at the largest odd number up to it, (x - 1) | 1 (-1 for
+    # x = 0); pos counts the pieces up to each cut
+    shifts: set[int] = set()
+    for N in pts:
+        K = N // m
+        while K and K not in shifts:
+            shifts.add(K)
+            K >>= 1
+    ks = sorted({x - 1 | 1 for x in shifts})
+    pieces = _odd_pieces(m, ks, exact, threads)
+    pos = {k: i for i, k in enumerate(ks, 1)} | {-1: 0}
+    add = sum_pairs if exact else sum
+
+    def halve(piece):
+        # exact for a double, a shift of its units. A pair keeps the lcm of
+        # the reduced term denominators: phi(n) is even for odd n >= 3, so
+        # every reduced numerator is even but that of f(1) = 1, whose half
+        # puts a 2 into the lcm for m = 1 and K >= 2
+        if not exact:
+            return piece >> 1
+        return (piece[0], 2 * piece[1]) if m == 1 else (piece[0] >> 1, piece[1])
+
     sums: list = []
-    top = pts[-1] // m if pts else 0
-    for table in iter_sieve_tables(1, top, threads=threads) if top else ():
-        cuts = _cuts(m, pts, table.lo, table.hi)
-        phis = _phi_of_multiples(table, m)
-        ns = np.arange(table.lo * m, table.hi * m + 1, m, dtype=np.int64)
-        ratios = None if exact else phis / ns
-        done = 0
-        for cut in [*cuts, None]:
-            if not exact:
-                acc.extend(ratios[done:cut])
-            elif cut == done + 1:
-                # the phi-claim checker reads every prefix, so its pieces hold
-                # one term; extend's numpy call cost made that suite 6 -> 20 ms
-                # in process, and add gives the same pair
-                acc.add(int(phis[done]), int(ns[done]))
-            else:
-                acc.extend(phis[done:cut], ns[done:cut])
-            if cut is not None:
-                sums.append(read(acc))
-                done = cut
-    sums.extend([read(acc)] * (len(pts) - len(sums)))
+    total, last = ((0, 1) if exact else 0), 0
+    for K in (N // m for N in pts):
+        if K > last:  # the a with K >> a > last >> a: a < (K ^ last).bit_length()
+            terms = pieces[pos[last - 1 | 1] : pos[K - 1 | 1]]
+            rest = [
+                piece
+                for a in range(1, (K ^ last).bit_length())
+                for piece in pieces[pos[(last >> a) - 1 | 1] : pos[(K >> a) - 1 | 1]]
+            ]
+            if rest:
+                terms.append(halve(add(rest)) if m % 2 else add(rest))
+            total = add([total, add(terms)])  # one fold into the long sum
+            last = K
+        sums.append(total if exact else ExactFloatSum.rounded(total))
     return sums
 
 
+def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
+    # entry i: the sum of f(m*k) over the odd k in (ks[i - 1], ks[i]] of the
+    # ascending odd ks, the first from k = 1, as an unreduced pair or in
+    # units of 2**-1126
+    pieces: list = []
+    acc, last = ExactFloatSum(), 0  # float: the running units at the last cut
+    piece = ExactRatioSum()  # exact: the terms after the last cut
+    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2) if ks else ():
+        end = bisect_right(ks, table.hi)
+        cuts = [(k - table.lo) // 2 + 1 for k in ks[len(pieces) : end]]
+        phis = _phi_of_multiples(table, m)
+        ns = np.arange(table.lo * m, table.hi * m + 1, 2 * m, dtype=np.int64)
+        if not exact:
+            for units in acc.extend_at(phis / ns, cuts):
+                pieces.append(units - last)
+                last = units
+            continue
+        for a, b in zip([0, *cuts], [*cuts, None]):
+            if b == a + 1:
+                # every-prefix tables, as the phi-claim checker reads, cut
+                # one term at a time: add skips extend's numpy calls
+                piece.add(int(phis[a]), int(ns[a]))
+            elif b != a:
+                piece.extend(phis[a:b], ns[a:b])
+            if b is not None:
+                pieces.append(piece.unreduced)
+                piece = ExactRatioSum()
+    return pieces
+
+
 def _phi_of_multiples(table, m: int) -> np.ndarray:
-    # phi(m*k) for k in [table.lo, table.hi]; m = 1 is the table itself
+    # phi(m*k) for the odd k of a step-2 table; m = 1 is the table itself
     if m == 1:
         return table.phi
     phis = table.phi * m
     for p, _ in factorize(m):
-        s = -(table.lo // -p) * p - table.lo  # first k divisible by p
+        # p | k from index -lo / 2 (mod p) on, every p entries; no odd k is even
+        s = -table.lo * ((p + 1) // 2) % p if p > 2 else phis.size
         keep = phis[s::p].copy()  # p | k: m*phi(k) already has p's factor
         phis //= p
         phis *= p - 1
@@ -300,6 +357,11 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     are read at i, S_{t*p} at i // p. So each i is checked once, with the
     three sums as unreduced fractions L/L_d, F/F_d and G/G_d compared by
     cross-multiplication, p*L*F_d*G_d == L_d*((p-1)*F*G_d + G*F_d).
+
+    The sums come from :func:`phi_ratio_pairs_at`, which itself applies this
+    identity for p = 2 to sieve only odd multiples, so for p = 2 the check
+    is partly the walker's own algebra. The walker oracle tests in
+    ``tests/test_walkers.py`` keep it honest against a sieve of all n.
     """
     check_range("t", t, 1)
     if not is_prime(p):

@@ -1,20 +1,24 @@
 """Segmented sieves: totient-only segment tables, and square-free flags.
 
-A totient segment is sieved in int32 with the primes up to sqrt(hi), by
-multiplications along strides and no division but one. Two arrays start
-from a cached wheel for the primes up to 13: tiled from ``lo % 30030``, it
-gives each n the product of the wheel primes dividing it (``small``) and of
-their p - 1 (``phi``), so those six primes need no strides. Every larger
+A totient segment holds every integer of [lo, hi], or with ``step=2`` the
+odd ones from an odd lo, and is sieved in int32 with the primes up to
+sqrt(hi), by multiplications along strides and no division but one. Two
+arrays start from a cached wheel for the primes up to 13: tiled from
+``lo % 30030`` (odd numbers read its odd residues, a wheel of period 15015),
+it gives each n the product of the wheel primes dividing it (``small``) and
+of their p - 1 (``phi``), so those six primes need no strides. Every larger
 root prime p multiplies ``small`` by p and ``phi`` by p - 1 along its
 stride, and the power strides p**2, p**3, ... of every root prime multiply
-both by p. ``small`` is then the part of n made of root primes and ``phi``
-its totient. Only after those strides is ``n // small`` taken, once: it is
-1 or a single prime q above sqrt(hi), and one branch-free pass multiplies
-``phi`` by q - 1 where q > 1. A :class:`SieveTable` holds the totients only,
-as int64; square-free flags come from the separate :func:`squarefree_flags`,
-which builds no totients. Segments never depend on each other, which keeps
-memory flat for ranges up to the 1e9 cap and lets callers sieve ahead on
-worker threads.
+both by p; entry i holds n = lo + step*i, so the stride of q starts at
+index -lo / step (mod q), and powers of 2 take none in odd tables.
+``small`` is then the part of n made of root primes and ``phi`` its
+totient. Only after those strides is ``n // small`` taken, once: it is 1 or
+a single prime q above sqrt(hi), and one branch-free pass multiplies
+``phi`` by q - 1 where q > 1. A :class:`SieveTable` holds the totients
+only, as int64; square-free flags come from the separate
+:func:`squarefree_flags`, which builds no totients. Segments never depend
+on each other, which keeps memory flat for ranges up to the 1e9 cap and
+lets callers sieve ahead on worker threads.
 """
 
 from __future__ import annotations
@@ -31,27 +35,32 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arith import base_primes
-from .limits import SIEVE_MAX_N, RangeLimitError, check_range, segment_size_from_env
+from .limits import SIEVE_MAX_N, RangeLimitError, check_range, shown
+from .limits import segment_size_from_env
 
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Totient values for one segment [lo, hi].
+    """Totient values for one segment [lo, hi], every ``step``-th number.
 
     Attributes:
         lo: First integer covered (inclusive).
-        hi: Last integer covered (inclusive).
-        phi: read-only int64 array, ``phi[n - lo]`` is the totient of n.
+        hi: Last integer covered (inclusive), lo plus a multiple of step.
+        phi: read-only int64 array, ``phi[(n - lo) // step]`` is phi(n).
+        step: 1 for every integer, 2 for the odd ones only.
     """
 
     lo: int
     hi: int
     phi: np.ndarray
+    step: int = 1
 
     def phi_of(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise ValueError(f"{n} outside segment [{self.lo}, {self.hi}]")
-        return int(self.phi[n - self.lo])
+        if not self.lo <= n <= self.hi or (n - self.lo) % self.step:
+            raise ValueError(
+                f"{n} not in segment [{self.lo}, {self.hi}] of step {self.step}"
+            )
+        return int(self.phi[(n - self.lo) // self.step])
 
 
 #: The wheel primes, and their product 30030, the period of the wheel.
@@ -74,50 +83,55 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
     return radical, totient
 
 
-def sieve_segment(lo: int, hi: int) -> SieveTable:
-    """Sieve the totients of [lo, hi].
+def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
+    """Sieve the totients of [lo, hi], or of its odd numbers for step 2.
 
     Args:
-        lo: Segment start, at least 1.
-        hi: Segment end, at most ``SIEVE_MAX_N``.
+        lo: Segment start, at least 1; odd for step 2.
+        hi: Segment end; the last number covered, hi or for step 2 the last
+            odd number up to hi, is at most ``SIEVE_MAX_N``.
+        step: 1 for every integer, 2 for the odd integers only.
 
-    A segment longer than ``DIVREC_SEGMENT_SIZE`` (default 2**20) is refused,
-    so a typo cannot allocate an enormous array.
+    A segment of more than ``DIVREC_SEGMENT_SIZE`` entries (default 2**20)
+    is refused, so a typo cannot allocate an enormous array.
 
     Returns:
-        A read-only :class:`SieveTable` covering exactly [lo, hi].
+        A read-only :class:`SieveTable` covering lo, lo + step, ... up to hi.
     """
     size = segment_size_from_env()
-    check_range("lo", lo, 1)
-    check_range("hi", hi, lo, SIEVE_MAX_N)
-    if hi - lo + 1 > size:
-        raise RangeLimitError(
-            f"segment [{lo}, {hi}] is longer than the segment size {size}"
-        )
+    hi = _last_number(lo, hi, step)
+    if (hi - lo) // step >= size:
+        raise RangeLimitError(f"segment [{lo}, {hi}] has more than {size} entries")
 
     # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32 holds it
-    n = np.arange(lo, hi + 1, dtype=np.int32)
+    n = np.arange(lo, hi + 1, step, dtype=np.int32)
     # small becomes the part of n made of primes <= sqrt(hi) and phi its
     # totient; the wheel starts both with the primes <= 13, tiled from a
-    # slice of at most one period, so a short segment copies only its length
-    radical, totient = _wheel()
-    start = lo % WHEEL
-    tile = slice(start, start + min(n.size, WHEEL))
+    # slice of at most one period, so a short segment copies only its length.
+    # The odd numbers take the odd residues, a wheel of period WHEEL // 2.
+    radical, totient = (w[step - 1 :: step] for w in _wheel())
+    start = lo % WHEEL // step
+    tile = slice(start, start + min(n.size, WHEEL // step))
     small = np.resize(radical[tile], n.size)
     phi = np.resize(totient[tile], n.size)
+    # q | n from index -lo * step**-1 (mod q) on: (q + 1) // step is 1 mod q
+    # for step 1, and the inverse of 2 mod an odd q for step 2
     primes = _root_primes(hi)
     for p in primes[len(WHEEL_PRIMES) :]:  # the primes past the wheel's
-        s = -lo % p
-        small[s::p] *= p
-        phi[s::p] *= p - 1
+        s = -lo * ((p + 1) // step) % p
+        if s < n.size:
+            small[s::p] *= p
+            phi[s::p] *= p - 1
     # the powers finish both products; a wheel prime above sqrt(hi) has no
-    # multiple of its square up to hi
-    for p in primes:
+    # multiple of its square up to hi, and no power of 2 divides an odd n.
+    # Most powers have no multiple in a segment, and skip the numpy calls
+    for p in primes[step - 1 :]:
         q = p * p
         while q <= hi:
-            s = -lo % q
-            small[s::q] *= p
-            phi[s::q] *= p
+            s = -lo * ((q + 1) // step) % q
+            if s < n.size:
+                small[s::q] *= p
+                phi[s::q] *= p
             q *= p
 
     # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1)
@@ -126,7 +140,20 @@ def sieve_segment(lo: int, hi: int) -> SieveTable:
     phi *= np.maximum(big, 1, out=big)
     phi = phi.astype(np.int64)
     phi.setflags(write=False)
-    return SieveTable(lo, hi, phi)
+    return SieveTable(lo, hi, phi, step)
+
+
+def _last_number(lo: int, hi: int, step: int) -> int:
+    # the last of lo, lo + step, ... up to hi, checked against the sieve cap
+    if step not in (1, 2) or step == 2 and lo % 2 == 0:
+        raise ValueError(
+            f"need step 1, or 2 from an odd lo; got step {shown(step)} from {shown(lo)}"
+        )
+    check_range("lo", lo, 1)
+    check_range("hi", hi, lo)
+    last = hi - (hi - lo) % step
+    check_range("hi" if step == 1 else "last odd number", last, lo, SIEVE_MAX_N)
+    return last
 
 
 def squarefree_flags(lo: int, hi: int, primes: Sequence[int] = ()) -> np.ndarray:
@@ -152,32 +179,35 @@ def _root_primes(hi: int) -> tuple[int, ...]:
     return primes[: bisect_right(primes, math.isqrt(hi))]
 
 
-def iter_sieve_tables(lo: int, hi: int, *, threads: int = 1) -> Iterator[SieveTable]:
+def iter_sieve_tables(
+    lo: int, hi: int, *, threads: int = 1, step: int = 1
+) -> Iterator[SieveTable]:
     """Yield consecutive segments covering [lo, hi], always in ascending order.
 
-    Segments are ``DIVREC_SEGMENT_SIZE`` numbers long; the last may be shorter.
-    With ``threads > 1`` upcoming segments are sieved ahead on a thread pool
-    of at most the usable CPUs, but they are handed back strictly in range
-    order, so any accumulation on the consumer side stays deterministic
-    regardless of the thread count.
+    Segments hold ``DIVREC_SEGMENT_SIZE`` entries; the last may hold fewer.
+    With ``step=2`` they hold the odd numbers only, from an odd lo, as
+    :func:`sieve_segment` sieves them. With ``threads > 1`` upcoming
+    segments are sieved ahead on a thread pool of at most the usable CPUs,
+    but they are handed back strictly in range order, so any accumulation
+    on the consumer side stays deterministic regardless of the thread count.
     """
     size = segment_size_from_env()
-    check_range("lo", lo, 1)
-    check_range("hi", hi, lo, SIEVE_MAX_N)
-    spans = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
+    last = _last_number(lo, hi, step)
+    width = size * step
+    spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory
     if hasattr(os, "sched_getaffinity"):
         threads = min(threads, len(os.sched_getaffinity(0)))
     if threads <= 1:
         for span in spans:
-            yield sieve_segment(*span)
+            yield sieve_segment(*span, step=step)
         return
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
         for span in spans:
-            pending.append(pool.submit(sieve_segment, *span))
+            pending.append(pool.submit(sieve_segment, *span, step=step))
             if len(pending) > threads:
                 yield pending.popleft().result()
         while pending:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.accumulators import ExactFloatSum, ExactRatioSum
+from divrec.accumulators import ExactFloatSum, ExactRatioSum, sum_pairs
 from divrec.convergence import CheckpointSchedule
 from divrec.densities import phi_ratio_sums_at
 from divrec.sieves import iter_sieve_tables
@@ -180,6 +180,54 @@ def test_exact_float_sum_rejects_non_finite_values(bad):
         acc.add(bad)
 
 
+def prefix_units(values, cuts) -> list[int]:
+    """The exact sum of values[:c] for each cut, in units of 2**-1126."""
+    return [
+        int(sum(map(Fraction, values[:c]), Fraction(0)) * 2**1126) for c in cuts
+    ]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(finite_doubles, max_size=40),
+    st.lists(st.integers(min_value=0, max_value=45), max_size=8),
+)
+def test_extend_at_reads_the_exact_sum_at_every_cut(xs, raw_cuts):
+    cuts = sorted(raw_cuts)  # cuts past the end read the whole sum
+    acc = ExactFloatSum()
+    acc.add(0.5)
+    running = acc.extend_at(xs, cuts)
+    assert running == [
+        (1 << 1125) + units for units in prefix_units(xs, cuts)
+    ]
+    assert outcome(lambda: acc.value) == outcome(lambda: fraction_sum([0.5, *xs]))
+
+
+@pytest.mark.parametrize("spread", [(-3, 0), (-1070, -500, -3, 0, 40, 900)])
+def test_extend_at_crosses_blocks_in_one_band_or_many(spread):
+    # the running sums of one band, or one piece at a time through extend,
+    # with cuts on, around and between the edges of the numpy passes
+    rng = random.Random(9)
+    values = [rng.uniform(0.5, 1) * 2.0 ** rng.choice(spread) for _ in range(70_000)]
+    edges = [0, 1, 32_767, 32_768, 32_769, 65_536, 69_999, 70_000, 70_001]
+    cuts = sorted(edges + [rng.randrange(70_000) for _ in range(50)])
+    acc = ExactFloatSum()
+    running = acc.extend_at(np.array(values), cuts)
+    prefix = np.cumsum([0, *(Fraction(v) * 2**1126 for v in values)]).tolist()
+    assert running == [int(prefix[min(c, 70_000)]) for c in cuts]
+    assert acc.value == math.fsum(values)
+    assert ExactFloatSum.rounded(running[-1]) == acc.value
+
+
+def test_extend_at_rejects_non_finite_values_and_adds_nothing():
+    acc = ExactFloatSum()
+    acc.add(0.25)
+    with pytest.raises(ValueError):
+        acc.extend_at([1.0] * 40_000 + [math.nan], [10, 39_000])
+    assert acc.value == 0.25
+    assert ExactFloatSum().extend_at([], [0, 3]) == [0, 0]
+
+
 def test_exact_float_sum_past_the_double_range_overflows():
     big = 1.7976931348623157e308
     acc = ExactFloatSum()
@@ -306,3 +354,16 @@ def test_exact_ratio_sum_value_is_nondestructive():
     acc.add(1, 6)
     assert acc.value == Fraction(1, 2)
     assert acc.unreduced == (3, 6)  # read without reducing
+
+
+def test_sum_pairs_keeps_the_lcm_and_does_not_reduce():
+    assert sum_pairs([]) == (0, 1)
+    assert sum_pairs([(3, 6)]) == (3, 6)
+    # 1/3 + 2/3 over lcm 3, not reduced to 1/1; halves of 1/2 over 4
+    assert sum_pairs([(1, 3), (2, 3)]) == (3, 3)
+    assert sum_pairs([(1, 4), (1, 4), (1, 2)]) == (4, 4)
+    rng = random.Random(5)
+    pairs = [(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(101)]
+    num, den = sum_pairs(pairs)
+    assert Fraction(num, den) == sum(Fraction(*p) for p in pairs)
+    assert den == math.lcm(*(d for _, d in pairs))

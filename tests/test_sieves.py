@@ -153,6 +153,86 @@ def test_segment_equals_the_previous_sieve(lo, length):
     assert np.array_equal(sieve_segment(lo, hi).phi, previous_sieve_phi(lo, hi))
 
 
+#: The last odd number the int32 sieve may reach.
+LAST_ODD = SIEVE_MAX_N - 1 + SIEVE_MAX_N % 2
+
+
+@pytest.mark.parametrize(
+    "lo, entries",
+    list(dict.fromkeys([
+        # one entry, a prime segment, one odd-wheel period and one more
+        *((1, n) for n in (1, 4099, 15_015, 15_016, 1 << 20)),
+        # odd lo at several places in the 15015-entry odd wheel, so tiles
+        # start and end part-way through a period
+        *(
+            (lo, n)
+            for lo in (15_013, 15_015, 30_029, 30_031, 30_030 * 3_330 + 7_777)
+            for n in (1, 15_014, 15_015, 15_016, 3 * 15_015 + 7)
+        ),
+        (10**8 + 1, 1 << 20),
+        (31_607 * 31_607 - 1000, 1001),  # the largest prime square below the cap
+        # ending at the last odd number below the cap, the int32 headroom
+        (LAST_ODD - 2 * (12_345 - 1), 12_345),
+        (LAST_ODD - 2 * ((1 << 20) - 1), 1 << 20),
+        (LAST_ODD, 1),
+    ])),
+)
+def test_odd_segment_equals_the_odd_entries_of_the_previous_sieve(lo, entries):
+    hi = lo + 2 * (entries - 1)
+    table = sieve_segment(lo, hi, step=2)
+    assert (table.lo, table.hi, table.step) == (lo, hi, 2)
+    assert np.array_equal(table.phi, previous_sieve_phi(lo, hi)[::2])
+    # an even hi ends the table at the odd number before it
+    assert np.array_equal(sieve_segment(lo, hi + 1, step=2).phi, table.phi)
+
+
+def test_odd_segments_refuse_what_they_cannot_hold(monkeypatch):
+    with pytest.raises(ValueError, match="odd"):
+        sieve_segment(2, 11, step=2)
+    with pytest.raises(ValueError, match="odd"):
+        next(iter_sieve_tables(10, 20, step=2))
+    for step in (0, 3, -2):
+        with pytest.raises(ValueError, match="step"):
+            sieve_segment(1, 11, step=step)
+        with pytest.raises(ValueError, match="step"):
+            next(iter_sieve_tables(1, 11, step=step))
+    # the last odd number is what the cap applies to
+    assert sieve_segment(LAST_ODD, SIEVE_MAX_N, step=2).hi == LAST_ODD
+    for lo in (LAST_ODD, 1):
+        with pytest.raises(RangeLimitError):
+            sieve_segment(lo, LAST_ODD + 2, step=2)
+        with pytest.raises(RangeLimitError):
+            next(iter_sieve_tables(lo, LAST_ODD + 2, step=2))
+    # the segment size counts entries, not the numbers they span
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "10")
+    assert sieve_segment(1, 20, step=2).phi.size == 10
+    with pytest.raises(RangeLimitError):
+        sieve_segment(1, 21, step=2)
+    table = sieve_segment(11, 29, step=2)
+    assert [table.phi_of(n) for n in (11, 15, 29)] == [10, 8, 28]
+    for n in (12, 28, 9, 31):
+        with pytest.raises(ValueError):
+            table.phi_of(n)
+
+
+def test_odd_tables_cover_the_odd_numbers_in_order(monkeypatch):
+    whole = sieve_segment(1, 40_000)
+    for size in ("101", "997", "15015", "30000"):
+        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
+        for lo, hi in ((1, 40_000), (9_999, 39_999)):
+            for threads in (1, 2):
+                tables = list(iter_sieve_tables(lo, hi, threads=threads, step=2))
+                assert all(t.step == 2 and t.lo % 2 for t in tables)
+                assert [t.lo for t in tables[1:]] == [t.hi + 2 for t in tables[:-1]]
+                assert tables[0].lo == lo and tables[-1].hi == hi - 1 + hi % 2
+                assert all(t.phi.size == int(size) for t in tables[:-1])
+                got = np.concatenate([t.phi for t in tables])
+                assert np.array_equal(got, whole.phi[lo - 1 : hi : 2])
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "7")
+    spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 40, step=2)]
+    assert spans == [(5, 17), (19, 31), (33, 39)]
+
+
 def test_a_short_segment_copies_no_whole_wheel_period():
     # the wheel tiles are cut from at most one period, so a segment shorter
     # than the period allocates about its own length, not whole periods

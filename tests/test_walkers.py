@@ -30,7 +30,7 @@ from divrec.densities import (
     phi_ratio_sums_at,
     squarefree_multiple_counts,
 )
-from divrec.limits import RangeLimitError
+from divrec.limits import EXACT_PHI_SUM_MAX_N, RangeLimitError
 from divrec.sieves import iter_sieve_tables
 
 SEGMENT_SIZES = (13, 256, None)  # None: the library default
@@ -39,17 +39,21 @@ SEGMENT_SIZES = (13, 256, None)  # None: the library default
 def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
     """Sum of phi(n)/n over multiples n of m up to each point, sieving all n.
 
-    Float sums are ``math.fsum`` of the prefix terms, correctly rounded and
-    independent of the library's accumulator. Exact sums are read as
-    reduced Fractions, or as unreduced pairs for mode "pairs", from
-    ``ExactRatioSum.add``, one term at a time.
+    Float sums are the exact sum of the prefix terms rounded once, so
+    independent of the library's accumulator: every term is at least 1/8,
+    so a whole number of units of 2**-60 (asserted), and CPython rounds
+    int / int correctly. The sum at the last point must also equal
+    ``math.fsum`` of all terms. Exact sums are read as reduced Fractions, or
+    as unreduced pairs for mode "pairs", from ``ExactRatioSum.add``, one
+    term at a time.
     """
     exact = ExactRatioSum()
     terms: list[float] = []
+    units = 0
 
     def value():
         if mode == "float":
-            return math.fsum(terms)
+            return units / 2**60
         return exact.unreduced if mode == "pairs" else exact.value
 
     sums = []
@@ -66,10 +70,14 @@ def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
                     sums.append(value())
                     idx += 1
                 if mode == "float":
+                    assert ratio >= 1 / 8
                     terms.append(ratio)
+                    units += int(ratio * 2**60)
                 else:
                     exact.add(ph, n)
     sums.extend([value()] * (len(points) - len(sums)))
+    if mode == "float":
+        assert sums[-1] == math.fsum(terms)
     return sums
 
 
@@ -144,6 +152,29 @@ def test_phisum_exact_walker_equals_the_full_range_sum(monkeypatch, m):
         pairs = phi_ratio_pairs_at(m, points)
         assert [Fraction(*pair) for pair in pairs] == expected
         assert pairs == expected_pairs  # the lcm of the reduced denominators
+
+
+#: A dense schedule: every n up to about 1000, then steps of 0.1%.
+DENSE = CheckpointSchedule(1, 10**6, Fraction("1.001")).points
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 200, 12348])
+def test_phisum_walker_holds_at_the_edges_of_the_p2_split(monkeypatch, m):
+    # the walker sieves odd k only and reads S(K) = O(K) + S(K // 2) -
+    # [m odd] O(K // 2) / 2 at K = N // m: N below m, at m, and at the first
+    # even k, alone and together, and a dense schedule whose halvings
+    # mostly coincide
+    edges = sorted({0, 1, m, 2 * m - 1, 2 * m, 2 * m + 1})
+    schedules = [[N] for N in edges] + [edges, DENSE]
+    floats = [bits(full_range_phi_sums(m, pts, "float")) for pts in schedules]
+    capped = [[N for N in pts if N <= EXACT_PHI_SUM_MAX_N] for pts in schedules]
+    pairs = [full_range_phi_sums(m, pts, "pairs") for pts in capped]
+    for size in SEGMENT_SIZES:
+        use_segment_size(monkeypatch, size)
+        for pts, expected in zip(schedules, floats):
+            assert bits(phi_ratio_sums_at(m, pts)) == expected
+        for pts, expected in zip(capped, pairs):
+            assert phi_ratio_pairs_at(m, pts) == expected
 
 
 @pytest.mark.parametrize("t", [1, 2, 6, 30, 210])
