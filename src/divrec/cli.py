@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import convergence, verify
+from . import arith, convergence, verify
 from .limits import RangeLimitError, positive_int_from_env
 
 EXIT_OK = 0
@@ -105,9 +105,7 @@ def _cmd_oddly(args) -> int:
 
 def _resolve_t(args) -> int:
     if args.primes is not None:
-        from . import densities
-
-        densities.predicted_density_squarefree(args.primes)  # validates
+        arith.predicted_density_squarefree(args.primes)  # validates
         t = 1
         for p in args.primes:
             t *= p
@@ -116,10 +114,10 @@ def _resolve_t(args) -> int:
 
 
 def _cmd_squarefree(args) -> int:
-    from . import densities  # the sieve-backed commands load numpy here
-
     t = _resolve_t(args)
     if args.check_identity is not None:
+        from . import densities  # the identity check sieves, loading numpy
+
         x = densities.brown_identity_first_failure(t, args.check_identity, args.x)
         if x is None:
             print(

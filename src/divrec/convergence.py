@@ -160,14 +160,10 @@ def run_convergence(
         pred = arith.predicted_density_oddly(family.m)
         totals = [arith.count_oddly_divisible_fast(family.m, N) for N in points]
     elif isinstance(family, SquarefreeFamily):
-        from . import densities  # the sieve-backed families load numpy here
-
-        pred = densities.predicted_density_squarefree(
-            [p for p, _ in arith.factorize(family.t)]
-        )
-        totals = densities.count_squarefree_multiples_at(family.t, points)
+        pred = arith.predicted_density_squarefree(arith.squarefree_primes(family.t))
+        totals = arith.count_squarefree_multiples_at(family.t, points)
     elif isinstance(family, PhiSumFamily):
-        from . import densities
+        from . import densities  # the totient sieve loads numpy here
 
         pred = densities.predicted_phi_density(family.m)
         if family.mode == "exact":

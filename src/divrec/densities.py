@@ -15,7 +15,9 @@ density D*alpha/(m - beta). Concretely:
 Each family pairs a brute-force or sieve-backed counter with the exact
 identity behind it and the closed-form limit, so empirical ratios, algebra,
 and predictions can be cross-checked independently. The first family needs
-no sieve; it lives in :mod:`divrec.arith`.
+no sieve; it lives in :mod:`divrec.arith`, as do the square-free densities
+and the square-free counts, which run the splitting recursion unless the
+flag walker here is expected to be faster.
 """
 
 from __future__ import annotations
@@ -28,27 +30,26 @@ import numpy as np
 
 from .accumulators import ExactFloatSum, ExactRatioSum, sum_pairs
 
-from .arith import DensityPrediction, factorize, is_prime
+from .arith import (  # the square-free counts and densities are re-exported
+    DensityPrediction,
+    count_squarefree_multiples,
+    count_squarefree_multiples_at,
+    factorize,
+    is_prime,
+    predicted_density_squarefree,
+    squarefree_primes,
+)
 from .limits import (
     BROWN_CHECK_MAX_X,
     EXACT_PHI_SUM_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
     check_range,
+    checked_points,
     segment_size_from_env,
-    shown,
 )
 from .recursion import CountingFunction
 from .sieves import iter_sieve_tables, squarefree_flags
-
-
-def _checked_points(points: Sequence[int], cap: int) -> list[int]:
-    pts = list(points)
-    if pts != sorted(pts):
-        raise ValueError("checkpoints must be in ascending order")
-    for N in pts[:1] + pts[-1:]:
-        check_range("N", N, 0, cap)
-    return pts
 
 
 def _cuts(step: int, points: list[int], lo: int, hi: int) -> list[int]:
@@ -64,28 +65,19 @@ def _cuts(step: int, points: list[int], lo: int, hi: int) -> list[int]:
 # family 2: square-free multiples of a square-free t
 
 
-def _squarefree_prime_factors(t: int) -> list[int]:
-    check_range("t", t, 1)
-    factors = factorize(t)
-    if any(e > 1 for _, e in factors):
-        raise ValueError(f"t = {t} is not square-free")
-    return [p for p, _ in factors]
-
-
-def count_squarefree_multiples(t: int, N: int) -> int:
-    """Count square-free r <= N with t | r, for square-free t (sieve-backed)."""
-    return count_squarefree_multiples_at(t, [N])[0]
-
-
-def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
-    """Counts of square-free multiples of t up to each of ascending ``points``.
+def count_squarefree_multiples_sieved(t: int, points: Sequence[int]) -> list[int]:
+    """Counts of square-free multiples of t up to each of ascending
+    ``points``, by sieving square-free flags: the flag walker.
 
     The square-free multiples of t up to N are t*k for the square-free
     k <= N // t with gcd(k, t) = 1, so one ascending pass sieves only
-    k <= points[-1] // t, and only their square-free flags.
+    k <= points[-1] // t, and only their square-free flags. Its cost is
+    one flag per k whatever the number of points, so
+    :func:`divrec.arith.count_squarefree_multiples_at` runs it for dense
+    schedules; the tests hold the recursion to it.
     """
-    primes = _squarefree_prime_factors(t)
-    pts = _checked_points(points, SIEVE_MAX_N)
+    primes = squarefree_primes(t)
+    pts = checked_points(points, SIEVE_MAX_N)
     top = pts[-1] // t if pts else 0
     size = segment_size_from_env()
     counts: list[int] = []
@@ -105,7 +97,7 @@ def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
 
 def _squarefree_prefix(t: int, limit: int) -> np.ndarray:
     # entry k = square-free multiples of t up to k*t, for 0 <= k <= limit // t
-    primes = _squarefree_prime_factors(t)
+    primes = squarefree_primes(t)
     prefix = np.zeros(limit // t + 1, dtype=np.int64)
     if prefix.size > 1:
         np.cumsum(squarefree_flags(1, prefix.size - 1, primes), out=prefix[1:])
@@ -122,7 +114,7 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     j = x // (t*p): F is read at (x//p)//t = j and G at j // p and j, so
     only k <= X // (t*p) is sieved and compared for each side.
     """
-    _squarefree_prime_factors(t)
+    squarefree_primes(t)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if t % p == 0:
@@ -134,24 +126,6 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     bad = np.nonzero(f_pref != g_pref[np.arange(g_pref.size) // p] + g_pref)[0]
     # the first x <= X with x // (t*p) = j is j*t*p, or 1 for j = 0
     return max(1, int(bad[0]) * t * p) if bad.size else None
-
-
-def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
-    """Density (6/pi**2) * prod 1/(p+1) of square-free multiples of prod p.
-
-    ``primes`` must be distinct primes; the empty sequence gives the density
-    of the square-free numbers themselves.
-    """
-    ps = list(primes)
-    if len(set(ps)) != len(ps):
-        shown_ps = ", ".join(map(shown, ps))
-        raise ValueError(f"primes must be distinct, got {shown_ps}")
-    factor = Fraction(6)
-    for p in ps:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        factor /= p + 1
-    return DensityPrediction.of(factor, -1)
 
 
 def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
@@ -250,7 +224,7 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     # so only odd k are sieved. From one point's K' to the next K, S grows
     # by the odd terms in (K' >> a, K >> a] for every a, times w for a >= 1.
     check_range("modulus m", m, 1)
-    pts = _checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
+    pts = checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
     # O is cut at every K >> a, each K shifted only until it meets a shift of
     # an earlier one, at the largest odd number up to it, (x - 1) | 1 (-1 for
     # x = 0); pos counts the pieces up to each cut

@@ -9,12 +9,14 @@ CLI can tell "bad input" apart from "input too large".
 
 import math
 import os
+from typing import Sequence
 
 #: Largest N accepted by the floor-chain recursion engine and the O(log N)
 #: counters built on it.
 ENGINE_MAX_N = 10**12
 
-#: Largest endpoint for any sieve-backed count or sum. ``sieve_segment``
+#: Largest endpoint for any sieve-backed count or sum, and for square-free
+#: counts on either of their two paths. ``sieve_segment``
 #: works in int32 because every value it forms is at most the segment's
 #: end, so the cap must stay below 2**31; a cap above 2**31 - 1 needs int64
 #: sieve arrays, at twice the memory traffic of every stride.
@@ -108,3 +110,15 @@ def check_range(name: str, value: int, low: int, cap: int | None = None) -> None
         raise ValueError(f"need {name} >= {shown(low)}, got {shown(value)}")
     if cap is not None and value > cap:
         raise RangeLimitError(f"{name} = {shown(value)} exceeds the cap {cap}")
+
+
+def checked_points(points: Sequence[int], cap: int) -> list[int]:
+    """``points`` as a list, checked to ascend from 0 or more to at most
+    ``cap``: a ValueError if they descend or start below 0, a
+    RangeLimitError if the last exceeds the cap."""
+    pts = list(points)
+    if pts != sorted(pts):
+        raise ValueError("checkpoints must be in ascending order")
+    for N in pts[:1] + pts[-1:]:
+        check_range("N", N, 0, cap)
+    return pts

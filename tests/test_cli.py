@@ -109,6 +109,18 @@ def test_exit_code_non_squarefree_t(capsys):
     assert code == 2 and "square-free" in err
 
 
+@pytest.mark.parametrize(
+    "t, code, message",
+    [
+        ("0", 2, "error: need t >= 1, got 0\n"),
+        ("1000000000039", 3, "error: t = 1000000000039 exceeds the cap 1000000000000\n"),
+    ],
+)
+def test_squarefree_t_out_of_range_is_named_t(capsys, t, code, message):
+    # t is checked before it is factored, so the message names t, not n
+    assert run_cli(capsys, "squarefree", "--t", t, "--n", "10") == (code, "", message)
+
+
 def test_exit_code_over_cap(capsys):
     code, _, err = run_cli(
         capsys, "phisum", "--m", "2", "--mode", "exact", "--n", "1e6"
@@ -495,8 +507,14 @@ ACCEPTED = {
     # a modulus is capped where it is factored, at 1e12
     ("phisum", "--m", "2e9"),
     ("reproduce-paper", "--format", "text"),  # the default format
-    # square-free counts run on one thread and do not read DIVREC_THREADS
+    # square-free counts run on one thread and do not read DIVREC_THREADS;
+    # the one-point table of FUZZ_BASE runs the recursion, which sieves
+    # nothing and reads no DIVREC_SEGMENT_SIZE (the flag walker does, below)
     *(("squarefree", "DIVREC_THREADS", v) for v in FUZZ_ENV["DIVREC_THREADS"][1]),
+    *(
+        ("squarefree", "DIVREC_SEGMENT_SIZE", v)
+        for v in FUZZ_ENV["DIVREC_SEGMENT_SIZE"][1]
+    ),
 }
 
 
@@ -528,6 +546,11 @@ def test_every_invalid_fuzz_value_exits_zero_to_three():
             for command in ("phisum", "squarefree", "reproduce-paper"):
                 argv = [command, *sum(FUZZ_BASE[command].items(), ())]
                 runs.append((argv, {name: value}, expected_exit(command, name, value)))
+    # a dense square-free schedule runs the flag walker, which reads the
+    # segment size
+    dense = ["squarefree", "--t", "6", "--schedule", "1:1e7:1.001"]
+    for value in FUZZ_ENV["DIVREC_SEGMENT_SIZE"][1]:
+        runs.append((dense, {"DIVREC_SEGMENT_SIZE": value}, 2))
     assert len(runs) > 100
     for argv, env, code in runs:
         assert fuzzed_exit_code(argv, env) == code, (argv, env)

@@ -8,6 +8,7 @@ import pytest
 from divrec.arith import (
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
+    count_squarefree_multiples_recursive,
     divisibility_exponent,
     factorize,
     predicted_density_oddly,
@@ -16,6 +17,7 @@ from divrec.convergence import CheckpointSchedule, OddlyFamily, run_convergence
 from divrec.densities import (
     brown_identity_first_failure,
     count_squarefree_multiples,
+    count_squarefree_multiples_sieved,
     phi_claim_first_failure,
     phi_ratio_counts,
     phi_ratio_sum,
@@ -72,10 +74,16 @@ CHECKED = {
         lambda hi: next(iter_sieve_tables(5, hi)), 5, SIEVE_MAX_N
     ),
     "count_squarefree_multiples t": (
-        lambda t: count_squarefree_multiples(t, 10), 1, None
+        lambda t: count_squarefree_multiples(t, 10), 1, FACTORIZE_MAX_N
     ),
     "count_squarefree_multiples N": (
         lambda N: count_squarefree_multiples(1, N), 0, SIEVE_MAX_N
+    ),
+    "count_squarefree_multiples_recursive N": (
+        lambda N: count_squarefree_multiples_recursive(6, [N]), 0, SIEVE_MAX_N
+    ),
+    "count_squarefree_multiples_sieved N": (
+        lambda N: count_squarefree_multiples_sieved(6, [N]), 0, SIEVE_MAX_N
     ),
     "brown_identity_first_failure X": (
         lambda X: brown_identity_first_failure(1, 2, X), 1, BROWN_CHECK_MAX_X

@@ -43,6 +43,9 @@ def fresh_cli(*argv: str) -> dict:
         ["verify", "--suite", "lemma", "--count", "5"],
         ["oddly", "--m", "2", "--n", "1e6"],
         ["--help"],
+        # square-free tables the recursion counts
+        ["squarefree", "--t", "1", "--schedule", "1e3:2e7:10", "--threads", "2"],
+        ["squarefree", "--primes", "2,3", "--n", "1e6"],
     ],
 )
 def test_engine_commands_do_not_load_numpy(argv):
@@ -57,6 +60,20 @@ def test_sieve_commands_still_load_numpy():
     assert run["out"].splitlines()[1] == (
         "1000,0.101637749494,0.101321183642,0.000316565851912,0.00312437972527"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["--check-identity", "5", "--x", "1e3"], "holds for all x <= 1000"),
+        # 10 216 points: the flag walker, not the recursion
+        (["--schedule", "1:1e7:1.001"], "10000000,0.0506597,"),
+    ],
+)
+def test_squarefree_identity_check_and_dense_tables_load_numpy(argv, last):
+    run = fresh_cli("squarefree", "--t", "6", *argv)
+    assert run["code"] == 0 and run["numpy"]
+    assert last in run["out"].splitlines()[-1]
 
 
 def test_import_divrec_loads_no_submodule():

@@ -5,9 +5,11 @@ is how the phisum and square-free families walked the range before they
 sieved only k <= N // m. Float sums must agree bit for bit with
 ``math.fsum`` of the same terms, exact sums and counts exactly, at every
 segment size. The square-free oracle marks the multiples of every d*d,
-d >= 2, not of prime squares only, and the square-free prefix tables behind
-the splitting-identity checker and ``squarefree_multiple_counts`` are held to
-it too. The t = 1 counts are also held to the Moebius sum
+d >= 2, not of prime squares only, and the square-free flag walker, the
+recursive counter and the prefix tables behind the splitting-identity
+checker and ``squarefree_multiple_counts`` are held to it. The flag walker
+is in turn the oracle of the recursion where the full range is too long to
+mark, and the t = 1 counts are also held to the Moebius sum
 Q(x) = sum over d <= sqrt(x) of mu(d) * (x // d**2), which marks nothing.
 """
 
@@ -18,19 +20,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divrec import densities
+from divrec import arith, densities
 from divrec.accumulators import ExactRatioSum
+from divrec.arith import count_squarefree_multiples_recursive, squarefree_path_costs
 from divrec.convergence import CheckpointSchedule, SquarefreeFamily, run_convergence
 from divrec.densities import (
     brown_identity_first_failure,
     count_squarefree_multiples,
     count_squarefree_multiples_at,
+    count_squarefree_multiples_sieved,
     phi_ratio_pairs_at,
     phi_ratio_sum,
     phi_ratio_sums_at,
     squarefree_multiple_counts,
 )
-from divrec.limits import EXACT_PHI_SUM_MAX_N, RangeLimitError
+from divrec.limits import EXACT_PHI_SUM_MAX_N, SIEVE_MAX_N, RangeLimitError
 from divrec.sieves import iter_sieve_tables
 
 SEGMENT_SIZES = (13, 256, None)  # None: the library default
@@ -187,10 +191,99 @@ def test_squarefree_walker_equals_the_full_range_count(monkeypatch, t):
         expected = full_range_squarefree_counts(t, points)
         for size in SEGMENT_SIZES:
             use_segment_size(monkeypatch, size)
-            got = count_squarefree_multiples_at(t, points)
+            got = count_squarefree_multiples_sieved(t, points)
             assert all(type(c) is int for c in got)
             assert got == expected
-            assert count_squarefree_multiples(t, N) == expected[-1]
+        got = count_squarefree_multiples_recursive(t, points)
+        assert all(type(c) is int for c in got)
+        assert got == expected
+        assert count_squarefree_multiples_at(t, points) == expected
+        assert count_squarefree_multiples(t, N) == expected[-1]
+
+
+SQUAREFREE_TS = (1, 2, 6, 30, 210, 30030)
+
+
+def walker_edge(t: int) -> int:
+    """The least X for which the counts at every N <= X take the walker."""
+
+    def recursion_is_cheaper(X: int) -> bool:
+        recursion_s, walker_s = squarefree_path_costs(t, range(1, X + 1))
+        return recursion_s <= walker_s
+
+    lo, hi = 1, 2  # the recursion is cheaper at lo, not at hi
+    while recursion_is_cheaper(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if recursion_is_cheaper(mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("t", SQUAREFREE_TS)
+def test_squarefree_paths_agree_either_side_of_the_switch(monkeypatch, t):
+    # every N up to one short of the walker edge takes the recursion, every N
+    # up to the edge the walker; both paths must give the oracle's counts on
+    # both schedules, whichever the entry point runs
+    edge = walker_edge(t)
+    expected = full_range_squarefree_counts(t, list(range(1, edge + 1)))
+    ran = []
+    for name, module in [
+        ("count_squarefree_multiples_recursive", arith),
+        ("count_squarefree_multiples_sieved", densities),
+    ]:
+        path = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, p=path: ran.append(p) or p(*a))
+    for X, path in [
+        (edge - 1, count_squarefree_multiples_recursive),
+        (edge, count_squarefree_multiples_sieved),
+    ]:
+        points = range(1, X + 1)
+        assert count_squarefree_multiples_at(t, points) == expected[:X]
+        assert ran.pop() is path and not ran
+        assert count_squarefree_multiples_recursive(t, points) == expected[:X]
+        assert count_squarefree_multiples_sieved(t, points) == expected[:X]
+
+
+@pytest.mark.parametrize("t", SQUAREFREE_TS)
+def test_squarefree_paths_agree_at_the_edges(t):
+    # 0, t - 1 and t alone and together, and the cap, where the full range
+    # is too long to mark: there the walker is the oracle of t >= 2 (t = 1,
+    # two seconds of walking, has the Moebius sum below)
+    edges = [0, t - 1, t]
+    for points in [[N] for N in edges] + [edges]:
+        expected = full_range_squarefree_counts(t, points)
+        assert count_squarefree_multiples_recursive(t, points) == expected
+        assert count_squarefree_multiples_sieved(t, points) == expected
+        assert count_squarefree_multiples_at(t, points) == expected
+    top = [SIEVE_MAX_N - t, SIEVE_MAX_N - 1, SIEVE_MAX_N]
+    got = count_squarefree_multiples_recursive(t, top)
+    if t > 1:
+        assert got == count_squarefree_multiples_sieved(t, top)
+    assert count_squarefree_multiples_at(t, top) == got
+    for count in (count_squarefree_multiples_recursive, squarefree_path_costs):
+        with pytest.raises(RangeLimitError):
+            count(t, [SIEVE_MAX_N + 1])
+
+
+def test_the_rule_picks_a_path_from_t_and_the_points_alone(monkeypatch):
+    # the recursion for the squarefree-count table, the walker for a dense
+    # t = 6 schedule to the cap; neither path runs
+    def path(name):
+        return lambda t, points: name
+
+    monkeypatch.setattr(arith, "count_squarefree_multiples_recursive", path("rec"))
+    monkeypatch.setattr(densities, "count_squarefree_multiples_sieved", path("walk"))
+    sparse = CheckpointSchedule(10**3, 2 * 10**7, Fraction(10)).points
+    dense = CheckpointSchedule(1, 10**9, Fraction("1.001")).points
+    assert len(dense) == 14_823
+    costs = [squarefree_path_costs(1, sparse), squarefree_path_costs(6, dense)]
+    assert count_squarefree_multiples_at(1, sparse) == "rec"
+    assert count_squarefree_multiples_at(6, dense) == "walk"
+    # no thread count, segment size or other setting moves the estimates
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "7")
+    monkeypatch.setenv("DIVREC_THREADS", "2")
+    assert [squarefree_path_costs(1, sparse), squarefree_path_costs(6, dense)] == costs
 
 
 def brown_first_failure_oracle(t: int, p: int, X: int, g_shift=lambda k: 0):
@@ -263,10 +356,14 @@ def moebius_squarefree_count(x: int) -> int:
 
 def test_squarefree_counts_equal_the_moebius_sum():
     xs = [1, 10, 10**3, 10**6, 10**8]
-    assert [moebius_squarefree_count(x) for x in xs[:3]] == [1, 7, 608]
-    assert count_squarefree_multiples_at(1, xs) == [
-        moebius_squarefree_count(x) for x in xs
-    ]
+    expected = [moebius_squarefree_count(x) for x in xs]
+    assert expected[:3] == [1, 7, 608]
+    assert count_squarefree_multiples_sieved(1, xs) == expected
+    assert count_squarefree_multiples_recursive(1, xs) == expected
+    assert count_squarefree_multiples_at(1, xs) == expected
+    # Q(1e9), which CI greps for in the CLI's table, from two evaluations
+    assert moebius_squarefree_count(10**9) == 607_927_124
+    assert count_squarefree_multiples_at(1, [10**9]) == [607_927_124]
 
 
 def test_squarefree_paths_build_no_totients(monkeypatch):
