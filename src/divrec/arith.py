@@ -160,14 +160,9 @@ def predicted_density_oddly(m: int) -> DensityPrediction:
 # family 2: square-free multiples of a square-free t
 
 
-@lru_cache(maxsize=16)
 def squarefree_primes(t: int) -> tuple[int, ...]:
     """The primes of a square-free t, ascending; ValueError if t < 1 or t has
-    a square factor, RangeLimitError past the factoring cap.
-
-    Cached: a table asks for them up to three times, and trial division of
-    a t near the cap takes a tenth of a second.
-    """
+    a square factor, RangeLimitError past the factoring cap."""
     check_range("t", t, 1, FACTORIZE_MAX_N)
     factors = factorize(t)
     if any(e > 1 for _, e in factors):
@@ -232,8 +227,13 @@ def count_squarefree_multiples_recursive(t: int, points: Sequence[int]) -> list[
     serve every point, and Q(y) for y up to that bound is read from a
     table. A point x costs about sqrt(x) * prod 1/(sqrt(p) - 1) divisions.
     """
-    primes = squarefree_primes(t)
     pts = checked_points(points, SIEVE_MAX_N)
+    return _recursive_counts(t, squarefree_primes(t), pts)
+
+
+def _recursive_counts(t: int, primes: tuple[int, ...], pts: list[int]) -> list[int]:
+    # the counter behind count_squarefree_multiples_recursive, for the primes
+    # of t and checked points
     top = pts[-1] if pts else 0
     terms = [(1, 1)]  # (n, sign) for every n <= top
     for p in primes:
@@ -287,8 +287,11 @@ def squarefree_path_costs(t: int, points: Sequence[int]) -> tuple[float, float]:
     Both estimates read only t and the points, never the environment, so a
     given input always takes the same path.
     """
-    primes = squarefree_primes(t)
     pts = checked_points(points, SIEVE_MAX_N)
+    return _path_costs(t, squarefree_primes(t), pts)
+
+
+def _path_costs(t: int, primes: tuple[int, ...], pts: list[int]) -> tuple[float, float]:
     weight = math.prod(1 / (math.sqrt(p) - 1) for p in primes)
     recursion = RECURSION_S_PER_UNIT * weight * sum(map(math.isqrt, pts))
     walker = SIEVE_START_S + SIEVE_S_PER_K * (pts[-1] // t if pts else 0)
@@ -305,13 +308,14 @@ def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
     where the recursion's cost per point adds up past one sieve of
     k <= points[-1] // t.
     """
-    points = list(points)  # read twice: by the estimate and by the path
-    recursion_s, walker_s = squarefree_path_costs(t, points)
+    primes = squarefree_primes(t)
+    pts = checked_points(points, SIEVE_MAX_N)
+    recursion_s, walker_s = _path_costs(t, primes, pts)
     if recursion_s <= walker_s:
-        return count_squarefree_multiples_recursive(t, points)
+        return _recursive_counts(t, primes, pts)
     from . import densities
 
-    return densities.count_squarefree_multiples_sieved(t, points)
+    return densities.count_squarefree_multiples_sieved(t, pts)
 
 
 def count_squarefree_multiples(t: int, N: int) -> int:

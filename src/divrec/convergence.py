@@ -161,6 +161,9 @@ def run_convergence(
         totals = [arith.count_oddly_divisible_fast(family.m, N) for N in points]
     elif isinstance(family, SquarefreeFamily):
         pred = arith.predicted_density_squarefree(arith.squarefree_primes(family.t))
+        # only the flag walker sieves, but a bad segment size fails every
+        # table, whichever path its points take
+        limits.segment_size_from_env()
         totals = arith.count_squarefree_multiples_at(family.t, points)
     elif isinstance(family, PhiSumFamily):
         from . import densities  # the totient sieve loads numpy here

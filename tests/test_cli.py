@@ -507,14 +507,8 @@ ACCEPTED = {
     # a modulus is capped where it is factored, at 1e12
     ("phisum", "--m", "2e9"),
     ("reproduce-paper", "--format", "text"),  # the default format
-    # square-free counts run on one thread and do not read DIVREC_THREADS;
-    # the one-point table of FUZZ_BASE runs the recursion, which sieves
-    # nothing and reads no DIVREC_SEGMENT_SIZE (the flag walker does, below)
+    # square-free counts run on one thread and do not read DIVREC_THREADS
     *(("squarefree", "DIVREC_THREADS", v) for v in FUZZ_ENV["DIVREC_THREADS"][1]),
-    *(
-        ("squarefree", "DIVREC_SEGMENT_SIZE", v)
-        for v in FUZZ_ENV["DIVREC_SEGMENT_SIZE"][1]
-    ),
 }
 
 
@@ -546,8 +540,9 @@ def test_every_invalid_fuzz_value_exits_zero_to_three():
             for command in ("phisum", "squarefree", "reproduce-paper"):
                 argv = [command, *sum(FUZZ_BASE[command].items(), ())]
                 runs.append((argv, {name: value}, expected_exit(command, name, value)))
-    # a dense square-free schedule runs the flag walker, which reads the
-    # segment size
+    # a bad segment size fails a square-free table on either path: the
+    # one-point table of FUZZ_BASE runs the recursion, this dense one the
+    # flag walker
     dense = ["squarefree", "--t", "6", "--schedule", "1:1e7:1.001"]
     for value in FUZZ_ENV["DIVREC_SEGMENT_SIZE"][1]:
         runs.append((dense, {"DIVREC_SEGMENT_SIZE": value}, 2))

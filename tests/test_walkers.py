@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divrec import arith, densities
+from divrec import densities
 from divrec.accumulators import ExactRatioSum
 from divrec.arith import count_squarefree_multiples_recursive, squarefree_path_costs
 from divrec.convergence import CheckpointSchedule, SquarefreeFamily, run_convergence
@@ -227,20 +227,17 @@ def test_squarefree_paths_agree_either_side_of_the_switch(monkeypatch, t):
     # both schedules, whichever the entry point runs
     edge = walker_edge(t)
     expected = full_range_squarefree_counts(t, list(range(1, edge + 1)))
-    ran = []
-    for name, module in [
-        ("count_squarefree_multiples_recursive", arith),
-        ("count_squarefree_multiples_sieved", densities),
-    ]:
-        path = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, p=path: ran.append(p) or p(*a))
-    for X, path in [
-        (edge - 1, count_squarefree_multiples_recursive),
-        (edge, count_squarefree_multiples_sieved),
-    ]:
+    walked = []
+    monkeypatch.setattr(
+        densities,
+        "count_squarefree_multiples_sieved",
+        lambda *a: walked.append(a) or count_squarefree_multiples_sieved(*a),
+    )
+    for X, walks in [(edge - 1, False), (edge, True)]:
         points = range(1, X + 1)
         assert count_squarefree_multiples_at(t, points) == expected[:X]
-        assert ran.pop() is path and not ran
+        assert bool(walked) is walks
+        walked.clear()
         assert count_squarefree_multiples_recursive(t, points) == expected[:X]
         assert count_squarefree_multiples_sieved(t, points) == expected[:X]
 
@@ -269,16 +266,17 @@ def test_squarefree_paths_agree_at_the_edges(t):
 def test_the_rule_picks_a_path_from_t_and_the_points_alone(monkeypatch):
     # the recursion for the squarefree-count table, the walker for a dense
     # t = 6 schedule to the cap; neither path runs
-    def path(name):
-        return lambda t, points: name
-
-    monkeypatch.setattr(arith, "count_squarefree_multiples_recursive", path("rec"))
-    monkeypatch.setattr(densities, "count_squarefree_multiples_sieved", path("walk"))
+    monkeypatch.setattr(
+        densities, "count_squarefree_multiples_sieved", lambda t, points: "walk"
+    )
     sparse = CheckpointSchedule(10**3, 2 * 10**7, Fraction(10)).points
     dense = CheckpointSchedule(1, 10**9, Fraction("1.001")).points
     assert len(dense) == 14_823
     costs = [squarefree_path_costs(1, sparse), squarefree_path_costs(6, dense)]
-    assert count_squarefree_multiples_at(1, sparse) == "rec"
+    recursion_s, walker_s = costs[0]
+    assert recursion_s <= walker_s
+    recursion_s, walker_s = costs[1]
+    assert recursion_s > walker_s
     assert count_squarefree_multiples_at(6, dense) == "walk"
     # no thread count, segment size or other setting moves the estimates
     monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "7")
