@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arith import pair_sum, sum_pairs
+
 #: Values per numpy pass: the block's temporaries stay in cache, and the
 #: int64 sums of its 32-bit halves cannot overflow.
 _BLOCK = 1 << 15
@@ -158,7 +160,7 @@ class ExactRatioSum:
         if denominator < 1:
             raise ValueError(f"need a positive denominator, got {denominator}")
         g = gcd(numerator, denominator)
-        self._num, self._den = _pair_sum(
+        self._num, self._den = pair_sum(
             self._num, self._den, numerator // g, denominator // g
         )
 
@@ -181,7 +183,7 @@ class ExactRatioSum:
         for i in range(0, den.size, _LEAVES):
             block = zip(num[i : i + _LEAVES].tolist(), den[i : i + _LEAVES].tolist())
             roots.append(sum_pairs(list(block)))
-        self._num, self._den = _pair_sum(self._num, self._den, *sum_pairs(roots))
+        self._num, self._den = pair_sum(self._num, self._den, *sum_pairs(roots))
 
     @property
     def unreduced(self) -> tuple[int, int]:
@@ -192,20 +194,3 @@ class ExactRatioSum:
     def value(self) -> Fraction:
         return Fraction(self._num, self._den)
 
-
-def sum_pairs(nodes: list[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of unreduced (numerator, denominator) pairs as a balanced tree,
-    over the lcm of their denominators and not reduced; [] sums to (0, 1)."""
-    if not nodes:
-        return 0, 1
-    while len(nodes) > 1:
-        odd = nodes[-1:] if len(nodes) % 2 else []
-        nodes = [_pair_sum(*x, *y) for x, y in zip(nodes[::2], nodes[1::2])] + odd
-    return nodes[0]
-
-
-def _pair_sum(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    # a/b + c/d over lcm(b, d), not reduced
-    g = gcd(b, d)
-    b //= g
-    return a * (d // g) + c * b, b * d

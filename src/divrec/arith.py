@@ -1,13 +1,14 @@
-"""Pure-integer pieces: factorization, the odd-exponent family, square-free
-counts by the splitting recursion, densities.
+"""Pure-integer pieces: factorization, exact pair sums, the odd-exponent
+family, square-free counts by the splitting recursion, densities.
 
-Trial-division factorization, the odd-exponent counters, the recursive
-square-free counter and the closed-form density type that every family
-shares need no arrays, so this module, like the recursion engine, imports
-no numpy: ``import divrec``, ``oddly``, ``verify --suite lemma`` and most
-``squarefree`` tables start without loading it. Square-free counts load
-the sieve-backed :mod:`divrec.densities` only for the schedules its flag
-walker counts faster.
+Trial-division factorization, the adders of unreduced fractions, the
+odd-exponent counters, the recursive square-free counter and the
+closed-form density type that every family shares need no arrays, so this
+module, like the recursion engine, imports no numpy: ``import divrec``,
+``oddly``, ``verify --suite lemma`` and most ``squarefree`` tables start
+without loading it. Square-free counts load the sieve-backed
+:mod:`divrec.densities` only for the schedules its flag walker counts
+faster.
 """
 
 from __future__ import annotations
@@ -90,6 +91,25 @@ def divisibility_exponent(n: int, m: int) -> int:
         n //= m
         t += 1
     return t
+
+
+def pair_sum(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d as the pair a*(d/g) + c*(b/g) over (b/g)*d = lcm(b, d),
+    g = gcd(b, d): the numerator is not reduced against the lcm."""
+    g = math.gcd(b, d)
+    b //= g
+    return a * (d // g) + c * b, b * d
+
+
+def sum_pairs(nodes: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of unreduced (numerator, denominator) pairs as a balanced tree,
+    over the lcm of their denominators and not reduced; [] sums to (0, 1)."""
+    if not nodes:
+        return 0, 1
+    while len(nodes) > 1:
+        odd = nodes[-1:] if len(nodes) % 2 else []
+        nodes = [pair_sum(*x, *y) for x, y in zip(nodes[::2], nodes[1::2])] + odd
+    return nodes[0]
 
 
 @dataclass(frozen=True)

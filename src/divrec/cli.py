@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import arith, convergence, verify
-from .limits import RangeLimitError, positive_int_from_env
+from .limits import RangeLimitError, check_range, positive_int_from_env
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -83,6 +83,7 @@ THREADS_HELP = (
 
 def _resolve_schedule(args) -> convergence.CheckpointSchedule:
     if args.n is not None:
+        check_range("n", args.n, 1)  # named as the flag, not the schedule start
         return convergence.CheckpointSchedule(args.n, args.n, Fraction(2))
     return args.schedule
 

@@ -1,4 +1,4 @@
-"""Counters, identity checkers, and closed-form densities for three families.
+"""The sieve-backed parts of the density families.
 
 The families share one shape: a counting function F with known density drives
 a recursion G(N) = alpha*F(N // m) + beta*G(N // m), so G inherits the
@@ -12,33 +12,23 @@ density D*alpha/(m - beta). Concretely:
 * totient-ratio sums over multiples of m, whose prefix sums satisfy an exact
   splitting identity level by level (density 6/(pi**2 m) * prod p_j/(p_j+1)).
 
-Each family pairs a brute-force or sieve-backed counter with the exact
-identity behind it and the closed-form limit, so empirical ratios, algebra,
-and predictions can be cross-checked independently. The first family needs
-no sieve; it lives in :mod:`divrec.arith`, as do the square-free densities
-and the square-free counts, which run the splitting recursion unless the
-flag walker here is expected to be faster.
+The first family needs no sieve, and the square-free counts run the
+splitting recursion unless the flag walker here is expected to be faster:
+the counters and densities of both live in :mod:`divrec.arith`. This module
+holds the sieve-backed rest: the square-free flag walker, splitting checker
+and prefix-table counting function, and the whole totient-ratio family.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .accumulators import ExactFloatSum, ExactRatioSum, sum_pairs
-
-from .arith import (  # the square-free counts and densities are re-exported
-    DensityPrediction,
-    count_squarefree_multiples,
-    count_squarefree_multiples_at,
-    factorize,
-    is_prime,
-    predicted_density_squarefree,
-    squarefree_primes,
-)
+from .accumulators import ExactFloatSum, ExactRatioSum
+from .arith import DensityPrediction, factorize, is_prime, squarefree_primes, sum_pairs
 from .limits import (
     BROWN_CHECK_MAX_X,
     EXACT_PHI_SUM_MAX_N,
@@ -50,15 +40,6 @@ from .limits import (
 )
 from .recursion import CountingFunction
 from .sieves import iter_sieve_tables, squarefree_flags
-
-
-def _cuts(step: int, points: list[int], lo: int, hi: int) -> list[int]:
-    # one cut per checkpoint N whose last k = N // step lies in the segment
-    # [lo, hi] of k (the first segment, lo = 1, also takes every N < step):
-    # the number of the segment's entries up to that k
-    first = bisect_left(points, lo * step) if lo > 1 else 0
-    last = bisect_left(points, (hi + 1) * step)
-    return [N // step - lo + 1 for N in points[first:last]]
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +58,24 @@ def count_squarefree_multiples_sieved(t: int, points: Sequence[int]) -> list[int
     schedules; the tests hold the recursion to it.
     """
     primes = squarefree_primes(t)
-    pts = checked_points(points, SIEVE_MAX_N)
-    top = pts[-1] // t if pts else 0
+    ks = [N // t for N in checked_points(points, SIEVE_MAX_N)]
+    top = ks[-1] if ks else 0
     size = segment_size_from_env()
     counts: list[int] = []
     running = 0
     for lo in range(1, top + 1, size):
         hi = min(lo + size - 1, top)
         flags = squarefree_flags(lo, hi, primes)
+        # one cut per point whose last k lies in [lo, hi]: the number of the
+        # segment's entries up to that k
+        cuts = [k - lo + 1 for k in ks[len(counts) : bisect_right(ks, hi)]]
         done = 0
-        for cut in [*_cuts(t, pts, lo, hi), None]:
+        for cut in [*cuts, None]:
             running += int(np.count_nonzero(flags[done:cut]))
             if cut is not None:
                 counts.append(running)
                 done = cut
-    counts.extend([running] * (len(pts) - len(counts)))
+    counts.extend([running] * (len(ks) - len(counts)))
     return counts
 
 
@@ -115,10 +99,7 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     only k <= X // (t*p) is sieved and compared for each side.
     """
     squarefree_primes(t)
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if t % p == 0:
-        raise ValueError(f"p = {p} already divides t = {t}")
+    _check_new_prime(t, p)
     check_range("X", X, 1, BROWN_CHECK_MAX_X)
 
     f_pref = _squarefree_prefix(t, X // p)
@@ -126,6 +107,14 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     bad = np.nonzero(f_pref != g_pref[np.arange(g_pref.size) // p] + g_pref)[0]
     # the first x <= X with x // (t*p) = j is j*t*p, or 1 for j = 0
     return max(1, int(bad[0]) * t * p) if bad.size else None
+
+
+def _check_new_prime(t: int, p: int) -> None:
+    # the splitting identities add a prime p that does not divide t
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if t % p == 0:
+        raise ValueError(f"p = {p} already divides t = {t}")
 
 
 def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
@@ -137,17 +126,18 @@ def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
     """
     check_range("limit", limit, 1, BROWN_CHECK_MAX_X)
     prefix = memoryview(_squarefree_prefix(t, limit))  # items are plain ints
-    return _prefix_lookup(prefix, t, limit, f"square-free multiples of {t}")
+    description = f"square-free multiples of {t}"
+    return _prefix_lookup(lambda k: Fraction(prefix[k]), t, limit, description)
 
 
 def _prefix_lookup(
-    values: Sequence, step: int, limit: int, description: str
+    value: Callable[[int], Fraction], step: int, limit: int, description: str
 ) -> CountingFunction:
-    # n -> values[n // step] for 0 <= n <= limit: entry k covers k*step
+    # n -> value(n // step) for 0 <= n <= limit: entry k covers k*step
     def fn(n: int) -> Fraction:
         if n < 0 or n > limit:
             raise ValueError(f"n = {n} outside the prepared range [0, {limit}]")
-        return Fraction(values[n // step])
+        return value(n // step)
 
     return CountingFunction(fn, description)
 
@@ -338,10 +328,7 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     ``tests/test_walkers.py`` keep it honest against a sieve of all n.
     """
     check_range("t", t, 1)
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if t % p == 0:
-        raise ValueError(f"p = {p} already divides t = {t}")
+    _check_new_prime(t, p)
     check_range("j", j, 1)
     check_range("X", X, 1, PHI_CLAIM_MAX_X)
 
@@ -377,10 +364,12 @@ def phi_ratio_counts(m: int, limit: int) -> CountingFunction:
     """Prefix-backed exact map n -> sum of phi(k)/k over multiples k of m, k <= n.
 
     Valid for 0 <= n <= limit, capped like the phi-claim checker that keeps
-    the same full-precision prefixes; built once, O(1) per call. Useful as
-    the F of a recursion instance.
+    the same full-precision prefixes as unreduced pairs; built once, and each
+    call reduces the one pair it reads. Useful as the F of a recursion
+    instance.
     """
     check_range("modulus m", m, 1)
     check_range("limit", limit, 1, PHI_CLAIM_MAX_X)
-    values = [Fraction(*pair) for pair in _phi_ratio_prefix_pairs(m, limit)]
-    return _prefix_lookup(values, m, limit, f"totient-ratio sum over multiples of {m}")
+    pairs = _phi_ratio_prefix_pairs(m, limit)
+    description = f"totient-ratio sum over multiples of {m}"
+    return _prefix_lookup(lambda k: Fraction(*pairs[k]), m, limit, description)

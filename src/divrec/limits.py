@@ -62,6 +62,14 @@ SCHEDULE_MAX_POINTS = 30_000
 #: only affects memory and speed, never any numeric result.
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
+#: Largest ``DIVREC_SEGMENT_SIZE``, 16 times the default. A segment costs
+#: memory by its entries: ``sieve_segment`` holds about 20 bytes an entry
+#: (three int32 arrays and the int64 result), and a float ``phisum`` walk
+#: peaked 25 to 57 bytes an entry higher (peak RSS at 2**20 to 2**22 entries,
+#: one and two threads, numpy 2.4 on x86-64). A walk at the cap stays near
+#: 1 GiB, where 1e9 entries would ask for about 50 GiB.
+MAX_SEGMENT_SIZE = 1 << 24
+
 
 #: Messages name an integer with more digits than this by its digit count.
 MAX_SHOWN_DIGITS = 30
@@ -92,8 +100,11 @@ def positive_int_from_env(name: str, default: int) -> int:
 
 
 def segment_size_from_env() -> int:
-    """``DIVREC_SEGMENT_SIZE``, or :data:`DEFAULT_SEGMENT_SIZE` when unset."""
-    return positive_int_from_env("DIVREC_SEGMENT_SIZE", DEFAULT_SEGMENT_SIZE)
+    """``DIVREC_SEGMENT_SIZE``, or :data:`DEFAULT_SEGMENT_SIZE` when unset;
+    RangeLimitError past :data:`MAX_SEGMENT_SIZE`."""
+    size = positive_int_from_env("DIVREC_SEGMENT_SIZE", DEFAULT_SEGMENT_SIZE)
+    check_range("DIVREC_SEGMENT_SIZE", size, 1, MAX_SEGMENT_SIZE)
+    return size
 
 
 class RangeLimitError(ValueError):

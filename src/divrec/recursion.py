@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Union
 
+from .arith import pair_sum
 from .limits import ENGINE_MAX_N, check_range, shown
 
 #: Exact rational scalar used for all engine arithmetic.
@@ -105,9 +105,7 @@ def _walk(spec: RecurrenceSpec, N: int) -> tuple[list, list]:
         f = spec.F(v // spec.m)
         # alpha * F + beta * G over the lcm of the two denominators
         f_num, f_den = a * f.numerator, a_den * f.denominator
-        num, den = b * num, b_den * den
-        g = gcd(f_den, den)
-        num, den = f_num * (den // g) + num * (f_den // g), f_den // g * den
+        num, den = pair_sum(f_num, f_den, b * num, b_den * den)
         fs.append(f)
         gs.append((num, den))
     return fs, gs

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
 from typing import Sequence
 
 from . import recursion
@@ -21,6 +21,7 @@ from .arith import (
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
     divisibility_exponent,
+    pair_sum,
 )
 from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, check_range
 
@@ -113,15 +114,12 @@ def _expansion_matches(
 def _term_sum(
     terms: Sequence[recursion.ExpansionTerm], num: int, den: int
 ) -> tuple[int, int]:
-    # num/den plus the term values without a normalised Fraction per term:
-    # the numerators add up over a running lcm of the term denominators, one
-    # gcd a term
+    # num/den plus the term values without a normalised Fraction per term
     for t in terms:
         c, r = t.coefficient, t.ratio
-        t_den = c.denominator * r.denominator
-        d = gcd(den, t_den)
-        num = num * (t_den // d) + c.numerator * r.numerator * (den // d)
-        den = den // d * t_den
+        num, den = pair_sum(
+            num, den, c.numerator * r.numerator, c.denominator * r.denominator
+        )
     return num, den
 
 
@@ -136,27 +134,26 @@ def run_app1_suite(
     """
     # before the (max_n + 1)-entry table below
     check_range("max_n", max_n, 1, ORACLE_MAX_N)
-    import numpy as np  # only this suite and the sieve-backed ones build arrays
+    from array import array  # an extension module: only this suite loads it
 
     failures: list[str] = []
     checks = 0
     for m in ms:
-        flags = np.zeros(max_n + 1, dtype=np.int64)
+        flags = bytearray(max_n + 1)
         for i in range(m, max_n + 1, m):
             flags[i] = divisibility_exponent(i, m) % 2
-        counts = np.cumsum(flags)
+        counts = array("q", accumulate(flags))  # 8 bytes an entry; a list takes 36
         checks += 1
-        if count_oddly_divisible_oracle(m, max_n) != int(counts[max_n]):
+        if count_oddly_divisible_oracle(m, max_n) != counts[max_n]:
             failures.append(f"oracle disagrees with its own flag table at m={m}")
-        ns = np.arange(1, max_n + 1)
         checks += max_n
-        bad = np.nonzero(counts[ns] != (ns // m - counts[ns // m]))[0]
-        if bad.size:
-            n = int(ns[bad[0]])
+        bad = (n for n in range(1, max_n + 1) if counts[n] != n // m - counts[n // m])
+        n = next(bad, None)
+        if n is not None:
             failures.append(f"G(n) = n//m - G(n//m) fails at m={m}, n={n}")
         for n in range(1, max_n + 1):
             checks += 1
-            if count_oddly_divisible_fast(m, n) != int(counts[n]):
+            if count_oddly_divisible_fast(m, n) != counts[n]:
                 failures.append(f"fast count != oracle at m={m}, n={n}")
                 break
     return SuiteResult("app1", checks, failures)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.accumulators import ExactFloatSum, ExactRatioSum, sum_pairs
+from divrec.accumulators import ExactFloatSum, ExactRatioSum
+from divrec.arith import sum_pairs
 from divrec.convergence import CheckpointSchedule
 from divrec.densities import phi_ratio_sums_at
 from divrec.sieves import iter_sieve_tables

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from divrec import densities
+from divrec import arith, densities
 from divrec.cli import main
 from divrec.convergence import CheckpointSchedule, PhiSumFamily, run_convergence
 
@@ -63,7 +63,7 @@ def test_squarefree_primes_flag(capsys):
     assert code == 0
     n, empirical = out.strip().split("\n")[1].split(",")[:2]
     assert n == "1000"
-    assert float(empirical) == densities.count_squarefree_multiples(6, 1000) / 1000
+    assert float(empirical) == arith.count_squarefree_multiples(6, 1000) / 1000
 
 
 def test_squarefree_empty_primes_is_all_squarefree(capsys):
@@ -234,6 +234,15 @@ def test_app1_window_below_one_exits_two(capsys, max_n):
     code, out, err = run_cli(capsys, "verify", "--suite", "app1", "--max-n", max_n)
     assert code == 2 and out == ""
     assert f"need max_n >= 1, got {max_n}" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["oddly", "--m", "2"], ["squarefree", "--t", "6"], ["phisum", "--m", "7"]]
+)
+def test_n_below_one_is_named_as_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n", "0")
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 1, got 0\n"
 
 
 def test_bad_threads_variable_exits_two(capsys, monkeypatch):
@@ -430,7 +439,10 @@ def fuzz_argv(draw) -> list[str]:
 #: environment variable -> (usual values, invalid values); None unsets it
 FUZZ_ENV = {
     "DIVREC_THREADS": ((None, "1", "2", "4"), ("0", "-3", "abc", "")),
-    "DIVREC_SEGMENT_SIZE": ((None, "256", "7"), ("0", "abc", "1e3")),
+    "DIVREC_SEGMENT_SIZE": (
+        (None, "256", "7"),
+        ("0", "abc", "1e3", "16777217", "1000000000"),
+    ),
 }
 
 
@@ -495,7 +507,7 @@ FUZZ_READERS = {
 #: the invalid values that lie past a cap: they exit 3, the malformed and
 #: too small ones exit 2
 OVER_CAP = {
-    "2e9", "2e12", "1e30", "1e5000", "1e9",
+    "2e9", "2e12", "1e30", "1e5000", "1e9", "16777217", "1000000000",
     "1:2e9:10", "1:2e12:10", "1:1e30:1.0001",
 }
 #: (subcommand, flag or variable, value) that the subcommand accepts (exit 0)
@@ -545,7 +557,8 @@ def test_every_invalid_fuzz_value_exits_zero_to_three():
     # flag walker
     dense = ["squarefree", "--t", "6", "--schedule", "1:1e7:1.001"]
     for value in FUZZ_ENV["DIVREC_SEGMENT_SIZE"][1]:
-        runs.append((dense, {"DIVREC_SEGMENT_SIZE": value}, 2))
+        code = expected_exit("squarefree", "DIVREC_SEGMENT_SIZE", value)
+        runs.append((dense, {"DIVREC_SEGMENT_SIZE": value}, code))
     assert len(runs) > 100
     for argv, env, code in runs:
         assert fuzzed_exit_code(argv, env) == code, (argv, env)

@@ -13,15 +13,15 @@ from divrec.arith import (
     PI_SQUARED,
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
+    count_squarefree_multiples,
     predicted_density_oddly,
+    predicted_density_squarefree,
 )
 from divrec.densities import (
     brown_identity_first_failure,
-    count_squarefree_multiples,
     phi_claim_first_failure,
     phi_ratio_counts,
     phi_ratio_sum,
-    predicted_density_squarefree,
     predicted_phi_density,
     squarefree_multiple_counts,
 )
@@ -397,6 +397,24 @@ def test_phi_ratio_counts_drive_the_engine():
     for n in (1, 2, 64, 1999):
         k = n // p**j
         assert target(n) == Fraction(p - 1, p) * F(k) + Fraction(1, p) * G(k)
+
+
+def test_phi_ratio_counts_reduces_only_the_sums_it_reads(monkeypatch):
+    # the build keeps the walker's unreduced pairs: its one Fraction is F(0),
+    # which CountingFunction checks; each later call reduces one pair
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    total = phi_ratio_sum(3, PHI_CLAIM_MAX_X, mode="exact")
+    monkeypatch.setattr(densities, "Fraction", counted)
+    F = phi_ratio_counts(3, PHI_CLAIM_MAX_X)
+    assert made == [(0, 1)]
+    assert F(PHI_CLAIM_MAX_X) == total
+    assert F(5) == Fraction(2, 3) and F(6) == 1  # phi(3)/3, plus phi(6)/6
+    assert len(made) == 4
 
 
 def test_predicted_phi_density_values():

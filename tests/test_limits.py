@@ -8,6 +8,7 @@ import pytest
 from divrec.arith import (
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
+    count_squarefree_multiples,
     count_squarefree_multiples_recursive,
     divisibility_exponent,
     factorize,
@@ -16,7 +17,6 @@ from divrec.arith import (
 from divrec.convergence import CheckpointSchedule, OddlyFamily, run_convergence
 from divrec.densities import (
     brown_identity_first_failure,
-    count_squarefree_multiples,
     count_squarefree_multiples_sieved,
     phi_claim_first_failure,
     phi_ratio_counts,
@@ -30,10 +30,12 @@ from divrec.limits import (
     EXACT_PHI_SUM_MAX_N,
     FACTORIZE_MAX_N,
     LEMMA_MAX_COUNT,
+    MAX_SEGMENT_SIZE,
     ORACLE_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
     RangeLimitError,
+    segment_size_from_env,
 )
 from divrec.recursion import (
     RecurrenceSpec,
@@ -138,3 +140,11 @@ def test_bad_and_over_cap_arguments_raise_short_messages(call, low, cap):
             assert " exceeds the cap " in message
         else:
             assert message.startswith("need ")
+
+
+def test_segment_size_is_capped(monkeypatch):
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(MAX_SEGMENT_SIZE))
+    assert segment_size_from_env() == MAX_SEGMENT_SIZE == 1 << 24
+    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(MAX_SEGMENT_SIZE + 1))
+    with pytest.raises(RangeLimitError, match="DIVREC_SEGMENT_SIZE = 16777217 exceeds"):
+        segment_size_from_env()

@@ -41,6 +41,7 @@ def fresh_cli(*argv: str) -> dict:
     "argv",
     [
         ["verify", "--suite", "lemma", "--count", "5"],
+        ["verify", "--suite", "app1", "--max-n", "1000"],
         ["oddly", "--m", "2", "--n", "1e6"],
         ["--help"],
         # square-free tables the recursion counts

@@ -1,5 +1,5 @@
 """The lemma suite: its integer expansion check against the Fraction sum it
-replaced, and its counts and failure reports."""
+replaced, and its counts and failure reports; the app1 suite's reports."""
 
 import dataclasses
 import re
@@ -124,3 +124,31 @@ def test_lemma_suite_reports_a_leading_term_that_changes_with_j(monkeypatch):
     result = verify.run_lemma_suite(count=5, seed=0)
     assert not result.ok
     assert result.failures[0].startswith("expansion with j=3 != G(N)/N at")
+
+
+def test_app1_suite_reports_each_broken_check(monkeypatch):
+    # a fast count one off at n = 7 fails only the last check; a flag table
+    # that calls 12 oddly divisible fails all three, from n = 12 on
+    fast, exponent = verify.count_oddly_divisible_fast, verify.divisibility_exponent
+    monkeypatch.setattr(
+        verify, "count_oddly_divisible_fast", lambda m, n: fast(m, n) + (n == 7)
+    )
+    result = verify.run_app1_suite(ms=(2, 3), max_n=100)
+    assert result.checks == 2 * (1 + 100 + 7)
+    assert result.failures == [
+        "fast count != oracle at m=2, n=7",
+        "fast count != oracle at m=3, n=7",
+    ]
+    monkeypatch.setattr(verify, "count_oddly_divisible_fast", fast)
+    monkeypatch.setattr(
+        verify, "divisibility_exponent", lambda i, m: exponent(i, m) + (i == 12)
+    )
+    result = verify.run_app1_suite(ms=(2,), max_n=100)
+    assert result.checks == 1 + 100 + 12
+    assert result.failures == [
+        "oracle disagrees with its own flag table at m=2",
+        "G(n) = n//m - G(n//m) fails at m=2, n=12",
+        "fast count != oracle at m=2, n=12",
+    ]
+    monkeypatch.setattr(verify, "divisibility_exponent", exponent)
+    assert verify.run_app1_suite(ms=(2, 3), max_n=100).checks == 2 * (1 + 100 + 100)

@@ -22,12 +22,15 @@ import pytest
 
 from divrec import densities
 from divrec.accumulators import ExactRatioSum
-from divrec.arith import count_squarefree_multiples_recursive, squarefree_path_costs
+from divrec.arith import (
+    count_squarefree_multiples,
+    count_squarefree_multiples_at,
+    count_squarefree_multiples_recursive,
+    squarefree_path_costs,
+)
 from divrec.convergence import CheckpointSchedule, SquarefreeFamily, run_convergence
 from divrec.densities import (
     brown_identity_first_failure,
-    count_squarefree_multiples,
-    count_squarefree_multiples_at,
     count_squarefree_multiples_sieved,
     phi_ratio_pairs_at,
     phi_ratio_sum,
