@@ -10,8 +10,9 @@ families (:mod:`divrec.densities`), convergence tables and reports
 exposes all of it on the command line.
 
 Every name in ``__all__``, and every submodule, is imported when it is
-first read (PEP 562), so ``import divrec`` loads no numpy; only the sieves,
-the accumulators and the sieve-backed densities do.
+first read (PEP 562), so ``import divrec`` loads no numpy; only the sieves
+and the accumulators do, and :mod:`divrec.densities` imports them only in
+the functions that sieve.
 """
 
 import importlib

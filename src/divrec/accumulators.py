@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import pair_sum, sum_pairs
+from .arith import FLOAT_UNIT_BITS, pair_sum, rounded_units
 
 #: Values per numpy pass: the block's temporaries stay in cache, and the
 #: int64 sums of its 32-bit halves cannot overflow.
@@ -25,10 +25,9 @@ _BLOCK = 1 << 15
 #: lowest exponent, every value stays below 2**(53 + _BAND - 1) < 2**62.
 _BAND = 9
 
-#: Every double is an integer multiple of 2**(_MIN_EXP - 53): frexp
-#: exponents start at -1073 (the smallest subnormal is 0.5 * 2**-1073).
-_MIN_EXP = -1073
-_UNIT = 1 << (53 - _MIN_EXP)
+#: The least frexp exponent, -1073 (the smallest subnormal is
+#: 0.5 * 2**-1073): a double scaled by 2**(53 - _MIN_EXP) is an integer.
+_MIN_EXP = 53 - FLOAT_UNIT_BITS
 
 
 class ExactFloatSum:
@@ -95,11 +94,7 @@ class ExactFloatSum:
             out.pop()
         return out + [self._num] * (len(cuts) - len(out))
 
-    @staticmethod
-    def rounded(units: int) -> float:
-        """``units`` units of 2**-1126 rounded to the nearest double, once;
-        OverflowError past the double range."""
-        return units / _UNIT
+    rounded = staticmethod(rounded_units)
 
     @property
     def value(self) -> float:
@@ -128,25 +123,17 @@ def _band_totals(values: np.ndarray, lo: int, ends: Sequence[int] = ()) -> list[
 # the name the benchmark's layer probes import and trace
 NeumaierSum = ExactFloatSum
 
-#: Leaves per block of ``ExactRatioSum.extend``: a power of two, so every
-#: block is a whole subtree of the balanced tree over the piece.
-_LEAVES = 1 << 10
-
-
 class ExactRatioSum:
     """Exact sum of fractions kept as one unreduced (numerator, denominator).
 
-    ``extend`` sums a run of terms by binary splitting: it reduces each term
-    with ``np.gcd``, adds the terms pairwise as a balanced tree, where a node
-    adds two pairs over the lcm of their denominators with one gcd of
-    equal-sized operands, and folds the root into the running pair once.
-    The running denominator grows to thousands of digits, so ``add``, which
-    folds one term at a time, pays a long division per term; ``extend`` pays
-    one per run. Either way the running denominator is the lcm of the
-    reduced term denominators and the numerator is not reduced against it,
-    so the pair depends on the terms only, not on their order or chunking.
-    ``value`` reduces once and returns the canonical Fraction;
-    ``unreduced`` returns the running pair without any gcd.
+    ``add`` reduces each term and folds it in over the lcm of the two
+    denominators, so the running denominator is the lcm of the reduced term
+    denominators and the numerator is not reduced against it: the pair
+    depends on the terms only, not on their order. ``value`` reduces once
+    and returns the canonical Fraction; ``unreduced`` returns the running
+    pair without any gcd. The totient walk sums its exact terms with
+    :func:`divrec.arith.sum_pairs` instead, as a balanced tree, and keeps the
+    same pairs; this one-term adder serves the benchmark and the tests.
     """
 
     __slots__ = ("_num", "_den")
@@ -156,34 +143,13 @@ class ExactRatioSum:
         self._den = 1
 
     def add(self, numerator: int, denominator: int) -> None:
-        """Add one fraction of any int sizes, without the tree."""
+        """Add one fraction of any int sizes."""
         if denominator < 1:
             raise ValueError(f"need a positive denominator, got {denominator}")
         g = gcd(numerator, denominator)
         self._num, self._den = pair_sum(
             self._num, self._den, numerator // g, denominator // g
         )
-
-    def extend(self, numerators: Iterable[int], denominators: Iterable[int]) -> None:
-        """Add numerators[i] / denominators[i] for two int64 array-likes of
-        one length; ValueError unless every denominator is positive."""
-        num = np.asarray(numerators, dtype=np.int64)
-        den = np.asarray(denominators, dtype=np.int64)
-        if num.shape != den.shape:
-            raise ValueError(f"got {num.size} numerators for {den.size} denominators")
-        if not den.size:
-            return
-        if den.min() < 1:
-            raise ValueError(f"need positive denominators, got {den.min()}")
-        g = np.gcd(num, den)
-        num, den = num // g, den // g
-        # the tree of each block of leaves, then the tree of the block roots:
-        # only one block's leaves are Python ints at a time
-        roots = []
-        for i in range(0, den.size, _LEAVES):
-            block = zip(num[i : i + _LEAVES].tolist(), den[i : i + _LEAVES].tolist())
-            roots.append(sum_pairs(list(block)))
-        self._num, self._den = pair_sum(self._num, self._den, *sum_pairs(roots))
 
     @property
     def unreduced(self) -> tuple[int, int]:

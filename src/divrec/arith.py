@@ -1,14 +1,15 @@
-"""Pure-integer pieces: factorization, exact pair sums, the odd-exponent
-family, square-free counts by the splitting recursion, densities.
+"""Pure-integer pieces: factorization, the odd totient list, exact pair
+sums, the odd-exponent family, square-free counts by the splitting
+recursion, densities.
 
-Trial-division factorization, the adders of unreduced fractions, the
-odd-exponent counters, the recursive square-free counter and the
-closed-form density type that every family shares need no arrays, so this
-module, like the recursion engine, imports no numpy: ``import divrec``,
-``oddly``, ``verify --suite lemma`` and most ``squarefree`` tables start
-without loading it. Square-free counts load the sieve-backed
-:mod:`divrec.densities` only for the schedules its flag walker counts
-faster.
+Trial-division factorization, the plain list of odd totients, the adders of
+unreduced fractions, the odd-exponent counters, the recursive square-free
+counter and the closed-form density type that every family shares need no
+arrays, so this module, like the recursion engine, imports no numpy:
+``import divrec``, ``oddly``, ``verify --suite lemma``, ``phi-claim``, most
+``squarefree`` tables and the short ``phisum`` tables start without loading
+it. Square-free counts call the flag walker of :mod:`divrec.densities`,
+which sieves with numpy, only for the schedules it counts faster.
 """
 
 from __future__ import annotations
@@ -82,6 +83,32 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 
 
+def odd_totients(K: int) -> list[int]:
+    """phi(k) for the odd k <= K, entry i for k = 2*i + 1, as plain ints.
+
+    Every entry starts at k, and each odd prime p takes v -= v // p along
+    its stride, every p-th entry from k = p, which leaves v = phi(k) exact
+    at every step. The primes come from a byte sieve of the odd numbers up
+    to sqrt(K); a prime above K / 3 has only itself in range. K is capped
+    like the per-integer oracles: the list holds about 40 bytes an entry.
+    """
+    check_range("K", K, 0, ORACLE_MAX_N)
+    phi = list(range(1, K + 1, 2))
+    n = len(phi)
+    prime = bytearray(min(n, 1)) + bytearray([1]) * (n - 1)  # entry 0 is k = 1
+    for i in range(1, (math.isqrt(K) + 1) // 2):
+        if prime[i]:
+            s = 2 * i * (i + 1)  # the entry of p*p, p = 2*i + 1
+            prime[s :: 2 * i + 1] = bytes(len(range(s, n, 2 * i + 1)))
+    for i in compress(range(n), prime):
+        p = 2 * i + 1
+        if 3 * p > K:
+            phi[i] = p - 1
+        else:
+            phi[i::p] = [v - v // p for v in phi[i::p]]
+    return phi
+
+
 def divisibility_exponent(n: int, m: int) -> int:
     """Largest t with m**t dividing n, for n >= 1 and m >= 2."""
     check_range("n", n, 1)
@@ -91,6 +118,19 @@ def divisibility_exponent(n: int, m: int) -> int:
         n //= m
         t += 1
     return t
+
+
+#: Exact float sums count in units of 2**-FLOAT_UNIT_BITS, a grid every
+#: double lies on (the smallest subnormal is 2**-1074).
+FLOAT_UNIT_BITS = 1126
+_FLOAT_UNIT = 1 << FLOAT_UNIT_BITS
+
+
+def rounded_units(units: int) -> float:
+    """``units`` units of 2**-FLOAT_UNIT_BITS rounded to the nearest double,
+    once: CPython rounds int / int correctly. OverflowError past the double
+    range."""
+    return units / _FLOAT_UNIT
 
 
 def pair_sum(a: int, b: int, c: int, d: int) -> tuple[int, int]:

@@ -166,7 +166,7 @@ def run_convergence(
         limits.segment_size_from_env()
         totals = arith.count_squarefree_multiples_at(family.t, points)
     elif isinstance(family, PhiSumFamily):
-        from . import densities  # the totient sieve loads numpy here
+        from . import densities  # only long float walks load numpy
 
         pred = densities.predicted_phi_density(family.m)
         if family.mode == "exact":

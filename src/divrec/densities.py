@@ -17,18 +17,33 @@ splitting recursion unless the flag walker here is expected to be faster:
 the counters and densities of both live in :mod:`divrec.arith`. This module
 holds the sieve-backed rest: the square-free flag walker, splitting checker
 and prefix-table counting function, and the whole totient-ratio family.
+
+Importing it loads no numpy. The square-free functions here sieve, and
+import numpy and :mod:`divrec.sieves` where they start. The totient walk
+takes its totients from the plain :func:`divrec.arith.odd_totients` for every
+exact sum and for float sums up to ``PLAIN_WALK_MAX_K`` odd k; only longer
+float walks load the numpy sieve and :mod:`divrec.accumulators`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate, pairwise
+from math import gcd
+from operator import truediv
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .accumulators import ExactFloatSum, ExactRatioSum
-from .arith import DensityPrediction, factorize, is_prime, squarefree_primes, sum_pairs
+from .arith import (
+    FLOAT_UNIT_BITS,
+    DensityPrediction,
+    factorize,
+    is_prime,
+    odd_totients,
+    rounded_units,
+    squarefree_primes,
+    sum_pairs,
+)
 from .limits import (
     BROWN_CHECK_MAX_X,
     EXACT_PHI_SUM_MAX_N,
@@ -39,7 +54,9 @@ from .limits import (
     segment_size_from_env,
 )
 from .recursion import CountingFunction
-from .sieves import iter_sieve_tables, squarefree_flags
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +74,10 @@ def count_squarefree_multiples_sieved(t: int, points: Sequence[int]) -> list[int
     :func:`divrec.arith.count_squarefree_multiples_at` runs it for dense
     schedules; the tests hold the recursion to it.
     """
+    import numpy as np
+
+    from .sieves import squarefree_flags
+
     primes = squarefree_primes(t)
     ks = [N // t for N in checked_points(points, SIEVE_MAX_N)]
     top = ks[-1] if ks else 0
@@ -81,6 +102,10 @@ def count_squarefree_multiples_sieved(t: int, points: Sequence[int]) -> list[int
 
 def _squarefree_prefix(t: int, limit: int) -> np.ndarray:
     # entry k = square-free multiples of t up to k*t, for 0 <= k <= limit // t
+    import numpy as np
+
+    from .sieves import squarefree_flags
+
     primes = squarefree_primes(t)
     prefix = np.zeros(limit // t + 1, dtype=np.int64)
     if prefix.size > 1:
@@ -101,6 +126,7 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     squarefree_primes(t)
     _check_new_prime(t, p)
     check_range("X", X, 1, BROWN_CHECK_MAX_X)
+    import numpy as np
 
     f_pref = _squarefree_prefix(t, X // p)
     g_pref = _squarefree_prefix(t * p, X)
@@ -215,6 +241,8 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     # by the odd terms in (K' >> a, K >> a] for every a, times w for a >= 1.
     check_range("modulus m", m, 1)
     pts = checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
+    # only large float walks sieve, but a bad segment size fails every walk
+    segment_size_from_env()
     # O is cut at every K >> a, each K shifted only until it meets a shift of
     # an earlier one, at the largest odd number up to it, (x - 1) | 1 (-1 for
     # x = 0); pos counts the pieces up to each cut
@@ -252,37 +280,68 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
                 terms.append(halve(add(rest)) if m % 2 else add(rest))
             total = add([total, add(terms)])  # one fold into the long sum
             last = K
-        sums.append(total if exact else ExactFloatSum.rounded(total))
+        sums.append(total if exact else rounded_units(total))
     return sums
+
+
+#: Largest k whose float walk takes its totients from the plain-Python
+#: :func:`divrec.arith.odd_totients` rather than the numpy sieve; exact walks
+#: always do (their k stay at most EXACT_PHI_SUM_MAX_N). Set from paired runs
+#: of both paths: see ``BENCH_small_walks.json``.
+PLAIN_WALK_MAX_K = 1 << 17
+
+#: Every term phi(n)/n with n <= 1e9 is at least 0.163 > 2**-3, its value at
+#: n = 2*3*...*23, so its double is a whole number of units of 2**-55 and
+#: scaled by 2**_TERM_BITS an exact integer.
+_TERM_BITS = 56
 
 
 def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
     # entry i: the sum of f(m*k) over the odd k in (ks[i - 1], ks[i]] of the
     # ascending odd ks, the first from k = 1, as an unreduced pair or in
-    # units of 2**-1126
-    pieces: list = []
-    acc, last = ExactFloatSum(), 0  # float: the running units at the last cut
-    piece = ExactRatioSum()  # exact: the terms after the last cut
-    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2) if ks else ():
+    # units of 2**-FLOAT_UNIT_BITS
+    if not ks:
+        return []
+    if not exact and ks[-1] > PLAIN_WALK_MAX_K:
+        return _sieved_pieces(m, ks, threads)
+    phis = odd_totients(ks[-1])
+    if m > 1:
+        phis = [v * m for v in phis]
+    for p, _ in factorize(m):
+        # as in _phi_of_multiples: p | k every p entries from k = p
+        s = (p - 1) // 2 if p > 2 else len(phis)
+        keep = phis[s::p]
+        phis = [v // p * (p - 1) for v in phis]
+        phis[s::p] = keep
+    ns = range(m, m * ks[-1] + 1, 2 * m)
+    cuts = [0, *((k + 1) // 2 for k in ks)]
+    if exact:
+        terms = [(ph // (g := gcd(ph, n)), n // g) for ph, n in zip(phis, ns)]
+        return [sum_pairs(terms[a:b]) for a, b in pairwise(cuts)]
+    # int / int is the correctly rounded double, as numpy's float64 quotient
+    scale = float(1 << _TERM_BITS)
+    units = [int(x * scale) for x in map(truediv, phis, ns)]
+    running = list(accumulate(units, initial=0))
+    shift = FLOAT_UNIT_BITS - _TERM_BITS
+    return [(running[b] - running[a]) << shift for a, b in pairwise(cuts)]
+
+
+def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
+    # the float pieces of _odd_pieces from the numpy totient sieve
+    import numpy as np
+
+    from .accumulators import ExactFloatSum
+    from .sieves import iter_sieve_tables
+
+    pieces: list[int] = []
+    acc, last = ExactFloatSum(), 0  # the running units at the last cut
+    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
         end = bisect_right(ks, table.hi)
         cuts = [(k - table.lo) // 2 + 1 for k in ks[len(pieces) : end]]
-        phis = _phi_of_multiples(table, m)
         ns = np.arange(table.lo * m, table.hi * m + 1, 2 * m, dtype=np.int64)
-        if not exact:
-            for units in acc.extend_at(phis / ns, cuts):
-                pieces.append(units - last)
-                last = units
-            continue
-        for a, b in zip([0, *cuts], [*cuts, None]):
-            if b == a + 1:
-                # every-prefix tables, as the phi-claim checker reads, cut
-                # one term at a time: add skips extend's numpy calls
-                piece.add(int(phis[a]), int(ns[a]))
-            elif b != a:
-                piece.extend(phis[a:b], ns[a:b])
-            if b is not None:
-                pieces.append(piece.unreduced)
-                piece = ExactRatioSum()
+        for units in acc.extend_at(_phi_of_multiples(table, m) / ns, cuts):
+            pieces.append(units - last)
+            last = units
     return pieces
 
 

@@ -92,11 +92,18 @@ def shown(n: int) -> str:
 
 def positive_int_from_env(name: str, default: int) -> int:
     """Environment variable ``name``, read per call so a bad value cannot
-    break import; anything but a positive decimal integer is a ValueError."""
+    break import; anything but a positive decimal integer is a ValueError,
+    and one of more than :data:`MAX_SHOWN_DIGITS` digits, past every cap
+    and Python's limit on str-to-int conversion, a RangeLimitError."""
     text = os.environ.get(name, str(default))
-    if not text.isdecimal() or int(text) < 1:
+    digits = text.lstrip("0") or "0"
+    if text.isdecimal() and len(digits) > MAX_SHOWN_DIGITS:
+        raise RangeLimitError(
+            f"{name} has {len(digits)} digits, more than the cap of {MAX_SHOWN_DIGITS}"
+        )
+    if not text.isdecimal() or int(digits) < 1:
         raise ValueError(f"{name} must be a positive integer: {text!r}")
-    return int(text)
+    return int(digits)
 
 
 def segment_size_from_env() -> int:

@@ -19,6 +19,11 @@ only, as int64; square-free flags come from the separate
 :func:`squarefree_flags`, which builds no totients. Segments never depend
 on each other, which keeps memory flat for ranges up to the 1e9 cap and
 lets callers sieve ahead on worker threads.
+
+This module imports numpy, as :mod:`divrec.accumulators` does, and no other
+module imports either at load time. The totient walk sieves here only past
+``densities.PLAIN_WALK_MAX_K`` odd k; shorter walks and every exact sum read
+the plain-Python :func:`divrec.arith.odd_totients` instead.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divrec.accumulators import ExactFloatSum, ExactRatioSum
-from divrec.arith import sum_pairs
+from divrec.arith import pair_sum, sum_pairs
 from divrec.convergence import CheckpointSchedule
 from divrec.densities import phi_ratio_sums_at
 from divrec.sieves import iter_sieve_tables
@@ -290,7 +290,7 @@ def test_exact_ratio_sum_is_exact(pairs):
 
 @st.composite
 def chunked_terms(draw):
-    """Terms as the walker feeds them: runs of any length, 0 and 1 included."""
+    """Terms in runs as the walker sums them: any length, 0 and 1 included."""
     sizes = draw(st.lists(st.integers(min_value=0, max_value=30), max_size=8))
     sizes.insert(draw(st.integers(0, len(sizes))), draw(st.sampled_from((0, 1))))
     value = st.integers(min_value=-10**18, max_value=10**18)
@@ -307,44 +307,32 @@ def chunked_terms(draw):
 
 @settings(max_examples=100)
 @given(chunked_terms())
-def test_exact_ratio_extend_equals_per_term_adds(runs):
-    tree, one_by_one = ExactRatioSum(), ExactRatioSum()
+def test_tree_summed_runs_equal_per_term_adds(runs):
+    # the exact walk reduces each term with math.gcd, sums a run as a
+    # balanced tree with sum_pairs and folds it into the long sum with
+    # pair_sum: the same pair as adding the terms one at a time
+    tree, one_by_one = (0, 1), ExactRatioSum()
     exact = Fraction(0)
     for nums, dens in runs:
-        tree.extend(np.array(nums, dtype=np.int64), np.array(dens, dtype=np.int64))
+        reduced = [(n // (g := math.gcd(n, d)), d // g) for n, d in zip(nums, dens)]
+        tree = pair_sum(*tree, *sum_pairs(reduced))
         for n, d in zip(nums, dens):
             one_by_one.add(n, d)
             exact += Fraction(n, d)
-        assert type(tree.value) is Fraction
-        assert tree.value == one_by_one.value == exact
+        assert Fraction(*tree) == one_by_one.value == exact
         # both fold the reduced terms over the lcm of their denominators
-        assert tree.unreduced == one_by_one.unreduced
-        num, den = tree.unreduced
+        assert tree == one_by_one.unreduced
+        num, den = tree
         assert den > 0 and num * exact.denominator == exact.numerator * den
 
 
-def test_exact_ratio_extend_in_any_chunking():
-    # runs of up to five blocks of leaves, cut at and next to block edges
-    rng = random.Random(8)
-    nums = [rng.randint(0, 10**6) for _ in range(5000)]
-    dens = [rng.randint(1, 10**4) for _ in range(5000)]
-    expected = sum(map(Fraction, nums, dens), Fraction(0))
-    some = sorted(rng.sample(range(5000), 40))
-    for cuts in ([], [1, 2, 3, 1024, 1025, 2048, 4999], some):
-        acc = ExactRatioSum()
-        for lo, hi in zip([0, *cuts], [*cuts, 5000]):
-            acc.extend(nums[lo:hi], dens[lo:hi])  # lists as well as arrays
-        assert acc.value == expected
-
-
 def test_exact_ratio_sum_rejects_bad_denominator():
-    with pytest.raises(ValueError):
-        ExactRatioSum().add(1, 0)
     acc = ExactRatioSum()
-    acc.extend([1, 1], [2, 3])
-    for nums, dens in (([1, 1], [4, 0]), ([1], [-2]), ([1, 2], [3])):
+    acc.add(1, 2)
+    acc.add(1, 3)
+    for den in (0, -2):
         with pytest.raises(ValueError):
-            acc.extend(nums, dens)
+            acc.add(1, den)
     assert acc.value == Fraction(5, 6)  # nothing of the rejected calls was added
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from divrec import arith, densities
+from divrec import arith, densities, sieves
 from divrec.cli import main
 from divrec.convergence import CheckpointSchedule, PhiSumFamily, run_convergence
 
@@ -436,12 +436,15 @@ def fuzz_argv(draw) -> list[str]:
     return argv + pick(draw, [[]], [["--help"], ["--bogus"], ["7"]])
 
 
+#: past Python's 4300-digit limit on str-to-int conversion
+LONG_VALUE = "9" * 5000
+
 #: environment variable -> (usual values, invalid values); None unsets it
 FUZZ_ENV = {
-    "DIVREC_THREADS": ((None, "1", "2", "4"), ("0", "-3", "abc", "")),
+    "DIVREC_THREADS": ((None, "1", "2", "4"), ("0", "-3", "abc", "", LONG_VALUE)),
     "DIVREC_SEGMENT_SIZE": (
         (None, "256", "7"),
-        ("0", "abc", "1e3", "16777217", "1000000000"),
+        ("0", "abc", "1e3", "16777217", "1000000000", LONG_VALUE),
     ),
 }
 
@@ -470,7 +473,7 @@ def fuzzed_exit_code(argv: list[str], env: dict) -> int:
             else:
                 mp.setenv(name, value)
         for name in ("iter_sieve_tables", "squarefree_flags"):
-            mp.setattr(densities, name, small_sieve(getattr(densities, name)))
+            mp.setattr(sieves, name, small_sieve(getattr(sieves, name)))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
             io.StringIO()
         ):
@@ -508,7 +511,7 @@ FUZZ_READERS = {
 #: too small ones exit 2
 OVER_CAP = {
     "2e9", "2e12", "1e30", "1e5000", "1e9", "16777217", "1000000000",
-    "1:2e9:10", "1:2e12:10", "1:1e30:1.0001",
+    "1:2e9:10", "1:2e12:10", "1:1e30:1.0001", LONG_VALUE,
 }
 #: (subcommand, flag or variable, value) that the subcommand accepts (exit 0)
 ACCEPTED = {

@@ -31,10 +31,12 @@ from divrec.limits import (
     FACTORIZE_MAX_N,
     LEMMA_MAX_COUNT,
     MAX_SEGMENT_SIZE,
+    MAX_SHOWN_DIGITS,
     ORACLE_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
     RangeLimitError,
+    positive_int_from_env,
     segment_size_from_env,
 )
 from divrec.recursion import (
@@ -148,3 +150,19 @@ def test_segment_size_is_capped(monkeypatch):
     monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(MAX_SEGMENT_SIZE + 1))
     with pytest.raises(RangeLimitError, match="DIVREC_SEGMENT_SIZE = 16777217 exceeds"):
         segment_size_from_env()
+
+
+@pytest.mark.parametrize("name", ["DIVREC_SEGMENT_SIZE", "DIVREC_THREADS"])
+def test_environment_values_past_the_digit_cap_name_the_variable(monkeypatch, name):
+    # past 4300 digits int() itself refuses the text; the digit cap comes
+    # first, and leading zeros do not count
+    monkeypatch.setenv(name, "9" * 5000)
+    with pytest.raises(RangeLimitError, match=f"^{name} has 5000 digits, more than"):
+        positive_int_from_env(name, 1)
+    monkeypatch.setenv(name, "9" * MAX_SHOWN_DIGITS)
+    assert positive_int_from_env(name, 1) == 10**MAX_SHOWN_DIGITS - 1
+    monkeypatch.setenv(name, "0" * 5000 + "7")
+    assert positive_int_from_env(name, 1) == 7
+    monkeypatch.setenv(name, "0" * 5000)
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        positive_int_from_env(name, 1)

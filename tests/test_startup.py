@@ -47,6 +47,15 @@ def fresh_cli(*argv: str) -> dict:
         # square-free tables the recursion counts
         ["squarefree", "--t", "1", "--schedule", "1e3:2e7:10", "--threads", "2"],
         ["squarefree", "--primes", "2,3", "--n", "1e6"],
+        # totient walks the plain odd totient list serves: every exact walk,
+        # and float walks up to densities.PLAIN_WALK_MAX_K
+        ["reproduce-paper"],
+        ["verify", "--suite", "phi-claim"],
+        ["phisum", "--m", "5", "--n", "1e3"],
+        [
+            "phisum", "--m", "2", "--schedule", "1e3:1e5:10",
+            "--mode", "exact", "--format", "json",
+        ],
     ],
 )
 def test_engine_commands_do_not_load_numpy(argv):
@@ -56,10 +65,11 @@ def test_engine_commands_do_not_load_numpy(argv):
 
 
 def test_sieve_commands_still_load_numpy():
-    run = fresh_cli("phisum", "--m", "5", "--n", "1e3")
+    # 5e6 odd k, past densities.PLAIN_WALK_MAX_K: the numpy sieve
+    run = fresh_cli("phisum", "--m", "1", "--n", "1e7")
     assert run["code"] == 0 and run["numpy"]
     assert run["out"].splitlines()[1] == (
-        "1000,0.101637749494,0.101321183642,0.000316565851912,0.00312437972527"
+        "10000000,0.6079271152,0.607927101854,1.33460901219e-08,2.19534383008e-08"
     )
 
 

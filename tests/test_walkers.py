@@ -14,18 +14,21 @@ Q(x) = sum over d <= sqrt(x) of mu(d) * (x // d**2), which marks nothing.
 """
 
 import math
+import random
 import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from divrec import densities
+from divrec import densities, sieves
 from divrec.accumulators import ExactRatioSum
 from divrec.arith import (
     count_squarefree_multiples,
     count_squarefree_multiples_at,
     count_squarefree_multiples_recursive,
+    factorize,
+    odd_totients,
     squarefree_path_costs,
 )
 from divrec.convergence import CheckpointSchedule, SquarefreeFamily, run_convergence
@@ -135,15 +138,77 @@ def use_segment_size(monkeypatch, size):
     ],
 )
 def test_phisum_float_walker_is_bitwise_the_full_range_sum(monkeypatch, m, N):
+    # each of the walker's two sources of totients, forced by its switch
     points = checkpoints(m, N)
     expected = bits(full_range_phi_sums(m, points, "float"))
-    for size in SEGMENT_SIZES:
-        use_segment_size(monkeypatch, size)
-        assert bits(phi_ratio_sums_at(m, points)) == expected
-        assert bits([phi_ratio_sum(m, N)]) == expected[-1:]
+    for plain_max_k in (-1, SIEVE_MAX_N):
+        monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", plain_max_k)
+        for size in SEGMENT_SIZES:
+            use_segment_size(monkeypatch, size)
+            assert bits(phi_ratio_sums_at(m, points)) == expected
+            assert bits([phi_ratio_sum(m, N)]) == expected[-1:]
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 12, 360, 12348])
+def test_odd_totients_equal_the_factored_totient():
+    def phi(k):
+        return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(k))
+
+    expected = [phi(k) for k in range(1, 2001, 2)]
+    for K in range(2001):
+        assert odd_totients(K) == expected[: (K + 1) // 2]
+    with pytest.raises(ValueError):
+        odd_totients(-1)
+
+
+def test_plain_float_terms_are_whole_units():
+    # every phi(n)/n with n <= SIEVE_MAX_N is at least 2**-3: it is the
+    # product of (p - 1)/p over the primes of n, least for the first primes,
+    # and the product of the first ten exceeds the cap. A double of at least
+    # 2**-3 is a whole number of units of 2**-55, so scaled by 2**56 the
+    # plain walk adds every term exactly
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert math.prod(primes[:9]) <= SIEVE_MAX_N < math.prod(primes)
+    least = math.prod(Fraction(p - 1, p) for p in primes[:9])
+    assert least > Fraction(1, 8)
+    assert 0.16 < phi_ratio_sum(math.prod(primes[:9]), math.prod(primes[:9])) < 0.17
+    scale = 2**densities._TERM_BITS
+    for x in (0.125, math.nextafter(0.125, 1), float(least), 1 / 3, 1.0):
+        assert (Fraction(x) * scale).denominator == 1
+
+
+#: The last K = N // m of the schedules, kept at most SIEVE_MAX_N // m: no
+#: multiple, one, some, and either side of the switch.
+SWITCH_KS = (0, 1, 1000, densities.PLAIN_WALK_MAX_K, densities.PLAIN_WALK_MAX_K + 1)
+
+#: 1_000_003 is a prime above every K it reaches; three random m besides.
+SWITCH_MS = [1, 2, 4, 5, 7, 30, 12348, 1_000_003]
+SWITCH_MS += random.Random(16).sample(range(3, 8000), 3)
+
+
+@pytest.mark.parametrize("m", SWITCH_MS)
+def test_phisum_float_paths_agree_either_side_of_the_switch(monkeypatch, m):
+    # the plain odd totient list and the numpy sieve, each forced through
+    # the switch, give the same doubles; the default takes the plain list
+    # while the last odd k is at most PLAIN_WALK_MAX_K, the sieve after
+    rng = random.Random(m)
+    sieved = []
+    sieve = sieves.iter_sieve_tables
+    monkeypatch.setattr(
+        sieves, "iter_sieve_tables", lambda *a, **k: sieved.append(a) or sieve(*a, **k)
+    )
+    for K in sorted({min(K, SIEVE_MAX_N // m) for K in SWITCH_KS}):
+        top = min(K * m + m - 1, SIEVE_MAX_N)  # the last N with N // m = K
+        points = sorted({*rng.sample(range(top + 1), min(20, top + 1)), top})
+        got = {}
+        for plain_max_k in (-1, SIEVE_MAX_N, densities.PLAIN_WALK_MAX_K):
+            monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", plain_max_k)
+            sieved.clear()
+            got[plain_max_k] = bits(phi_ratio_sums_at(m, points))
+            assert bool(sieved) is (plain_max_k < (K - 1 | 1) and K > 0)
+        assert len(set(map(tuple, got.values()))) == 1, (m, K)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 7, 12, 30, 360, 9973, 12348])
 def test_phisum_exact_walker_equals_the_full_range_sum(monkeypatch, m):
     N = 3000 if m < 360 else 10**5
     # one-term pieces at the first 40 multiples, then long pieces that
@@ -375,7 +440,7 @@ def test_squarefree_paths_build_no_totients(monkeypatch):
         raise AssertionError("a square-free path built totients")
 
     monkeypatch.setattr("divrec.sieves.sieve_segment", totient_sieve)
-    monkeypatch.setattr("divrec.densities.iter_sieve_tables", totient_sieve)
+    monkeypatch.setattr("divrec.sieves.iter_sieve_tables", totient_sieve)
     monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "1000")
     assert count_squarefree_multiples_at(6, points) == counts[6]
     assert densities._squarefree_prefix(6, 5000)[-1] == counts[6][1]
