@@ -18,8 +18,9 @@ import numpy as np
 from .arith import FLOAT_UNIT_BITS, pair_sum, rounded_units
 
 #: Values per numpy pass: the block's temporaries stay in cache, and the
-#: int64 sums of its 32-bit halves cannot overflow.
-_BLOCK = 1 << 15
+#: int64 sums of its 32-bit halves cannot overflow. A caller that builds its
+#: values in blocks of this length hands over no array longer than one.
+BLOCK = 1 << 15
 
 #: Consecutive frexp exponents per band: scaled to integers at the band's
 #: lowest exponent, every value stays below 2**(53 + _BAND - 1) < 2**62.
@@ -54,8 +55,8 @@ class ExactFloatSum:
         """Add finite doubles (any array-like); raises ValueError otherwise."""
         x = np.asarray(values, dtype=np.float64).ravel()
         num = self._num  # committed only if every value is finite
-        for start in range(0, x.size, _BLOCK):
-            block = x[start : start + _BLOCK]
+        for start in range(0, x.size, BLOCK):
+            block = x[start : start + BLOCK]
             if not np.isfinite(block).all():
                 raise ValueError("can only sum finite values")
             exps = np.frexp(block)[1]
@@ -78,8 +79,8 @@ class ExactFloatSum:
         if not np.isfinite(x).all():
             raise ValueError("can only sum finite values")
         out: list[int] = []
-        for start in range(0, x.size, _BLOCK):
-            block = x[start : start + _BLOCK]
+        for start in range(0, x.size, BLOCK):
+            block = x[start : start + BLOCK]
             end = bisect_right(cuts, start + block.size)
             ends = [c - start for c in cuts[len(out) : end]]
             exps = np.frexp(block)[1] if ends else None

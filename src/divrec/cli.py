@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import arith, convergence, verify
-from .limits import RangeLimitError, check_range, positive_int_from_env
+from .limits import RangeLimitError, check_digits, check_range, positive_int_from_env
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -26,8 +26,24 @@ EXIT_ARGUMENT = 2
 EXIT_RANGE = 3
 
 
+class _PastEveryCap(Exception):
+    """An argument with more digits than any cap allows. argparse turns a
+    ValueError from a type function into exit 2, so this one is not one;
+    :func:`main` reports it and exits 3."""
+
+
+def _check_digits(name: str, digits: str) -> None:
+    # before int() or Fraction(), which refuse more than 4300 digits
+    try:
+        check_digits(name, digits)
+    except RangeLimitError as exc:
+        raise _PastEveryCap(exc) from None
+
+
 def _int_literal(text: str) -> int:
     """Integer argument, allowing scientific shorthand like 1e7."""
+    mantissa = text.lower().partition("e")[0]
+    _check_digits("an integer argument", "".join(filter(str.isdecimal, mantissa)))
     try:
         f = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -70,6 +86,8 @@ def _add_table_args(sub: argparse.ArgumentParser, *, required: bool = True) -> N
 
 
 def _thread_count(text: str) -> int:
+    if text.isdecimal():
+        _check_digits("--threads", text)
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
     return int(text)
@@ -311,7 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _PastEveryCap as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RANGE
     try:
         return args.handler(args)
     except RangeLimitError as exc:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from math import gcd
+from math import gcd, prod
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -196,9 +196,9 @@ def phi_ratio_sums_at(
 ) -> list:
     """:func:`phi_ratio_sum` at each of ascending ``points``, in one pass.
 
-    Only the odd k <= points[-1] // m are sieved: phi(m*k) is m*phi(k)
-    times (p-1)/p for every prime p of m that does not divide k, and every
-    intermediate stays at most m*k. The even k come from the paper's
+    Only the odd k <= points[-1] // m are sieved: phi(m*k) is
+    phi(m)*phi(k) times p/(p-1) for every prime p of m that divides k, and
+    every intermediate stays at most m*k. The even k come from the paper's
     splitting with p = 2: phi(2n)/(2n) is phi(n)/n for even n and half of
     it for odd n, so the sum over k <= K is the odd part O(K) plus the sum
     over k <= K // 2, less O(K // 2) / 2 for odd m. Each term phi(n)/n is
@@ -305,14 +305,13 @@ def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
     if not exact and ks[-1] > PLAIN_WALK_MAX_K:
         return _sieved_pieces(m, ks, threads)
     phis = odd_totients(ks[-1])
+    phi_m, primes = _totient_factors(m)
     if m > 1:
-        phis = [v * m for v in phis]
-    for p, _ in factorize(m):
+        phis = [v * phi_m for v in phis]
+    for p in primes:
         # as in _phi_of_multiples: p | k every p entries from k = p
-        s = (p - 1) // 2 if p > 2 else len(phis)
-        keep = phis[s::p]
-        phis = [v // p * (p - 1) for v in phis]
-        phis[s::p] = keep
+        fix = slice((p - 1) // 2, None, p)
+        phis[fix] = [v // (p - 1) * p for v in phis[fix]]
     ns = range(m, m * ks[-1] + 1, 2 * m)
     cuts = [0, *((k + 1) // 2 for k in ks)]
     if exact:
@@ -327,37 +326,68 @@ def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
 
 
 def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
-    # the float pieces of _odd_pieces from the numpy totient sieve
+    # the float pieces of _odd_pieces from the numpy totient sieve. Each
+    # segment streams through the accumulator a block at a time, with only
+    # the cuts inside the block, so no array of segment length is built but
+    # the sieve's own, and that is dropped before the next one is sieved
     import numpy as np
 
-    from .accumulators import ExactFloatSum
+    from .accumulators import BLOCK, ExactFloatSum
     from .sieves import iter_sieve_tables
 
     pieces: list[int] = []
     acc, last = ExactFloatSum(), 0  # the running units at the last cut
+    # m*k for the BLOCK odd k from the block's first, as doubles: whole
+    # numbers below 2**53, so moving on by a block adds exactly
+    ns = np.arange(m, 2 * m * BLOCK, 2 * m, dtype=np.float64)
+    ratios = np.empty(BLOCK)
+    factors = _totient_factors(m)
     for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
         end = bisect_right(ks, table.hi)
         cuts = [(k - table.lo) // 2 + 1 for k in ks[len(pieces) : end]]
-        ns = np.arange(table.lo * m, table.hi * m + 1, 2 * m, dtype=np.int64)
-        for units in acc.extend_at(_phi_of_multiples(table, m) / ns, cuts):
-            pieces.append(units - last)
-            last = units
+        done = 0
+        for start in range(0, table.phi.size, BLOCK):
+            size = min(BLOCK, table.phi.size - start)
+            phis = table.phi[start : start + size]
+            if m > 1:
+                phis = _phi_of_multiples(phis, table.lo + 2 * start, factors, ratios)
+            # the correctly rounded quotient, as numpy's int64 true division
+            np.divide(phis, ns[:size], out=ratios[:size])
+            ns += 2 * m * size
+            here = bisect_right(cuts, start + size, done)
+            ends = [c - start for c in cuts[done:here]]
+            done = here
+            for units in acc.extend_at(ratios[:size], ends):
+                pieces.append(units - last)
+                last = units
+        del table, phis  # phis may be a view of the table
     return pieces
 
 
-def _phi_of_multiples(table, m: int) -> np.ndarray:
-    # phi(m*k) for the odd k of a step-2 table; m = 1 is the table itself
-    if m == 1:
-        return table.phi
-    phis = table.phi * m
-    for p, _ in factorize(m):
-        # p | k from index -lo / 2 (mod p) on, every p entries; no odd k is even
-        s = -table.lo * ((p + 1) // 2) % p if p > 2 else phis.size
-        keep = phis[s::p].copy()  # p | k: m*phi(k) already has p's factor
-        phis //= p
-        phis *= p - 1
-        phis[s::p] = keep
+def _phi_of_multiples(
+    phi: np.ndarray, k: int, factors: tuple[int, list[int]], out: np.ndarray
+) -> np.ndarray:
+    # phi(m*k) for the odd k, k + 2, ... of the entries of phi, as whole
+    # doubles in out, from the _totient_factors of m > 1: each product is
+    # exact, at most m*k < 2**53, and each division leaves a whole number
+    import numpy as np
+
+    phi_m, primes = factors
+    phis = np.multiply(phi, float(phi_m), out=out[: phi.size])
+    for p in primes:
+        # p | k from index -k / 2 (mod p) on, every p entries
+        fix = phis[-k * ((p + 1) // 2) % p :: p]
+        fix /= p - 1
+        fix *= p
     return phis
+
+
+def _totient_factors(m: int) -> tuple[int, list[int]]:
+    # phi(m) and the odd primes of m: phi(m*k) is phi(m)*phi(k) times
+    # p/(p - 1) for each prime p of m that divides k, and no odd k is even
+    primes = factorize(m)
+    phi_m = prod((p - 1) * p ** (e - 1) for p, e in primes)
+    return phi_m, [p for p, _ in primes if p > 2]
 
 
 def _phi_ratio_prefix_pairs(step: int, limit: int) -> list[tuple[int, int]]:

@@ -63,11 +63,17 @@ SCHEDULE_MAX_POINTS = 30_000
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 #: Largest ``DIVREC_SEGMENT_SIZE``, 16 times the default. A segment costs
-#: memory by its entries: ``sieve_segment`` holds about 20 bytes an entry
-#: (three int32 arrays and the int64 result), and a float ``phisum`` walk
-#: peaked 25 to 57 bytes an entry higher (peak RSS at 2**20 to 2**22 entries,
-#: one and two threads, numpy 2.4 on x86-64). A walk at the cap stays near
-#: 1 GiB, where 1e9 entries would ask for about 50 GiB.
+#: memory by its entries: ``sieve_segment`` peaks at 12 bytes an entry (three
+#: int32 arrays, each dropped once read, so the int64 result is made next to
+#: the totients alone), and the float walk streams each table through the
+#: accumulator in blocks of 2**15 terms and drops it before the next is
+#: sieved, so on one thread it holds no more than the sieve. Peak RSS of
+#: ``phisum --m 1 --n 3e7`` grows 12 bytes an entry from 2**20 to 2**22
+#: entries on one thread (43 to 79 MiB; 33 bytes before the walk streamed)
+#: and 23 to 29 on two (72 to 142-161 MiB; 43), where up to three tables are
+#: in flight; numpy 2.4 on x86-64. A walk at the cap (``--n 1e8``) peaks at
+#: 224 MiB on one thread and 541 MiB on two (616 and 747 MiB before), where
+#: 1e9 entries would ask for about 12 GiB.
 MAX_SEGMENT_SIZE = 1 << 24
 
 
@@ -96,14 +102,24 @@ def positive_int_from_env(name: str, default: int) -> int:
     and one of more than :data:`MAX_SHOWN_DIGITS` digits, past every cap
     and Python's limit on str-to-int conversion, a RangeLimitError."""
     text = os.environ.get(name, str(default))
-    digits = text.lstrip("0") or "0"
-    if text.isdecimal() and len(digits) > MAX_SHOWN_DIGITS:
-        raise RangeLimitError(
-            f"{name} has {len(digits)} digits, more than the cap of {MAX_SHOWN_DIGITS}"
-        )
+    digits = text.lstrip("0") or "0"  # int() counts leading zeros too
+    if text.isdecimal():
+        check_digits(name, digits)
     if not text.isdecimal() or int(digits) < 1:
         raise ValueError(f"{name} must be a positive integer: {text!r}")
     return int(digits)
+
+
+def check_digits(name: str, digits: str) -> None:
+    """RangeLimitError if the decimal ``digits``, leading zeros aside, number
+    more than :data:`MAX_SHOWN_DIGITS`: such a value is past every cap and
+    may be past Python's limit on str-to-int conversion, so text is checked
+    here before it is converted."""
+    count = len(digits.lstrip("0"))
+    if count > MAX_SHOWN_DIGITS:
+        raise RangeLimitError(
+            f"{name} has {count} digits, more than the cap of {MAX_SHOWN_DIGITS}"
+        )
 
 
 def segment_size_from_env() -> int:

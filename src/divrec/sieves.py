@@ -16,9 +16,12 @@ totient. Only after those strides is ``n // small`` taken, once: it is 1 or
 a single prime q above sqrt(hi), and one branch-free pass multiplies
 ``phi`` by q - 1 where q > 1. A :class:`SieveTable` holds the totients
 only, as int64; square-free flags come from the separate
-:func:`squarefree_flags`, which builds no totients. Segments never depend
-on each other, which keeps memory flat for ranges up to the 1e9 cap and
-lets callers sieve ahead on worker threads.
+:func:`squarefree_flags`, which builds no totients. A segment peaks at its
+three int32 arrays, 12 bytes an entry: each is dropped once read, so the
+int64 result is made next to ``phi`` alone. Segments never depend on each
+other, which keeps memory flat for ranges up to the 1e9 cap and lets
+callers sieve ahead on worker threads; the float totient walk reads each
+table in blocks and drops it before the next is sieved.
 
 This module imports numpy, as :mod:`divrec.accumulators` does, and no other
 module imports either at load time. The totient walk sieves here only past
@@ -139,10 +142,14 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
                 phi[s::q] *= p
             q *= p
 
-    # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1)
+    # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1).
+    # Each int32 array is dropped once read, so the int64 copy is made next
+    # to phi alone: 12 bytes an entry at the peak, not 20
     big = np.floor_divide(n, small, out=n)
+    del n, small
     big -= 1
     phi *= np.maximum(big, 1, out=big)
+    del big
     phi = phi.astype(np.int64)
     phi.setflags(write=False)
     return SieveTable(lo, hi, phi, step)

@@ -293,6 +293,10 @@ def test_schedule_past_the_cap_exits_before_stepping(capsys, monkeypatch, argv):
     assert code == 3 and out == "" and "exceeds the cap" in err
 
 
+#: past Python's 4300-digit limit on str-to-int conversion
+LONG_VALUE = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv, shown",
     [
@@ -307,11 +311,23 @@ def test_schedule_past_the_cap_exits_before_stepping(capsys, monkeypatch, argv):
         # the last N shown in full has 30 digits
         (["phisum", "--m", "1", "--n", "999999999999999999999999999999"], "= 9999"),
         (["phisum", "--m", "1", "--n", "1e30"], "a 31-digit integer"),
+        # literals too long to convert, refused by their digit count before
+        # any conversion, and a value of 31 digits
+        (["phisum", "--m", "7", "--n", LONG_VALUE], "has 5000 digits"),
+        (["phisum", "--m", LONG_VALUE, "--n", "10"], "has 5000 digits"),
+        (["oddly", "--m", LONG_VALUE, "--n", "10"], "has 5000 digits"),
+        (["phisum", "--m", "1", "--schedule", f"1:{LONG_VALUE}:10"], "5000 digits"),
+        (["squarefree", "--primes", f"2,{LONG_VALUE}", "--n", "10"], "5000 digits"),
+        (["verify", "--suite", "lemma", "--count", f"-{LONG_VALUE}"], "5000 digits"),
+        (["phisum", "--m", "1", "--n", "10", "--threads", LONG_VALUE], "--threads"),
+        (["phisum", "--m", "1", "--n", "1" + "0" * 30], "has 31 digits"),
+        (["phisum", "--m", "1", "--n", "10", "--threads", "1" + "0" * 30], "31 dig"),
     ],
 )
 def test_oversized_argument_exits_three_with_a_short_message(capsys, argv, shown):
     # past 4300 digits Python refuses int-to-str conversion, so a message that
-    # echoed such an N in full raised instead and exited 2
+    # echoed such an N in full raised instead and exited 2; a literal of more
+    # than 30 digits is past every cap before it is converted
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == "" and shown in err and len(err) < 100
 
@@ -371,6 +387,8 @@ def test_bad_segment_size_variable_exits_two():
 FUZZ_MAX_N = 10**4
 SIZES = ("1e3", "7", "2", "12", "1", "360", "1e4")  # hypothesis favours the first
 NOT_SIZES = ("0", "-1", "2.5", "1/2", "abc", "", "2e9", "2e12", "1e30", "1e5000")
+NOT_SIZES += (LONG_VALUE,)
+LONG_SCHEDULE, LONG_PRIMES = f"1:{LONG_VALUE}:10", f"2,{LONG_VALUE}"
 
 #: flag -> (usual values, invalid or over-cap values)
 FUZZ_VALUES = {
@@ -383,16 +401,16 @@ FUZZ_VALUES = {
     "--schedule": (
         ("1:1e4:10", "1e3:1e4:2", "7:1e4:1.5", "10:1:2"),
         ("0:1e4:3", "1:1e4:1", "1:1e4:1/0", "1:1e4:nan", "a:b:c", "1:2",
-         "1:2e9:10", "1:2e12:10", "1:1e30:1.0001"),
+         "1:2e9:10", "1:2e12:10", "1:1e30:1.0001", LONG_SCHEDULE),
     ),
-    "--t": (("1", "2", "6", "30", "210"), ("4", "12", "0", "2e12")),
-    "--primes": (("", "2", "2,3", "3,5,7"), ("2,2", "4", "2,abc", "-2")),
-    "--check-identity": (("2", "3", "5", "7"), ("1", "4", "abc", "2e12")),
+    "--t": (("1", "2", "6", "30", "210"), ("4", "12", "0", "2e12", LONG_VALUE)),
+    "--primes": (("", "2", "2,3", "3,5,7"), ("2,2", "4", "2,abc", "-2", LONG_PRIMES)),
+    "--check-identity": (("2", "3", "5", "7"), ("1", "4", "abc", "2e12", LONG_VALUE)),
     "--mode": (("float", "exact"), ("fast",)),
     "--format": (("json", "csv"), ("text", "xml")),
-    "--threads": (("1", "2", "4"), ("0", "-1", "abc")),
+    "--threads": (("1", "2", "4"), ("0", "-1", "abc", LONG_VALUE)),
     "--suite": (("lemma", "app1", "brown", "phi-claim"), ("all",)),
-    "--count": (("0", "1", "3"), ("-1", "abc", "1e9")),
+    "--count": (("0", "1", "3"), ("-1", "abc", "1e9", LONG_VALUE)),
     "--seed": (("0", "1", "7"), ("abc", "1e3")),
 }
 TABLE_FLAGS = [("--n", "--schedule"), ("--format",), ("--threads",)]
@@ -435,9 +453,6 @@ def fuzz_argv(draw) -> list[str]:
         argv += [flag, pick(draw, *FUZZ_VALUES[flag])]
     return argv + pick(draw, [[]], [["--help"], ["--bogus"], ["7"]])
 
-
-#: past Python's 4300-digit limit on str-to-int conversion
-LONG_VALUE = "9" * 5000
 
 #: environment variable -> (usual values, invalid values); None unsets it
 FUZZ_ENV = {
@@ -511,12 +526,13 @@ FUZZ_READERS = {
 #: too small ones exit 2
 OVER_CAP = {
     "2e9", "2e12", "1e30", "1e5000", "1e9", "16777217", "1000000000",
-    "1:2e9:10", "1:2e12:10", "1:1e30:1.0001", LONG_VALUE,
+    "1:2e9:10", "1:2e12:10", "1:1e30:1.0001", LONG_VALUE, LONG_SCHEDULE, LONG_PRIMES,
 }
 #: (subcommand, flag or variable, value) that the subcommand accepts (exit 0)
 ACCEPTED = {
-    # the odd-exponent counts put no cap on m and count up to N = 1e12
-    *(("oddly", "--m", value) for value in OVER_CAP),
+    # the odd-exponent counts put no cap on m and count up to N = 1e12; a
+    # literal of more than 30 digits exits 3 before any command reads it
+    *(("oddly", "--m", value) for value in OVER_CAP - {LONG_VALUE}),
     ("oddly", "--n", "2e9"),
     ("oddly", "--schedule", "1:2e9:10"),
     # a modulus is capped where it is factored, at 1e12

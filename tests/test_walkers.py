@@ -16,13 +16,15 @@ Q(x) = sum over d <= sqrt(x) of mu(d) * (x // d**2), which marks nothing.
 import math
 import random
 import struct
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from divrec import densities, sieves
-from divrec.accumulators import ExactRatioSum
+from divrec.accumulators import BLOCK, ExactFloatSum, ExactRatioSum
 from divrec.arith import (
     count_squarefree_multiples,
     count_squarefree_multiples_at,
@@ -40,7 +42,12 @@ from divrec.densities import (
     phi_ratio_sums_at,
     squarefree_multiple_counts,
 )
-from divrec.limits import EXACT_PHI_SUM_MAX_N, SIEVE_MAX_N, RangeLimitError
+from divrec.limits import (
+    DEFAULT_SEGMENT_SIZE,
+    EXACT_PHI_SUM_MAX_N,
+    SIEVE_MAX_N,
+    RangeLimitError,
+)
 from divrec.sieves import iter_sieve_tables
 
 SEGMENT_SIZES = (13, 256, None)  # None: the library default
@@ -206,6 +213,104 @@ def test_phisum_float_paths_agree_either_side_of_the_switch(monkeypatch, m):
             got[plain_max_k] = bits(phi_ratio_sums_at(m, points))
             assert bool(sieved) is (plain_max_k < (K - 1 | 1) and K > 0)
         assert len(set(map(tuple, got.values()))) == 1, (m, K)
+
+
+def whole_segment_pieces(m: int, ks: list[int], threads: int) -> list[int]:
+    """The float pieces of the sieved walk as it built them before it streamed
+    blocks: phi(m*k) and m*k as int64 arrays over a whole segment, their
+    quotient, and one ``extend_at`` with every cut of the segment."""
+    pieces: list[int] = []
+    acc, last = ExactFloatSum(), 0
+    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
+        end = bisect_right(ks, table.hi)
+        cuts = [(k - table.lo) // 2 + 1 for k in ks[len(pieces) : end]]
+        ns = np.arange(table.lo * m, table.hi * m + 1, 2 * m, dtype=np.int64)
+        phis = table.phi * m
+        for p, _ in factorize(m):
+            # phi(m*k) is m*phi(k) times (p - 1)/p for each prime p of m not
+            # dividing k; p | k every p entries from index -lo / 2 (mod p)
+            s = -table.lo * ((p + 1) // 2) % p if p > 2 else phis.size
+            keep = phis[s::p].copy()
+            phis //= p
+            phis *= p - 1
+            phis[s::p] = keep
+        for units in acc.extend_at(phis / ns, cuts):
+            pieces.append(units - last)
+            last = units
+    return pieces
+
+
+def block_edge_points(m: int, entries: int, size: int) -> list[int]:
+    """N = m*k at the odd k that close and open the blocks of ``BLOCK`` odd
+    k in each segment of ``size`` odd k, up to about ``entries`` odd k, kept
+    at most SIEVE_MAX_N, and the last N that reads each such k."""
+    edges = set()
+    for first in range(0, entries + 1, size):  # the first entry of a segment
+        for e in range(first, min(first + size, entries + 1), BLOCK):
+            edges |= {e - 1, e, e + 1, first + size - 1}
+    ks = sorted(2 * e + 1 for e in edges if 0 <= e <= entries)
+    return sorted({N for k in ks for N in (m * k, m * k + m - 1) if N <= SIEVE_MAX_N})
+
+
+#: the segment sizes either side of one block and of two, a prime, and the
+#: default; segments of 13 odd k hold less than a block
+BLOCK_SEGMENT_SIZES = (13, BLOCK - 1, BLOCK, BLOCK + 1, 65521, None)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 15, 12348])
+def test_blocked_walk_is_bitwise_the_whole_segment_walk(monkeypatch, m):
+    # the streamed walk builds phi(m*k) and m*k a block at a time and hands
+    # each block only its own cuts; its rows must equal those of the
+    # whole-segment walk it replaced at every segment size and thread count,
+    # on schedules cut at the last and first k of every block and segment.
+    # The plain odd totient list is switched off, so every walk sieves
+    monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", -1)
+    walk = densities._sieved_pieces
+    for size in BLOCK_SEGMENT_SIZES:
+        use_segment_size(monkeypatch, size)
+        length = size or DEFAULT_SEGMENT_SIZE
+        # three segments, or three blocks of short segments, and at least
+        # two blocks; at 13 odd k a segment, a few hundred segments
+        entries = 40 * size if size == 13 else max(2 * length, 3 * BLOCK)
+        points = block_edge_points(m, entries, length)
+        assert len(points) > 6 and (size == 13 or points[-1] // m > 2 * BLOCK)
+        for threads in (1, 2):
+            monkeypatch.setattr(densities, "_sieved_pieces", whole_segment_pieces)
+            expected = bits(phi_ratio_sums_at(m, points, threads=threads))
+            monkeypatch.setattr(densities, "_sieved_pieces", walk)
+            assert bits(phi_ratio_sums_at(m, points, threads=threads)) == expected
+
+
+def float_walk_peak(monkeypatch, m: int, size: int) -> int:
+    """tracemalloc peak, in bytes, of a float walk over four segments of
+    ``size`` odd k on one thread; numpy reports its buffers to tracemalloc."""
+    use_segment_size(monkeypatch, size)
+    N = m * (8 * size - 1)  # the odd k up to N // m fill four segments
+    assert N // m > densities.PLAIN_WALK_MAX_K  # so the walk sieves
+    phi_ratio_sums_at(m, [N // 3, N])  # the cached primes and wheel
+    tracemalloc.start()
+    try:
+        phi_ratio_sums_at(m, [N // 3, N])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [1, 15])
+def test_float_walk_holds_no_array_of_segment_length_but_the_sieve(monkeypatch, m):
+    # The streamed walk peaks at about 8 bytes an odd k of segment, the int64
+    # table while its blocks are summed (the sieve itself peaks at 12 bytes
+    # an entry, sieving the next segment after the table is dropped), above
+    # about 1.7 MB that does not grow with the segment: the walker's two
+    # BLOCK-long float64 buffers and the accumulator's block temporaries.
+    # Measured with numpy 2.4 on x86-64: 2.24 MB at 2**16 odd k, 3.81 MB at
+    # 2**18, for m = 1 and m = 15 alike. The whole-segment walk it replaced
+    # held its ns and ratio arrays and the previous table while the next
+    # segment sieved: 2.77 MB and 9.52 MB, 36 bytes an entry.
+    small = float_walk_peak(monkeypatch, m, 1 << 16)
+    assert small < 16 * (1 << 16) + 1_500_000
+    large = float_walk_peak(monkeypatch, m, 1 << 18)
+    assert large - small < 16 * ((1 << 18) - (1 << 16))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 5, 7, 12, 30, 360, 9973, 12348])
