@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from operator import floordiv
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .limits import (
     ENGINE_MAX_N,
@@ -152,8 +151,7 @@ def sum_pairs(nodes: list[tuple[int, int]]) -> tuple[int, int]:
     return nodes[0]
 
 
-@dataclass(frozen=True)
-class DensityPrediction:
+class DensityPrediction(NamedTuple):
     """A closed-form density split into its rational part and pi power.
 
     The predicted value is ``exact_factor * (pi**2)**pi_squared_power`` with

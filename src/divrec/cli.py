@@ -13,12 +13,12 @@ Exit codes: 0 success, 1 verification failure or failed reproduction,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from . import arith, convergence, verify
-from .limits import RangeLimitError, check_digits, check_range, positive_int_from_env
+from .limits import MAX_SHOWN_DIGITS, RangeLimitError, check_digits, check_range
+from .limits import positive_int_from_env
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -91,6 +91,20 @@ def _thread_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    """Seed argument: any integer int() reads. A seed has no cap, so a text
+    too long to echo is named by its length, as limits.shown names a huge
+    value, and still exits 2."""
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) <= MAX_SHOWN_DIGITS:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not an integer int() can read: {len(text)} characters"
+        ) from None
 
 
 THREADS_HELP = (
@@ -223,6 +237,8 @@ def _reproduce_rows(threads: int) -> list[dict]:
 def _cmd_reproduce(args) -> int:
     rows = _reproduce_rows(_resolve_threads(args))
     if args.format == "json":
+        import json  # only JSON reports load it
+
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
     else:
         for r in rows:
@@ -302,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--count", type=_int_literal, default=1000, help="lemma: instances, 0 to 1e4"
     )
-    p.add_argument("--seed", type=int, default=0, help="lemma: RNG seed")
+    p.add_argument("--seed", type=_seed, default=0, help="lemma: RNG seed")
     p.add_argument(
         "--max-n", type=_int_literal, default=10**4, help="app1: exhaustive window"
     )

@@ -10,18 +10,41 @@ single largest point and the row at N equals a from-scratch run at N.
 from __future__ import annotations
 
 import decimal
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import arith, limits
 from .limits import SCHEDULE_MAX_POINTS, RangeLimitError, check_range
 
 
-@dataclass(frozen=True)
-class CheckpointSchedule:
+class _Record:
+    """Equality, hashing and repr by the attributes named in ``__slots__``:
+    a record equals only a record of its own type with equal attributes."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+#: Fraction bits of the fixed-point value that steps a schedule.
+_STEP_BITS = 192
+
+
+class CheckpointSchedule(_Record):
     """Geometric grid round(start * ratio**k), k = 0, 1, ..., clipped at stop.
 
     Points are strictly increasing (duplicates after rounding collapse); the
@@ -29,16 +52,15 @@ class CheckpointSchedule:
     start beyond stop yields the empty grid.
     """
 
-    start: int
-    stop: int
-    ratio: Fraction
+    __slots__ = ("start", "stop", "ratio")
 
-    def __post_init__(self) -> None:
-        check_range("start", self.start, 1)
-        check_range("stop", self.stop, 1)
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
-        if self.ratio <= 1:
-            raise ValueError(f"schedule ratio must exceed 1, got {self.ratio}")
+    def __init__(self, start: int, stop: int, ratio: Fraction) -> None:
+        check_range("start", start, 1)
+        check_range("stop", stop, 1)
+        ratio = Fraction(ratio)
+        if ratio <= 1:
+            raise ValueError(f"schedule ratio must exceed 1, got {ratio}")
+        self.start, self.stop, self.ratio = start, stop, ratio
 
     @property
     def points(self) -> list[int]:
@@ -52,25 +74,38 @@ class CheckpointSchedule:
             raise RangeLimitError(
                 f"schedule steps through more than {SCHEDULE_MAX_POINTS} points"
             )
-        # start * ratio**k kept exactly as num/den, one multiplication a step
+        # v = start * ratio**k in fixed point: x <= v * 2**B < x + e, and one
+        # step takes x to floor(x * p / q) and e to floor(e * p / q) + 2. v
+        # rounds to the integer part i of x while [x, x + e) stays below
+        # i + 1/2, and to i + 1 while it lies inside (i + 1/2, i + 3/2);
+        # otherwise, as at an exact half, v = start * p**k / q**k is
+        # rounded exactly, half to even like round(Fraction), and x reset
         p, q = self.ratio.numerator, self.ratio.denominator
-        num, den = self.start, 1
+        one = 1 << _STEP_BITS
+        half = one >> 1
+        x, e = self.start << _STEP_BITS, 1
         pts: list[int] = []
+        k = 0
         while True:
-            raw, rem = divmod(num, den)
-            if 2 * rem > den or (2 * rem == den and raw % 2):
-                raw += 1  # round half to even, like round(Fraction)
+            raw, frac = x >> _STEP_BITS, x & (one - 1)
+            if half < frac and frac + e <= one + half:
+                raw += 1
+            elif frac + e > half:
+                num, den = self.start * p**k, q**k
+                raw, rem = divmod(num, den)
+                if 2 * rem > den or (2 * rem == den and raw % 2):
+                    raw += 1
+                x, e = (num << _STEP_BITS) // den, 1
             value = min(raw, self.stop)
             if not pts or value > pts[-1]:
                 pts.append(value)
             if raw >= self.stop:
                 return pts
-            num *= p
-            den *= q
+            x, e = x * p // q, e * p // q + 2
+            k += 1
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One checkpoint: empirical ratio against the predicted limit.
 
     ``exact_ratio`` carries the full-precision ratio as a (numerator,
@@ -108,26 +143,31 @@ def _row(
     return ConvergenceRow(N, empirical, predicted, abs_err, rel_err, exact)
 
 
-@dataclass(frozen=True)
-class OddlyFamily:
+class OddlyFamily(_Record):
     """Integers whose largest m-power divisor has odd exponent."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int) -> None:
+        self.m = m
 
 
-@dataclass(frozen=True)
-class SquarefreeFamily:
+class SquarefreeFamily(_Record):
     """Square-free integers divisible by square-free t."""
 
-    t: int
+    __slots__ = ("t",)
+
+    def __init__(self, t: int) -> None:
+        self.t = t
 
 
-@dataclass(frozen=True)
-class PhiSumFamily:
+class PhiSumFamily(_Record):
     """Totient-ratio sums over multiples of m; mode 'float' or 'exact'."""
 
-    m: int
-    mode: str = "float"
+    __slots__ = ("m", "mode")
+
+    def __init__(self, m: int, mode: str = "float") -> None:
+        self.m, self.mode = m, mode
 
 
 Family = Union[OddlyFamily, SquarefreeFamily, PhiSumFamily]
@@ -209,6 +249,8 @@ def emit_report(
             )
         return ("\n".join(lines) + "\n").encode("ascii")
     if fmt == "json":
+        import json  # only JSON reports load it
+
         payload = []
         for r in rows:
             entry = {

@@ -18,9 +18,8 @@ checked with ``==`` rather than with tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .arith import pair_sum
 from .limits import ENGINE_MAX_N, check_range, shown
@@ -32,24 +31,39 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class CountingFunction:
     """A map from nonnegative integers to exact rationals with fn(0) = 0.
 
     Instances wrap prefix counts (or prefix sums of nonnegative terms), so
     they are monotone nondecreasing in practice; the engine itself only
-    relies on fn(0) = 0, which is checked at construction.
+    relies on fn(0) = 0, which is checked at construction. Like a
+    :class:`RecurrenceSpec`, it refuses attribute assignment.
     """
 
-    fn: Callable[[int], Fraction]
-    description: str = ""
+    __slots__ = ("fn", "description")
 
-    def __post_init__(self) -> None:
-        if self.fn(0) != 0:
+    def __init__(self, fn: Callable[[int], Fraction], description: str = "") -> None:
+        if fn(0) != 0:
             raise ValueError("counting functions must vanish at 0")
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "description", description)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __call__(self, n: int) -> Fraction:
         return self.fn(n)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.fn, self.description) == (other.fn, other.description)
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.description))
+
+    def __repr__(self) -> str:
+        return f"CountingFunction(fn={self.fn!r}, description={self.description!r})"
 
 
 def identity_counts() -> CountingFunction:
@@ -57,7 +71,6 @@ def identity_counts() -> CountingFunction:
     return CountingFunction(lambda n: Fraction(n), "F(n) = n")
 
 
-@dataclass(frozen=True)
 class RecurrenceSpec:
     """Parameters of one recursion instance.
 
@@ -68,23 +81,51 @@ class RecurrenceSpec:
         D: Hypothesized limit of F(n)/n, used only by the predicted limit
             and the tail bound.
         F: The driving counting function.
+
+    A spec refuses attribute assignment: :func:`expand_eq_star` keeps the
+    terms of the last spec it expanded, found by identity, so a spec
+    changed in place would read them stale.
     """
 
-    m: int
-    alpha: Fraction
-    beta: Fraction
-    D: Fraction
-    F: CountingFunction
+    __slots__ = ("m", "alpha", "beta", "D", "F")
 
-    def __post_init__(self) -> None:
-        check_range("modulus m", self.m, 2)
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "D", Fraction(self.D))
-        if abs(self.beta) >= self.m:
-            n, d = self.beta.numerator, self.beta.denominator
-            beta = shown(n) if d == 1 else f"{shown(n)}/{shown(d)}"
-            raise ValueError(f"need |beta| < m, got beta={beta}, m={shown(self.m)}")
+    def __init__(
+        self,
+        m: int,
+        alpha: RationalLike,
+        beta: RationalLike,
+        D: RationalLike,
+        F: CountingFunction,
+    ) -> None:
+        check_range("modulus m", m, 2)
+        alpha, beta, D = Fraction(alpha), Fraction(beta), Fraction(D)
+        if abs(beta) >= m:
+            n, d = beta.numerator, beta.denominator
+            shown_beta = shown(n) if d == 1 else f"{shown(n)}/{shown(d)}"
+            raise ValueError(f"need |beta| < m, got beta={shown_beta}, m={shown(m)}")
+        set_field = object.__setattr__
+        set_field(self, "m", m)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "D", D)
+        set_field(self, "F", F)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.m, self.alpha, self.beta, self.D, self.F
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "RecurrenceSpec(m=%r, alpha=%r, beta=%r, D=%r, F=%r)" % self._key()
 
 
 def _walk(spec: RecurrenceSpec, N: int) -> tuple[list, list]:
@@ -122,8 +163,7 @@ def evaluate_G(spec: RecurrenceSpec, N: int) -> Fraction:
     return Fraction(*_walk(spec, N)[1][-1])  # reduced once, at the top
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     """One term of the expansion of G(N)/N.
 
     ``coefficient * ratio`` is the term's exact contribution; level terms

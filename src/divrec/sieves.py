@@ -35,8 +35,6 @@ import math
 import os
 from bisect import bisect_right
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -47,7 +45,6 @@ from .limits import SIEVE_MAX_N, RangeLimitError, check_range, shown
 from .limits import segment_size_from_env
 
 
-@dataclass(frozen=True)
 class SieveTable:
     """Totient values for one segment [lo, hi], every ``step``-th number.
 
@@ -56,12 +53,28 @@ class SieveTable:
         hi: Last integer covered (inclusive), lo plus a multiple of step.
         phi: read-only int64 array, ``phi[(n - lo) // step]`` is phi(n).
         step: 1 for every integer, 2 for the odd ones only.
+
+    Two tables are equal when they cover the same numbers with equal
+    totients; a table holds an array, so it is not hashable.
     """
 
-    lo: int
-    hi: int
-    phi: np.ndarray
-    step: int = 1
+    __slots__ = ("lo", "hi", "phi", "step")
+
+    def __init__(self, lo: int, hi: int, phi: np.ndarray, step: int = 1) -> None:
+        self.lo, self.hi, self.phi, self.step = lo, hi, phi, step
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.lo, self.hi, self.step) == (
+            other.lo, other.hi, other.step
+        ) and np.array_equal(self.phi, other.phi)
+
+    def __repr__(self) -> str:
+        return (
+            f"SieveTable(lo={self.lo!r}, hi={self.hi!r}, phi={self.phi!r}, "
+            f"step={self.step!r})"
+        )
 
     def phi_of(self, n: int) -> int:
         if not self.lo <= n <= self.hi or (n - self.lo) % self.step:
@@ -215,6 +228,9 @@ def iter_sieve_tables(
         for span in spans:
             yield sieve_segment(*span, step=step)
         return
+
+    # concurrent.futures loads logging, so one-thread walks leave it alone
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()

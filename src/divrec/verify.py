@@ -11,7 +11,6 @@ automation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -26,11 +25,30 @@ from .arith import (
 from .limits import LEMMA_MAX_COUNT, ORACLE_MAX_N, check_range
 
 
-@dataclass(frozen=True)
 class SuiteResult:
-    name: str
-    checks: int
-    failures: list[str] = field(default_factory=list)
+    """A suite's name, its number of checks and its failure descriptions
+    (a new empty list by default). It holds a list, so it is not hashable."""
+
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(
+        self, name: str, checks: int, failures: list[str] | None = None
+    ) -> None:
+        self.name, self.checks = name, checks
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.checks, self.failures) == (
+            other.name, other.checks, other.failures
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SuiteResult(name={self.name!r}, checks={self.checks!r}, "
+            f"failures={self.failures!r})"
+        )
 
     @property
     def ok(self) -> bool:

@@ -332,6 +332,17 @@ def test_oversized_argument_exits_three_with_a_short_message(capsys, argv, shown
     assert code == 3 and out == "" and shown in err and len(err) < 100
 
 
+def test_oversized_seed_exits_two_naming_the_flag_not_the_digits(capsys):
+    # a seed has no cap, so a text int() cannot read still exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lemma", "--count", "1", "--seed", LONG_VALUE])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    err = captured.err.splitlines()[-1]
+    assert err.endswith("argument --seed: not an integer int() can read: 5000 characters")
+    assert "99" not in captured.err and len(captured.err) < 400
+
+
 def test_oversized_negative_argument_exits_two_with_a_short_message(capsys):
     code, out, err = run_cli(capsys, "phisum", "--m=-1e5000", "--n", "10")
     assert code == 2 and out == ""

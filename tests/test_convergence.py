@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,74 @@ def test_schedule_steps_match_the_formula(start, stop, ratio):
     assert sched.points == points_from_scratch(start, stop, ratio)
 
 
+def exact_points(start: int, stop: int, ratio: Fraction) -> list[int]:
+    """The exact stepper the fixed-point one replaced: start * ratio**k kept
+    as num/den, one multiplication a step, rounded half to even."""
+    if start > stop:
+        return []
+    p, q = ratio.numerator, ratio.denominator
+    num, den = start, 1
+    pts: list[int] = []
+    while True:
+        raw, rem = divmod(num, den)
+        if 2 * rem > den or (2 * rem == den and raw % 2):
+            raw += 1
+        value = min(raw, stop)
+        if not pts or value > pts[-1]:
+            pts.append(value)
+        if raw >= stop:
+            return pts
+        num *= p
+        den *= q
+
+
+@pytest.mark.parametrize(
+    "start, stop, ratio",
+    [
+        (1, 10**9, Fraction("1.001")),  # 14 823 points
+        (1, 10**12, Fraction("1.01")),  # 2414 points
+        (3, 10**12, Fraction("1.01")),
+        # integer ratios: every point is an exact integer
+        (1, 10**12, Fraction(2)),
+        (7, 10**12, Fraction(3)),
+        # start * (p/q)**k lands on an exact half at k = 21, 5 and 6
+        (2**20, 10**12, Fraction(3, 2)),
+        (3 * 10**5 // 2, 10**9, Fraction(11, 10)),
+        (3 * 6**5, 10**12, Fraction(7, 6)),
+        (10**12 - 1, 10**12, Fraction(10**12, 10**12 - 1)),
+        (1, 2, Fraction(3)),
+    ],
+)
+def test_fixed_point_schedule_equals_the_exact_stepper(start, stop, ratio):
+    assert CheckpointSchedule(start, stop, ratio).points == exact_points(
+        start, stop, ratio
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_point_schedule_on_random_schedules(seed):
+    # random ratios of small and wide terms, and starts built so that some
+    # point start * (p/q)**k is an exact half: q even, p odd, start =
+    # s * q**k / 2 with s odd
+    rng = random.Random(seed)
+    for _ in range(150):
+        if rng.random() < 0.5:
+            q = rng.choice((2, 4, 6, 10, 12, 1000))
+            p = rng.randrange(q + 1, 3 * q) | 1
+            while math.gcd(p, q) > 1:
+                p += 2
+            k = rng.randint(1, min(8, 11 // len(str(q))))
+            start = rng.randrange(1, 100, 2) * q**k // 2
+        else:
+            q = rng.choice((1, 3, 7, 10**3, 10**9, 10**30 + 7))
+            p = q + rng.randint(1, 5 * q)
+            start = rng.randint(1, 10**6)
+        ratio = Fraction(p, q)
+        stop = rng.randint(start, min(10**12, start * 2**rng.randint(1, 40)))
+        schedule = CheckpointSchedule(start, stop, ratio)
+        assert schedule.points == exact_points(start, stop, ratio), schedule
+
+
 def test_schedule_point_cap():
     assert len(CheckpointSchedule(1, 10**12, Fraction("1.01")).points) == 2414
     for ratio in ("1.0001", "1.000000001"):
@@ -144,6 +214,18 @@ def test_empty_schedule_runs_to_empty_table():
     sched = CheckpointSchedule(100, 5, Fraction(2))
     for family in (OddlyFamily(2), SquarefreeFamily(2), PhiSumFamily(5)):
         assert run_convergence(family, sched) == []
+
+
+def test_families_and_schedules_compare_within_their_type():
+    families = [OddlyFamily(5), SquarefreeFamily(5), PhiSumFamily(5)]
+    assert families == [OddlyFamily(5), SquarefreeFamily(5), PhiSumFamily(5, "float")]
+    assert len(set(families)) == 3  # hashable, and never equal across types
+    assert OddlyFamily(5) != (5,) and PhiSumFamily(5) != PhiSumFamily(5, "exact")
+    assert repr(PhiSumFamily(6, "exact")) == "PhiSumFamily(m=6, mode='exact')"
+    sched = CheckpointSchedule(1, 10, 2)
+    assert sched == CheckpointSchedule(1, 10, Fraction(2)) != CheckpointSchedule(1, 10, 3)
+    assert hash(sched) == hash(CheckpointSchedule(1, 10, Fraction(2)))
+    assert repr(sched) == "CheckpointSchedule(start=1, stop=10, ratio=Fraction(2, 1))"
 
 
 def test_family_validation_errors():

@@ -168,6 +168,20 @@ def test_counting_function_must_vanish_at_zero():
         CountingFunction(lambda n: Fraction(n + 1))
 
 
+def test_specs_compare_by_value_and_refuse_assignment():
+    F = identity_counts()
+    spec = RecurrenceSpec(2, 1, -1, 1, F)
+    twin = RecurrenceSpec(2, Fraction(1), Fraction(-1), Fraction(1), F)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != RecurrenceSpec(3, 1, -1, 1, F) and spec != HALVING  # other F
+    assert F == CountingFunction(F.fn, "F(n) = n") != CountingFunction(F.fn)
+    assert repr(spec).startswith("RecurrenceSpec(m=2, alpha=Fraction(1, 1), ")
+    # the expansion cache finds a spec by identity, so none may change
+    for obj, name in ((spec, "beta"), (F, "fn")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, None)
+
+
 def test_int_coefficients_are_coerced():
     assert isinstance(HALVING.alpha, Fraction)
     assert isinstance(HALVING.D, Fraction)

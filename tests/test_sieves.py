@@ -342,7 +342,8 @@ def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
             self.in_flight -= 1
             return value
 
-    monkeypatch.setattr("divrec.sieves.ThreadPoolExecutor", RecordingPool)
+    # iter_sieve_tables imports the pool class only when it uses threads
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "10")
     seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500)]
     for cpus, pool_sizes, peak in (({0, 1, 2}, [3], 4), ({0}, [], None)):

@@ -12,10 +12,13 @@ from divrec import arith
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+#: modules the probe reports as loaded or not
+WATCHED = ("numpy", "dataclasses", "inspect", "json", "concurrent.futures")
+
 #: run cli.main on argv in a fresh interpreter; report exit code, stdout and
-#: whether numpy was loaded
-PROBE = """
-import contextlib, io, json, sys
+#: which watched modules it loaded, read before the probe imports json itself
+PROBE = f"""
+import contextlib, io, sys
 from divrec import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -23,7 +26,9 @@ with contextlib.redirect_stdout(out):
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:  # --help
         code = exc.code
-print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.modules}))
+loaded = {{name: name in sys.modules for name in {WATCHED!r}}}
+import json
+print(json.dumps({{"code": code, "out": out.getvalue(), **loaded}}))
 """
 
 
@@ -62,12 +67,17 @@ def test_engine_commands_do_not_load_numpy(argv):
     run = fresh_cli(*argv)
     assert run["code"] == 0 and run["out"]
     assert not run["numpy"]
+    # nor what only dataclasses, JSON reports or a thread pool need
+    assert not run["dataclasses"] and not run["inspect"]
+    assert run["json"] == ("json" in argv)
+    assert not run["concurrent.futures"]
 
 
 def test_sieve_commands_still_load_numpy():
     # 5e6 odd k, past densities.PLAIN_WALK_MAX_K: the numpy sieve
-    run = fresh_cli("phisum", "--m", "1", "--n", "1e7")
+    run = fresh_cli("phisum", "--m", "1", "--n", "1e7", "--threads", "1")
     assert run["code"] == 0 and run["numpy"]
+    assert not run["concurrent.futures"]  # one thread needs no pool
     assert run["out"].splitlines()[1] == (
         "10000000,0.6079271152,0.607927101854,1.33460901219e-08,2.19534383008e-08"
     )

@@ -1,7 +1,6 @@
 """The lemma suite: its integer expansion check against the Fraction sum it
 replaced, and its counts and failure reports; the app1 suite's reports."""
 
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -43,7 +42,7 @@ def fraction_check(terms, N, g) -> bool:
 def shifted(terms, index: int, delta: Fraction):
     # terms with the ratio of terms[index] moved by delta
     out = list(terms)
-    out[index] = dataclasses.replace(out[index], ratio=out[index].ratio + delta)
+    out[index] = out[index]._replace(ratio=out[index].ratio + delta)
     return out
 
 
