@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import arith, convergence, verify
-from .limits import MAX_SHOWN_DIGITS, RangeLimitError, check_digits, check_range
+from .limits import MAX_LITERAL_EXPONENT, MAX_SHOWN_DIGITS, RangeLimitError
+from .limits import check_digits, check_range
 from .limits import positive_int_from_env
 
 EXIT_OK = 0
@@ -40,10 +41,25 @@ def _check_digits(name: str, digits: str) -> None:
         raise _PastEveryCap(exc) from None
 
 
+def _check_exponent(text: str) -> None:
+    # before Fraction(), which builds 10**|e| first, for either sign. A
+    # mantissa has at most 4300 digits, or Fraction() refuses it, so past
+    # the bound a value is past every cap or below 1 in size
+    exponent = text.lower().partition("e")[2].strip().replace("_", "")
+    digits = exponent.removeprefix("-").removeprefix("+").lstrip("0")
+    cap = MAX_LITERAL_EXPONENT
+    if not digits.isdecimal() or len(digits) <= len(str(cap)) and int(digits) <= cap:
+        return
+    if exponent.startswith("-"):
+        raise argparse.ArgumentTypeError(f"exponent below -{cap}: below 1 in size")
+    raise _PastEveryCap(f"exponent exceeds the cap {cap}")
+
+
 def _int_literal(text: str) -> int:
     """Integer argument, allowing scientific shorthand like 1e7."""
     mantissa = text.lower().partition("e")[0]
     _check_digits("an integer argument", "".join(filter(str.isdecimal, mantissa)))
+    _check_exponent(text)
     try:
         f = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -61,6 +77,7 @@ def _schedule_literal(text: str) -> convergence.CheckpointSchedule:
         )
     try:
         start, stop = _int_literal(parts[0]), _int_literal(parts[1])
+        _check_exponent(parts[2])
         ratio = Fraction(parts[2])
         return convergence.CheckpointSchedule(start, stop, ratio)
     except (ValueError, ZeroDivisionError) as exc:
@@ -107,21 +124,11 @@ def _seed(text: str) -> int:
         ) from None
 
 
-THREADS_HELP = (
-    "worker threads for the totient sieve (default $DIVREC_THREADS or 1); "
-    "results do not depend on this"
-)
-
-
 def _resolve_schedule(args) -> convergence.CheckpointSchedule:
     if args.n is not None:
         check_range("n", args.n, 1)  # named as the flag, not the schedule start
         return convergence.CheckpointSchedule(args.n, args.n, Fraction(2))
     return args.schedule
-
-
-def _resolve_threads(args) -> int:
-    return args.threads or positive_int_from_env("DIVREC_THREADS", 1)
 
 
 def _print_report(rows, args, *, include_exact: bool = False) -> None:
@@ -173,9 +180,8 @@ def _cmd_squarefree(args) -> int:
 
 def _cmd_phisum(args) -> int:
     family = convergence.PhiSumFamily(args.m, args.mode)
-    rows = convergence.run_convergence(
-        family, _resolve_schedule(args), threads=_resolve_threads(args)
-    )
+    threads = args.threads or positive_int_from_env("DIVREC_THREADS", 1)
+    rows = convergence.run_convergence(family, _resolve_schedule(args), threads=threads)
     _print_report(rows, args, include_exact=(args.mode == "exact"))
     return EXIT_OK
 
@@ -210,16 +216,14 @@ PUBLISHED_ROWS = (
 REPRODUCE_RTOL = 5e-3
 
 
-def _reproduce_rows(threads: int) -> list[dict]:
-    out = []
+def _cmd_reproduce(args) -> int:
+    rows = []
     for m, n, pub_emp, pub_pred, expect in PUBLISHED_ROWS:
         schedule = convergence.CheckpointSchedule(n, n, Fraction(2))
-        row = convergence.run_convergence(
-            convergence.PhiSumFamily(m), schedule, threads=threads
-        )[0]
+        row = convergence.run_convergence(convergence.PhiSumFamily(m), schedule)[0]
         emp_ok = abs(row.empirical - pub_emp) <= REPRODUCE_RTOL * pub_emp
         pred_ok = abs(row.predicted - pub_pred) <= REPRODUCE_RTOL * pub_pred
-        out.append(
+        rows.append(
             {
                 "m": m,
                 "N": n,
@@ -231,11 +235,6 @@ def _reproduce_rows(threads: int) -> list[dict]:
                 "expected_match": expect,
             }
         )
-    return out
-
-
-def _cmd_reproduce(args) -> int:
-    rows = _reproduce_rows(_resolve_threads(args))
     if args.format == "json":
         import json  # only JSON reports load it
 
@@ -306,7 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact: full-precision rationals (N <= 1e5, included in JSON output)",
     )
     _add_table_args(p)
-    p.add_argument("--threads", type=_thread_count, help=THREADS_HELP)
+    p.add_argument(
+        "--threads",
+        type=_thread_count,
+        help="worker threads for the totient sieve (default $DIVREC_THREADS or 1); "
+        "results do not depend on this",
+    )
     p.set_defaults(handler=_cmd_phisum)
 
     p = sub.add_parser("verify", help="run an exact identity suite")
@@ -338,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute the published totient-ratio evidence table and compare",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=_thread_count, help=THREADS_HELP)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser

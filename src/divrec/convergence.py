@@ -15,36 +15,14 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from . import arith, limits
-from .limits import SCHEDULE_MAX_POINTS, RangeLimitError, check_range
-
-
-class _Record:
-    """Equality, hashing and repr by the attributes named in ``__slots__``:
-    a record equals only a record of its own type with equal attributes."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({args})"
+from .limits import SCHEDULE_MAX_POINTS, RangeLimitError, Record, check_range, shown
 
 
 #: Fraction bits of the fixed-point value that steps a schedule.
 _STEP_BITS = 192
 
 
-class CheckpointSchedule(_Record):
+class CheckpointSchedule(Record):
     """Geometric grid round(start * ratio**k), k = 0, 1, ..., clipped at stop.
 
     Points are strictly increasing (duplicates after rounding collapse); the
@@ -59,8 +37,8 @@ class CheckpointSchedule(_Record):
         check_range("stop", stop, 1)
         ratio = Fraction(ratio)
         if ratio <= 1:
-            raise ValueError(f"schedule ratio must exceed 1, got {ratio}")
-        self.start, self.stop, self.ratio = start, stop, ratio
+            raise ValueError(f"schedule ratio must exceed 1, got {shown(ratio)}")
+        super().__init__(start, stop, ratio)
 
     @property
     def points(self) -> list[int]:
@@ -143,31 +121,31 @@ def _row(
     return ConvergenceRow(N, empirical, predicted, abs_err, rel_err, exact)
 
 
-class OddlyFamily(_Record):
+class OddlyFamily(Record):
     """Integers whose largest m-power divisor has odd exponent."""
 
     __slots__ = ("m",)
 
     def __init__(self, m: int) -> None:
-        self.m = m
+        super().__init__(m)
 
 
-class SquarefreeFamily(_Record):
+class SquarefreeFamily(Record):
     """Square-free integers divisible by square-free t."""
 
     __slots__ = ("t",)
 
     def __init__(self, t: int) -> None:
-        self.t = t
+        super().__init__(t)
 
 
-class PhiSumFamily(_Record):
+class PhiSumFamily(Record):
     """Totient-ratio sums over multiples of m; mode 'float' or 'exact'."""
 
     __slots__ = ("m", "mode")
 
     def __init__(self, m: int, mode: str = "float") -> None:
-        self.m, self.mode = m, mode
+        super().__init__(m, mode)
 
 
 Family = Union[OddlyFamily, SquarefreeFamily, PhiSumFamily]
@@ -190,8 +168,8 @@ def run_convergence(
     A stop past the family's cap raises RangeLimitError before the schedule
     is stepped. Parameter validation is delegated to the family's counters,
     so a bad modulus or a non-square-free t raises ValueError before any
-    work starts. ``threads`` sieves the totients of a :class:`PhiSumFamily`
-    ahead; the other families ignore it.
+    work starts. ``threads`` sieves the totients of a float
+    :class:`PhiSumFamily` ahead; the other tables ignore it.
     """
     if schedule.start <= schedule.stop:
         check_range("N", schedule.stop, 1, _cap(family))
@@ -210,7 +188,7 @@ def run_convergence(
 
         pred = densities.predicted_phi_density(family.m)
         if family.mode == "exact":
-            totals = densities.phi_ratio_pairs_at(family.m, points, threads=threads)
+            totals = densities.phi_ratio_pairs_at(family.m, points)
         else:
             totals = densities.phi_ratio_sums_at(
                 family.m, points, family.mode, threads=threads

@@ -207,16 +207,13 @@ def phi_ratio_sums_at(
     from-scratch sum of all its terms at its point bit for bit.
     """
     if mode == "exact":
-        pairs = phi_ratio_pairs_at(m, points, threads=threads)
-        return [Fraction(*pair) for pair in pairs]
+        return [Fraction(*pair) for pair in phi_ratio_pairs_at(m, points)]
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}, expected 'float' or 'exact'")
     return _phi_ratio_walk(m, points, False, threads)
 
 
-def phi_ratio_pairs_at(
-    m: int, points: Sequence[int], *, threads: int = 1
-) -> list[tuple[int, int]]:
+def phi_ratio_pairs_at(m: int, points: Sequence[int]) -> list[tuple[int, int]]:
     """The exact sums of :func:`phi_ratio_sums_at` as unreduced pairs.
 
     Each sum is a (numerator, denominator) pair, not in lowest terms, so no
@@ -227,7 +224,7 @@ def phi_ratio_pairs_at(
     points it sums the new odd terms of every halving of the range as
     balanced trees and folds them into the long sum once.
     """
-    return _phi_ratio_walk(m, points, True, threads)
+    return _phi_ratio_walk(m, points, True, 1)  # exact walks never sieve
 
 
 def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) -> list:

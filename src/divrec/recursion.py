@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
 from .arith import pair_sum
-from .limits import ENGINE_MAX_N, check_range, shown
+from .limits import ENGINE_MAX_N, Record, check_range, shown
 
 #: Exact rational scalar used for all engine arithmetic.
 Rational = Fraction
@@ -31,13 +31,12 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
-class CountingFunction:
+class CountingFunction(Record):
     """A map from nonnegative integers to exact rationals with fn(0) = 0.
 
     Instances wrap prefix counts (or prefix sums of nonnegative terms), so
     they are monotone nondecreasing in practice; the engine itself only
-    relies on fn(0) = 0, which is checked at construction. Like a
-    :class:`RecurrenceSpec`, it refuses attribute assignment.
+    relies on fn(0) = 0, which is checked at construction.
     """
 
     __slots__ = ("fn", "description")
@@ -45,25 +44,10 @@ class CountingFunction:
     def __init__(self, fn: Callable[[int], Fraction], description: str = "") -> None:
         if fn(0) != 0:
             raise ValueError("counting functions must vanish at 0")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "description", description)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+        super().__init__(fn, description)
 
     def __call__(self, n: int) -> Fraction:
         return self.fn(n)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.fn, self.description) == (other.fn, other.description)
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.description))
-
-    def __repr__(self) -> str:
-        return f"CountingFunction(fn={self.fn!r}, description={self.description!r})"
 
 
 def identity_counts() -> CountingFunction:
@@ -71,7 +55,7 @@ def identity_counts() -> CountingFunction:
     return CountingFunction(lambda n: Fraction(n), "F(n) = n")
 
 
-class RecurrenceSpec:
+class RecurrenceSpec(Record):
     """Parameters of one recursion instance.
 
     Attributes:
@@ -82,9 +66,9 @@ class RecurrenceSpec:
             and the tail bound.
         F: The driving counting function.
 
-    A spec refuses attribute assignment: :func:`expand_eq_star` keeps the
-    terms of the last spec it expanded, found by identity, so a spec
-    changed in place would read them stale.
+    :func:`expand_eq_star` keeps the terms of the last spec it expanded,
+    found by identity, which holds because a spec, like every
+    :class:`~divrec.limits.Record`, refuses attribute assignment.
     """
 
     __slots__ = ("m", "alpha", "beta", "D", "F")
@@ -100,32 +84,8 @@ class RecurrenceSpec:
         check_range("modulus m", m, 2)
         alpha, beta, D = Fraction(alpha), Fraction(beta), Fraction(D)
         if abs(beta) >= m:
-            n, d = beta.numerator, beta.denominator
-            shown_beta = shown(n) if d == 1 else f"{shown(n)}/{shown(d)}"
-            raise ValueError(f"need |beta| < m, got beta={shown_beta}, m={shown(m)}")
-        set_field = object.__setattr__
-        set_field(self, "m", m)
-        set_field(self, "alpha", alpha)
-        set_field(self, "beta", beta)
-        set_field(self, "D", D)
-        set_field(self, "F", F)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.m, self.alpha, self.beta, self.D, self.F
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "RecurrenceSpec(m=%r, alpha=%r, beta=%r, D=%r, F=%r)" % self._key()
+            raise ValueError(f"need |beta| < m, got beta={shown(beta)}, m={shown(m)}")
+        super().__init__(m, alpha, beta, D, F)
 
 
 def _walk(spec: RecurrenceSpec, N: int) -> tuple[list, list]:

@@ -41,11 +41,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arith import base_primes
-from .limits import SIEVE_MAX_N, RangeLimitError, check_range, shown
+from .limits import SIEVE_MAX_N, RangeLimitError, Record, check_range, shown
 from .limits import segment_size_from_env
 
 
-class SieveTable:
+class SieveTable(Record):
     """Totient values for one segment [lo, hi], every ``step``-th number.
 
     Attributes:
@@ -61,7 +61,7 @@ class SieveTable:
     __slots__ = ("lo", "hi", "phi", "step")
 
     def __init__(self, lo: int, hi: int, phi: np.ndarray, step: int = 1) -> None:
-        self.lo, self.hi, self.phi, self.step = lo, hi, phi, step
+        super().__init__(lo, hi, phi, step)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -70,11 +70,7 @@ class SieveTable:
             other.lo, other.hi, other.step
         ) and np.array_equal(self.phi, other.phi)
 
-    def __repr__(self) -> str:
-        return (
-            f"SieveTable(lo={self.lo!r}, hi={self.hi!r}, phi={self.phi!r}, "
-            f"step={self.step!r})"
-        )
+    __hash__ = None
 
     def phi_of(self, n: int) -> int:
         if not self.lo <= n <= self.hi or (n - self.lo) % self.step:

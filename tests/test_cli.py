@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -255,7 +256,6 @@ def test_bad_threads_variable_exits_two(capsys, monkeypatch):
     # the flag takes positive integers only, on every command that offers it
     for argv in (
         ["phisum", "--m", "1", "--n", "100"],
-        ["reproduce-paper"],
         ["squarefree", "--t", "6", "--n", "100"],
     ):
         for value in ("0", "-1"):
@@ -264,10 +264,12 @@ def test_bad_threads_variable_exits_two(capsys, monkeypatch):
             assert exc.value.code == 2
             assert f"need a positive integer, got '{value}'" in capsys.readouterr().err
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
-    # oddly never sieves, so it offers no --threads
-    with pytest.raises(SystemExit) as exc:
-        main(["oddly", "--m", "2", "--n", "10", "--threads", "2"])
-    assert exc.value.code == 2
+    # oddly never sieves, and reproduce-paper walks too few k to sieve, so
+    # neither offers --threads
+    for argv in (["oddly", "--m", "2", "--n", "10"], ["reproduce-paper"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "2"])
+        assert exc.value.code == 2
 
 
 def test_exit_code_schedule_with_too_many_points(capsys):
@@ -322,14 +324,20 @@ LONG_VALUE = "9" * 5000
         (["phisum", "--m", "1", "--n", "10", "--threads", LONG_VALUE], "--threads"),
         (["phisum", "--m", "1", "--n", "1" + "0" * 30], "has 31 digits"),
         (["phisum", "--m", "1", "--n", "10", "--threads", "1" + "0" * 30], "31 dig"),
+        # exponents past the bound, refused before Fraction() builds 10**e
+        (["oddly", "--m", "2", "--n", "1e10000000"], "exponent exceeds the cap"),
+        (["oddly", "--m", "1e10000000", "--n", "10"], "exponent exceeds the cap"),
+        (["oddly", "--m", "2", "--schedule", "1:10:1e10000000"], "exponent exce"),
     ],
 )
 def test_oversized_argument_exits_three_with_a_short_message(capsys, argv, shown):
     # past 4300 digits Python refuses int-to-str conversion, so a message that
     # echoed such an N in full raised instead and exited 2; a literal of more
     # than 30 digits is past every cap before it is converted
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == "" and shown in err and len(err) < 100
+    assert time.perf_counter() - start < 1
 
 
 def test_oversized_seed_exits_two_naming_the_flag_not_the_digits(capsys):
@@ -347,6 +355,16 @@ def test_oversized_negative_argument_exits_two_with_a_short_message(capsys):
     code, out, err = run_cli(capsys, "phisum", "--m=-1e5000", "--n", "10")
     assert code == 2 and out == ""
     assert err == "error: need modulus m >= 1, got a negative 5001-digit integer\n"
+    # a ratio below 1 is named by its digit counts; past the exponent bound
+    # it is refused before Fraction() builds the power
+    for ratio, message in [
+        ("1e-5000", "schedule ratio must exceed 1, got 1/a 5001-digit integer"),
+        ("1e-10000000", "exponent below -100000: below 1 in size"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["oddly", "--m", "2", "--schedule", f"1:10:{ratio}"])
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert exc.value.code == 2 and err.endswith(message) and len(err) < 100
 
 
 def test_repeated_oversized_primes_exit_two_with_a_short_message(capsys):
@@ -443,7 +461,7 @@ FUZZ_COMMANDS = {
             ("--max-n",), ("--max-x",), ("--claim-max-n",),
         ],
     ),
-    "reproduce-paper": (0, [("--format",), ("--threads",)]),
+    "reproduce-paper": (0, [("--format",)]),
 }
 
 
@@ -549,8 +567,13 @@ ACCEPTED = {
     # a modulus is capped where it is factored, at 1e12
     ("phisum", "--m", "2e9"),
     ("reproduce-paper", "--format", "text"),  # the default format
-    # square-free counts run on one thread and do not read DIVREC_THREADS
-    *(("squarefree", "DIVREC_THREADS", v) for v in FUZZ_ENV["DIVREC_THREADS"][1]),
+    # square-free counts run on one thread, and the published rows walk too
+    # few k to sieve: neither reads DIVREC_THREADS
+    *(
+        (command, "DIVREC_THREADS", v)
+        for command in ("squarefree", "reproduce-paper")
+        for v in FUZZ_ENV["DIVREC_THREADS"][1]
+    ),
 }
 
 

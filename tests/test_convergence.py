@@ -25,6 +25,8 @@ from divrec.densities import (
     predicted_phi_density,
 )
 from divrec.limits import RangeLimitError
+from divrec.sieves import SieveTable, sieve_segment
+from divrec.verify import SuiteResult
 
 
 def test_schedule_default_grid():
@@ -60,6 +62,10 @@ def test_schedule_validation():
         CheckpointSchedule(1, 10, Fraction(1))
     with pytest.raises(ValueError):
         CheckpointSchedule(1, 10, Fraction(1, 2))
+    # a huge ratio is named by its digit counts, as a huge N is
+    with pytest.raises(ValueError) as info:
+        CheckpointSchedule(1, 10, Fraction(1, 10**5000))
+    assert str(info.value) == "schedule ratio must exceed 1, got 1/a 5001-digit integer"
 
 
 def points_from_scratch(start: int, stop: int, ratio: Fraction) -> list[int]:
@@ -226,6 +232,35 @@ def test_families_and_schedules_compare_within_their_type():
     assert sched == CheckpointSchedule(1, 10, Fraction(2)) != CheckpointSchedule(1, 10, 3)
     assert hash(sched) == hash(CheckpointSchedule(1, 10, Fraction(2)))
     assert repr(sched) == "CheckpointSchedule(start=1, stop=10, ratio=Fraction(2, 1))"
+    # tables and suite results compare by value within their type, and
+    # records of two types with equal fields never compare equal
+    table = sieve_segment(1, 10)
+    twin = SieveTable(table.lo, table.hi, table.phi, table.step)
+    assert table == twin and SieveTable(1, 10, table.phi, 2) != table
+    suite = SuiteResult("brown", 3)
+    assert suite == SuiteResult("brown", 3, []) != SuiteResult("brown", 4)
+    assert SuiteResult(1, 10, Fraction(2)) != sched != SuiteResult(1, 10, Fraction(2))
+    # a table holds an array and a suite result a list: neither hashes
+    for record in (table, suite):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    # no record takes a new field value: a table changed in place read
+    # totients from the wrong numbers, and a schedule changed in place was
+    # never checked
+    changes = [
+        (table, "lo", 5),
+        (suite, "checks", 0),
+        (sched, "ratio", Fraction(1, 2)),
+        (OddlyFamily(5), "m", 1),
+        (SquarefreeFamily(5), "t", 4),
+        (PhiSumFamily(5), "mode", "decimal"),
+    ]
+    for record, name, value in changes:
+        before = repr(record)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, value)
+        assert repr(record) == before
+    assert table.phi_of(5) == 4
 
 
 def test_family_validation_errors():

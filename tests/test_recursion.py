@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrec.convergence import PhiSumFamily
 from divrec.limits import ENGINE_MAX_N, RangeLimitError
 from divrec.recursion import (
     CountingFunction,
@@ -161,6 +162,11 @@ def test_spec_validation_shows_a_huge_beta_by_its_length():
         RecurrenceSpec(2, 1, 10**5000, Fraction(1), identity_counts())
     assert str(info.value).startswith("need |beta| < m")
     assert "a 5001-digit integer" in str(info.value)
+    with pytest.raises(ValueError) as info:
+        RecurrenceSpec(2, 1, Fraction(-(10**5000), 3), Fraction(1), identity_counts())
+    assert str(info.value) == (
+        "need |beta| < m, got beta=a negative 5001-digit integer/3, m=2"
+    )
 
 
 def test_counting_function_must_vanish_at_zero():
@@ -176,10 +182,15 @@ def test_specs_compare_by_value_and_refuse_assignment():
     assert spec != RecurrenceSpec(3, 1, -1, 1, F) and spec != HALVING  # other F
     assert F == CountingFunction(F.fn, "F(n) = n") != CountingFunction(F.fn)
     assert repr(spec).startswith("RecurrenceSpec(m=2, alpha=Fraction(1, 1), ")
-    # the expansion cache finds a spec by identity, so none may change
-    for obj, name in ((spec, "beta"), (F, "fn")):
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+    assert repr(F).startswith("CountingFunction(fn=<function ")
+    # every record refuses assignment with one message: the expansion cache
+    # finds a spec by identity, so none may change
+    for obj, name in ((spec, "beta"), (F, "fn"), (spec, "m"), (F, "description")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(obj, name, None)
+    assert spec == twin and F.description == "F(n) = n"
+    # records of two types with equal fields never compare equal
+    assert F != PhiSumFamily(F.fn, F.description)
 
 
 def test_int_coefficients_are_coerced():
