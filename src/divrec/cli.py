@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure or failed reproduction,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -78,10 +79,25 @@ def _schedule_literal(text: str) -> convergence.CheckpointSchedule:
     try:
         start, stop = _int_literal(parts[0]), _int_literal(parts[1])
         _check_exponent(parts[2])
-        ratio = Fraction(parts[2])
-        return convergence.CheckpointSchedule(start, stop, ratio)
+        return convergence.CheckpointSchedule(start, stop, _ratio(parts[2]))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _ratio(text: str) -> Fraction:
+    """Schedule ratio: any number Fraction() reads. A ratio has no cap, so
+    a text Fraction() cannot read still exits 2; one longer than
+    :data:`MAX_SHOWN_DIGITS` is named by its length, as :func:`_seed` names
+    a seed, not echoed in full or by Python's message on its 4300-digit
+    limit."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        if len(text) <= MAX_SHOWN_DIGITS:
+            raise
+        raise ValueError(
+            f"not a ratio Fraction() can read: {len(text)} characters"
+        ) from None
 
 
 def _prime_list(text: str) -> list[int]:
@@ -348,6 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's Linux and Windows wheels bundle a pthreads OpenBLAS, which
+    # starts a pool of (usable CPUs - 1) threads at import that spin idle:
+    # no divrec code calls BLAS, linalg or dot. Only the command line sets
+    # this, before numpy loads; the library leaves a caller's BLAS threads
+    # alone, and a value already set is kept
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
     except _PastEveryCap as exc:

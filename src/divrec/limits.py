@@ -151,9 +151,9 @@ class RangeLimitError(ValueError):
 
 class Record:
     """A value type whose fields are its ``__slots__``, set in order by
-    ``__init__`` and never again: assigning a field raises AttributeError.
-    A record equals only a record of its own type with equal fields, hashes
-    by its fields and shows them in its repr."""
+    ``__init__`` and never again: assigning or deleting a field raises
+    AttributeError. A record equals only a record of its own type with
+    equal fields, hashes by its fields and shows them in its repr."""
 
     __slots__ = ()
 
@@ -163,6 +163,9 @@ class Record:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -356,10 +356,12 @@ def test_oversized_negative_argument_exits_two_with_a_short_message(capsys):
     assert code == 2 and out == ""
     assert err == "error: need modulus m >= 1, got a negative 5001-digit integer\n"
     # a ratio below 1 is named by its digit counts; past the exponent bound
-    # it is refused before Fraction() builds the power
+    # it is refused before Fraction() builds the power. A ratio has no cap,
+    # so one too long for Fraction() to read is named by its length
     for ratio, message in [
         ("1e-5000", "schedule ratio must exceed 1, got 1/a 5001-digit integer"),
         ("1e-10000000", "exponent below -100000: below 1 in size"),
+        (LONG_VALUE, "--schedule: not a ratio Fraction() can read: 5000 characters"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(["oddly", "--m", "2", "--schedule", f"1:10:{ratio}"])

@@ -257,9 +257,13 @@ def test_families_and_schedules_compare_within_their_type():
     ]
     for record, name, value in changes:
         before = repr(record)
+        twin = type(record)(*(getattr(record, n) for n in record.__slots__))
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(record, name, value)
-        assert repr(record) == before
+        # nor loses one: a deleted field broke the next repr, == or points
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+        assert repr(record) == before and record == twin
     assert table.phi_of(5) == 4
 
 

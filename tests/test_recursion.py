@@ -186,8 +186,12 @@ def test_specs_compare_by_value_and_refuse_assignment():
     # every record refuses assignment with one message: the expansion cache
     # finds a spec by identity, so none may change
     for obj, name in ((spec, "beta"), (F, "fn"), (spec, "m"), (F, "description")):
+        before = repr(obj)
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+        assert repr(obj) == before
     assert spec == twin and F.description == "F(n) = n"
     # records of two types with equal fields never compare equal
     assert F != PhiSumFamily(F.fn, F.description)

@@ -15,10 +15,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 #: modules the probe reports as loaded or not
 WATCHED = ("numpy", "dataclasses", "inspect", "json", "concurrent.futures")
 
-#: run cli.main on argv in a fresh interpreter; report exit code, stdout and
-#: which watched modules it loaded, read before the probe imports json itself
+#: run cli.main on argv in a fresh interpreter; report exit code, stdout,
+#: which watched modules it loaded, read before the probe imports json
+#: itself, OPENBLAS_NUM_THREADS as main left it, and the process's OS
+#: threads after main returns where /proc/self/task lists them (Linux)
 PROBE = f"""
-import contextlib, io, sys
+import contextlib, io, os, sys
 from divrec import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -27,16 +29,29 @@ with contextlib.redirect_stdout(out):
     except SystemExit as exc:  # --help
         code = exc.code
 loaded = {{name: name in sys.modules for name in {WATCHED!r}}}
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+blas = os.environ.get("OPENBLAS_NUM_THREADS")
 import json
-print(json.dumps({{"code": code, "out": out.getvalue(), **loaded}}))
+print(json.dumps({{"code": code, "out": out.getvalue(), **loaded,
+                  "threads": threads, "OPENBLAS_NUM_THREADS": blas}}))
 """
 
 
-def fresh_cli(*argv: str) -> dict:
-    env = dict(os.environ)
+def child_env(**preset: str) -> dict:
+    """This environment without OPENBLAS_NUM_THREADS, plus ``preset``, with
+    the checkout's sources first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return {**env, **preset}
+
+
+def fresh_cli(*argv: str, **preset: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, env=env, text=True
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True,
+        env=child_env(**preset),
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -73,14 +88,44 @@ def test_engine_commands_do_not_load_numpy(argv):
     assert not run["concurrent.futures"]
 
 
+DENSE_PHISUM = ("phisum", "--m", "1", "--n", "1e7", "--threads", "1")
+
+
 def test_sieve_commands_still_load_numpy():
     # 5e6 odd k, past densities.PLAIN_WALK_MAX_K: the numpy sieve
-    run = fresh_cli("phisum", "--m", "1", "--n", "1e7", "--threads", "1")
+    run = fresh_cli(*DENSE_PHISUM)
     assert run["code"] == 0 and run["numpy"]
     assert not run["concurrent.futures"]  # one thread needs no pool
     assert run["out"].splitlines()[1] == (
         "10000000,0.6079271152,0.607927101854,1.33460901219e-08,2.19534383008e-08"
     )
+    # nor the idle pool OpenBLAS starts at import, of one thread fewer than
+    # the usable CPUs; on one CPU it starts none, so the thread count there
+    # would pass without the variable
+    assert run["OPENBLAS_NUM_THREADS"] == "1"
+    if sys.platform.startswith("linux"):
+        assert run["threads"] == 1
+
+
+def test_a_preset_blas_thread_count_is_kept():
+    run = fresh_cli(*DENSE_PHISUM, OPENBLAS_NUM_THREADS="2")
+    assert run["code"] == 0 and run["numpy"]
+    assert run["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_the_library_leaves_the_environment_alone():
+    # a library caller may want BLAS threads for its own code: only the
+    # command line sets OPENBLAS_NUM_THREADS
+    code = (
+        "import os; before = dict(os.environ); "
+        "import divrec; divrec.sieve_segment(1, 2); "
+        "import sys; assert 'numpy' in sys.modules; "
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=child_env(), text=True
+    )
+    assert proc.stdout.split() == ["True", "False"], proc.stderr
 
 
 @pytest.mark.parametrize(
