@@ -3,13 +3,16 @@
 Both accumulators keep their sum exactly, so a snapshot taken mid-stream
 equals a from-scratch sum over the prefix, whatever the order or chunking of
 the terms. That property is what makes checkpointed tables and multi-threaded
-sieving bit-reproducible.
+sieving bit-reproducible. The float sum counts in one fixed unit of
+2**-FLOAT_UNIT_BITS = 2**-56, in which every double of [2**-3, 2), and so
+every totient ratio up to the sieve cap, is a whole number.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate, pairwise
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -22,25 +25,16 @@ from .arith import FLOAT_UNIT_BITS, pair_sum, rounded_units
 #: values in blocks of this length hands over no array longer than one.
 BLOCK = 1 << 15
 
-#: Consecutive frexp exponents per band: scaled to integers at the band's
-#: lowest exponent, every value stays below 2**(53 + _BAND - 1) < 2**62.
-_BAND = 9
-
-#: The least frexp exponent, -1073 (the smallest subnormal is
-#: 0.5 * 2**-1073): a double scaled by 2**(53 - _MIN_EXP) is an integer.
-_MIN_EXP = 53 - FLOAT_UNIT_BITS
-
 
 class ExactFloatSum:
-    """Exact sum of doubles, rounded once to the nearest double on read.
+    """Exact sum of doubles in [2**-3, 2), rounded once to the nearest double
+    on read.
 
-    The running sum is the Python int ``num`` in units of 2**-1126, a grid
-    every double lies on. ``extend`` scales each band of nearby exponents to
-    int64 integers with ``np.ldexp`` and sums their high and low 32-bit
-    halves in numpy; only those two totals per band become Python ints.
-    ``value`` divides once, and CPython rounds int / int correctly, so the
-    result is the correctly rounded sum and does not depend on the order or
-    chunking of the terms.
+    The running sum is the Python int ``_num`` in units of
+    2**-FLOAT_UNIT_BITS. Each block of values is scaled to int64 integers
+    whose high and low 32-bit halves are summed in numpy. ``value`` divides
+    once, and CPython rounds int / int correctly, so the result is the
+    correctly rounded sum whatever the order or chunking of the terms.
     """
 
     __slots__ = ("_num",)
@@ -48,77 +42,55 @@ class ExactFloatSum:
     def __init__(self) -> None:
         self._num = 0
 
-    def add(self, x: float) -> None:
-        self.extend((x,))
-
     def extend(self, values: Iterable[float]) -> None:
-        """Add finite doubles (any array-like); raises ValueError otherwise."""
-        x = np.asarray(values, dtype=np.float64).ravel()
-        num = self._num  # committed only if every value is finite
-        for start in range(0, x.size, BLOCK):
-            block = x[start : start + BLOCK]
-            if not np.isfinite(block).all():
-                raise ValueError("can only sum finite values")
-            exps = np.frexp(block)[1]
-            lo = int(exps.min())
-            if int(exps.max()) - lo < _BAND:
-                num += _band_totals(block, lo)[-1]
-                continue
-            bands = (exps - lo) // _BAND
-            for b in np.unique(bands).tolist():
-                num += _band_totals(block[bands == b], lo + b * _BAND)[-1]
-        self._num = num
+        """Add doubles in [2**-3, 2) (any array-like); a ValueError, adding
+        nothing, if any value lies outside, NaN and inf included."""
+        x = _checked(values)
+        self._num += sum(_units(x[s : s + BLOCK])[-1] for s in range(0, x.size, BLOCK))
 
     def extend_at(self, values: Iterable[float], cuts: Sequence[int]) -> list[int]:
-        """Add finite doubles as :meth:`extend` does, and return the exact sum
-        in units of 2**-1126 after each of the ascending entry counts
-        ``cuts`` of ``values``. A block with cuts in one band of exponents,
-        as totient ratios always are, takes running sums in numpy; any other
-        goes through :meth:`extend`, one piece between cuts at a time."""
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if not np.isfinite(x).all():
-            raise ValueError("can only sum finite values")
+        """Add values as :meth:`extend` does, and return the exact sum in
+        units of 2**-FLOAT_UNIT_BITS after each of the ascending entry counts
+        ``cuts`` of ``values``. A block with cuts sums its pieces between
+        them in numpy; one without goes through :meth:`extend`."""
+        x = _checked(values)
         out: list[int] = []
         for start in range(0, x.size, BLOCK):
             block = x[start : start + BLOCK]
             end = bisect_right(cuts, start + block.size)
-            ends = [c - start for c in cuts[len(out) : end]]
-            exps = np.frexp(block)[1] if ends else None
-            if ends and int(exps.max()) - int(exps.min()) < _BAND:
-                *running, total = _band_totals(block, int(exps.min()), ends)
-                out += [self._num + r for r in running]
-                self._num += total
+            if end == len(out):
+                self.extend(block)
                 continue
-            for lo, hi in zip([0, *ends], [*ends, block.size]):
-                self.extend(block[lo:hi])
-                out.append(self._num)
-            out.pop()
+            *running, total = _units(block, [c - start for c in cuts[len(out) : end]])
+            out += [self._num + r for r in running]
+            self._num += total
         return out + [self._num] * (len(cuts) - len(out))
-
-    rounded = staticmethod(rounded_units)
 
     @property
     def value(self) -> float:
-        """The sum rounded to the nearest double; OverflowError past its range."""
-        return self.rounded(self._num)
+        """The sum rounded to the nearest double."""
+        return rounded_units(self._num)
 
 
-def _band_totals(values: np.ndarray, lo: int, ends: Sequence[int] = ()) -> list[int]:
-    # the sums of values[:e] for each e in ends, then of all values, whose
-    # frexp exponents lie in [lo, lo + _BAND), in units of 2**(_MIN_EXP - 53):
-    # each ldexp result is an integer below 2**62, and the running int64
-    # sums of its 32-bit halves over a block stay below 2**15 * 2**32
-    ints = np.ldexp(values, 53 - lo).astype(np.int64)
+def _checked(values: Iterable[float]) -> np.ndarray:
+    # the values as a flat float64 array, if all lie in [2**-3, 2): NaN fails
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if x.size and not (x.min() >= 0.125 and x.max() < 2.0):
+        raise ValueError("can only sum doubles in [0.125, 2.0)")
+    return x
+
+
+def _units(block: np.ndarray, ends: Sequence[int] = ()) -> list[int]:
+    # the sums of block[:e] for each e in ends, then of the whole block, in
+    # units of 2**-FLOAT_UNIT_BITS: each scaled value is an integer below
+    # 2**57, and the int64 sums of its 32-bit halves over a block stay below
+    # 2**15 * 2**32
+    ints = (block * 2.0**FLOAT_UNIT_BITS).astype(np.int64)
     high = ints >> 32
     ints &= 0xFFFFFFFF
-    if not ends:
-        return [((int(high.sum()) << 32) + int(ints.sum())) << (lo - _MIN_EXP)]
-    sums = []
-    for half in (high, ints):
-        running = np.zeros(half.size + 1, dtype=np.int64)
-        np.cumsum(half, out=running[1:])
-        sums.append(running[[*ends, half.size]].tolist())
-    return [((h << 32) + l) << (lo - _MIN_EXP) for h, l in zip(*sums)]
+    pieces = pairwise([0, *ends, block.size])
+    sums = ((int(high[a:b].sum()) << 32) + int(ints[a:b].sum()) for a, b in pieces)
+    return list(accumulate(sums))
 
 
 # the name the benchmark's layer probes import and trace

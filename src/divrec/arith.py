@@ -119,17 +119,18 @@ def divisibility_exponent(n: int, m: int) -> int:
     return t
 
 
-#: Exact float sums count in units of 2**-FLOAT_UNIT_BITS, a grid every
-#: double lies on (the smallest subnormal is 2**-1074).
-FLOAT_UNIT_BITS = 1126
-_FLOAT_UNIT = 1 << FLOAT_UNIT_BITS
+#: Exact float sums count in units of 2**-FLOAT_UNIT_BITS. Their terms are
+#: totient ratios phi(n)/n, the product of (p - 1)/p over the primes of n,
+#: so least at the product of the first primes: up to SIEVE_MAX_N that is
+#: n = 2*3*...*23, where phi(n)/n = 0.163 > 2**-3. A double in [2**-3, 1]
+#: is a multiple of 2**-55, so every term is a whole, even number of units.
+FLOAT_UNIT_BITS = 56
 
 
 def rounded_units(units: int) -> float:
     """``units`` units of 2**-FLOAT_UNIT_BITS rounded to the nearest double,
-    once: CPython rounds int / int correctly. OverflowError past the double
-    range."""
-    return units / _FLOAT_UNIT
+    once: CPython rounds int / int correctly."""
+    return units / (1 << FLOAT_UNIT_BITS)
 
 
 def pair_sum(a: int, b: int, c: int, d: int) -> tuple[int, int]:

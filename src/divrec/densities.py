@@ -255,7 +255,8 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     add = sum_pairs if exact else sum
 
     def halve(piece):
-        # exact for a double, a shift of its units. A pair keeps the lcm of
+        # a shift of the units, exact since every term is an even number of
+        # them (see arith.FLOAT_UNIT_BITS). A pair keeps the lcm of
         # the reduced term denominators: phi(n) is even for odd n >= 3, so
         # every reduced numerator is even but that of f(1) = 1, whose half
         # puts a 2 into the lcm for m = 1 and K >= 2
@@ -287,11 +288,6 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
 #: of both paths: see ``BENCH_small_walks.json``.
 PLAIN_WALK_MAX_K = 1 << 17
 
-#: Every term phi(n)/n with n <= 1e9 is at least 0.163 > 2**-3, its value at
-#: n = 2*3*...*23, so its double is a whole number of units of 2**-55 and
-#: scaled by 2**_TERM_BITS an exact integer.
-_TERM_BITS = 56
-
 
 def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
     # entry i: the sum of f(m*k) over the odd k in (ks[i - 1], ks[i]] of the
@@ -315,11 +311,10 @@ def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
         terms = [(ph // (g := gcd(ph, n)), n // g) for ph, n in zip(phis, ns)]
         return [sum_pairs(terms[a:b]) for a, b in pairwise(cuts)]
     # int / int is the correctly rounded double, as numpy's float64 quotient
-    scale = float(1 << _TERM_BITS)
+    scale = float(1 << FLOAT_UNIT_BITS)
     units = [int(x * scale) for x in map(truediv, phis, ns)]
     running = list(accumulate(units, initial=0))
-    shift = FLOAT_UNIT_BITS - _TERM_BITS
-    return [(running[b] - running[a]) << shift for a, b in pairwise(cuts)]
+    return [running[b] - running[a] for a, b in pairwise(cuts)]
 
 
 def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:

@@ -153,7 +153,8 @@ class Record:
     """A value type whose fields are its ``__slots__``, set in order by
     ``__init__`` and never again: assigning or deleting a field raises
     AttributeError. A record equals only a record of its own type with
-    equal fields, hashes by its fields and shows them in its repr."""
+    equal fields, hashes by its fields and shows them in its repr; ``copy``
+    and ``pickle`` rebuild it from its fields."""
 
     __slots__ = ()
 
@@ -169,6 +170,10 @@ class Record:
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # the default would restore each slot through the refused __setattr__
+        return type(self), self._key()
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -61,6 +61,8 @@ class SieveTable(Record):
     __slots__ = ("lo", "hi", "phi", "step")
 
     def __init__(self, lo: int, hi: int, phi: np.ndarray, step: int = 1) -> None:
+        phi = phi.view()  # read-only however the table was built or copied
+        phi.setflags(write=False)
         super().__init__(lo, hi, phi, step)
 
     def __eq__(self, other):
@@ -159,9 +161,7 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     big -= 1
     phi *= np.maximum(big, 1, out=big)
     del big
-    phi = phi.astype(np.int64)
-    phi.setflags(write=False)
-    return SieveTable(lo, hi, phi, step)
+    return SieveTable(lo, hi, phi.astype(np.int64), step)
 
 
 def _last_number(lo: int, hi: int, step: int) -> int:

@@ -1,9 +1,11 @@
 """Schedules, one-pass checkpoint tables, and report formatting."""
 
+import copy
 import csv
 import io
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -265,6 +267,20 @@ def test_families_and_schedules_compare_within_their_type():
             delattr(record, name)
         assert repr(record) == before and record == twin
     assert table.phi_of(5) == 4
+    # copy and pickle rebuild each record from its fields, and a rebuilt
+    # table is as read-only as a sieved one
+    for record, _, _ in changes:
+        for rebuilt in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert type(rebuilt) is type(record) and rebuilt == record
+    for rebuilt in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert rebuilt.phi is not table.phi
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt.phi[0] = 7
+    assert table.phi_of(1) == 1
 
 
 def test_family_validation_errors():

@@ -1,5 +1,7 @@
 """Engine algebra: exact agreement between evaluation, expansion, and series."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -195,6 +197,17 @@ def test_specs_compare_by_value_and_refuse_assignment():
     assert spec == twin and F.description == "F(n) = n"
     # records of two types with equal fields never compare equal
     assert F != PhiSumFamily(F.fn, F.description)
+    # copy rebuilds a record from its fields, and pickle does too where the
+    # fields pickle: a counting function of a lambda does not
+    for record in (spec, F):
+        assert copy.copy(record) == record == copy.deepcopy(record)
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(F)
+    named = RecurrenceSpec(2, 1, -1, 1, CountingFunction(Fraction, "F(n) = n"))
+    for record in (named, named.F):
+        assert pickle.loads(pickle.dumps(record)) == record
+    rebuilt = pickle.loads(pickle.dumps(named))
+    assert evaluate_G(rebuilt, 100) == evaluate_G(HALVING, 100)
 
 
 def test_int_coefficients_are_coerced():

@@ -26,6 +26,7 @@ import pytest
 from divrec import densities, sieves
 from divrec.accumulators import BLOCK, ExactFloatSum, ExactRatioSum
 from divrec.arith import (
+    FLOAT_UNIT_BITS,
     count_squarefree_multiples,
     count_squarefree_multiples_at,
     count_squarefree_multiples_recursive,
@@ -171,16 +172,17 @@ def test_plain_float_terms_are_whole_units():
     # every phi(n)/n with n <= SIEVE_MAX_N is at least 2**-3: it is the
     # product of (p - 1)/p over the primes of n, least for the first primes,
     # and the product of the first ten exceeds the cap. A double of at least
-    # 2**-3 is a whole number of units of 2**-55, so scaled by 2**56 the
-    # plain walk adds every term exactly
+    # 2**-3 is a whole number of units of 2**-55, an even number of units of
+    # 2**-FLOAT_UNIT_BITS: both float walks add every term exactly, and halve
+    # a sum of terms exactly
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert math.prod(primes[:9]) <= SIEVE_MAX_N < math.prod(primes)
     least = math.prod(Fraction(p - 1, p) for p in primes[:9])
     assert least > Fraction(1, 8)
     assert 0.16 < phi_ratio_sum(math.prod(primes[:9]), math.prod(primes[:9])) < 0.17
-    scale = 2**densities._TERM_BITS
+    two_units = Fraction(2, 2**FLOAT_UNIT_BITS)
     for x in (0.125, math.nextafter(0.125, 1), float(least), 1 / 3, 1.0):
-        assert (Fraction(x) * scale).denominator == 1
+        assert (Fraction(x) / two_units).denominator == 1
 
 
 #: The last K = N // m of the schedules, kept at most SIEVE_MAX_N // m: no
@@ -301,12 +303,12 @@ def test_float_walk_holds_no_array_of_segment_length_but_the_sieve(monkeypatch, 
     # The streamed walk peaks at about 8 bytes an odd k of segment, the int64
     # table while its blocks are summed (the sieve itself peaks at 12 bytes
     # an entry, sieving the next segment after the table is dropped), above
-    # about 1.7 MB that does not grow with the segment: the walker's two
-    # BLOCK-long float64 buffers and the accumulator's block temporaries.
-    # Measured with numpy 2.4 on x86-64: 2.24 MB at 2**16 odd k, 3.81 MB at
-    # 2**18, for m = 1 and m = 15 alike. The whole-segment walk it replaced
-    # held its ns and ratio arrays and the previous table while the next
-    # segment sieved: 2.77 MB and 9.52 MB, 36 bytes an entry.
+    # about 1.05 MB that does not grow with the segment: the walker's two
+    # BLOCK-long float64 buffers and the accumulator's two int64 block
+    # temporaries. Measured with numpy 2.4 on x86-64: 1.59 MB at 2**16 odd k,
+    # 3.81 MB at 2**18, for m = 1 and m = 15 alike. The whole-segment walk
+    # it replaced held its ns and ratio arrays and the previous table while
+    # the next segment sieved: 2.77 MB and 9.52 MB, 36 bytes an entry.
     small = float_walk_peak(monkeypatch, m, 1 << 16)
     assert small < 16 * (1 << 16) + 1_500_000
     large = float_walk_peak(monkeypatch, m, 1 << 18)
