@@ -5,12 +5,12 @@ equals a from-scratch sum over the prefix, whatever the order or chunking of
 the terms. That property is what makes checkpointed tables and multi-threaded
 sieving bit-reproducible. The float sum counts in one fixed unit of
 2**-FLOAT_UNIT_BITS = 2**-56, in which every double of [2**-3, 2), and so
-every totient ratio up to the sieve cap, is a whole number.
+every totient ratio up to the sieve cap, is a whole number. Its ``extend_at``
+sums one block at the cuts it is handed; with no cut it calls ``extend``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from math import gcd
@@ -51,20 +51,16 @@ class ExactFloatSum:
     def extend_at(self, values: Iterable[float], cuts: Sequence[int]) -> list[int]:
         """Add values as :meth:`extend` does, and return the exact sum in
         units of 2**-FLOAT_UNIT_BITS after each of the ascending entry counts
-        ``cuts`` of ``values``. A block with cuts sums its pieces between
-        them in numpy; one without goes through :meth:`extend`."""
-        x = _checked(values)
-        out: list[int] = []
-        for start in range(0, x.size, BLOCK):
-            block = x[start : start + BLOCK]
-            end = bisect_right(cuts, start + block.size)
-            if end == len(out):
-                self.extend(block)
-                continue
-            *running, total = _units(block, [c - start for c in cuts[len(out) : end]])
-            out += [self._num + r for r in running]
-            self._num += total
-        return out + [self._num] * (len(cuts) - len(out))
+        ``cuts`` of ``values``; a count past the end reads the total. With no
+        cut this is :meth:`extend`; with cuts the values are summed in one
+        numpy pass, so a caller hands over one block at a time."""
+        if not cuts:
+            self.extend(values)
+            return []
+        *running, total = _units(_checked(values), cuts)
+        out = [self._num + r for r in running]
+        self._num += total
+        return out
 
     @property
     def value(self) -> float:
@@ -83,8 +79,8 @@ def _checked(values: Iterable[float]) -> np.ndarray:
 def _units(block: np.ndarray, ends: Sequence[int] = ()) -> list[int]:
     # the sums of block[:e] for each e in ends, then of the whole block, in
     # units of 2**-FLOAT_UNIT_BITS: each scaled value is an integer below
-    # 2**57, and the int64 sums of its 32-bit halves over a block stay below
-    # 2**15 * 2**32
+    # 2**57, and the int64 sums of its 32-bit halves over n values stay below
+    # n * 2**32, under 2**63 for any n < 2**31
     ints = (block * 2.0**FLOAT_UNIT_BITS).astype(np.int64)
     high = ints >> 32
     ints &= 0xFFFFFFFF

@@ -28,6 +28,7 @@ from .limits import (
     FACTORIZE_MAX_N,
     ORACLE_MAX_N,
     SIEVE_MAX_N,
+    RangeLimitError,
     check_range,
     checked_points,
     shown,
@@ -243,6 +244,8 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
         raise ValueError(f"primes must be distinct, got {shown_ps}")
     factor = Fraction(6)
     for p in ps:
+        if p > FACTORIZE_MAX_N:  # named p, not n as in factorize
+            raise RangeLimitError(f"p = {shown(p)} exceeds the cap {FACTORIZE_MAX_N}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         factor /= p + 1

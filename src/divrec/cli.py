@@ -92,12 +92,14 @@ def _ratio(text: str) -> Fraction:
     limit."""
     try:
         return Fraction(text)
-    except ValueError:
-        if len(text) <= MAX_SHOWN_DIGITS:
-            raise
-        raise ValueError(
-            f"not a ratio Fraction() can read: {len(text)} characters"
-        ) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        if len(text) > MAX_SHOWN_DIGITS:
+            raise ValueError(
+                f"not a ratio Fraction() can read: {len(text)} characters"
+            ) from None
+        if isinstance(exc, ZeroDivisionError):  # whose text is "Fraction(2, 0)"
+            raise ValueError(f"{text!r} is not a number") from None
+        raise
 
 
 def _prime_list(text: str) -> list[int]:
@@ -140,23 +142,23 @@ def _seed(text: str) -> int:
         ) from None
 
 
-def _resolve_schedule(args) -> convergence.CheckpointSchedule:
+def _print_table(args, family, threads: int = 1) -> int:
+    # the convergence table of --n or --schedule, printed in --format
+    schedule = args.schedule
     if args.n is not None:
         check_range("n", args.n, 1)  # named as the flag, not the schedule start
-        return convergence.CheckpointSchedule(args.n, args.n, Fraction(2))
-    return args.schedule
-
-
-def _print_report(rows, args, *, include_exact: bool = False) -> None:
-    data = convergence.emit_report(rows, args.format, include_exact=include_exact)
+        schedule = convergence.CheckpointSchedule(args.n, args.n, Fraction(2))
+    elif schedule is None:
+        raise ValueError("need --n or --schedule (or --check-identity)")
+    rows = convergence.run_convergence(family, schedule, threads=threads)
+    exact = getattr(family, "mode", None) == "exact"
+    data = convergence.emit_report(rows, args.format, include_exact=exact)
     sys.stdout.write(data.decode("ascii"))
+    return EXIT_OK
 
 
 def _cmd_oddly(args) -> int:
-    family = convergence.OddlyFamily(args.m)
-    rows = convergence.run_convergence(family, _resolve_schedule(args))
-    _print_report(rows, args)
-    return EXIT_OK
+    return _print_table(args, convergence.OddlyFamily(args.m))
 
 
 def _resolve_t(args) -> int:
@@ -175,31 +177,16 @@ def _cmd_squarefree(args) -> int:
         from . import densities  # the identity check sieves, loading numpy
 
         x = densities.brown_identity_first_failure(t, args.check_identity, args.x)
-        if x is None:
-            print(
-                f"squarefree splitting: t={t} p={args.check_identity} "
-                f"holds for all x <= {args.x}"
-            )
-            return EXIT_OK
-        print(
-            f"squarefree splitting: t={t} p={args.check_identity} "
-            f"FAILS first at x={x}"
-        )
-        return EXIT_VERIFY_FAILED
-    if args.n is None and args.schedule is None:
-        raise ValueError("need --n or --schedule (or --check-identity)")
-    family = convergence.SquarefreeFamily(t)
-    rows = convergence.run_convergence(family, _resolve_schedule(args))
-    _print_report(rows, args)
-    return EXIT_OK
+        ok = x is None
+        verdict = f"holds for all x <= {args.x}" if ok else f"FAILS first at x={x}"
+        print(f"squarefree splitting: t={t} p={args.check_identity} {verdict}")
+        return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _print_table(args, convergence.SquarefreeFamily(t))
 
 
 def _cmd_phisum(args) -> int:
-    family = convergence.PhiSumFamily(args.m, args.mode)
     threads = args.threads or positive_int_from_env("DIVREC_THREADS", 1)
-    rows = convergence.run_convergence(family, _resolve_schedule(args), threads=threads)
-    _print_report(rows, args, include_exact=(args.mode == "exact"))
-    return EXIT_OK
+    return _print_table(args, convergence.PhiSumFamily(args.m, args.mode), threads)
 
 
 def _cmd_verify(args) -> int:

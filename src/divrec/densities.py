@@ -47,11 +47,14 @@ from .arith import (
 from .limits import (
     BROWN_CHECK_MAX_X,
     EXACT_PHI_SUM_MAX_N,
+    FACTORIZE_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
+    RangeLimitError,
     check_range,
     checked_points,
     segment_size_from_env,
+    shown,
 )
 from .recursion import CountingFunction
 
@@ -137,6 +140,8 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
 
 def _check_new_prime(t: int, p: int) -> None:
     # the splitting identities add a prime p that does not divide t
+    if p > FACTORIZE_MAX_N:  # named p, not n as in factorize
+        raise RangeLimitError(f"p = {shown(p)} exceeds the cap {FACTORIZE_MAX_N}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if t % p == 0:
@@ -327,17 +332,16 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
     from .accumulators import BLOCK, ExactFloatSum
     from .sieves import iter_sieve_tables
 
-    pieces: list[int] = []
-    acc, last = ExactFloatSum(), 0  # the running units at the last cut
+    sums: list[int] = []  # the running units at each cut
+    acc = ExactFloatSum()
     # m*k for the BLOCK odd k from the block's first, as doubles: whole
     # numbers below 2**53, so moving on by a block adds exactly
     ns = np.arange(m, 2 * m * BLOCK, 2 * m, dtype=np.float64)
     ratios = np.empty(BLOCK)
     factors = _totient_factors(m)
+    cuts = [(k + 1) // 2 for k in ks]  # how many odd k lie up to each cut
+    base = 0  # how many odd k precede the block
     for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
-        end = bisect_right(ks, table.hi)
-        cuts = [(k - table.lo) // 2 + 1 for k in ks[len(pieces) : end]]
-        done = 0
         for start in range(0, table.phi.size, BLOCK):
             size = min(BLOCK, table.phi.size - start)
             phis = table.phi[start : start + size]
@@ -346,14 +350,11 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
             # the correctly rounded quotient, as numpy's int64 true division
             np.divide(phis, ns[:size], out=ratios[:size])
             ns += 2 * m * size
-            here = bisect_right(cuts, start + size, done)
-            ends = [c - start for c in cuts[done:here]]
-            done = here
-            for units in acc.extend_at(ratios[:size], ends):
-                pieces.append(units - last)
-                last = units
+            here = cuts[len(sums) : bisect_right(cuts, base + size, len(sums))]
+            sums += acc.extend_at(ratios[:size], [c - base for c in here])
+            base += size
         del table, phis  # phis may be a view of the table
-    return pieces
+    return [b - a for a, b in pairwise([0, *sums])]
 
 
 def _phi_of_multiples(
@@ -434,7 +435,7 @@ def predicted_phi_density(m: int) -> DensityPrediction:
     The product runs over the distinct primes p dividing m; m = 1 gives the
     classical 6/pi**2.
     """
-    check_range("modulus m", m, 1)
+    check_range("modulus m", m, 1, FACTORIZE_MAX_N)
     factor = Fraction(6, m)
     for p, _ in factorize(m):
         factor *= Fraction(p, p + 1)

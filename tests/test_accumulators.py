@@ -219,8 +219,8 @@ def test_extend_at_crosses_blocks_in_one_band_or_many(spread):
 
 
 def test_a_block_with_no_cut_adds_what_extend_adds():
-    # a block between two cuts goes through extend, which the benchmark
-    # traces, and adds the units extend_at would
+    # a call with no cut goes through extend, which the benchmark traces;
+    # one with cuts sums its values in one pass and adds what extend adds
     rng = random.Random(10)
     values = np.array([rng.uniform(0.125, 1) for _ in range(3 * 32_768 + 5)])
     cut, whole = ExactFloatSum(), ExactFloatSum()
@@ -238,8 +238,13 @@ def test_a_block_with_no_cut_adds_what_extend_adds():
             calls.append(len(block))
             super().extend(block)
 
-    Traced().extend_at(values, [32_768 + 3])
-    assert calls == [32_768, 32_768, 5]  # every block but the cut one
+    traced, twice = Traced(), ExactFloatSum()
+    assert traced.extend_at(values, []) == [] and calls == [values.size]
+    traced.extend_at(values, [32_768 + 3])
+    twice.extend(values)
+    twice.extend(values)
+    assert calls == [values.size]
+    assert traced.extend_at([], [0]) == twice.extend_at([], [0])
 
 
 def test_extend_at_rejects_non_finite_values_and_adds_nothing():

@@ -110,16 +110,29 @@ def test_exit_code_non_squarefree_t(capsys):
     assert code == 2 and "square-free" in err
 
 
+CAP = "exceeds the cap 1000000000000"
+
+
 @pytest.mark.parametrize(
-    "t, code, message",
+    "argv, code, message",
     [
-        ("0", 2, "error: need t >= 1, got 0\n"),
-        ("1000000000039", 3, "error: t = 1000000000039 exceeds the cap 1000000000000\n"),
+        ("squarefree --t 0 --n 10", 2, "need t >= 1, got 0"),
+        ("squarefree --t 1000000000039 --n 10", 3, f"t = 1000000000039 {CAP}"),
+        ("phisum --m 1e13 --n 10", 3, f"modulus m = 10000000000000 {CAP}"),
+        ("squarefree --primes 1000000000039 --n 10", 3, f"p = 1000000000039 {CAP}"),
+        (
+            "squarefree --t 6 --check-identity 1000000000039 --x 10",
+            3,
+            f"p = 1000000000039 {CAP}",
+        ),
     ],
+    ids=["t-below-1", "t-past-cap", "m-past-cap", "primes-past-cap", "p-past-cap"],
 )
-def test_squarefree_t_out_of_range_is_named_t(capsys, t, code, message):
-    # t is checked before it is factored, so the message names t, not n
-    assert run_cli(capsys, "squarefree", "--t", t, "--n", "10") == (code, "", message)
+def test_squarefree_t_out_of_range_is_named_t(capsys, argv, code, message):
+    # t, m and p are checked before they are factored, so the message names
+    # each by its own name, not as the n of the factoring cap
+    expected = (code, "", f"error: {message}\n")
+    assert run_cli(capsys, *argv.split()) == expected
 
 
 def test_exit_code_over_cap(capsys):
@@ -362,6 +375,7 @@ def test_oversized_negative_argument_exits_two_with_a_short_message(capsys):
         ("1e-5000", "schedule ratio must exceed 1, got 1/a 5001-digit integer"),
         ("1e-10000000", "exponent below -100000: below 1 in size"),
         (LONG_VALUE, "--schedule: not a ratio Fraction() can read: 5000 characters"),
+        ("2/0", "--schedule: '2/0' is not a number"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(["oddly", "--m", "2", "--schedule", f"1:10:{ratio}"])

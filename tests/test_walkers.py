@@ -283,6 +283,39 @@ def test_blocked_walk_is_bitwise_the_whole_segment_walk(monkeypatch, m):
             assert bits(phi_ratio_sums_at(m, points, threads=threads)) == expected
 
 
+def test_every_block_without_a_cut_goes_through_extend(monkeypatch):
+    # the benchmark traces ExactFloatSum.extend, so a sieved float walk hands
+    # it each block that holds no cut, once and whole, at every segment size
+    calls, seen = [], []
+    extend, walk = ExactFloatSum.extend, densities._sieved_pieces
+
+    def counted(self, values):
+        calls.append(len(values))
+        extend(self, values)
+
+    def recorded(m, ks, threads):
+        seen.append(ks)
+        return walk(m, ks, threads)
+
+    monkeypatch.setattr(ExactFloatSum, "extend", counted)
+    monkeypatch.setattr(densities, "_sieved_pieces", recorded)
+    for size in (None, 65521):
+        use_segment_size(monkeypatch, size)
+        calls.clear()
+        seen.clear()
+        phi_ratio_sums_at(1, [10**6])
+        (ks,) = seen  # past PLAIN_WALK_MAX_K, so the walk sieves
+        cuts = [(k + 1) // 2 for k in ks]  # the odd k up to each cut
+        length, entries = size or DEFAULT_SEGMENT_SIZE, cuts[-1]
+        blocks = [
+            (a, min(a + BLOCK, lo + length, entries))
+            for lo in range(0, entries, length)
+            for a in range(lo, min(lo + length, entries), BLOCK)
+        ]
+        uncut = [b - a for a, b in blocks if not any(a < c <= b for c in cuts)]
+        assert calls == uncut and calls
+
+
 def float_walk_peak(monkeypatch, m: int, size: int) -> int:
     """tracemalloc peak, in bytes, of a float walk over four segments of
     ``size`` odd k on one thread; numpy reports its buffers to tracemalloc."""
