@@ -58,9 +58,16 @@ def factorize(n: int) -> Factorization:
     """Factor n by trial division; primes ascending, exponents positive.
 
     Accepts 1 <= n <= ``FACTORIZE_MAX_N``. ``factorize(1)`` is the empty list.
+    Each distinct n is trial-divided once per process: the factors are kept
+    as a tuple, and every call returns a fresh list of them.
     """
     check_range("n", n, 1, FACTORIZE_MAX_N)
-    factors: Factorization = []
+    return list(_trial_division(n))
+
+
+@lru_cache(maxsize=1024)
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    factors = []
     m = n
     # base primes cover n <= 1e9; above that, odd candidates continue the walk
     base = base_primes()
@@ -75,12 +82,21 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     if m > 1:
         factors.append((m, 1))
-    return factors
+    return tuple(factors)
 
 
 def is_prime(n: int) -> bool:
     """True iff n is prime (same cap as :func:`factorize`)."""
     return n >= 2 and factorize(n) == [(n, 1)]
+
+
+def check_prime(p: int) -> None:
+    """ValueError unless p is prime; RangeLimitError past the factoring cap.
+    Both name p, not the n of :func:`factorize`."""
+    if p > FACTORIZE_MAX_N:
+        raise RangeLimitError(f"p = {shown(p)} exceeds the cap {FACTORIZE_MAX_N}")
+    if not is_prime(p):
+        raise ValueError(f"p = {shown(p)} is not prime")
 
 
 def odd_totients(K: int) -> list[int]:
@@ -244,10 +260,7 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
         raise ValueError(f"primes must be distinct, got {shown_ps}")
     factor = Fraction(6)
     for p in ps:
-        if p > FACTORIZE_MAX_N:  # named p, not n as in factorize
-            raise RangeLimitError(f"p = {shown(p)} exceeds the cap {FACTORIZE_MAX_N}")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_prime(p)
         factor /= p + 1
     return DensityPrediction.of(factor, -1)
 
@@ -289,13 +302,8 @@ def count_squarefree_multiples_recursive(t: int, points: Sequence[int]) -> list[
     serve every point, and Q(y) for y up to that bound is read from a
     table. A point x costs about sqrt(x) * prod 1/(sqrt(p) - 1) divisions.
     """
+    primes = squarefree_primes(t)
     pts = checked_points(points, SIEVE_MAX_N)
-    return _recursive_counts(t, squarefree_primes(t), pts)
-
-
-def _recursive_counts(t: int, primes: tuple[int, ...], pts: list[int]) -> list[int]:
-    # the counter behind count_squarefree_multiples_recursive, for the primes
-    # of t and checked points
     top = pts[-1] if pts else 0
     terms = [(1, 1)]  # (n, sign) for every n <= top
     for p in primes:
@@ -349,11 +357,8 @@ def squarefree_path_costs(t: int, points: Sequence[int]) -> tuple[float, float]:
     Both estimates read only t and the points, never the environment, so a
     given input always takes the same path.
     """
+    primes = squarefree_primes(t)
     pts = checked_points(points, SIEVE_MAX_N)
-    return _path_costs(t, squarefree_primes(t), pts)
-
-
-def _path_costs(t: int, primes: tuple[int, ...], pts: list[int]) -> tuple[float, float]:
     weight = math.prod(1 / (math.sqrt(p) - 1) for p in primes)
     recursion = RECURSION_S_PER_UNIT * weight * sum(map(math.isqrt, pts))
     walker = SIEVE_START_S + SIEVE_S_PER_K * (pts[-1] // t if pts else 0)
@@ -370,11 +375,10 @@ def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
     where the recursion's cost per point adds up past one sieve of
     k <= points[-1] // t.
     """
-    primes = squarefree_primes(t)
-    pts = checked_points(points, SIEVE_MAX_N)
-    recursion_s, walker_s = _path_costs(t, primes, pts)
+    pts = list(points)  # read by both the estimate and the counter
+    recursion_s, walker_s = squarefree_path_costs(t, pts)
     if recursion_s <= walker_s:
-        return _recursive_counts(t, primes, pts)
+        return count_squarefree_multiples_recursive(t, pts)
     from . import densities
 
     return densities.count_squarefree_multiples_sieved(t, pts)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import arith, convergence, verify
 from .limits import MAX_LITERAL_EXPONENT, MAX_SHOWN_DIGITS, RangeLimitError
 from .limits import check_digits, check_range
-from .limits import positive_int_from_env
+from .limits import positive_int_from_env, segment_size_from_env
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -185,8 +185,8 @@ def _cmd_squarefree(args) -> int:
 
 
 def _cmd_phisum(args) -> int:
-    threads = args.threads or positive_int_from_env("DIVREC_THREADS", 1)
-    return _print_table(args, convergence.PhiSumFamily(args.m, args.mode), threads)
+    family = convergence.PhiSumFamily(args.m, args.mode)
+    return _print_table(args, family, args.threads)
 
 
 def _cmd_verify(args) -> int:
@@ -364,6 +364,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     try:
+        # each variable is checked here, once, for every command, so a bad
+        # value exits 2 or 3 before any work whether or not the command
+        # sieves; the sieves read the segment size again where they segment
+        threads = positive_int_from_env("DIVREC_THREADS", 1)
+        segment_size_from_env()
+        args.threads = getattr(args, "threads", None) or threads  # --threads wins
         return args.handler(args)
     except RangeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

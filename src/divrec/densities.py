@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .arith import (
     FLOAT_UNIT_BITS,
     DensityPrediction,
+    check_prime,
     factorize,
-    is_prime,
     odd_totients,
     rounded_units,
     squarefree_primes,
@@ -50,11 +50,9 @@ from .limits import (
     FACTORIZE_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
-    RangeLimitError,
     check_range,
     checked_points,
     segment_size_from_env,
-    shown,
 )
 from .recursion import CountingFunction
 
@@ -103,14 +101,14 @@ def count_squarefree_multiples_sieved(t: int, points: Sequence[int]) -> list[int
     return counts
 
 
-def _squarefree_prefix(t: int, limit: int) -> np.ndarray:
-    # entry k = square-free multiples of t up to k*t, for 0 <= k <= limit // t
+def _squarefree_prefix(primes: tuple[int, ...], limit: int) -> np.ndarray:
+    # entry k = square-free multiples of t = prod(primes) up to k*t, for
+    # 0 <= k <= limit // t
     import numpy as np
 
     from .sieves import squarefree_flags
 
-    primes = squarefree_primes(t)
-    prefix = np.zeros(limit // t + 1, dtype=np.int64)
+    prefix = np.zeros(limit // prod(primes) + 1, dtype=np.int64)
     if prefix.size > 1:
         np.cumsum(squarefree_flags(1, prefix.size - 1, primes), out=prefix[1:])
     return prefix
@@ -126,26 +124,18 @@ def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     j = x // (t*p): F is read at (x//p)//t = j and G at j // p and j, so
     only k <= X // (t*p) is sieved and compared for each side.
     """
-    squarefree_primes(t)
-    _check_new_prime(t, p)
+    primes = squarefree_primes(t)
+    check_prime(p)
+    if t % p == 0:
+        raise ValueError(f"p = {p} already divides t = {t}")
     check_range("X", X, 1, BROWN_CHECK_MAX_X)
     import numpy as np
 
-    f_pref = _squarefree_prefix(t, X // p)
-    g_pref = _squarefree_prefix(t * p, X)
+    f_pref = _squarefree_prefix(primes, X // p)
+    g_pref = _squarefree_prefix((*primes, p), X)
     bad = np.nonzero(f_pref != g_pref[np.arange(g_pref.size) // p] + g_pref)[0]
     # the first x <= X with x // (t*p) = j is j*t*p, or 1 for j = 0
     return max(1, int(bad[0]) * t * p) if bad.size else None
-
-
-def _check_new_prime(t: int, p: int) -> None:
-    # the splitting identities add a prime p that does not divide t
-    if p > FACTORIZE_MAX_N:  # named p, not n as in factorize
-        raise RangeLimitError(f"p = {shown(p)} exceeds the cap {FACTORIZE_MAX_N}")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if t % p == 0:
-        raise ValueError(f"p = {p} already divides t = {t}")
 
 
 def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
@@ -156,7 +146,8 @@ def squarefree_multiple_counts(t: int, limit: int) -> CountingFunction:
     is capped like the Brown checker, which builds the same table.
     """
     check_range("limit", limit, 1, BROWN_CHECK_MAX_X)
-    prefix = memoryview(_squarefree_prefix(t, limit))  # items are plain ints
+    # a memoryview's items are plain ints
+    prefix = memoryview(_squarefree_prefix(squarefree_primes(t), limit))
     description = f"square-free multiples of {t}"
     return _prefix_lookup(lambda k: Fraction(prefix[k]), t, limit, description)
 
@@ -243,8 +234,6 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     # by the odd terms in (K' >> a, K >> a] for every a, times w for a >= 1.
     check_range("modulus m", m, 1)
     pts = checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
-    # only large float walks sieve, but a bad segment size fails every walk
-    segment_size_from_env()
     # O is cut at every K >> a, each K shifted only until it meets a shift of
     # an earlier one, at the largest odd number up to it, (x - 1) | 1 (-1 for
     # x = 0); pos counts the pieces up to each cut
@@ -410,7 +399,9 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     ``tests/test_walkers.py`` keep it honest against a sieve of all n.
     """
     check_range("t", t, 1)
-    _check_new_prime(t, p)
+    check_prime(p)
+    if t % p == 0:
+        raise ValueError(f"p = {p} already divides t = {t}")
     check_range("j", j, 1)
     check_range("X", X, 1, PHI_CLAIM_MAX_X)
 

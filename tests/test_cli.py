@@ -2,6 +2,7 @@
 
 import contextlib
 import decimal
+import functools
 import hashlib
 import io
 import json
@@ -125,14 +126,54 @@ CAP = "exceeds the cap 1000000000000"
             3,
             f"p = 1000000000039 {CAP}",
         ),
+        (
+            "squarefree --t 999999999989 --check-identity 2 --x 10",
+            0,
+            "squarefree splitting: t=999999999989 p=2 holds for all x <= 10",
+        ),
     ],
-    ids=["t-below-1", "t-past-cap", "m-past-cap", "primes-past-cap", "p-past-cap"],
+    ids=[
+        "t-below-1",
+        "t-past-cap",
+        "m-past-cap",
+        "primes-past-cap",
+        "p-past-cap",
+        "t-times-p-past-cap",
+    ],
 )
 def test_squarefree_t_out_of_range_is_named_t(capsys, argv, code, message):
     # t, m and p are checked before they are factored, so the message names
-    # each by its own name, not as the n of the factoring cap
-    expected = (code, "", f"error: {message}\n")
+    # each by its own name, not as the n of the factoring cap. The identity
+    # check builds t*p from the primes of t and p, never factoring it, so a
+    # t and p each within the cap pass however large their product
+    expected = (code, "", f"error: {message}\n") if code else (0, f"{message}\n", "")
     assert run_cli(capsys, *argv.split()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, factored",
+    [
+        ("squarefree --t 999999999989 --n 1e9", [999999999989]),
+        ("squarefree --t 6 --check-identity 5 --x 1e3", [6, 5]),
+        ("phisum --m 12348 --n 1e7", [12348]),
+    ],
+)
+def test_each_integer_is_trial_divided_once(capsys, monkeypatch, argv, factored):
+    # the trial-division loop under a fresh cache of the same size counts
+    # each integer it is handed: the density, the counter and the prime
+    # checks of one command share one factoring of t, and t*p is built
+    # from known primes
+    seen = []
+    loop = arith._trial_division.__wrapped__
+
+    def counted(n):
+        seen.append(n)
+        return loop(n)
+
+    size = arith._trial_division.cache_parameters()["maxsize"]
+    monkeypatch.setattr(arith, "_trial_division", functools.lru_cache(size)(counted))
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert seen == factored
 
 
 def test_exit_code_over_cap(capsys):
@@ -266,6 +307,11 @@ def test_bad_threads_variable_exits_two(capsys, monkeypatch):
     assert "DIVREC_THREADS must be a positive integer: 'abc'" in err
     monkeypatch.setenv("DIVREC_THREADS", "2")
     assert run_cli(capsys, "phisum", "--m", "1", "--n", "100")[0] == 0
+    # the variable is checked even when the flag overrides it
+    monkeypatch.setenv("DIVREC_THREADS", "abc")
+    code, out, _ = run_cli(capsys, "phisum", "--m", "1", "--n", "100", "--threads", "2")
+    assert code == 2 and out == ""
+    monkeypatch.delenv("DIVREC_THREADS")
     # the flag takes positive integers only, on every command that offers it
     for argv in (
         ["phisum", "--m", "1", "--n", "100"],
@@ -583,13 +629,6 @@ ACCEPTED = {
     # a modulus is capped where it is factored, at 1e12
     ("phisum", "--m", "2e9"),
     ("reproduce-paper", "--format", "text"),  # the default format
-    # square-free counts run on one thread, and the published rows walk too
-    # few k to sieve: neither reads DIVREC_THREADS
-    *(
-        (command, "DIVREC_THREADS", v)
-        for command in ("squarefree", "reproduce-paper")
-        for v in FUZZ_ENV["DIVREC_THREADS"][1]
-    ),
 }
 
 
@@ -603,7 +642,8 @@ def test_every_invalid_fuzz_value_exits_zero_to_three():
     # the random fuzz may miss a rare value; here each invalid or over-cap
     # value is tried once in each subcommand that takes its flag, in an
     # otherwise valid argv that reads it, and each invalid environment value
-    # once; each run must exit with the code its value calls for
+    # once in every subcommand, whether or not it reads the variable; each
+    # run must exit with the code its value calls for
     runs = []
     for command, groups in FUZZ_COMMANDS.items():
         for group in groups[1]:
@@ -616,11 +656,12 @@ def test_every_invalid_fuzz_value_exits_zero_to_three():
                     flags[flag] = value
                     argv = [command, *sum(flags.items(), ())]
                     runs.append((argv, {}, expected_exit(command, flag, value)))
+    env_argvs = [[c, *sum(flags.items(), ())] for c, flags in FUZZ_BASE.items()]
+    env_argvs.append(["squarefree", "--t", "6", "--check-identity", "5"])
     for name, (_, invalid) in FUZZ_ENV.items():
         for value in invalid:
-            for command in ("phisum", "squarefree", "reproduce-paper"):
-                argv = [command, *sum(FUZZ_BASE[command].items(), ())]
-                runs.append((argv, {name: value}, expected_exit(command, name, value)))
+            for argv in env_argvs:
+                runs.append((argv, {name: value}, expected_exit(argv[0], name, value)))
     # a bad segment size fails a square-free table on either path: the
     # one-point table of FUZZ_BASE runs the recursion, this dense one the
     # flag walker

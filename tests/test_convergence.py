@@ -367,8 +367,8 @@ def test_dense_exact_csv_equals_the_reduced_fraction_path(monkeypatch, size):
 
 def test_exact_rows_do_not_depend_on_the_segment_size(monkeypatch):
     # the exact walk reads the plain odd totient list, not the segmented
-    # sieve, but still checks the segment size: any valid one gives the
-    # same pairs
+    # sieve, and does not read the segment size: any value gives the same
+    # pairs
     sched = CheckpointSchedule(7, 3000, Fraction("1.2"))
     family = PhiSumFamily(7, "exact")
     rows = run_convergence(family, sched)

@@ -458,6 +458,16 @@ def test_factorize_large_semiprime():
     assert factorize(p * q) == [(q, 1), (p, 1)]
 
 
+def test_factorize_returns_a_fresh_list_each_call():
+    # the factors are cached once per n; changing a returned list must not
+    # change what the next call returns
+    first = factorize(360)
+    first.append((7, 1))
+    first[0] = (3, 9)
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(360) is not factorize(360)
+
+
 def test_factorize_errors():
     with pytest.raises(ValueError):
         factorize(0)

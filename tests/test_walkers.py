@@ -532,9 +532,9 @@ def test_brown_checker_reports_the_first_broken_x(monkeypatch, t, p, k0):
     # an off-by-one count from entry k0 on in the prefix table of t*p
     build = densities._squarefree_prefix
 
-    def off_by_one(step, limit):
-        prefix = build(step, limit)
-        if step == t * p:
+    def off_by_one(primes, limit):
+        prefix = build(primes, limit)
+        if math.prod(primes) == t * p:
             prefix[k0:] += 1
         return prefix
 
@@ -583,7 +583,7 @@ def test_squarefree_paths_build_no_totients(monkeypatch):
     monkeypatch.setattr("divrec.sieves.iter_sieve_tables", totient_sieve)
     monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "1000")
     assert count_squarefree_multiples_at(6, points) == counts[6]
-    assert densities._squarefree_prefix(6, 5000)[-1] == counts[6][1]
+    assert densities._squarefree_prefix((2, 3), 5000)[-1] == counts[6][1]
     assert brown_identity_first_failure(6, 5, 30_000) is None
     assert squarefree_multiple_counts(30, 30_000)(30_000) == counts[30][2]
     rows = run_convergence(SquarefreeFamily(6), CheckpointSchedule(10, 30_000, 3))
