@@ -336,7 +336,8 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
             phis = table.phi[start : start + size]
             if m > 1:
                 phis = _phi_of_multiples(phis, table.lo + 2 * start, factors, ratios)
-            # the correctly rounded quotient, as numpy's int64 true division
+            # int32 totients or whole doubles, each exact as a double, so the
+            # quotient is correctly rounded, as int / int is
             np.divide(phis, ns[:size], out=ratios[:size])
             ns += 2 * m * size
             here = cuts[len(sums) : bisect_right(cuts, base + size, len(sums))]
@@ -349,8 +350,8 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
 def _phi_of_multiples(
     phi: np.ndarray, k: int, factors: tuple[int, list[int]], out: np.ndarray
 ) -> np.ndarray:
-    # phi(m*k) for the odd k, k + 2, ... of the entries of phi, as whole
-    # doubles in out, from the _totient_factors of m > 1: each product is
+    # phi(m*k) for the odd k, k + 2, ... of the int32 entries of phi, as
+    # whole doubles in out, from the _totient_factors of m > 1: each product is
     # exact, at most m*k < 2**53, and each division leaves a whole number
     import numpy as np
 

@@ -20,7 +20,8 @@ ENGINE_MAX_N = 10**12
 #: counts on either of their two paths. ``sieve_segment``
 #: works in int32 because every value it forms is at most the segment's
 #: end, so the cap must stay below 2**31; a cap above 2**31 - 1 needs int64
-#: sieve arrays, at twice the memory traffic of every stride.
+#: sieve arrays and tables, at twice the memory of each and the traffic of
+#: every stride.
 SIEVE_MAX_N = 10**9
 
 #: Trial-division factorization cap (needs primes up to 10**6 only).
@@ -68,17 +69,18 @@ SCHEDULE_MAX_POINTS = 30_000
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 #: Largest ``DIVREC_SEGMENT_SIZE``, 16 times the default. A segment costs
-#: memory by its entries: ``sieve_segment`` peaks at 12 bytes an entry (three
-#: int32 arrays, each dropped once read, so the int64 result is made next to
-#: the totients alone), and the float walk streams each table through the
+#: memory by its entries: ``sieve_segment`` peaks at 8 bytes an entry (two
+#: int32 arrays; n is built a chunk at a time) and its table holds 4, the
+#: int32 totients, and the float walk streams each table through the
 #: accumulator in blocks of 2**15 terms and drops it before the next is
 #: sieved, so on one thread it holds no more than the sieve. Peak RSS of
-#: ``phisum --m 1 --n 3e7`` grows 12 bytes an entry from 2**20 to 2**22
-#: entries on one thread (43 to 79 MiB; 33 bytes before the walk streamed)
-#: and 23 to 29 on two (72 to 142-161 MiB; 43), where up to three tables are
-#: in flight; numpy 2.4 on x86-64. A walk at the cap (``--n 1e8``) peaks at
-#: 224 MiB on one thread and 541 MiB on two (616 and 747 MiB before), where
-#: 1e9 entries would ask for about 12 GiB.
+#: ``phisum --m 1 --n 3e7`` grows 8 bytes an entry from 2**20 to 2**22
+#: entries on one thread (38 to 62 MiB; 12 bytes, 43 to 79 MiB, with int64
+#: tables) and 18 to 19 on two (55 to 111-112 MiB; 21 to 28 with int64
+#: tables), where up to three tables are in flight; numpy 2.4 on x86-64. A
+#: walk at the cap (``--n 1e8``) peaks at 158 MiB on one thread and 287 MiB
+#: on two (223 and 476 MiB with int64 tables), where 1e9 entries would ask
+#: for about 7.5 GiB.
 MAX_SEGMENT_SIZE = 1 << 24
 
 
@@ -192,8 +194,12 @@ def check_range(name: str, value: int, low: int, cap: int | None = None) -> None
     """ValueError for ``value`` below ``low``, RangeLimitError above ``cap``.
 
     The one bound-and-cap check of the package: every message names the
-    argument and shows each value through :func:`shown`.
+    argument and shows each value through :func:`shown`. A value that is no
+    integer to :func:`operator.index`, or is a bool, is a TypeError that
+    names the argument; numpy integers pass.
     """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     if value < low:
         raise ValueError(f"need {name} >= {shown(low)}, got {shown(value)}")
     if cap is not None and value > cap:

@@ -12,13 +12,14 @@ stride, and the power strides p**2, p**3, ... of every root prime multiply
 both by p; entry i holds n = lo + step*i, so the stride of q starts at
 index -lo / step (mod q), and powers of 2 take none in odd tables.
 ``small`` is then the part of n made of root primes and ``phi`` its
-totient. Only after those strides is ``n // small`` taken, once: it is 1 or
-a single prime q above sqrt(hi), and one branch-free pass multiplies
-``phi`` by q - 1 where q > 1. A :class:`SieveTable` holds the totients
-only, as int64; square-free flags come from the separate
+totient. Only after those strides is ``n // small`` taken, once for each
+``FIX_CHUNK`` entries, n itself built a chunk at a time: it is 1 or a
+single prime q above sqrt(hi), and one branch-free pass multiplies ``phi``
+by q - 1 where q > 1. A :class:`SieveTable` holds the totients only, as
+the int32 ``phi`` itself; square-free flags come from the separate
 :func:`squarefree_flags`, which builds no totients. A segment peaks at its
-three int32 arrays, 12 bytes an entry: each is dropped once read, so the
-int64 result is made next to ``phi`` alone. Segments never depend on each
+two int32 arrays, 8 bytes an entry, and ``small`` is dropped once the
+fix is done, so a finished table holds 4. Segments never depend on each
 other, which keeps memory flat for ranges up to the 1e9 cap and lets
 callers sieve ahead on worker threads; the float totient walk reads each
 table in blocks and drops it before the next is sieved.
@@ -51,7 +52,9 @@ class SieveTable(Record):
     Attributes:
         lo: First integer covered (inclusive).
         hi: Last integer covered (inclusive), lo plus a multiple of step.
-        phi: read-only int64 array, ``phi[(n - lo) // step]`` is phi(n).
+        phi: read-only int32 array, ``phi[(n - lo) // step]`` is phi(n);
+            every totient is below ``SIEVE_MAX_N`` < 2**31, and
+            :meth:`phi_of` reads one as a Python int.
         step: 1 for every integer, 2 for the odd ones only.
 
     Two tables are equal when they cover the same numbers with equal
@@ -81,6 +84,10 @@ class SieveTable(Record):
             )
         return int(self.phi[(n - self.lo) // self.step])
 
+
+#: Entries whose large-prime factor ``sieve_segment`` finds at a time, so
+#: that n is never built at the length of the segment.
+FIX_CHUNK = 1 << 15
 
 #: The wheel primes, and their product 30030, the period of the wheel.
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -119,26 +126,27 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     """
     size = segment_size_from_env()
     hi = _last_number(lo, hi, step)
-    if (hi - lo) // step >= size:
+    lo = int(lo)  # a numpy int32 lo would overflow in -lo * (p + 1) below
+    count = (hi - lo) // step + 1
+    if count > size:
         raise RangeLimitError(f"segment [{lo}, {hi}] has more than {size} entries")
 
     # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32 holds it
-    n = np.arange(lo, hi + 1, step, dtype=np.int32)
     # small becomes the part of n made of primes <= sqrt(hi) and phi its
     # totient; the wheel starts both with the primes <= 13, tiled from a
     # slice of at most one period, so a short segment copies only its length.
     # The odd numbers take the odd residues, a wheel of period WHEEL // 2.
     radical, totient = (w[step - 1 :: step] for w in _wheel())
     start = lo % WHEEL // step
-    tile = slice(start, start + min(n.size, WHEEL // step))
-    small = np.resize(radical[tile], n.size)
-    phi = np.resize(totient[tile], n.size)
+    tile = slice(start, start + min(count, WHEEL // step))
+    small = np.resize(radical[tile], count)
+    phi = np.resize(totient[tile], count)
     # q | n from index -lo * step**-1 (mod q) on: (q + 1) // step is 1 mod q
     # for step 1, and the inverse of 2 mod an odd q for step 2
     primes = _root_primes(hi)
     for p in primes[len(WHEEL_PRIMES) :]:  # the primes past the wheel's
         s = -lo * ((p + 1) // step) % p
-        if s < n.size:
+        if s < count:
             small[s::p] *= p
             phi[s::p] *= p - 1
     # the powers finish both products; a wheel prime above sqrt(hi) has no
@@ -148,20 +156,22 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
         q = p * p
         while q <= hi:
             s = -lo * ((q + 1) // step) % q
-            if s < n.size:
+            if s < count:
                 small[s::q] *= p
                 phi[s::q] *= p
             q *= p
 
-    # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1).
-    # Each int32 array is dropped once read, so the int64 copy is made next
-    # to phi alone: 12 bytes an entry at the peak, not 20
-    big = np.floor_divide(n, small, out=n)
-    del n, small
-    big -= 1
-    phi *= np.maximum(big, 1, out=big)
-    del big
-    return SieveTable(lo, hi, phi.astype(np.int64), step)
+    # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1),
+    # FIX_CHUNK entries at a time, so n is never built at segment length and
+    # the segment peaks at small and phi, 8 bytes an entry
+    for a in range(0, count, FIX_CHUNK):
+        b = min(a + FIX_CHUNK, count)
+        big = np.arange(lo + step * a, lo + step * b, step, dtype=np.int32)
+        np.floor_divide(big, small[a:b], out=big)
+        big -= 1
+        phi[a:b] *= np.maximum(big, 1, out=big)
+        del big  # so the next chunk's n is not made next to this one
+    return SieveTable(lo, hi, phi, step)
 
 
 def _last_number(lo: int, hi: int, step: int) -> int:

@@ -1,8 +1,10 @@
-"""One policy for arguments: ValueError below a minimum, RangeLimitError
-past a cap, and a short message whatever the size of the value."""
+"""One policy for arguments: TypeError for a non-integer, ValueError below a
+minimum, RangeLimitError past a cap, and a short message whatever the size
+of the value."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from divrec.arith import (
@@ -142,6 +144,32 @@ def test_bad_and_over_cap_arguments_raise_short_messages(call, low, cap):
             assert " exceeds the cap " in message
         else:
             assert message.startswith("need ")
+
+
+@pytest.mark.parametrize(
+    "call, name, kind",
+    [
+        (lambda: sieve_segment(1.5, 10), "lo", "float"),
+        (lambda: phi_ratio_sum(1, 10.0), "N", "float"),
+        (lambda: sieve_segment(1, True), "hi", "bool"),
+        (lambda: factorize(Fraction(6)), "n", "Fraction"),
+    ],
+)
+def test_a_non_integer_argument_is_a_type_error_that_names_it(call, name, kind):
+    with pytest.raises(TypeError) as caught:
+        call()
+    assert str(caught.value) == f"{name} must be an integer, not {kind}"
+
+
+def test_numpy_integers_pass_and_sieve_as_python_integers():
+    # a numpy int32 lo would wrap where the sieve finds its stride starts
+    lo, hi = 10**8 + 1, 10**8 + 1001
+    for step in (1, 2):
+        table = sieve_segment(np.int32(lo), np.int64(hi), step=step)
+        assert np.array_equal(table.phi, sieve_segment(lo, hi, step=step).phi)
+        assert squarefree_flags(np.int32(lo), np.int32(hi)).tolist() == (
+            squarefree_flags(lo, hi).tolist()
+        )
 
 
 def test_segment_size_is_capped(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from divrec.arith import divisibility_exponent, factorize, is_prime
 from divrec.limits import SIEVE_MAX_N, RangeLimitError
 from divrec.sieves import (
+    FIX_CHUNK,
     WHEEL,
     iter_sieve_tables,
     sieve_segment,
@@ -249,14 +250,15 @@ def test_a_short_segment_copies_no_whole_wheel_period():
 
 
 @pytest.mark.parametrize("lo, step", [(1, 1), (10**8 + 1, 2)])
-def test_a_segment_peaks_at_its_three_int32_arrays(lo, step):
-    # n, small and phi take 12 bytes an entry, and each int32 array is
-    # dropped once read, so the int64 result is made next to phi alone. The
-    # two wheel tiles may each run up to one period past the segment, and
-    # np.resize first copies a strided tile of one period. Measured with
-    # numpy 2.4 on x86-64 at 2**16 entries: 0.99 MB at lo = 1, 0.92 MB for
-    # odd numbers from 1e8 + 1, against 1.51 and 1.40 MB when all three int32
-    # arrays were still alive at the int64 copy (20 bytes an entry)
+def test_a_segment_peaks_at_its_two_int32_arrays(lo, step):
+    # small and phi take 8 bytes an entry; n is built one FIX_CHUNK at a
+    # time, and each chunk is dropped before the next, so the table is phi
+    # itself. The two wheel tiles may each run up to one period past the
+    # segment, and np.resize first copies a strided tile of one period; the
+    # one chunk of n fits in what the tiles leave of that allowance. Measured
+    # with numpy 2.4 on x86-64 at 2**16 entries: 0.85 MB at lo = 1, 0.74 MB
+    # for odd numbers from 1e8 + 1, against 0.99 and 0.92 MB when n, small
+    # and phi were built whole and phi was copied to int64 (12 bytes an entry)
     size = 1 << 16
     hi = lo + step * (size - 1)
     sieve_segment(lo, hi, step=step)  # builds the cached wheel and base primes
@@ -267,7 +269,34 @@ def test_a_segment_peaks_at_its_three_int32_arrays(lo, step):
     finally:
         tracemalloc.stop()
     assert table.phi.size == size
-    assert peak < 12 * size + 3 * 4 * WHEEL
+    assert peak < 8 * size + 3 * 4 * WHEEL
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize(
+    "where, entries",
+    [
+        *(("last", n) for n in (1, FIX_CHUNK - 1, FIX_CHUNK, FIX_CHUNK + 1, 1 << 20)),
+        *(("first", n) for n in (1, FIX_CHUNK - 1, FIX_CHUNK, FIX_CHUNK + 1)),
+        ("middle", 3 * FIX_CHUNK + 1),
+    ],
+)
+def test_int32_tables_equal_the_int64_oracle_at_the_edges(where, entries, step):
+    # the large-prime fix runs one FIX_CHUNK of entries at a time: a segment
+    # of one entry, of one chunk and one either side, and the last segment
+    # below the cap, whose n and totients are the largest the int32 arrays
+    # hold, against the int64 oracle
+    lo = {
+        "first": 1,
+        "middle": 10**8 + 1,
+        "last": (SIEVE_MAX_N if step == 1 else LAST_ODD) - step * (entries - 1),
+    }[where]
+    hi = lo + step * (entries - 1)
+    table = sieve_segment(lo, hi, step=step)
+    assert table.phi.dtype == np.int32 and table.phi.size == entries
+    assert np.array_equal(table.phi, previous_sieve_phi(lo, hi)[::step])
+    for n in (lo, hi):
+        assert type(table.phi_of(n)) is int and table.phi_of(n) == phi_oracle(n)
 
 
 def test_cap_fits_the_int32_sieve():
@@ -410,7 +439,7 @@ def test_tables_are_read_only():
     table = sieve_segment(1, 10)
     with pytest.raises(ValueError):
         table.phi[0] = 99
-    assert table.phi.dtype == np.int64
+    assert table.phi.dtype == np.int32
 
 
 @settings(max_examples=100)

@@ -227,7 +227,7 @@ def whole_segment_pieces(m: int, ks: list[int], threads: int) -> list[int]:
         end = bisect_right(ks, table.hi)
         cuts = [(k - table.lo) // 2 + 1 for k in ks[len(pieces) : end]]
         ns = np.arange(table.lo * m, table.hi * m + 1, 2 * m, dtype=np.int64)
-        phis = table.phi * m
+        phis = table.phi.astype(np.int64) * m
         for p, _ in factorize(m):
             # phi(m*k) is m*phi(k) times (p - 1)/p for each prime p of m not
             # dividing k; p | k every p entries from index -lo / 2 (mod p)
@@ -333,19 +333,21 @@ def float_walk_peak(monkeypatch, m: int, size: int) -> int:
 
 @pytest.mark.parametrize("m", [1, 15])
 def test_float_walk_holds_no_array_of_segment_length_but_the_sieve(monkeypatch, m):
-    # The streamed walk peaks at about 8 bytes an odd k of segment, the int64
-    # table while its blocks are summed (the sieve itself peaks at 12 bytes
-    # an entry, sieving the next segment after the table is dropped), above
-    # about 1.05 MB that does not grow with the segment: the walker's two
-    # BLOCK-long float64 buffers and the accumulator's two int64 block
-    # temporaries. Measured with numpy 2.4 on x86-64: 1.59 MB at 2**16 odd k,
-    # 3.81 MB at 2**18, for m = 1 and m = 15 alike. The whole-segment walk
-    # it replaced held its ns and ratio arrays and the previous table while
+    # The streamed walk peaks while the next segment sieves, at about 8
+    # bytes an odd k of segment, the sieve's small and phi (the table before
+    # it, 4 bytes an entry, is dropped by then), above about 0.8 MB that
+    # does not grow with the segment: the walker's two BLOCK-long float64
+    # buffers, the sieve's one FIX_CHUNK of n and its wheel tiles. Measured
+    # with numpy 2.4 on x86-64: 1.36 MB at 2**16 odd k, 2.83 MB at 2**18,
+    # 7.5 bytes an entry between them, for m = 1 and m = 15 alike; 1.59 MB
+    # and 3.81 MB, 11.3 bytes an entry, while the sieve built n whole and
+    # copied phi to an int64 table. The whole-segment walk before the
+    # streamed one held its ns and ratio arrays and the previous table while
     # the next segment sieved: 2.77 MB and 9.52 MB, 36 bytes an entry.
     small = float_walk_peak(monkeypatch, m, 1 << 16)
-    assert small < 16 * (1 << 16) + 1_500_000
+    assert small < 10 * (1 << 16) + 1_500_000
     large = float_walk_peak(monkeypatch, m, 1 << 18)
-    assert large - small < 16 * ((1 << 18) - (1 << 16))
+    assert large - small < 10 * ((1 << 18) - (1 << 16))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 5, 7, 12, 30, 360, 9973, 12348])
