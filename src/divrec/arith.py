@@ -61,8 +61,7 @@ def factorize(n: int) -> Factorization:
     Each distinct n is trial-divided once per process: the factors are kept
     as a tuple, and every call returns a fresh list of them.
     """
-    check_range("n", n, 1, FACTORIZE_MAX_N)
-    return list(_trial_division(n))
+    return list(_trial_division(check_range("n", n, 1, FACTORIZE_MAX_N)))
 
 
 @lru_cache(maxsize=1024)

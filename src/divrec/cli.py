@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from . import arith, convergence, verify
 from .limits import MAX_LITERAL_EXPONENT, MAX_SHOWN_DIGITS, RangeLimitError
-from .limits import check_digits, check_range
-from .limits import positive_int_from_env, segment_size_from_env
+from .limits import check_digits, check_range, positive_int
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -121,11 +120,12 @@ def _add_table_args(sub: argparse.ArgumentParser, *, required: bool = True) -> N
 
 
 def _thread_count(text: str) -> int:
-    if text.isdecimal():
-        _check_digits("--threads", text)
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
-    return int(text)
+    try:
+        return positive_int("--threads", text)
+    except RangeLimitError as exc:
+        raise _PastEveryCap(exc) from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seed(text: str) -> int:
@@ -364,11 +364,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     try:
-        # each variable is checked here, once, for every command, so a bad
+        # the variable is checked here, once, for every command, so a bad
         # value exits 2 or 3 before any work whether or not the command
-        # sieves; the sieves read the segment size again where they segment
-        threads = positive_int_from_env("DIVREC_THREADS", 1)
-        segment_size_from_env()
+        # takes threads
+        threads = positive_int("DIVREC_THREADS", os.environ.get("DIVREC_THREADS", "1"))
         args.threads = getattr(args, "threads", None) or threads  # --threads wins
         return args.handler(args)
     except RangeLimitError as exc:

@@ -33,8 +33,8 @@ class CheckpointSchedule(Record):
     __slots__ = ("start", "stop", "ratio")
 
     def __init__(self, start: int, stop: int, ratio: Fraction) -> None:
-        check_range("start", start, 1)
-        check_range("stop", stop, 1)
+        start = check_range("start", start, 1)
+        stop = check_range("stop", stop, 1)
         ratio = Fraction(ratio)
         if ratio <= 1:
             raise ValueError(f"schedule ratio must exceed 1, got {shown(ratio)}")

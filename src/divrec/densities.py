@@ -34,6 +34,7 @@ from math import gcd, prod
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import limits
 from .arith import (
     FLOAT_UNIT_BITS,
     DensityPrediction,
@@ -52,7 +53,6 @@ from .limits import (
     SIEVE_MAX_N,
     check_range,
     checked_points,
-    segment_size_from_env,
 )
 from .recursion import CountingFunction
 
@@ -82,7 +82,7 @@ def count_squarefree_multiples_sieved(t: int, points: Sequence[int]) -> list[int
     primes = squarefree_primes(t)
     ks = [N // t for N in checked_points(points, SIEVE_MAX_N)]
     top = ks[-1] if ks else 0
-    size = segment_size_from_env()
+    size = limits.SEGMENT_SIZE
     counts: list[int] = []
     running = 0
     for lo in range(1, top + 1, size):
@@ -232,7 +232,7 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     #          = O(K) + w * (O(K >> 1) + O(K >> 2) + ...),  w = 1/2 or 1,
     # so only odd k are sieved. From one point's K' to the next K, S grows
     # by the odd terms in (K' >> a, K >> a] for every a, times w for a >= 1.
-    check_range("modulus m", m, 1)
+    m = check_range("modulus m", m, 1)
     pts = checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
     # O is cut at every K >> a, each K shifted only until it meets a shift of
     # an earlier one, at the largest odd number up to it, (x - 1) | 1 (-1 for

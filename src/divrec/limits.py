@@ -8,7 +8,7 @@ CLI can tell "bad input" apart from "input too large".
 """
 
 import math
-import os
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,24 +64,17 @@ LEMMA_MAX_COUNT = 10**4
 #: table a schedule asks for and the report that prints it.
 SCHEDULE_MAX_POINTS = 30_000
 
-#: Sieve segment length when ``DIVREC_SEGMENT_SIZE`` is unset. The length
-#: only affects memory and speed, never any numeric result.
-DEFAULT_SEGMENT_SIZE = 1 << 20
-
-#: Largest ``DIVREC_SEGMENT_SIZE``, 16 times the default. A segment costs
-#: memory by its entries: ``sieve_segment`` peaks at 8 bytes an entry (two
-#: int32 arrays; n is built a chunk at a time) and its table holds 4, the
-#: int32 totients, and the float walk streams each table through the
-#: accumulator in blocks of 2**15 terms and drops it before the next is
-#: sieved, so on one thread it holds no more than the sieve. Peak RSS of
-#: ``phisum --m 1 --n 3e7`` grows 8 bytes an entry from 2**20 to 2**22
-#: entries on one thread (38 to 62 MiB; 12 bytes, 43 to 79 MiB, with int64
-#: tables) and 18 to 19 on two (55 to 111-112 MiB; 21 to 28 with int64
-#: tables), where up to three tables are in flight; numpy 2.4 on x86-64. A
-#: walk at the cap (``--n 1e8``) peaks at 158 MiB on one thread and 287 MiB
-#: on two (223 and 476 MiB with int64 tables), where 1e9 entries would ask
-#: for about 7.5 GiB.
-MAX_SEGMENT_SIZE = 1 << 24
+#: Sieve segment length in entries: ``sieve_segment`` refuses a longer
+#: segment, and the walks that segment a range cut it into pieces of this
+#: length. It only affects memory and speed, never any numeric result.
+#: ``sieve_segment`` peaks at 8 bytes an entry (two int32 arrays; n is built
+#: a chunk at a time) and its table holds 4, the int32 totients; the float
+#: walk streams each table through the accumulator in blocks and drops it
+#: before the next is sieved, so on one thread ``phisum --m 1 --n 3e7``
+#: peaks at 38 MiB, and 8 bytes more for every entry a longer segment adds
+#: (62 MiB at 2**22); numpy 2.4 on x86-64. The totient walk
+#: ``phisum --m 1 --n 1e8`` is slower at 2**18 and at 2**22 than here.
+SEGMENT_SIZE = 1 << 20
 
 
 #: Messages name an integer with more digits than this by its digit count.
@@ -113,12 +106,11 @@ def shown(n: int | Fraction) -> str:
     return f"a {'negative ' if n < 0 else ''}{digits}-digit integer"
 
 
-def positive_int_from_env(name: str, default: int) -> int:
-    """Environment variable ``name``, read per call so a bad value cannot
-    break import; anything but a positive decimal integer is a ValueError,
-    and one of more than :data:`MAX_SHOWN_DIGITS` digits, past every cap
-    and Python's limit on str-to-int conversion, a RangeLimitError."""
-    text = os.environ.get(name, str(default))
+def positive_int(name: str, text: str) -> int:
+    """The decimal integer ``text``, the value of ``name``: anything but a
+    positive decimal integer is a ValueError, and one of more than
+    :data:`MAX_SHOWN_DIGITS` digits, past every cap and Python's limit on
+    str-to-int conversion, a RangeLimitError."""
     digits = text.lstrip("0") or "0"  # int() counts leading zeros too
     if text.isdecimal():
         check_digits(name, digits)
@@ -137,14 +129,6 @@ def check_digits(name: str, digits: str) -> None:
         raise RangeLimitError(
             f"{name} has {count} digits, more than the cap of {MAX_SHOWN_DIGITS}"
         )
-
-
-def segment_size_from_env() -> int:
-    """``DIVREC_SEGMENT_SIZE``, or :data:`DEFAULT_SEGMENT_SIZE` when unset;
-    RangeLimitError past :data:`MAX_SEGMENT_SIZE`."""
-    size = positive_int_from_env("DIVREC_SEGMENT_SIZE", DEFAULT_SEGMENT_SIZE)
-    check_range("DIVREC_SEGMENT_SIZE", size, 1, MAX_SEGMENT_SIZE)
-    return size
 
 
 class RangeLimitError(ValueError):
@@ -190,29 +174,31 @@ class Record:
         return f"{type(self).__name__}({args})"
 
 
-def check_range(name: str, value: int, low: int, cap: int | None = None) -> None:
-    """ValueError for ``value`` below ``low``, RangeLimitError above ``cap``.
+def check_range(name: str, value: int, low: int, cap: int | None = None) -> int:
+    """``value`` as a Python int; ValueError below ``low``, RangeLimitError
+    above ``cap``.
 
     The one bound-and-cap check of the package: every message names the
     argument and shows each value through :func:`shown`. A value that is no
     integer to :func:`operator.index`, or is a bool, is a TypeError that
-    names the argument; numpy integers pass.
+    names the argument; a numpy integer passes and is returned as an int,
+    so callers compute with the returned value, not the argument.
     """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    value = operator.index(value)
     if value < low:
         raise ValueError(f"need {name} >= {shown(low)}, got {shown(value)}")
     if cap is not None and value > cap:
         raise RangeLimitError(f"{name} = {shown(value)} exceeds the cap {cap}")
+    return value
 
 
 def checked_points(points: Sequence[int], cap: int) -> list[int]:
-    """``points`` as a list, checked to ascend from 0 or more to at most
-    ``cap``: a ValueError if they descend or start below 0, a
-    RangeLimitError if the last exceeds the cap."""
-    pts = list(points)
+    """``points`` as a list of Python ints, each checked by
+    :func:`check_range` as ``N`` from 0 to ``cap``, and checked to ascend:
+    a ValueError if they descend."""
+    pts = [check_range("N", N, 0, cap) for N in points]
     if pts != sorted(pts):
         raise ValueError("checkpoints must be in ascending order")
-    for N in pts[:1] + pts[-1:]:
-        check_range("N", N, 0, cap)
     return pts

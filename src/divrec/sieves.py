@@ -19,10 +19,12 @@ by q - 1 where q > 1. A :class:`SieveTable` holds the totients only, as
 the int32 ``phi`` itself; square-free flags come from the separate
 :func:`squarefree_flags`, which builds no totients. A segment peaks at its
 two int32 arrays, 8 bytes an entry, and ``small`` is dropped once the
-fix is done, so a finished table holds 4. Segments never depend on each
-other, which keeps memory flat for ranges up to the 1e9 cap and lets
-callers sieve ahead on worker threads; the float totient walk reads each
-table in blocks and drops it before the next is sieved.
+fix is done, so a finished table holds 4. A segment holds at most
+:data:`divrec.limits.SEGMENT_SIZE` entries, a constant of 2**20, which
+sets its memory and never a result. Segments never depend on each other,
+which keeps memory flat for ranges up to the 1e9 cap and lets callers
+sieve ahead on worker threads; the float totient walk reads each table in
+blocks and drops it before the next is sieved.
 
 This module imports numpy, as :mod:`divrec.accumulators` does, and no other
 module imports either at load time. The totient walk sieves here only past
@@ -41,9 +43,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import limits
 from .arith import base_primes
 from .limits import SIEVE_MAX_N, RangeLimitError, Record, check_range, shown
-from .limits import segment_size_from_env
 
 
 class SieveTable(Record):
@@ -118,15 +120,14 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
             odd number up to hi, is at most ``SIEVE_MAX_N``.
         step: 1 for every integer, 2 for the odd integers only.
 
-    A segment of more than ``DIVREC_SEGMENT_SIZE`` entries (default 2**20)
-    is refused, so a typo cannot allocate an enormous array.
+    A segment of more than :data:`divrec.limits.SEGMENT_SIZE` entries
+    (2**20) is refused, so a typo cannot allocate an enormous array.
 
     Returns:
         A read-only :class:`SieveTable` covering lo, lo + step, ... up to hi.
     """
-    size = segment_size_from_env()
-    hi = _last_number(lo, hi, step)
-    lo = int(lo)  # a numpy int32 lo would overflow in -lo * (p + 1) below
+    size = limits.SEGMENT_SIZE
+    lo, hi = _checked_span(lo, hi, step)
     count = (hi - lo) // step + 1
     if count > size:
         raise RangeLimitError(f"segment [{lo}, {hi}] has more than {size} entries")
@@ -174,17 +175,19 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     return SieveTable(lo, hi, phi, step)
 
 
-def _last_number(lo: int, hi: int, step: int) -> int:
-    # the last of lo, lo + step, ... up to hi, checked against the sieve cap
+def _checked_span(lo: int, hi: int, step: int) -> tuple[int, int]:
+    # lo and the last of lo, lo + step, ... up to hi, as Python ints (a
+    # numpy int32 lo would overflow in -lo * (p + 1)), checked against the
+    # sieve cap
     if step not in (1, 2) or step == 2 and lo % 2 == 0:
         raise ValueError(
             f"need step 1, or 2 from an odd lo; got step {shown(step)} from {shown(lo)}"
         )
-    check_range("lo", lo, 1)
-    check_range("hi", hi, lo)
+    lo = check_range("lo", lo, 1)
+    hi = check_range("hi", hi, lo)
     last = hi - (hi - lo) % step
     check_range("hi" if step == 1 else "last odd number", last, lo, SIEVE_MAX_N)
-    return last
+    return lo, last
 
 
 def squarefree_flags(lo: int, hi: int, primes: Sequence[int] = ()) -> np.ndarray:
@@ -215,16 +218,16 @@ def iter_sieve_tables(
 ) -> Iterator[SieveTable]:
     """Yield consecutive segments covering [lo, hi], always in ascending order.
 
-    Segments hold ``DIVREC_SEGMENT_SIZE`` entries; the last may hold fewer.
+    Segments hold :data:`divrec.limits.SEGMENT_SIZE` entries, read when the
+    walk starts; the last may hold fewer.
     With ``step=2`` they hold the odd numbers only, from an odd lo, as
     :func:`sieve_segment` sieves them. With ``threads > 1`` upcoming
     segments are sieved ahead on a thread pool of at most the usable CPUs,
     but they are handed back strictly in range order, so any accumulation
     on the consumer side stays deterministic regardless of the thread count.
     """
-    size = segment_size_from_env()
-    last = _last_number(lo, hi, step)
-    width = size * step
+    lo, last = _checked_span(lo, hi, step)
+    width = limits.SEGMENT_SIZE * step
     spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory

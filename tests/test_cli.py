@@ -6,9 +6,6 @@ import functools
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -19,8 +16,6 @@ from hypothesis import strategies as st
 from divrec import arith, densities, sieves
 from divrec.cli import main
 from divrec.convergence import CheckpointSchedule, PhiSumFamily, run_convergence
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -321,7 +316,8 @@ def test_bad_threads_variable_exits_two(capsys, monkeypatch):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--threads", value])
             assert exc.value.code == 2
-            assert f"need a positive integer, got '{value}'" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"--threads must be a positive integer: '{value}'" in err
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
     # oddly never sieves, and reproduce-paper walks too few k to sieve, so
     # neither offers --threads
@@ -455,26 +451,37 @@ def test_lemma_count_is_checked_before_any_work(capsys, monkeypatch):
     assert code == 0 and out == "lemma: pass (0 checks)\n"
 
 
-def test_bad_segment_size_variable_exits_two():
-    env = dict(os.environ, DIVREC_SEGMENT_SIZE="abc")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    imported = subprocess.run(
-        [sys.executable, "-c", "import divrec"], capture_output=True, env=env
-    )
-    assert imported.returncode == 0, imported.stderr.decode()
-    proc = subprocess.run(
-        [sys.executable, "-m", "divrec", "phisum", "--m", "1", "--n", "100"],
-        capture_output=True,
-        env=env,
-    )
-    err = proc.stderr.decode()
-    assert proc.returncode == 2 and proc.stdout == b""
-    assert "DIVREC_SEGMENT_SIZE" in err and "Traceback" not in err
+def recorded_sieve(sieve, calls: list):
+    def recorded(*args, **kwargs):
+        calls.append(sieve.__name__)
+        return sieve(*args, **kwargs)
+
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "argv, sieve",
+    [
+        (["phisum", "--m", "1", "--n", "1e6"], "iter_sieve_tables"),
+        (["squarefree", "--t", "6", "--schedule", "1:1e7:1.001"], "squarefree_flags"),
+    ],
+)
+def test_the_retired_segment_variable_changes_nothing(capsys, monkeypatch, argv, sieve):
+    # the segment length is a constant: a DIVREC_SEGMENT_SIZE left in the
+    # environment, well formed or not, neither fails nor alters the sieved
+    # float walk or the flag walker
+    calls = []
+    monkeypatch.setattr(sieves, sieve, recorded_sieve(getattr(sieves, sieve), calls))
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0 and expected[2] == "" and calls
+    for value in ("abc", "7", "16777217"):
+        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", value)
+        assert run_cli(capsys, *argv) == expected
 
 
 # The fuzz below draws argv from the subcommands, their flags and small or
-# invalid values, plus DIVREC_THREADS and DIVREC_SEGMENT_SIZE. Sizes stay at
-# most FUZZ_MAX_N or lie past some cap, and thread counts stay at most 4.
+# invalid values, plus DIVREC_THREADS. Sizes stay at most FUZZ_MAX_N or lie
+# past some cap, and thread counts stay at most 4.
 FUZZ_MAX_N = 10**4
 SIZES = ("1e3", "7", "2", "12", "1", "360", "1e4")  # hypothesis favours the first
 NOT_SIZES = ("0", "-1", "2.5", "1/2", "abc", "", "2e9", "2e12", "1e30", "1e5000")
@@ -548,10 +555,6 @@ def fuzz_argv(draw) -> list[str]:
 #: environment variable -> (usual values, invalid values); None unsets it
 FUZZ_ENV = {
     "DIVREC_THREADS": ((None, "1", "2", "4"), ("0", "-3", "abc", "", LONG_VALUE)),
-    "DIVREC_SEGMENT_SIZE": (
-        (None, "256", "7"),
-        ("0", "abc", "1e3", "16777217", "1000000000", LONG_VALUE),
-    ),
 }
 
 
@@ -616,7 +619,7 @@ FUZZ_READERS = {
 #: the invalid values that lie past a cap: they exit 3, the malformed and
 #: too small ones exit 2
 OVER_CAP = {
-    "2e9", "2e12", "1e30", "1e5000", "1e9", "16777217", "1000000000",
+    "2e9", "2e12", "1e30", "1e5000", "1e9",
     "1:2e9:10", "1:2e12:10", "1:1e30:1.0001", LONG_VALUE, LONG_SCHEDULE, LONG_PRIMES,
 }
 #: (subcommand, flag or variable, value) that the subcommand accepts (exit 0)
@@ -662,13 +665,6 @@ def test_every_invalid_fuzz_value_exits_zero_to_three():
         for value in invalid:
             for argv in env_argvs:
                 runs.append((argv, {name: value}, expected_exit(argv[0], name, value)))
-    # a bad segment size fails a square-free table on either path: the
-    # one-point table of FUZZ_BASE runs the recursion, this dense one the
-    # flag walker
-    dense = ["squarefree", "--t", "6", "--schedule", "1:1e7:1.001"]
-    for value in FUZZ_ENV["DIVREC_SEGMENT_SIZE"][1]:
-        code = expected_exit("squarefree", "DIVREC_SEGMENT_SIZE", value)
-        runs.append((dense, {"DIVREC_SEGMENT_SIZE": value}, code))
     assert len(runs) > 100
     for argv, env, code in runs:
         assert fuzzed_exit_code(argv, env) == code, (argv, env)

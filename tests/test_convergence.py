@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from divrec import limits
 from divrec.convergence import (
     CSV_HEADER,
     CheckpointSchedule,
@@ -341,12 +342,12 @@ def test_phisum_exact_checkpoints_equal_from_scratch():
         assert row.empirical_exact == phi_ratio_sum(7, row.N, "exact") / row.N
 
 
-@pytest.mark.parametrize("size", [None, "257"])
+@pytest.mark.parametrize("size", [None, 257])
 def test_dense_exact_csv_equals_the_reduced_fraction_path(monkeypatch, size):
     # rows read unreduced pairs; the oracle prints every row from the
     # reduced Fraction, float(total) / N
     if size is not None:
-        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
+        monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
     sched = CheckpointSchedule(1, 30_000, Fraction("1.006"))
     points = sched.points
     assert len(points) >= 1000
@@ -372,8 +373,8 @@ def test_exact_rows_do_not_depend_on_the_segment_size(monkeypatch):
     sched = CheckpointSchedule(7, 3000, Fraction("1.2"))
     family = PhiSumFamily(7, "exact")
     rows = run_convergence(family, sched)
-    for size in ("1", "13", "64"):
-        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
+    for size in (1, 13, 64):
+        monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
         assert run_convergence(family, sched) == rows
     assert all(r.exact_ratio[1] > 0 for r in rows)
     assert rows[-1].empirical_exact == phi_ratio_sum(7, 3000, "exact") / 3000
@@ -384,7 +385,7 @@ def test_checkpoints_cross_segment_boundaries(monkeypatch):
     # several segments per checkpoint interval; results must not move
     sched = CheckpointSchedule(5, 5000, Fraction(3))
     expected = run_convergence(PhiSumFamily(3), sched)
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "64")
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 64)
     assert run_convergence(PhiSumFamily(3), sched) == expected
     for row in expected:
         assert row.empirical == phi_ratio_sum(3, row.N) / row.N

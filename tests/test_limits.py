@@ -23,6 +23,7 @@ from divrec.densities import (
     phi_claim_first_failure,
     phi_ratio_counts,
     phi_ratio_sum,
+    phi_ratio_sums_at,
     predicted_phi_density,
     squarefree_multiple_counts,
 )
@@ -32,14 +33,12 @@ from divrec.limits import (
     EXACT_PHI_SUM_MAX_N,
     FACTORIZE_MAX_N,
     LEMMA_MAX_COUNT,
-    MAX_SEGMENT_SIZE,
     MAX_SHOWN_DIGITS,
     ORACLE_MAX_N,
     PHI_CLAIM_MAX_X,
     SIEVE_MAX_N,
     RangeLimitError,
-    positive_int_from_env,
-    segment_size_from_env,
+    positive_int,
 )
 from divrec.recursion import (
     RecurrenceSpec,
@@ -172,25 +171,36 @@ def test_numpy_integers_pass_and_sieve_as_python_integers():
         )
 
 
-def test_segment_size_is_capped(monkeypatch):
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(MAX_SEGMENT_SIZE))
-    assert segment_size_from_env() == MAX_SEGMENT_SIZE == 1 << 24
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(MAX_SEGMENT_SIZE + 1))
-    with pytest.raises(RangeLimitError, match="DIVREC_SEGMENT_SIZE = 16777217 exceeds"):
-        segment_size_from_env()
+def test_numpy_integers_reach_the_walks_as_python_integers():
+    # each argument is taken through operator.index where it is checked, so
+    # the walks compute with Python ints and return Python results
+    for dtype in (np.int32, np.int64):
+        total = phi_ratio_sum(dtype(3), dtype(30))
+        assert type(total) is float and total == phi_ratio_sum(3, 30)
+        sums = phi_ratio_sums_at(dtype(1), [dtype(10), dtype(20)], "exact")
+        assert sums == phi_ratio_sums_at(1, [10, 20], "exact")
+        counts = count_squarefree_multiples_sieved(dtype(6), [dtype(10), dtype(99)])
+        assert counts == count_squarefree_multiples_sieved(6, [10, 99])
+        assert all(type(c) is int for c in counts)
+        points = CheckpointSchedule(dtype(1), dtype(1000), Fraction(10)).points
+        assert points == [1, 10, 100, 1000]
+        assert all(type(p) is int for p in points)
+        factors = factorize(dtype(12))
+        assert factors == [(2, 2), (3, 1)]
+        assert all(type(x) is int for pair in factors for x in pair)
+    # every point is checked, not only the first and the last
+    for walk in (phi_ratio_sums_at, count_squarefree_multiples_sieved):
+        with pytest.raises(TypeError, match="^N must be an integer, not float$"):
+            walk(1, [10, 20.5, 30])
 
 
-@pytest.mark.parametrize("name", ["DIVREC_SEGMENT_SIZE", "DIVREC_THREADS"])
-def test_environment_values_past_the_digit_cap_name_the_variable(monkeypatch, name):
+@pytest.mark.parametrize("name", ["DIVREC_THREADS"])
+def test_environment_values_past_the_digit_cap_name_the_variable(name):
     # past 4300 digits int() itself refuses the text; the digit cap comes
     # first, and leading zeros do not count
-    monkeypatch.setenv(name, "9" * 5000)
     with pytest.raises(RangeLimitError, match=f"^{name} has 5000 digits, more than"):
-        positive_int_from_env(name, 1)
-    monkeypatch.setenv(name, "9" * MAX_SHOWN_DIGITS)
-    assert positive_int_from_env(name, 1) == 10**MAX_SHOWN_DIGITS - 1
-    monkeypatch.setenv(name, "0" * 5000 + "7")
-    assert positive_int_from_env(name, 1) == 7
-    monkeypatch.setenv(name, "0" * 5000)
+        positive_int(name, "9" * 5000)
+    assert positive_int(name, "9" * MAX_SHOWN_DIGITS) == 10**MAX_SHOWN_DIGITS - 1
+    assert positive_int(name, "0" * 5000 + "7") == 7
     with pytest.raises(ValueError, match="must be a positive integer"):
-        positive_int_from_env(name, 1)
+        positive_int(name, "0" * 5000)

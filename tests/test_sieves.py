@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divrec.arith import divisibility_exponent, factorize, is_prime
+from divrec import limits
 from divrec.limits import SIEVE_MAX_N, RangeLimitError
 from divrec.sieves import (
     FIX_CHUNK,
@@ -206,7 +207,7 @@ def test_odd_segments_refuse_what_they_cannot_hold(monkeypatch):
         with pytest.raises(RangeLimitError):
             next(iter_sieve_tables(lo, LAST_ODD + 2, step=2))
     # the segment size counts entries, not the numbers they span
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "10")
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 10)
     assert sieve_segment(1, 20, step=2).phi.size == 10
     with pytest.raises(RangeLimitError):
         sieve_segment(1, 21, step=2)
@@ -219,18 +220,18 @@ def test_odd_segments_refuse_what_they_cannot_hold(monkeypatch):
 
 def test_odd_tables_cover_the_odd_numbers_in_order(monkeypatch):
     whole = sieve_segment(1, 40_000)
-    for size in ("101", "997", "15015", "30000"):
-        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
+    for size in (101, 997, 15015, 30000):
+        monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
         for lo, hi in ((1, 40_000), (9_999, 39_999)):
             for threads in (1, 2):
                 tables = list(iter_sieve_tables(lo, hi, threads=threads, step=2))
                 assert all(t.step == 2 and t.lo % 2 for t in tables)
                 assert [t.lo for t in tables[1:]] == [t.hi + 2 for t in tables[:-1]]
                 assert tables[0].lo == lo and tables[-1].hi == hi - 1 + hi % 2
-                assert all(t.phi.size == int(size) for t in tables[:-1])
+                assert all(t.phi.size == size for t in tables[:-1])
                 got = np.concatenate([t.phi for t in tables])
                 assert np.array_equal(got, whole.phi[lo - 1 : hi : 2])
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "7")
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 7)
     spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 40, step=2)]
     assert spans == [(5, 17), (19, 31), (33, 39)]
 
@@ -319,7 +320,7 @@ def test_partition_independence(monkeypatch):
     whole = sieve_segment(1, 30_000)
     whole_flags = squarefree_flags(1, 30_000)
     for size in (997, 4096, 30_000):
-        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(size))
+        monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
         phis = []
         flags = []
         for t in iter_sieve_tables(1, 30_000):
@@ -330,13 +331,13 @@ def test_partition_independence(monkeypatch):
 
 
 def test_iter_covers_range_exactly(monkeypatch):
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "7")
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 7)
     spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 23)]
     assert spans == [(5, 11), (12, 18), (19, 23)]
 
 
 def test_threads_do_not_change_tables(monkeypatch):
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "9973")
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 9973)
     seq = list(iter_sieve_tables(1, 50_000))
     par = list(iter_sieve_tables(1, 50_000, threads=4))
     assert [(t.lo, t.hi) for t in seq] == [(t.lo, t.hi) for t in par]
@@ -373,7 +374,7 @@ def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
 
     # iter_sieve_tables imports the pool class only when it uses threads
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "10")
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 10)
     seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500)]
     for cpus, pool_sizes, peak in (({0, 1, 2}, [3], 4), ({0}, [], None)):
         pools.clear()
@@ -391,21 +392,11 @@ def test_segment_argument_errors(monkeypatch):
         sieve_segment(10, 5)
     with pytest.raises(RangeLimitError):
         sieve_segment(1, 2 * 10**6)  # longer than the default segment
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(10**7))
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 10**7)
     with pytest.raises(RangeLimitError):
         sieve_segment(1, SIEVE_MAX_N + 1)
     with pytest.raises(RangeLimitError):
         sieve_segment(SIEVE_MAX_N, SIEVE_MAX_N + 1)
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "10")
-    with pytest.raises(RangeLimitError):
-        sieve_segment(1, 11)
-    for size in ("0", "-3"):
-        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", size)
-        with pytest.raises(ValueError, match="DIVREC_SEGMENT_SIZE"):
-            sieve_segment(1, 1)
-        with pytest.raises(ValueError, match="DIVREC_SEGMENT_SIZE"):
-            next(iter_sieve_tables(1, 10))
-    monkeypatch.delenv("DIVREC_SEGMENT_SIZE")
     with pytest.raises(ValueError):
         list(iter_sieve_tables(3, 2))
     with pytest.raises(ValueError):
@@ -415,6 +406,9 @@ def test_segment_argument_errors(monkeypatch):
     table = sieve_segment(10, 20)
     with pytest.raises(ValueError):
         table.phi_of(9)
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 10)
+    with pytest.raises(RangeLimitError):
+        sieve_segment(1, 11)
 
 
 @pytest.mark.parametrize("lo", [1, 99_900, 10**8 + 7])

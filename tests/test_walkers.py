@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divrec import densities, sieves
+from divrec import densities, limits, sieves
 from divrec.accumulators import BLOCK, ExactFloatSum, ExactRatioSum
 from divrec.arith import (
     FLOAT_UNIT_BITS,
@@ -44,14 +44,14 @@ from divrec.densities import (
     squarefree_multiple_counts,
 )
 from divrec.limits import (
-    DEFAULT_SEGMENT_SIZE,
     EXACT_PHI_SUM_MAX_N,
+    SEGMENT_SIZE,
     SIEVE_MAX_N,
     RangeLimitError,
 )
 from divrec.sieves import iter_sieve_tables
 
-SEGMENT_SIZES = (13, 256, None)  # None: the library default
+SEGMENT_SIZES = (13, 256, SEGMENT_SIZE)  # the last: the library's own
 
 
 def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
@@ -126,10 +126,7 @@ def bits(values: list[float]) -> list[bytes]:
 
 
 def use_segment_size(monkeypatch, size):
-    if size is None:
-        monkeypatch.delenv("DIVREC_SEGMENT_SIZE", raising=False)
-    else:
-        monkeypatch.setenv("DIVREC_SEGMENT_SIZE", str(size))
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
 
 
 @pytest.mark.parametrize(
@@ -255,8 +252,8 @@ def block_edge_points(m: int, entries: int, size: int) -> list[int]:
 
 
 #: the segment sizes either side of one block and of two, a prime, and the
-#: default; segments of 13 odd k hold less than a block
-BLOCK_SEGMENT_SIZES = (13, BLOCK - 1, BLOCK, BLOCK + 1, 65521, None)
+#: library's own; segments of 13 odd k hold less than a block
+BLOCK_SEGMENT_SIZES = (13, BLOCK - 1, BLOCK, BLOCK + 1, 65521, SEGMENT_SIZE)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 15, 12348])
@@ -270,11 +267,10 @@ def test_blocked_walk_is_bitwise_the_whole_segment_walk(monkeypatch, m):
     walk = densities._sieved_pieces
     for size in BLOCK_SEGMENT_SIZES:
         use_segment_size(monkeypatch, size)
-        length = size or DEFAULT_SEGMENT_SIZE
         # three segments, or three blocks of short segments, and at least
         # two blocks; at 13 odd k a segment, a few hundred segments
-        entries = 40 * size if size == 13 else max(2 * length, 3 * BLOCK)
-        points = block_edge_points(m, entries, length)
+        entries = 40 * size if size == 13 else max(2 * size, 3 * BLOCK)
+        points = block_edge_points(m, entries, size)
         assert len(points) > 6 and (size == 13 or points[-1] // m > 2 * BLOCK)
         for threads in (1, 2):
             monkeypatch.setattr(densities, "_sieved_pieces", whole_segment_pieces)
@@ -299,18 +295,18 @@ def test_every_block_without_a_cut_goes_through_extend(monkeypatch):
 
     monkeypatch.setattr(ExactFloatSum, "extend", counted)
     monkeypatch.setattr(densities, "_sieved_pieces", recorded)
-    for size in (None, 65521):
+    for size in (SEGMENT_SIZE, 65521):
         use_segment_size(monkeypatch, size)
         calls.clear()
         seen.clear()
         phi_ratio_sums_at(1, [10**6])
         (ks,) = seen  # past PLAIN_WALK_MAX_K, so the walk sieves
         cuts = [(k + 1) // 2 for k in ks]  # the odd k up to each cut
-        length, entries = size or DEFAULT_SEGMENT_SIZE, cuts[-1]
+        entries = cuts[-1]
         blocks = [
-            (a, min(a + BLOCK, lo + length, entries))
-            for lo in range(0, entries, length)
-            for a in range(lo, min(lo + length, entries), BLOCK)
+            (a, min(a + BLOCK, lo + size, entries))
+            for lo in range(0, entries, size)
+            for a in range(lo, min(lo + size, entries), BLOCK)
         ]
         uncut = [b - a for a, b in blocks if not any(a < c <= b for c in cuts)]
         assert calls == uncut and calls
@@ -489,7 +485,7 @@ def test_the_rule_picks_a_path_from_t_and_the_points_alone(monkeypatch):
     assert recursion_s > walker_s
     assert count_squarefree_multiples_at(6, dense) == "walk"
     # no thread count, segment size or other setting moves the estimates
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "7")
+    use_segment_size(monkeypatch, 7)
     monkeypatch.setenv("DIVREC_THREADS", "2")
     assert [squarefree_path_costs(1, sparse), squarefree_path_costs(6, dense)] == costs
 
@@ -583,7 +579,7 @@ def test_squarefree_paths_build_no_totients(monkeypatch):
 
     monkeypatch.setattr("divrec.sieves.sieve_segment", totient_sieve)
     monkeypatch.setattr("divrec.sieves.iter_sieve_tables", totient_sieve)
-    monkeypatch.setenv("DIVREC_SEGMENT_SIZE", "1000")
+    use_segment_size(monkeypatch, 1000)
     assert count_squarefree_multiples_at(6, points) == counts[6]
     assert densities._squarefree_prefix((2, 3), 5000)[-1] == counts[6][1]
     assert brown_identity_first_failure(6, 5, 30_000) is None
