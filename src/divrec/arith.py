@@ -235,14 +235,36 @@ def predicted_density_oddly(m: int) -> DensityPrediction:
 # family 2: square-free multiples of a square-free t
 
 
-def squarefree_primes(t: int) -> tuple[int, ...]:
+def squarefree_primes(t: int, primes: Sequence[int] | None = None) -> tuple[int, ...]:
     """The primes of a square-free t, ascending; ValueError if t < 1 or t has
-    a square factor, RangeLimitError past the factoring cap."""
+    a square factor, RangeLimitError past the factoring cap.
+
+    A caller that holds the primes of t hands them in as ``primes``. They
+    are then checked as :func:`predicted_density_squarefree` checks them,
+    and their product against t, but t itself is not factored, so it may
+    lie past the factoring cap.
+    """
+    if primes is not None:
+        ps = tuple(sorted(_distinct_primes(primes)))
+        if math.prod(ps) != t:
+            raise ValueError(f"t = {shown(t)} is not the product of its primes")
+        return ps
     check_range("t", t, 1, FACTORIZE_MAX_N)
     factors = factorize(t)
     if any(e > 1 for _, e in factors):
         raise ValueError(f"t = {t} is not square-free")
     return tuple(p for p, _ in factors)
+
+
+def _distinct_primes(primes: Sequence[int]) -> list[int]:
+    # primes as a list, if they are distinct primes within the factoring cap
+    ps = list(primes)
+    if len(set(ps)) != len(ps):
+        shown_ps = ", ".join(map(shown, ps))
+        raise ValueError(f"primes must be distinct, got {shown_ps}")
+    for p in ps:
+        check_prime(p)
+    return ps
 
 
 def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
@@ -253,13 +275,8 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
     D*alpha/(m - beta) of the splitting recursion G_tp(x) = G_t(x // p) -
     G_tp(x // p), which has m = p, alpha = 1 and beta = -1: D_tp = D_t/(p+1).
     """
-    ps = list(primes)
-    if len(set(ps)) != len(ps):
-        shown_ps = ", ".join(map(shown, ps))
-        raise ValueError(f"primes must be distinct, got {shown_ps}")
     factor = Fraction(6)
-    for p in ps:
-        check_prime(p)
+    for p in _distinct_primes(primes):
         factor /= p + 1
     return DensityPrediction.of(factor, -1)
 
@@ -301,8 +318,13 @@ def count_squarefree_multiples_recursive(t: int, points: Sequence[int]) -> list[
     serve every point, and Q(y) for y up to that bound is read from a
     table. A point x costs about sqrt(x) * prod 1/(sqrt(p) - 1) divisions.
     """
-    primes = squarefree_primes(t)
-    pts = checked_points(points, SIEVE_MAX_N)
+    return _recursive_counts(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
+
+
+def _recursive_counts(primes: tuple[int, ...], pts: list[int]) -> list[int]:
+    # count_squarefree_multiples_recursive for the checked primes of t and
+    # checked points
+    t = math.prod(primes)
     top = pts[-1] if pts else 0
     terms = [(1, 1)]  # (n, sign) for every n <= top
     for p in primes:
@@ -356,31 +378,39 @@ def squarefree_path_costs(t: int, points: Sequence[int]) -> tuple[float, float]:
     Both estimates read only t and the points, never the environment, so a
     given input always takes the same path.
     """
-    primes = squarefree_primes(t)
-    pts = checked_points(points, SIEVE_MAX_N)
+    return _path_costs(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
+
+
+def _path_costs(primes: tuple[int, ...], pts: list[int]) -> tuple[float, float]:
+    # squarefree_path_costs for the checked primes of t and checked points
     weight = math.prod(1 / (math.sqrt(p) - 1) for p in primes)
     recursion = RECURSION_S_PER_UNIT * weight * sum(map(math.isqrt, pts))
-    walker = SIEVE_START_S + SIEVE_S_PER_K * (pts[-1] // t if pts else 0)
-    return recursion, walker
+    top = pts[-1] // math.prod(primes) if pts else 0
+    return recursion, SIEVE_START_S + SIEVE_S_PER_K * top
 
 
-def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
+def count_squarefree_multiples_at(
+    t: int, points: Sequence[int], *, primes: Sequence[int] | None = None
+) -> list[int]:
     """Counts of square-free multiples of t up to each of ascending ``points``.
 
     Runs :func:`count_squarefree_multiples_recursive` or the flag walker
-    :func:`divrec.densities.count_squarefree_multiples_sieved`, whichever
+    :func:`divrec.densities.squarefree_flag_counts`, whichever
     :func:`squarefree_path_costs` expects to finish first. Both give the
     same counts. Only the walker loads numpy; it wins on dense schedules,
     where the recursion's cost per point adds up past one sieve of
-    k <= points[-1] // t.
+    k <= points[-1] // t. t and the points are checked once, for the
+    estimate and the counter alike; ``primes``, the primes of t if the
+    caller holds them, are checked as :func:`squarefree_primes` checks them.
     """
-    pts = list(points)  # read by both the estimate and the counter
-    recursion_s, walker_s = squarefree_path_costs(t, pts)
+    primes = squarefree_primes(t, primes)
+    pts = checked_points(points, SIEVE_MAX_N)
+    recursion_s, walker_s = _path_costs(primes, pts)
     if recursion_s <= walker_s:
-        return count_squarefree_multiples_recursive(t, pts)
+        return _recursive_counts(primes, pts)
     from . import densities
 
-    return densities.count_squarefree_multiples_sieved(t, pts)
+    return densities.squarefree_flag_counts(primes, [N // t for N in pts])
 
 
 def count_squarefree_multiples(t: int, N: int) -> int:

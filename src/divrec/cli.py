@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure or failed reproduction,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -161,27 +162,29 @@ def _cmd_oddly(args) -> int:
     return _print_table(args, convergence.OddlyFamily(args.m))
 
 
-def _resolve_t(args) -> int:
-    if args.primes is not None:
-        arith.predicted_density_squarefree(args.primes)  # validates
-        t = 1
-        for p in args.primes:
-            t *= p
-        return t
-    return args.t if args.t is not None else 1
+def _resolve_t(args) -> tuple[int, tuple[int, ...] | None]:
+    # t, and the primes of --primes, checked here and handed on, so that
+    # their product is never factored; --t (default 1) is factored once,
+    # where it is used
+    if args.primes is None:
+        return (args.t if args.t is not None else 1), None
+    t = math.prod(args.primes)
+    return t, arith.squarefree_primes(t, args.primes)
 
 
 def _cmd_squarefree(args) -> int:
-    t = _resolve_t(args)
+    t, primes = _resolve_t(args)
     if args.check_identity is not None:
         from . import densities  # the identity check sieves, loading numpy
 
-        x = densities.brown_identity_first_failure(t, args.check_identity, args.x)
-        ok = x is None
-        verdict = f"holds for all x <= {args.x}" if ok else f"FAILS first at x={x}"
+        first = densities.brown_identity_first_failure(
+            t, args.check_identity, args.x, primes=primes
+        )
+        ok = first is None
+        verdict = f"holds for all x <= {args.x}" if ok else f"FAILS first at x={first}"
         print(f"squarefree splitting: t={t} p={args.check_identity} {verdict}")
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
-    return _print_table(args, convergence.SquarefreeFamily(t))
+    return _print_table(args, convergence.SquarefreeFamily(t, primes))
 
 
 def _cmd_phisum(args) -> int:

@@ -131,12 +131,18 @@ class OddlyFamily(Record):
 
 
 class SquarefreeFamily(Record):
-    """Square-free integers divisible by square-free t."""
+    """Square-free integers divisible by square-free t.
 
-    __slots__ = ("t",)
+    ``primes`` are the primes of t, found and checked here: by factoring t,
+    or, if the caller holds them, as :func:`divrec.arith.squarefree_primes`
+    checks them, so that t is not factored and may lie past the factoring
+    cap. A bad t or bad primes raise here.
+    """
 
-    def __init__(self, t: int) -> None:
-        super().__init__(t)
+    __slots__ = ("t", "primes")
+
+    def __init__(self, t: int, primes: Sequence[int] | None = None) -> None:
+        super().__init__(t, arith.squarefree_primes(t, primes))
 
 
 class PhiSumFamily(Record):
@@ -166,10 +172,11 @@ def run_convergence(
     """One row per checkpoint, computed in a single ascending pass.
 
     A stop past the family's cap raises RangeLimitError before the schedule
-    is stepped. Parameter validation is delegated to the family's counters,
-    so a bad modulus or a non-square-free t raises ValueError before any
-    work starts. ``threads`` sieves the totients of a float
-    :class:`PhiSumFamily` ahead; the other tables ignore it.
+    is stepped. A :class:`SquarefreeFamily` checks t when it is built, and
+    the other families' parameters are checked by their counters, so a bad
+    modulus raises ValueError before any work starts. ``threads`` sieves
+    the totients of a float :class:`PhiSumFamily` ahead; the other tables
+    ignore it.
     """
     if schedule.start <= schedule.stop:
         check_range("N", schedule.stop, 1, _cap(family))
@@ -178,8 +185,9 @@ def run_convergence(
         pred = arith.predicted_density_oddly(family.m)
         totals = [arith.count_oddly_divisible_fast(family.m, N) for N in points]
     elif isinstance(family, SquarefreeFamily):
-        pred = arith.predicted_density_squarefree(arith.squarefree_primes(family.t))
-        totals = arith.count_squarefree_multiples_at(family.t, points)
+        primes = family.primes
+        pred = arith.predicted_density_squarefree(primes)
+        totals = arith.count_squarefree_multiples_at(family.t, points, primes=primes)
     elif isinstance(family, PhiSumFamily):
         from . import densities  # only long float walks load numpy
 

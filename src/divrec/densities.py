@@ -75,12 +75,23 @@ def count_squarefree_multiples_sieved(t: int, points: Sequence[int]) -> list[int
     :func:`divrec.arith.count_squarefree_multiples_at` runs it for dense
     schedules; the tests hold the recursion to it.
     """
+    primes = squarefree_primes(t)
+    ks = [N // t for N in checked_points(points, SIEVE_MAX_N)]
+    return squarefree_flag_counts(primes, ks)
+
+
+def squarefree_flag_counts(primes: Sequence[int], ks: Sequence[int]) -> list[int]:
+    """The flag walker of :func:`count_squarefree_multiples_sieved` on
+    checked input: for each of the ascending ``ks``, the number of k' <= k
+    with t*k' square-free, t the product of the distinct ``primes``.
+
+    Neither input is checked again: the callers check t, or its primes, and
+    the points N, and hand over k = N // t for each.
+    """
     import numpy as np
 
     from .sieves import squarefree_flags
 
-    primes = squarefree_primes(t)
-    ks = [N // t for N in checked_points(points, SIEVE_MAX_N)]
     top = ks[-1] if ks else 0
     size = limits.SEGMENT_SIZE
     counts: list[int] = []
@@ -114,17 +125,21 @@ def _squarefree_prefix(primes: tuple[int, ...], limit: int) -> np.ndarray:
     return prefix
 
 
-def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
+def brown_identity_first_failure(
+    t: int, p: int, X: int, *, primes: Sequence[int] | None = None
+) -> int | None:
     """First x <= X violating F(x//p) = G(x//p) + G(x), or None.
 
     F counts square-free multiples of t, G of p*t; p must be a prime not
-    dividing t. The identity holds for all x, so None is the expected
+    dividing t. ``primes``, the primes of t if the caller holds them, are
+    checked as :func:`divrec.arith.squarefree_primes` checks them, and t is
+    then not factored. The identity holds for all x, so None is the expected
     outcome; the first counterexample is returned for reporting if a sieve
     or counting bug ever breaks it. Both sides depend on x only through
     j = x // (t*p): F is read at (x//p)//t = j and G at j // p and j, so
     only k <= X // (t*p) is sieved and compared for each side.
     """
-    primes = squarefree_primes(t)
+    primes = squarefree_primes(t, primes)
     check_prime(p)
     if t % p == 0:
         raise ValueError(f"p = {p} already divides t = {t}")

@@ -64,17 +64,32 @@ LEMMA_MAX_COUNT = 10**4
 #: table a schedule asks for and the report that prints it.
 SCHEDULE_MAX_POINTS = 30_000
 
-#: Sieve segment length in entries: ``sieve_segment`` refuses a longer
-#: segment, and the walks that segment a range cut it into pieces of this
+#: Longest sieve segment in entries: ``sieve_segment`` refuses a longer
+#: one, and the square-free flag walker cuts its range into pieces of this
 #: length. It only affects memory and speed, never any numeric result.
 #: ``sieve_segment`` peaks at 8 bytes an entry (two int32 arrays; n is built
-#: a chunk at a time) and its table holds 4, the int32 totients; the float
-#: walk streams each table through the accumulator in blocks and drops it
-#: before the next is sieved, so on one thread ``phisum --m 1 --n 3e7``
-#: peaks at 38 MiB, and 8 bytes more for every entry a longer segment adds
-#: (62 MiB at 2**22); numpy 2.4 on x86-64. The totient walk
-#: ``phisum --m 1 --n 1e8`` is slower at 2**18 and at 2**22 than here.
+#: a chunk at a time) and its table holds 4, the int32 totients. The flag
+#: walker holds 1 byte an entry and takes one stride for every p**2, p up
+#: to sqrt(hi), in each segment, so it is slower with shorter segments:
+#: ``squarefree --t 1 --schedule 1:1e9:1.001`` took 6.4 s at 2**18 against
+#: 2.2 s here, and ``--t 6`` 0.86 s against 0.67 s (medians of 5
+#: alternating runs on a shared 2-vCPU x86 machine).
 SEGMENT_SIZE = 1 << 20
+
+#: Entries in each segment of the totient walk, ``iter_sieve_tables``, and
+#: so of the float totient-ratio walk: at most :data:`SEGMENT_SIZE`. Only
+#: memory and speed depend on it. The walk streams each table through the
+#: accumulator in blocks and drops it before the next is sieved, so on one
+#: thread it peaks at the sieve's 8 bytes an entry, 2 MiB here. Since
+#: ``sieve_segment`` buckets its sparse strides, a segment costs per hit
+#: rather than per root prime, and on one thread this length is no slower
+#: than 2**20. Against 2**20 with the per-prime strides, in paired runs on a
+#: shared 2-vCPU x86 machine: the ``phisum-dense`` benchmark peaked at 33.4
+#: MiB against 37.9 (10 of 10 pairs) in the same wall time; ``phisum --m 7
+#: --schedule 1e3:1e9:10`` took 2.17 s against 2.30 s, but 2.43 s against
+#: 2.20 s with ``--threads 2``, whose threads hand the interpreter lock
+#: back and forth more often on shorter segments (``BENCH_bucket_strides.json``).
+TOTIENT_SEGMENT_SIZE = 1 << 18
 
 
 #: Messages name an integer with more digits than this by its digit count.

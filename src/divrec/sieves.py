@@ -10,21 +10,32 @@ of their p - 1 (``phi``), so those six primes need no strides. Every larger
 root prime p multiplies ``small`` by p and ``phi`` by p - 1 along its
 stride, and the power strides p**2, p**3, ... of every root prime multiply
 both by p; entry i holds n = lo + step*i, so the stride of q starts at
-index -lo / step (mod q), and powers of 2 take none in odd tables.
-``small`` is then the part of n made of root primes and ``phi`` its
-totient. Only after those strides is ``n // small`` taken, once for each
-``FIX_CHUNK`` entries, n itself built a chunk at a time: it is 1 or a
-single prime q above sqrt(hi), and one branch-free pass multiplies ``phi``
-by q - 1 where q > 1. A :class:`SieveTable` holds the totients only, as
+index -lo / step (mod q), and powers of 2 take none in odd tables. A stride
+of q up to the entry count // ``STRIDED_HITS`` takes its own two strided
+numpy calls. The sparser ones, most of the 3400 root primes and 3600
+prime powers at the cap, are bucketed, as in the segmented sieve of
+Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014): the indices of
+all their hits are built together from each stride's start, a chunk of at
+least ``HIT_CHUNK`` hits at a time, and ``np.multiply.at`` applies the
+factors, since two strides may hit one entry. So a segment costs about
+one numpy call per thousand hits, not two per root prime, and a short
+segment is no slower per entry than a long one. ``small`` is then the
+part of n made of root primes and ``phi`` its totient. Only after those
+strides is ``n // small`` taken, once for each ``FIX_CHUNK`` entries, n
+itself built a chunk at a time: it is 1 or a single prime q above
+sqrt(hi), and one branch-free pass multiplies ``phi`` by q - 1 where
+q > 1. A :class:`SieveTable` holds the totients only, as
 the int32 ``phi`` itself; square-free flags come from the separate
 :func:`squarefree_flags`, which builds no totients. A segment peaks at its
 two int32 arrays, 8 bytes an entry, and ``small`` is dropped once the
 fix is done, so a finished table holds 4. A segment holds at most
-:data:`divrec.limits.SEGMENT_SIZE` entries, a constant of 2**20, which
-sets its memory and never a result. Segments never depend on each other,
-which keeps memory flat for ranges up to the 1e9 cap and lets callers
-sieve ahead on worker threads; the float totient walk reads each table in
-blocks and drops it before the next is sieved.
+:data:`divrec.limits.SEGMENT_SIZE` entries, a constant of 2**20, and the
+totient walk :func:`iter_sieve_tables` cuts segments of
+:data:`divrec.limits.TOTIENT_SEGMENT_SIZE`, 2**18; both set memory and
+speed, never a result. Segments never depend on each other, which keeps
+memory flat for ranges up to the 1e9 cap and lets callers sieve ahead on
+worker threads; the float totient walk reads each table in blocks and
+drops it before the next is sieved.
 
 This module imports numpy, as :mod:`divrec.accumulators` does, and no other
 module imports either at load time. The totient walk sieves here only past
@@ -91,6 +102,23 @@ class SieveTable(Record):
 #: that n is never built at the length of the segment.
 FIX_CHUNK = 1 << 15
 
+#: A stride of q takes its own two numpy calls while q <= entries //
+#: STRIDED_HITS, so that each call covers at least about this many
+#: entries; the sparser strides of a segment are bucketed, so a segment
+#: costs about one numpy call for every thousand of their hits rather
+#: than two for every root prime and prime power.
+STRIDED_HITS = 128
+
+#: Fewest hits of the bucketed strides indexed at a time; a segment of
+#: more than 2**16 entries takes one for every 32 entries at a time. A hit
+#: takes about 32 bytes of temporaries (its stride's row, its index and
+#: numpy's intp copy of it), so a chunk takes about a byte an entry, an
+#: eighth of the segment's own arrays, or 64 KiB for the shorter segments.
+#: Fewer, longer chunks make fewer numpy calls: with 2**11 hits a chunk,
+#: ``phi_ratio_sums_at(7, ...)`` to 1e9 took 3.08 s against 2.82 s at
+#: 2**13 on one thread (medians of 6 alternating runs).
+HIT_CHUNK = 1 << 11
+
 #: The wheel primes, and their product 30030, the period of the wheel.
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 WHEEL = math.prod(WHEEL_PRIMES)
@@ -143,24 +171,17 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     small = np.resize(radical[tile], count)
     phi = np.resize(totient[tile], count)
     # q | n from index -lo * step**-1 (mod q) on: (q + 1) // step is 1 mod q
-    # for step 1, and the inverse of 2 mod an odd q for step 2
-    primes = _root_primes(hi)
-    for p in primes[len(WHEEL_PRIMES) :]:  # the primes past the wheel's
-        s = -lo * ((p + 1) // step) % p
+    # for step 1, and the inverse of 2 mod an odd q for step 2. A stride
+    # that hits about STRIDED_HITS entries or more takes its own two numpy
+    # calls; the sparser ones, most of them, are bucketed together
+    moduli, primes = _strides(hi, step)
+    dense = moduli <= count // STRIDED_HITS
+    for q, p in zip(moduli[dense].tolist(), primes[dense].tolist()):
+        s = -lo * ((q + 1) // step) % q
         if s < count:
-            small[s::p] *= p
-            phi[s::p] *= p - 1
-    # the powers finish both products; a wheel prime above sqrt(hi) has no
-    # multiple of its square up to hi, and no power of 2 divides an odd n.
-    # Most powers have no multiple in a segment, and skip the numpy calls
-    for p in primes[step - 1 :]:
-        q = p * p
-        while q <= hi:
-            s = -lo * ((q + 1) // step) % q
-            if s < count:
-                small[s::q] *= p
-                phi[s::q] *= p
-            q *= p
+            small[s::q] *= p
+            phi[s::q] *= p - (q == p)  # p - 1 for a prime, p for a power
+    _bucket(small, phi, lo, step, moduli[~dense], primes[~dense])
 
     # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1),
     # FIX_CHUNK entries at a time, so n is never built at segment length and
@@ -173,6 +194,81 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
         phi[a:b] *= np.maximum(big, 1, out=big)
         del big  # so the next chunk's n is not made next to this one
     return SieveTable(lo, hi, phi, step)
+
+
+@lru_cache(maxsize=2)
+def _moduli(step: int) -> np.ndarray:
+    # the modulus q of every stride a segment of this step may take, over
+    # the prime p of each, in int32: the primes past the wheel's, then each
+    # power q = p**k, k >= 2, of a base prime up to SIEVE_MAX_N; no power of
+    # 2 divides an odd n. A prime's stride multiplies small by p and phi by
+    # p - 1, a power's both by p
+    primes = np.array(base_primes(), dtype=np.int64)
+    rest = primes[len(WHEEL_PRIMES) :]
+    qs, ps = [rest], [rest]
+    p = primes[step - 1 :]
+    q = p * p  # every base prime's square is at most SIEVE_MAX_N
+    while p.size:
+        ps.append(p)
+        qs.append(q)
+        q = q * p  # at most SIEVE_MAX_N * 31607 < 2**63
+        p, q = p[q <= SIEVE_MAX_N], q[q <= SIEVE_MAX_N]
+    table = np.array([np.concatenate(qs), np.concatenate(ps)], dtype=np.int32)
+    table.setflags(write=False)
+    return table
+
+
+def _strides(hi: int, step: int) -> np.ndarray:
+    # the columns of _moduli that sieve a segment ending at hi: the powers
+    # up to hi and the primes up to sqrt(hi); a larger prime is left to the
+    # fix
+    q, p = table = _moduli(step)
+    return table[:, (q <= hi) & ((q != p) | (p <= math.isqrt(hi)))]
+
+
+def _bucket(
+    small: np.ndarray,
+    phi: np.ndarray,
+    lo: int,
+    step: int,
+    moduli: np.ndarray,
+    primes: np.ndarray,
+) -> None:
+    # the strides of moduli over primes at once, a chunk of hits at a time:
+    # the index of each hit is built from its stride's start, and
+    # np.multiply.at applies all factors, for two strides may hit one entry,
+    # where a fancy-index *= would apply one of them only
+    if not moduli.size:
+        return
+    q = moduli.astype(np.int64)
+    # (lo mod q) * ((q + 1) // step) < 1e9 * (1e9 + 1) < 2**63: no overflow
+    starts = -(lo % q) * ((q + 1) // step) % q
+    hits = (small.size - 1 - starts) // q + 1  # 0 if it misses the segment
+    live = np.flatnonzero(hits)
+    hits = hits[live]
+    ends = np.cumsum(hits)
+    # per live stride, in int32 like the tables (every index is below the
+    # count): the hits before its first, q, its start and its two factors
+    rows = np.empty((live.size, 5), dtype=np.int32)
+    rows[:, 0] = ends - hits
+    rows[:, 1] = moduli[live]
+    rows[:, 2] = starts[live]
+    rows[:, 3] = primes[live]
+    rows[:, 4] = rows[:, 3] - (rows[:, 1] == rows[:, 3])
+    del starts  # so the chunks below are not made next to it
+    chunk = max(HIT_CHUNK, small.size // 32)
+    a = 0
+    while a < live.size:
+        first = int(rows[a, 0])
+        b = max(int(np.searchsorted(ends, first + chunk, "right")), a + 1)
+        each = np.repeat(rows[a:b], hits[a:b], axis=0)  # one row a hit
+        at = np.arange(first, int(ends[b - 1]), dtype=np.int32)
+        at -= each[:, 0]  # the hit's number along its stride
+        at *= each[:, 1]
+        at += each[:, 2]
+        np.multiply.at(small, at, each[:, 3])
+        np.multiply.at(phi, at, each[:, 4])
+        a = b
 
 
 def _checked_span(lo: int, hi: int, step: int) -> tuple[int, int]:
@@ -218,8 +314,8 @@ def iter_sieve_tables(
 ) -> Iterator[SieveTable]:
     """Yield consecutive segments covering [lo, hi], always in ascending order.
 
-    Segments hold :data:`divrec.limits.SEGMENT_SIZE` entries, read when the
-    walk starts; the last may hold fewer.
+    Segments hold :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries, read
+    when the walk starts; the last may hold fewer.
     With ``step=2`` they hold the odd numbers only, from an odd lo, as
     :func:`sieve_segment` sieves them. With ``threads > 1`` upcoming
     segments are sieved ahead on a thread pool of at most the usable CPUs,
@@ -227,7 +323,7 @@ def iter_sieve_tables(
     on the consumer side stays deterministic regardless of the thread count.
     """
     lo, last = _checked_span(lo, hi, step)
-    width = limits.SEGMENT_SIZE * step
+    width = limits.TOTIENT_SEGMENT_SIZE * step
     spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory

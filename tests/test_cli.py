@@ -151,6 +151,13 @@ def test_squarefree_t_out_of_range_is_named_t(capsys, argv, code, message):
         ("squarefree --t 999999999989 --n 1e9", [999999999989]),
         ("squarefree --t 6 --check-identity 5 --x 1e3", [6, 5]),
         ("phisum --m 12348 --n 1e7", [12348]),
+        # the primes of --primes are checked one by one and handed on, and
+        # their product 999962000357 is never factored
+        ("squarefree --primes 999983,999979 --n 1e9", [999983, 999979]),
+        (
+            "squarefree --primes 999983,999979 --check-identity 2 --x 1e3",
+            [999983, 999979, 2],
+        ),
     ],
 )
 def test_each_integer_is_trial_divided_once(capsys, monkeypatch, argv, factored):
@@ -169,6 +176,21 @@ def test_each_integer_is_trial_divided_once(capsys, monkeypatch, argv, factored)
     monkeypatch.setattr(arith, "_trial_division", functools.lru_cache(size)(counted))
     assert run_cli(capsys, *argv.split())[0] == 0
     assert seen == factored
+
+
+def test_primes_within_the_cap_pass_whatever_their_product(capsys):
+    # each prime is within the factoring cap and t = 1000036000099 is past
+    # it, but t is never factored: the identity check and the table take the
+    # checked primes from --primes
+    argv = "squarefree --primes 1000003,1000033 --check-identity 2 --x 10"
+    holds = "squarefree splitting: t=1000036000099 p=2 holds for all x <= 10\n"
+    assert run_cli(capsys, *argv.split()) == (0, holds, "")
+    argv = "squarefree --primes 1000033,1000003 --n 1e9"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "") and out.splitlines()[1].startswith("1000000000,0,")
+    # the same t by --t is past the cap
+    code, _, err = run_cli(capsys, "squarefree", "--t", "1000036000099", "--n", "1e9")
+    assert code == 3 and "t = 1000036000099 exceeds the cap" in err
 
 
 def test_exit_code_over_cap(capsys):

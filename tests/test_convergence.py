@@ -219,6 +219,26 @@ def test_rows_carry_an_exact_ratio_unless_the_sum_is_float(family, total):
             assert row.empirical == float(total(row.N)) / row.N
 
 
+def test_squarefree_family_takes_the_primes_of_t():
+    # the primes are found from t, or checked when handed in, in any order;
+    # handed in, t is not factored and may lie past the factoring cap
+    assert SquarefreeFamily(30).primes == (2, 3, 5)
+    assert SquarefreeFamily(30, [5, 2, 3]) == SquarefreeFamily(30)
+    big = SquarefreeFamily(1_000_003 * 1_000_033, [1_000_003, 1_000_033])
+    assert big.primes == (1_000_003, 1_000_033)
+    rows = run_convergence(big, CheckpointSchedule(10, 10**9, Fraction(10)))
+    assert [row.empirical for row in rows] == [0.0] * 9
+    for t, primes, error in [
+        (30, [2, 3], ValueError),  # not the product
+        (4, [2, 2], ValueError),  # not distinct
+        (6, [1, 6], ValueError),  # not primes
+        (10**13, [10**13], RangeLimitError),
+        (1_000_003 * 1_000_033, None, RangeLimitError),
+    ]:
+        with pytest.raises(error):
+            SquarefreeFamily(t, primes)
+
+
 def test_empty_schedule_runs_to_empty_table():
     sched = CheckpointSchedule(100, 5, Fraction(2))
     for family in (OddlyFamily(2), SquarefreeFamily(2), PhiSumFamily(5)):

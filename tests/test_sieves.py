@@ -3,6 +3,7 @@
 import math
 import os
 import random
+from bisect import bisect_right
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.arith import divisibility_exponent, factorize, is_prime
+from divrec.arith import base_primes, divisibility_exponent, factorize, is_prime
 from divrec import limits
 from divrec.limits import SIEVE_MAX_N, RangeLimitError
 from divrec.sieves import (
     FIX_CHUNK,
+    STRIDED_HITS,
     WHEEL,
     iter_sieve_tables,
     sieve_segment,
@@ -221,7 +223,7 @@ def test_odd_segments_refuse_what_they_cannot_hold(monkeypatch):
 def test_odd_tables_cover_the_odd_numbers_in_order(monkeypatch):
     whole = sieve_segment(1, 40_000)
     for size in (101, 997, 15015, 30000):
-        monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
+        monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", size)
         for lo, hi in ((1, 40_000), (9_999, 39_999)):
             for threads in (1, 2):
                 tables = list(iter_sieve_tables(lo, hi, threads=threads, step=2))
@@ -231,9 +233,93 @@ def test_odd_tables_cover_the_odd_numbers_in_order(monkeypatch):
                 assert all(t.phi.size == size for t in tables[:-1])
                 got = np.concatenate([t.phi for t in tables])
                 assert np.array_equal(got, whole.phi[lo - 1 : hi : 2])
-    monkeypatch.setattr(limits, "SEGMENT_SIZE", 7)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 7)
     spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 40, step=2)]
     assert spans == [(5, 17), (19, 31), (33, 39)]
+
+
+def stride_sieve_phi(lo: int, hi: int, step: int = 1) -> np.ndarray:
+    """Totients of lo, lo + step, ... up to hi the way ``sieve_segment`` took
+    them before it bucketed its sparse strides: two strided numpy calls for
+    every root prime and every prime power up to hi, one stride at a time,
+    then the one large-prime fix; in int64, with no wheel."""
+    count = (hi - lo) // step + 1
+    small = np.ones(count, dtype=np.int64)
+    phi = np.ones(count, dtype=np.int64)
+    primes = base_primes()
+    for p in primes[step - 1 : bisect_right(primes, math.isqrt(hi))]:
+        q, f = p, p - 1
+        while q <= hi:
+            s = -lo * ((q + 1) // step) % q  # q | lo + step * s
+            small[s::q] *= p
+            phi[s::q] *= f
+            q, f = q * p, p
+    n = np.arange(lo, hi + 1, step, dtype=np.int64)
+    return phi * np.maximum(n // small - 1, 1)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("entries", [13, 256, 1 << 16, 1 << 18, 1 << 20])
+def test_bucketed_segment_equals_the_per_prime_stride_sieve(entries, where, step):
+    # segments too short to take any stride of their own, the walk's length
+    # and the longest segment, from lo = 1, from 1e8 + 1 and ending at the
+    # last number below the cap, against the stride loop they replaced
+    lo = {
+        "first": 1,
+        "middle": 10**8 + 1,
+        "last": (SIEVE_MAX_N if step == 1 else LAST_ODD) - step * (entries - 1),
+    }[where]
+    hi = lo + step * (entries - 1)
+    table = sieve_segment(lo, hi, step=step)
+    assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, step))
+
+
+def first_hit(q: int, lo: int, step: int) -> int:
+    """The first n = lo + step*i, i >= 0, that q divides (q odd for step 2)."""
+    return lo + step * (-lo * ((q + 1) // step) % q)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("entries", [1 << 16, 1 << 18])
+def test_strides_either_side_of_the_bucket_threshold(entries, step):
+    # the largest prime and prime power up to entries // STRIDED_HITS take
+    # their own strides, the next ones are bucketed: 509 | 521 and 512 | 529
+    # (361 | 529 for odd numbers) at 2**16 entries, 2039 | 2053 and 2048 |
+    # 2187 (1849 | 2187) at 2**18
+    edge = entries // STRIDED_HITS
+    primes = base_primes()[step - 1 :]  # no power of 2 divides an odd n
+    powers = sorted(
+        p**k for p in primes[:40] for k in range(2, 32) if p**k <= SIEVE_MAX_N
+    )
+    strides = []
+    for moduli in (primes, powers):
+        i = bisect_right(moduli, edge)
+        strides += moduli[i - 1 : i + 1]
+    assert strides[0] <= edge < strides[1] and strides[2] <= edge < strides[3]
+    lo = 10**8 + 1
+    hi = lo + step * (entries - 1)
+    table = sieve_segment(lo, hi, step=step)
+    assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, step))
+    for q in strides:
+        n = first_hit(q, lo, step)
+        assert n <= hi and table.phi_of(n) == phi_oracle(n)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_an_entry_hit_by_two_bucketed_strides_takes_both(step):
+    # np.multiply.at applies every hit on one entry, where a fancy-index *=
+    # would keep only one of them: n has two prime factors above the
+    # threshold, or the square of one and another, and a third factor
+    # from the strides of its own
+    entries = 1 << 16
+    edge = entries // STRIDED_HITS
+    p, q = [x for x in base_primes() if x > edge][:2]
+    for n in (p * q * 367, p * p * q, p * q):
+        lo = max(1, n - step * 1000)
+        table = sieve_segment(lo, lo + step * (entries - 1), step=step)
+        assert table.phi_of(n) == phi_oracle(n)
+        assert np.array_equal(table.phi, stride_sieve_phi(table.lo, table.hi, step))
 
 
 def test_a_short_segment_copies_no_whole_wheel_period():
@@ -256,10 +342,13 @@ def test_a_segment_peaks_at_its_two_int32_arrays(lo, step):
     # time, and each chunk is dropped before the next, so the table is phi
     # itself. The two wheel tiles may each run up to one period past the
     # segment, and np.resize first copies a strided tile of one period; the
-    # one chunk of n fits in what the tiles leave of that allowance. Measured
-    # with numpy 2.4 on x86-64 at 2**16 entries: 0.85 MB at lo = 1, 0.74 MB
-    # for odd numbers from 1e8 + 1, against 0.99 and 0.92 MB when n, small
-    # and phi were built whole and phi was copied to int64 (12 bytes an entry)
+    # one chunk of n, and the stride table and one HIT_CHUNK of hits of the
+    # bucketed strides, fit in what the tiles leave of that allowance.
+    # Measured with numpy 2.4 on x86-64 at 2**16 entries: 0.86 MB at lo = 1,
+    # 0.81 MB for odd numbers from 1e8 + 1; 0.86 and 0.90 MB with 4096 hits a
+    # chunk, 0.85 and 0.74 MB with a stride loop of one prime at a time, and
+    # 0.99 and 0.92 MB when n, small and phi were built whole and phi was
+    # copied to int64 (12 bytes an entry)
     size = 1 << 16
     hi = lo + step * (size - 1)
     sieve_segment(lo, hi, step=step)  # builds the cached wheel and base primes
@@ -320,7 +409,7 @@ def test_partition_independence(monkeypatch):
     whole = sieve_segment(1, 30_000)
     whole_flags = squarefree_flags(1, 30_000)
     for size in (997, 4096, 30_000):
-        monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
+        monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", size)
         phis = []
         flags = []
         for t in iter_sieve_tables(1, 30_000):
@@ -331,13 +420,13 @@ def test_partition_independence(monkeypatch):
 
 
 def test_iter_covers_range_exactly(monkeypatch):
-    monkeypatch.setattr(limits, "SEGMENT_SIZE", 7)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 7)
     spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 23)]
     assert spans == [(5, 11), (12, 18), (19, 23)]
 
 
 def test_threads_do_not_change_tables(monkeypatch):
-    monkeypatch.setattr(limits, "SEGMENT_SIZE", 9973)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 9973)
     seq = list(iter_sieve_tables(1, 50_000))
     par = list(iter_sieve_tables(1, 50_000, threads=4))
     assert [(t.lo, t.hi) for t in seq] == [(t.lo, t.hi) for t in par]
@@ -374,7 +463,7 @@ def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
 
     # iter_sieve_tables imports the pool class only when it uses threads
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(limits, "SEGMENT_SIZE", 10)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 10)
     seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500)]
     for cpus, pool_sizes, peak in (({0, 1, 2}, [3], 4), ({0}, [], None)):
         pools.clear()

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divrec import densities, limits, sieves
+from divrec import arith, densities, limits, sieves
 from divrec.accumulators import BLOCK, ExactFloatSum, ExactRatioSum
 from divrec.arith import (
     FLOAT_UNIT_BITS,
@@ -47,11 +47,13 @@ from divrec.limits import (
     EXACT_PHI_SUM_MAX_N,
     SEGMENT_SIZE,
     SIEVE_MAX_N,
+    TOTIENT_SEGMENT_SIZE,
     RangeLimitError,
 )
 from divrec.sieves import iter_sieve_tables
 
-SEGMENT_SIZES = (13, 256, SEGMENT_SIZE)  # the last: the library's own
+#: the last two: the library's own, for the totient walk and the flag walker
+SEGMENT_SIZES = (13, 256, TOTIENT_SEGMENT_SIZE, SEGMENT_SIZE)
 
 
 def full_range_phi_sums(m: int, points: list[int], mode: str) -> list:
@@ -126,7 +128,9 @@ def bits(values: list[float]) -> list[bytes]:
 
 
 def use_segment_size(monkeypatch, size):
+    # the totient walk and the flag walker both cut segments of size entries
     monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", size)
 
 
 @pytest.mark.parametrize(
@@ -251,9 +255,11 @@ def block_edge_points(m: int, entries: int, size: int) -> list[int]:
     return sorted({N for k in ks for N in (m * k, m * k + m - 1) if N <= SIEVE_MAX_N})
 
 
-#: the segment sizes either side of one block and of two, a prime, and the
-#: library's own; segments of 13 odd k hold less than a block
-BLOCK_SEGMENT_SIZES = (13, BLOCK - 1, BLOCK, BLOCK + 1, 65521, SEGMENT_SIZE)
+#: the segment sizes either side of one block and of two, a prime, the
+#: walk's own and the longest; segments of 13 odd k hold less than a block
+BLOCK_SEGMENT_SIZES = (
+    13, BLOCK - 1, BLOCK, BLOCK + 1, 65521, TOTIENT_SEGMENT_SIZE, SEGMENT_SIZE
+)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 15, 12348])
@@ -295,7 +301,7 @@ def test_every_block_without_a_cut_goes_through_extend(monkeypatch):
 
     monkeypatch.setattr(ExactFloatSum, "extend", counted)
     monkeypatch.setattr(densities, "_sieved_pieces", recorded)
-    for size in (SEGMENT_SIZE, 65521):
+    for size in (TOTIENT_SEGMENT_SIZE, SEGMENT_SIZE, 65521):
         use_segment_size(monkeypatch, size)
         calls.clear()
         seen.clear()
@@ -331,15 +337,19 @@ def float_walk_peak(monkeypatch, m: int, size: int) -> int:
 def test_float_walk_holds_no_array_of_segment_length_but_the_sieve(monkeypatch, m):
     # The streamed walk peaks while the next segment sieves, at about 8
     # bytes an odd k of segment, the sieve's small and phi (the table before
-    # it, 4 bytes an entry, is dropped by then), above about 0.8 MB that
+    # it, 4 bytes an entry, is dropped by then), above about 1.3 MB that
     # does not grow with the segment: the walker's two BLOCK-long float64
-    # buffers, the sieve's one FIX_CHUNK of n and its wheel tiles. Measured
-    # with numpy 2.4 on x86-64: 1.36 MB at 2**16 odd k, 2.83 MB at 2**18,
-    # 7.5 bytes an entry between them, for m = 1 and m = 15 alike; 1.59 MB
-    # and 3.81 MB, 11.3 bytes an entry, while the sieve built n whole and
-    # copied phi to an int64 table. The whole-segment walk before the
-    # streamed one held its ns and ratio arrays and the previous table while
-    # the next segment sieved: 2.77 MB and 9.52 MB, 36 bytes an entry.
+    # buffers, the accumulator's two BLOCK-long int64 buffers, the sieve's
+    # one FIX_CHUNK of n, its wheel tiles, its stride table and one chunk of
+    # bucketed hits. Measured with numpy 2.4 on x86-64: 1.79 MB at 2**16
+    # odd k, 3.36 MB at 2**18, 8.0 bytes an entry between them, for m = 1
+    # and m = 15 alike; 1.36 MB and 2.83 MB, 7.5 bytes an entry, while the
+    # accumulator made its temporaries afresh for each block and the sieve
+    # took no bucketed strides; 1.59 MB and 3.81 MB, 11.3 bytes an entry,
+    # while the sieve built n whole and copied phi to an int64 table. The
+    # whole-segment walk before the streamed one held its ns and ratio
+    # arrays and the previous table while the next segment sieved: 2.77 MB
+    # and 9.52 MB, 36 bytes an entry.
     small = float_walk_peak(monkeypatch, m, 1 << 16)
     assert small < 10 * (1 << 16) + 1_500_000
     large = float_walk_peak(monkeypatch, m, 1 << 18)
@@ -430,22 +440,46 @@ def walker_edge(t: int) -> int:
 def test_squarefree_paths_agree_either_side_of_the_switch(monkeypatch, t):
     # every N up to one short of the walker edge takes the recursion, every N
     # up to the edge the walker; both paths must give the oracle's counts on
-    # both schedules, whichever the entry point runs
+    # both schedules, whichever the entry point runs. The entry point hands
+    # the walker proper, squarefree_flag_counts, its checked input
     edge = walker_edge(t)
     expected = full_range_squarefree_counts(t, list(range(1, edge + 1)))
     walked = []
+    walker = densities.squarefree_flag_counts
     monkeypatch.setattr(
         densities,
-        "count_squarefree_multiples_sieved",
-        lambda *a: walked.append(a) or count_squarefree_multiples_sieved(*a),
+        "squarefree_flag_counts",
+        lambda *a: walked.append(a) or walker(*a),
     )
     for X, walks in [(edge - 1, False), (edge, True)]:
         points = range(1, X + 1)
+        walked.clear()
         assert count_squarefree_multiples_at(t, points) == expected[:X]
         assert bool(walked) is walks
-        walked.clear()
         assert count_squarefree_multiples_recursive(t, points) == expected[:X]
         assert count_squarefree_multiples_sieved(t, points) == expected[:X]
+
+
+@pytest.mark.parametrize("t", [1, 6, 30030])
+def test_a_count_checks_its_points_once_on_either_path(monkeypatch, t):
+    # count_squarefree_multiples_at checks the points once and hands the
+    # checked list to the estimate and to the counter it picks
+    edge = walker_edge(t)
+    calls = []
+    check = limits.checked_points
+
+    def counted(points, cap):
+        calls.append(len(points))
+        return check(points, cap)
+
+    monkeypatch.setattr(arith, "checked_points", counted)
+    monkeypatch.setattr(densities, "checked_points", counted)
+    for X in (edge - 1, edge):  # the recursion, then the walker
+        calls.clear()
+        points = list(range(1, X + 1))
+        expected = full_range_squarefree_counts(t, points)
+        assert count_squarefree_multiples_at(t, points) == expected
+        assert calls == [X]
 
 
 @pytest.mark.parametrize("t", SQUAREFREE_TS)
@@ -473,7 +507,7 @@ def test_the_rule_picks_a_path_from_t_and_the_points_alone(monkeypatch):
     # the recursion for the squarefree-count table, the walker for a dense
     # t = 6 schedule to the cap; neither path runs
     monkeypatch.setattr(
-        densities, "count_squarefree_multiples_sieved", lambda t, points: "walk"
+        densities, "squarefree_flag_counts", lambda primes, ks: "walk"
     )
     sparse = CheckpointSchedule(10**3, 2 * 10**7, Fraction(10)).points
     dense = CheckpointSchedule(1, 10**9, Fraction("1.001")).points
