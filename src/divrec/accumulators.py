@@ -35,22 +35,18 @@ class ExactFloatSum:
     whose high and low 32-bit halves are summed in numpy. ``value`` divides
     once, and CPython rounds int / int correctly, so the result is the
     correctly rounded sum whatever the order or chunking of the terms.
-    The scaled values and their halves go to two int64 buffers of a block
-    each, which the accumulator keeps from block to block.
     """
 
-    __slots__ = ("_num", "_buffers")
+    __slots__ = ("_num",)
 
     def __init__(self) -> None:
         self._num = 0
-        self._buffers = np.empty((2, 0), dtype=np.int64)
 
     def extend(self, values: Iterable[float]) -> None:
         """Add doubles in [2**-3, 2) (any array-like); a ValueError, adding
         nothing, if any value lies outside, NaN and inf included."""
         x = _checked(values)
-        blocks = range(0, x.size, BLOCK)
-        self._num += sum(self._units(x[s : s + BLOCK])[-1] for s in blocks)
+        self._num += sum(_units(x[s : s + BLOCK])[-1] for s in range(0, x.size, BLOCK))
 
     def extend_at(self, values: Iterable[float], cuts: Sequence[int]) -> list[int]:
         """Add values as :meth:`extend` does, and return the exact sum in
@@ -61,7 +57,7 @@ class ExactFloatSum:
         if not cuts:
             self.extend(values)
             return []
-        *running, total = self._units(_checked(values), cuts)
+        *running, total = _units(_checked(values), cuts)
         out = [self._num + r for r in running]
         self._num += total
         return out
@@ -71,22 +67,6 @@ class ExactFloatSum:
         """The sum rounded to the nearest double."""
         return rounded_units(self._num)
 
-    def _units(self, block: np.ndarray, ends: Sequence[int] = ()) -> list[int]:
-        # the sums of block[:e] for each e in ends, then of the whole block, in
-        # units of 2**-FLOAT_UNIT_BITS: each scaled value is an integer below
-        # 2**57, and the int64 sums of its 32-bit halves over n values stay
-        # below n * 2**32, under 2**63 for any n < 2**31. The scaling is
-        # exact and casts straight into the buffer, truncating as astype does
-        if self._buffers.shape[1] < block.size:
-            self._buffers = np.empty((2, max(block.size, BLOCK)), dtype=np.int64)
-        ints, high = buffers = self._buffers[:, : block.size]
-        np.multiply(block, 2.0**FLOAT_UNIT_BITS, out=ints, casting="unsafe")
-        np.right_shift(ints, 32, out=high)
-        ints &= 0xFFFFFFFF
-        pieces = pairwise([0, *ends, block.size])
-        halves = (buffers[:, a:b].sum(1).tolist() for a, b in pieces)
-        return list(accumulate((h_sum << 32) + l_sum for l_sum, h_sum in halves))
-
 
 def _checked(values: Iterable[float]) -> np.ndarray:
     # the values as a flat float64 array, if all lie in [2**-3, 2): NaN fails
@@ -94,6 +74,19 @@ def _checked(values: Iterable[float]) -> np.ndarray:
     if x.size and not (x.min() >= 0.125 and x.max() < 2.0):
         raise ValueError("can only sum doubles in [0.125, 2.0)")
     return x
+
+
+def _units(block: np.ndarray, ends: Sequence[int] = ()) -> list[int]:
+    # the sums of block[:e] for each e in ends, then of the whole block, in
+    # units of 2**-FLOAT_UNIT_BITS: each scaled value is an integer below
+    # 2**57, and the int64 sums of its 32-bit halves over n values stay below
+    # n * 2**32, under 2**63 for any n < 2**31
+    ints = (block * 2.0**FLOAT_UNIT_BITS).astype(np.int64)
+    high = ints >> 32
+    ints &= 0xFFFFFFFF
+    pieces = pairwise([0, *ends, block.size])
+    sums = ((int(high[a:b].sum()) << 32) + int(ints[a:b].sum()) for a, b in pieces)
+    return list(accumulate(sums))
 
 
 # the name the benchmark's layer probes import and trace

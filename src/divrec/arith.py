@@ -235,36 +235,14 @@ def predicted_density_oddly(m: int) -> DensityPrediction:
 # family 2: square-free multiples of a square-free t
 
 
-def squarefree_primes(t: int, primes: Sequence[int] | None = None) -> tuple[int, ...]:
+def squarefree_primes(t: int) -> tuple[int, ...]:
     """The primes of a square-free t, ascending; ValueError if t < 1 or t has
-    a square factor, RangeLimitError past the factoring cap.
-
-    A caller that holds the primes of t hands them in as ``primes``. They
-    are then checked as :func:`predicted_density_squarefree` checks them,
-    and their product against t, but t itself is not factored, so it may
-    lie past the factoring cap.
-    """
-    if primes is not None:
-        ps = tuple(sorted(_distinct_primes(primes)))
-        if math.prod(ps) != t:
-            raise ValueError(f"t = {shown(t)} is not the product of its primes")
-        return ps
+    a square factor, RangeLimitError past the factoring cap."""
     check_range("t", t, 1, FACTORIZE_MAX_N)
     factors = factorize(t)
     if any(e > 1 for _, e in factors):
         raise ValueError(f"t = {t} is not square-free")
     return tuple(p for p, _ in factors)
-
-
-def _distinct_primes(primes: Sequence[int]) -> list[int]:
-    # primes as a list, if they are distinct primes within the factoring cap
-    ps = list(primes)
-    if len(set(ps)) != len(ps):
-        shown_ps = ", ".join(map(shown, ps))
-        raise ValueError(f"primes must be distinct, got {shown_ps}")
-    for p in ps:
-        check_prime(p)
-    return ps
 
 
 def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
@@ -275,8 +253,13 @@ def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
     D*alpha/(m - beta) of the splitting recursion G_tp(x) = G_t(x // p) -
     G_tp(x // p), which has m = p, alpha = 1 and beta = -1: D_tp = D_t/(p+1).
     """
+    ps = list(primes)
+    if len(set(ps)) != len(ps):
+        shown_ps = ", ".join(map(shown, ps))
+        raise ValueError(f"primes must be distinct, got {shown_ps}")
     factor = Fraction(6)
-    for p in _distinct_primes(primes):
+    for p in ps:
+        check_prime(p)
         factor /= p + 1
     return DensityPrediction.of(factor, -1)
 
@@ -321,7 +304,7 @@ def count_squarefree_multiples_recursive(t: int, points: Sequence[int]) -> list[
     return _recursive_counts(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
 
 
-def _recursive_counts(primes: tuple[int, ...], pts: list[int]) -> list[int]:
+def _recursive_counts(primes: Sequence[int], pts: Sequence[int]) -> list[int]:
     # count_squarefree_multiples_recursive for the checked primes of t and
     # checked points
     t = math.prod(primes)
@@ -381,7 +364,7 @@ def squarefree_path_costs(t: int, points: Sequence[int]) -> tuple[float, float]:
     return _path_costs(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
 
 
-def _path_costs(primes: tuple[int, ...], pts: list[int]) -> tuple[float, float]:
+def _path_costs(primes: Sequence[int], pts: Sequence[int]) -> tuple[float, float]:
     # squarefree_path_costs for the checked primes of t and checked points
     weight = math.prod(1 / (math.sqrt(p) - 1) for p in primes)
     recursion = RECURSION_S_PER_UNIT * weight * sum(map(math.isqrt, pts))
@@ -389,28 +372,32 @@ def _path_costs(primes: tuple[int, ...], pts: list[int]) -> tuple[float, float]:
     return recursion, SIEVE_START_S + SIEVE_S_PER_K * top
 
 
-def count_squarefree_multiples_at(
-    t: int, points: Sequence[int], *, primes: Sequence[int] | None = None
-) -> list[int]:
+def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
     """Counts of square-free multiples of t up to each of ascending ``points``.
 
     Runs :func:`count_squarefree_multiples_recursive` or the flag walker
-    :func:`divrec.densities.squarefree_flag_counts`, whichever
+    :func:`divrec.densities.count_squarefree_multiples_sieved`, whichever
     :func:`squarefree_path_costs` expects to finish first. Both give the
     same counts. Only the walker loads numpy; it wins on dense schedules,
     where the recursion's cost per point adds up past one sieve of
-    k <= points[-1] // t. t and the points are checked once, for the
-    estimate and the counter alike; ``primes``, the primes of t if the
-    caller holds them, are checked as :func:`squarefree_primes` checks them.
+    k <= points[-1] // t.
     """
-    primes = squarefree_primes(t, primes)
-    pts = checked_points(points, SIEVE_MAX_N)
-    recursion_s, walker_s = _path_costs(primes, pts)
+    return squarefree_counts_at(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
+
+
+def squarefree_counts_at(primes: Sequence[int], points: Sequence[int]) -> list[int]:
+    """:func:`count_squarefree_multiples_at` on checked input: t is the
+    product of the distinct ascending ``primes``, and ``points`` ascend
+    from 0 to ``SIEVE_MAX_N``. Neither is checked again, so the estimate
+    and the counter it picks read what their caller checked once.
+    """
+    recursion_s, walker_s = _path_costs(primes, points)
     if recursion_s <= walker_s:
-        return _recursive_counts(primes, pts)
+        return _recursive_counts(primes, points)
     from . import densities
 
-    return densities.squarefree_flag_counts(primes, [N // t for N in pts])
+    t = math.prod(primes)
+    return densities.squarefree_flag_counts(primes, [N // t for N in points])
 
 
 def count_squarefree_multiples(t: int, N: int) -> int:

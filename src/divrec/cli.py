@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import arith, convergence, verify
+from . import convergence, verify
 from .limits import MAX_LITERAL_EXPONENT, MAX_SHOWN_DIGITS, RangeLimitError
 from .limits import check_digits, check_range, positive_int
 
@@ -162,29 +162,27 @@ def _cmd_oddly(args) -> int:
     return _print_table(args, convergence.OddlyFamily(args.m))
 
 
-def _resolve_t(args) -> tuple[int, tuple[int, ...] | None]:
-    # t, and the primes of --primes, checked here and handed on, so that
-    # their product is never factored; --t (default 1) is factored once,
-    # where it is used
+def _squarefree_family(args) -> convergence.SquarefreeFamily:
+    # --t (default 1) is factored once; the primes of --primes are checked
+    # one by one and their product is never factored
     if args.primes is None:
-        return (args.t if args.t is not None else 1), None
-    t = math.prod(args.primes)
-    return t, arith.squarefree_primes(t, args.primes)
+        return convergence.SquarefreeFamily(args.t if args.t is not None else 1)
+    return convergence.SquarefreeFamily(math.prod(args.primes), args.primes)
 
 
 def _cmd_squarefree(args) -> int:
-    t, primes = _resolve_t(args)
+    family = _squarefree_family(args)
     if args.check_identity is not None:
         from . import densities  # the identity check sieves, loading numpy
 
-        first = densities.brown_identity_first_failure(
-            t, args.check_identity, args.x, primes=primes
+        x = densities.squarefree_identity_first_failure(
+            family.primes, args.check_identity, args.x
         )
-        ok = first is None
-        verdict = f"holds for all x <= {args.x}" if ok else f"FAILS first at x={first}"
-        print(f"squarefree splitting: t={t} p={args.check_identity} {verdict}")
+        ok = x is None
+        verdict = f"holds for all x <= {args.x}" if ok else f"FAILS first at x={x}"
+        print(f"squarefree splitting: t={family.t} p={args.check_identity} {verdict}")
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
-    return _print_table(args, convergence.SquarefreeFamily(t, primes))
+    return _print_table(args, family)
 
 
 def _cmd_phisum(args) -> int:

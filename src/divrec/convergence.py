@@ -133,16 +133,24 @@ class OddlyFamily(Record):
 class SquarefreeFamily(Record):
     """Square-free integers divisible by square-free t.
 
-    ``primes`` are the primes of t, found and checked here: by factoring t,
-    or, if the caller holds them, as :func:`divrec.arith.squarefree_primes`
-    checks them, so that t is not factored and may lie past the factoring
+    ``primes`` are the primes of t, ascending, checked here once for every
+    count the family runs: found by factoring t, or, handed in by a caller
+    that holds them, checked to be distinct primes whose product is t. So a
+    t given by its primes is never factored and may lie past the factoring
     cap. A bad t or bad primes raise here.
     """
 
     __slots__ = ("t", "primes")
 
     def __init__(self, t: int, primes: Sequence[int] | None = None) -> None:
-        super().__init__(t, arith.squarefree_primes(t, primes))
+        if primes is None:
+            primes = arith.squarefree_primes(t)
+        else:
+            arith.predicted_density_squarefree(primes)  # distinct primes
+            primes = tuple(sorted(primes))
+            if math.prod(primes) != t:
+                raise ValueError(f"t = {shown(t)} is not the product of its primes")
+        super().__init__(t, primes)
 
 
 class PhiSumFamily(Record):
@@ -185,9 +193,10 @@ def run_convergence(
         pred = arith.predicted_density_oddly(family.m)
         totals = [arith.count_oddly_divisible_fast(family.m, N) for N in points]
     elif isinstance(family, SquarefreeFamily):
-        primes = family.primes
-        pred = arith.predicted_density_squarefree(primes)
-        totals = arith.count_squarefree_multiples_at(family.t, points, primes=primes)
+        # the family checked its primes, and the points ascend from 1 to
+        # the stop checked above
+        pred = arith.predicted_density_squarefree(family.primes)
+        totals = arith.squarefree_counts_at(family.primes, points)
     elif isinstance(family, PhiSumFamily):
         from . import densities  # only long float walks load numpy
 

@@ -125,21 +125,27 @@ def _squarefree_prefix(primes: tuple[int, ...], limit: int) -> np.ndarray:
     return prefix
 
 
-def brown_identity_first_failure(
-    t: int, p: int, X: int, *, primes: Sequence[int] | None = None
-) -> int | None:
+def brown_identity_first_failure(t: int, p: int, X: int) -> int | None:
     """First x <= X violating F(x//p) = G(x//p) + G(x), or None.
 
     F counts square-free multiples of t, G of p*t; p must be a prime not
-    dividing t. ``primes``, the primes of t if the caller holds them, are
-    checked as :func:`divrec.arith.squarefree_primes` checks them, and t is
-    then not factored. The identity holds for all x, so None is the expected
+    dividing t. The identity holds for all x, so None is the expected
     outcome; the first counterexample is returned for reporting if a sieve
     or counting bug ever breaks it. Both sides depend on x only through
     j = x // (t*p): F is read at (x//p)//t = j and G at j // p and j, so
     only k <= X // (t*p) is sieved and compared for each side.
     """
-    primes = squarefree_primes(t, primes)
+    return squarefree_identity_first_failure(squarefree_primes(t), p, X)
+
+
+def squarefree_identity_first_failure(
+    primes: Sequence[int], p: int, X: int
+) -> int | None:
+    """:func:`brown_identity_first_failure` for t the product of the
+    distinct ascending ``primes``, which are not checked again: t is not
+    factored, so it may lie past the factoring cap. p and X are checked.
+    """
+    t = prod(primes)
     check_prime(p)
     if t % p == 0:
         raise ValueError(f"p = {p} already divides t = {t}")

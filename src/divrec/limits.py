@@ -65,8 +65,9 @@ LEMMA_MAX_COUNT = 10**4
 SCHEDULE_MAX_POINTS = 30_000
 
 #: Longest sieve segment in entries: ``sieve_segment`` refuses a longer
-#: one, and the square-free flag walker cuts its range into pieces of this
-#: length. It only affects memory and speed, never any numeric result.
+#: one, and the square-free flag walker, and the totient walk on worker
+#: threads, cut their ranges into pieces of this length. It only affects
+#: memory and speed, never any numeric result.
 #: ``sieve_segment`` peaks at 8 bytes an entry (two int32 arrays; n is built
 #: a chunk at a time) and its table holds 4, the int32 totients. The flag
 #: walker holds 1 byte an entry and takes one stride for every p**2, p up
@@ -76,19 +77,22 @@ SCHEDULE_MAX_POINTS = 30_000
 #: alternating runs on a shared 2-vCPU x86 machine).
 SEGMENT_SIZE = 1 << 20
 
-#: Entries in each segment of the totient walk, ``iter_sieve_tables``, and
-#: so of the float totient-ratio walk: at most :data:`SEGMENT_SIZE`. Only
-#: memory and speed depend on it. The walk streams each table through the
-#: accumulator in blocks and drops it before the next is sieved, so on one
-#: thread it peaks at the sieve's 8 bytes an entry, 2 MiB here. Since
-#: ``sieve_segment`` buckets its sparse strides, a segment costs per hit
-#: rather than per root prime, and on one thread this length is no slower
-#: than 2**20. Against 2**20 with the per-prime strides, in paired runs on a
-#: shared 2-vCPU x86 machine: the ``phisum-dense`` benchmark peaked at 33.4
-#: MiB against 37.9 (10 of 10 pairs) in the same wall time; ``phisum --m 7
-#: --schedule 1e3:1e9:10`` took 2.17 s against 2.30 s, but 2.43 s against
-#: 2.20 s with ``--threads 2``, whose threads hand the interpreter lock
-#: back and forth more often on shorter segments (``BENCH_bucket_strides.json``).
+#: Entries in each segment of the totient walk on one thread,
+#: ``iter_sieve_tables``, and so of the float totient-ratio walk: at most
+#: :data:`SEGMENT_SIZE`. Only memory and speed depend on it. The walk
+#: streams each table through the accumulator in blocks and drops it
+#: before the next is sieved, so on one thread it peaks at the sieve's 8
+#: bytes an entry, 2 MiB here. Since ``sieve_segment`` buckets its sparse
+#: strides, a segment costs per hit rather than per root prime, and on one
+#: thread this length is no slower than 2**20. Against 2**20 with the
+#: per-prime strides, in paired runs on a shared 2-vCPU x86 machine: the
+#: ``phisum-dense`` benchmark peaked at 32.9 MiB against 37.9 (10 of 10
+#: pairs) in the same wall time, and ``phisum --m 7 --schedule 1e3:1e9:10``
+#: took 2.17-2.84 s against 2.30-2.86 s. A walk on worker threads cuts
+#: :data:`SEGMENT_SIZE` instead: its threads hand the interpreter lock to
+#: one another and to the consumer at every numpy call, and at this length
+#: the same table on two threads took 2.43 s against 2.20 s, at 2**20 2.58 s
+#: against 2.63 s (``BENCH_bucket_strides.json``).
 TOTIENT_SEGMENT_SIZE = 1 << 18
 
 

@@ -31,8 +31,9 @@ two int32 arrays, 8 bytes an entry, and ``small`` is dropped once the
 fix is done, so a finished table holds 4. A segment holds at most
 :data:`divrec.limits.SEGMENT_SIZE` entries, a constant of 2**20, and the
 totient walk :func:`iter_sieve_tables` cuts segments of
-:data:`divrec.limits.TOTIENT_SEGMENT_SIZE`, 2**18; both set memory and
-speed, never a result. Segments never depend on each other, which keeps
+:data:`divrec.limits.TOTIENT_SEGMENT_SIZE`, 2**18, on one thread and of
+2**20 when it sieves ahead on worker threads; both set memory and speed,
+never a result. Segments never depend on each other, which keeps
 memory flat for ranges up to the 1e9 cap and lets callers sieve ahead on
 worker threads; the float totient walk reads each table in blocks and
 drops it before the next is sieved.
@@ -314,7 +315,8 @@ def iter_sieve_tables(
 ) -> Iterator[SieveTable]:
     """Yield consecutive segments covering [lo, hi], always in ascending order.
 
-    Segments hold :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries, read
+    Segments hold :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries on one
+    thread and :data:`divrec.limits.SEGMENT_SIZE` with ``threads > 1``, read
     when the walk starts; the last may hold fewer.
     With ``step=2`` they hold the odd numbers only, from an odd lo, as
     :func:`sieve_segment` sieves them. With ``threads > 1`` upcoming
@@ -323,7 +325,12 @@ def iter_sieve_tables(
     on the consumer side stays deterministic regardless of the thread count.
     """
     lo, last = _checked_span(lo, hi, step)
-    width = limits.TOTIENT_SEGMENT_SIZE * step
+    # threads sieving ahead hand the interpreter lock to each other and to
+    # the consumer at every numpy call, so they take the longest segments;
+    # the length follows the threads asked for, not the usable CPUs, so the
+    # segments a walk yields never depend on the machine
+    size = limits.SEGMENT_SIZE if threads > 1 else limits.TOTIENT_SEGMENT_SIZE
+    width = size * step
     spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory

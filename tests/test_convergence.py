@@ -368,6 +368,7 @@ def test_dense_exact_csv_equals_the_reduced_fraction_path(monkeypatch, size):
     # reduced Fraction, float(total) / N
     if size is not None:
         monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
+        monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", size)
     sched = CheckpointSchedule(1, 30_000, Fraction("1.006"))
     points = sched.points
     assert len(points) >= 1000
@@ -395,6 +396,7 @@ def test_exact_rows_do_not_depend_on_the_segment_size(monkeypatch):
     rows = run_convergence(family, sched)
     for size in (1, 13, 64):
         monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
+        monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", size)
         assert run_convergence(family, sched) == rows
     assert all(r.exact_ratio[1] > 0 for r in rows)
     assert rows[-1].empirical_exact == phi_ratio_sum(7, 3000, "exact") / 3000
@@ -406,6 +408,7 @@ def test_checkpoints_cross_segment_boundaries(monkeypatch):
     sched = CheckpointSchedule(5, 5000, Fraction(3))
     expected = run_convergence(PhiSumFamily(3), sched)
     monkeypatch.setattr(limits, "SEGMENT_SIZE", 64)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 64)
     assert run_convergence(PhiSumFamily(3), sched) == expected
     for row in expected:
         assert row.empirical == phi_ratio_sum(3, row.N) / row.N

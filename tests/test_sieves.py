@@ -220,10 +220,17 @@ def test_odd_segments_refuse_what_they_cannot_hold(monkeypatch):
             table.phi_of(n)
 
 
+def use_walk_length(monkeypatch, size):
+    # the totient walk cuts segments of size entries on one thread and on
+    # several
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", size)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", size)
+
+
 def test_odd_tables_cover_the_odd_numbers_in_order(monkeypatch):
     whole = sieve_segment(1, 40_000)
     for size in (101, 997, 15015, 30000):
-        monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", size)
+        use_walk_length(monkeypatch, size)
         for lo, hi in ((1, 40_000), (9_999, 39_999)):
             for threads in (1, 2):
                 tables = list(iter_sieve_tables(lo, hi, threads=threads, step=2))
@@ -426,12 +433,30 @@ def test_iter_covers_range_exactly(monkeypatch):
 
 
 def test_threads_do_not_change_tables(monkeypatch):
-    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 9973)
+    use_walk_length(monkeypatch, 9973)
     seq = list(iter_sieve_tables(1, 50_000))
     par = list(iter_sieve_tables(1, 50_000, threads=4))
     assert [(t.lo, t.hi) for t in seq] == [(t.lo, t.hi) for t in par]
     for a, b in zip(seq, par):
         assert np.array_equal(a.phi, b.phi)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_a_walk_on_threads_cuts_the_longest_segments(monkeypatch, cpus):
+    # one thread cuts TOTIENT_SEGMENT_SIZE entries a segment, worker threads
+    # SEGMENT_SIZE, whose longer segments make fewer hand-overs between
+    # them. The threads asked for set the length, not the usable CPUs, so
+    # the tables of a walk depend on its arguments alone
+    whole = sieve_segment(1, 5000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(limits, "SEGMENT_SIZE", 1000)
+    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 300)
+    for threads, size in ((1, 300), (2, 1000), (4, 1000)):
+        for step in (1, 2):
+            tables = list(iter_sieve_tables(1, 5000, threads=threads, step=step))
+            assert [t.lo for t in tables] == list(range(1, 5001, size * step))
+            got = np.concatenate([t.phi for t in tables])
+            assert np.array_equal(got, whole.phi[::step])
 
 
 def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
@@ -463,7 +488,7 @@ def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
 
     # iter_sieve_tables imports the pool class only when it uses threads
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 10)
+    use_walk_length(monkeypatch, 10)
     seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500)]
     for cpus, pool_sizes, peak in (({0, 1, 2}, [3], 4), ({0}, [], None)):
         pools.clear()

@@ -337,15 +337,13 @@ def float_walk_peak(monkeypatch, m: int, size: int) -> int:
 def test_float_walk_holds_no_array_of_segment_length_but_the_sieve(monkeypatch, m):
     # The streamed walk peaks while the next segment sieves, at about 8
     # bytes an odd k of segment, the sieve's small and phi (the table before
-    # it, 4 bytes an entry, is dropped by then), above about 1.3 MB that
+    # it, 4 bytes an entry, is dropped by then), above about 0.8 MB that
     # does not grow with the segment: the walker's two BLOCK-long float64
-    # buffers, the accumulator's two BLOCK-long int64 buffers, the sieve's
-    # one FIX_CHUNK of n, its wheel tiles, its stride table and one chunk of
-    # bucketed hits. Measured with numpy 2.4 on x86-64: 1.79 MB at 2**16
-    # odd k, 3.36 MB at 2**18, 8.0 bytes an entry between them, for m = 1
-    # and m = 15 alike; 1.36 MB and 2.83 MB, 7.5 bytes an entry, while the
-    # accumulator made its temporaries afresh for each block and the sieve
-    # took no bucketed strides; 1.59 MB and 3.81 MB, 11.3 bytes an entry,
+    # buffers, the sieve's one FIX_CHUNK of n, its wheel tiles, and its
+    # stride table and one chunk of bucketed hits. Measured with numpy 2.4
+    # on x86-64: 1.36 MB at 2**16 odd k, 2.83 MB at 2**18, 7.5 bytes an
+    # entry between them, for m = 1 and m = 15 alike, with the sparse
+    # strides bucketed or not; 1.59 MB and 3.81 MB, 11.3 bytes an entry,
     # while the sieve built n whole and copied phi to an int64 table. The
     # whole-segment walk before the streamed one held its ns and ratio
     # arrays and the previous table while the next segment sieved: 2.77 MB
