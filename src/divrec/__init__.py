@@ -1,10 +1,10 @@
 """Floor-division recursions and the natural densities they predict.
 
 The package splits into an exact-arithmetic recursion engine
-(:mod:`divrec.recursion`), pure-integer helpers, the odd-exponent family
-and the recursive square-free counts (:mod:`divrec.arith`), segmented
-number-theoretic sieves (:mod:`divrec.sieves`), the sieve-backed density
-families (:mod:`divrec.densities`), convergence tables and reports
+(:mod:`divrec.recursion`), pure-integer helpers and the odd-exponent family
+(:mod:`divrec.arith`), segmented number-theoretic sieves
+(:mod:`divrec.sieves`), the square-free and totient-ratio families
+(:mod:`divrec.densities`), convergence tables and reports
 (:mod:`divrec.convergence`), and identity verification suites
 (:mod:`divrec.verify`). ``python -m divrec`` or the ``divrec`` script
 exposes all of it on the command line.
@@ -24,19 +24,20 @@ _EXPORTS = {
     "arith": (
         "DensityPrediction", "Factorization", "PI_SQUARED",
         "count_oddly_divisible_fast", "count_oddly_divisible_oracle",
-        "count_squarefree_multiples", "count_squarefree_multiples_at",
-        "count_squarefree_multiples_recursive", "divisibility_exponent",
-        "factorize", "is_prime", "predicted_density_oddly",
-        "predicted_density_squarefree",
+        "divisibility_exponent", "factorize", "is_prime",
+        "predicted_density_oddly",
     ),
     "convergence": (
         "CheckpointSchedule", "ConvergenceRow", "OddlyFamily", "PhiSumFamily",
         "SquarefreeFamily", "emit_report", "run_convergence",
     ),
     "densities": (
-        "brown_identity_first_failure", "count_squarefree_multiples_sieved",
-        "phi_claim_first_failure", "phi_ratio_counts", "phi_ratio_sum",
-        "phi_ratio_sums_at", "predicted_phi_density", "squarefree_multiple_counts",
+        "brown_identity_first_failure", "count_squarefree_multiples",
+        "count_squarefree_multiples_at", "count_squarefree_multiples_recursive",
+        "count_squarefree_multiples_sieved", "phi_claim_first_failure",
+        "phi_ratio_counts", "phi_ratio_sum", "phi_ratio_sums_at",
+        "predicted_density_squarefree", "predicted_phi_density",
+        "squarefree_multiple_counts",
     ),
     "limits": ("RangeLimitError",),
     "recursion": (

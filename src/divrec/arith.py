@@ -1,27 +1,22 @@
 """Pure-integer pieces: factorization, the odd totient list, exact pair
-sums, the odd-exponent family, square-free counts by the splitting
-recursion, densities.
+sums, the odd-exponent family, the density type.
 
 Trial-division factorization, the plain list of odd totients, the adders of
-unreduced fractions, the odd-exponent counters, the recursive square-free
-counter and the closed-form density type that every family shares need no
-arrays, so this module, like the recursion engine, imports no numpy:
-``import divrec``, ``oddly``, ``verify --suite lemma``, ``phi-claim``, most
-``squarefree`` tables and the short ``phisum`` tables start without loading
-it. Square-free counts call the flag walker of :mod:`divrec.densities`,
-which sieves with numpy, only for the schedules it counts faster.
+unreduced fractions, the odd-exponent counters and the closed-form density
+type that every family shares need no arrays, so this module, like the
+recursion engine, imports no numpy: ``import divrec``, ``oddly`` and
+``verify --suite lemma`` start without loading it. The square-free family,
+its recursion as well as its flag walker, lives in :mod:`divrec.densities`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
-from operator import floordiv
-from typing import NamedTuple, Sequence
+from itertools import chain, compress
+from typing import NamedTuple
 
 from .limits import (
     ENGINE_MAX_N,
@@ -30,7 +25,6 @@ from .limits import (
     SIEVE_MAX_N,
     RangeLimitError,
     check_range,
-    checked_points,
     shown,
 )
 
@@ -229,177 +223,3 @@ def predicted_density_oddly(m: int) -> DensityPrediction:
     """Density 1/(m+1) of integers whose m-exponent is odd."""
     check_range("modulus m", m, 2)
     return DensityPrediction.of(Fraction(1, m + 1), 0)
-
-
-# ---------------------------------------------------------------------------
-# family 2: square-free multiples of a square-free t
-
-
-def squarefree_primes(t: int) -> tuple[int, ...]:
-    """The primes of a square-free t, ascending; ValueError if t < 1 or t has
-    a square factor, RangeLimitError past the factoring cap."""
-    check_range("t", t, 1, FACTORIZE_MAX_N)
-    factors = factorize(t)
-    if any(e > 1 for _, e in factors):
-        raise ValueError(f"t = {t} is not square-free")
-    return tuple(p for p, _ in factors)
-
-
-def predicted_density_squarefree(primes: Sequence[int]) -> DensityPrediction:
-    """Density (6/pi**2) * prod 1/(p+1) of square-free multiples of prod p.
-
-    ``primes`` must be distinct primes; the empty sequence gives the density
-    of the square-free numbers themselves. Each prime p applies the limit
-    D*alpha/(m - beta) of the splitting recursion G_tp(x) = G_t(x // p) -
-    G_tp(x // p), which has m = p, alpha = 1 and beta = -1: D_tp = D_t/(p+1).
-    """
-    ps = list(primes)
-    if len(set(ps)) != len(ps):
-        shown_ps = ", ".join(map(shown, ps))
-        raise ValueError(f"primes must be distinct, got {shown_ps}")
-    factor = Fraction(6)
-    for p in ps:
-        check_prime(p)
-        factor /= p + 1
-    return DensityPrediction.of(factor, -1)
-
-
-#: ``bytes.translate`` tables over Moebius codes: 0 for mu(d) = 0, 1 for
-#: mu(d) = 1 and 2 for mu(d) = -1. A new prime factor swaps 1 and 2.
-_NEGATE = bytes.maketrans(b"\1\2", b"\2\1")
-_MU_PLUS = bytes.maketrans(b"\2", b"\0")
-_MU_MINUS = bytes.maketrans(b"\1\2", b"\0\1")
-_MU_NONZERO = bytes.maketrans(b"\2", b"\1")
-
-
-def _moebius_codes(limit: int) -> bytearray:
-    # entry d <= limit is the code of mu(d); the base primes reach every
-    # prime up to isqrt(SIEVE_MAX_N), the largest limit the counter asks for
-    codes = bytearray([1]) * (limit + 1)
-    codes[0] = 0
-    for p in base_primes():
-        if p > limit:
-            break
-        codes[p::p] = codes[p::p].translate(_NEGATE)
-        codes[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
-    return codes
-
-
-def count_squarefree_multiples_recursive(t: int, points: Sequence[int]) -> list[int]:
-    """Counts of square-free multiples of t up to each of ascending ``points``,
-    by the paper's splitting recursion in plain integers.
-
-    The base is Q(x) = sum of mu(d) * (x // d**2) over d <= sqrt(x), the
-    count of square-free numbers up to x. For a prime p not dividing t,
-    Brown's splitting G_t(x // p) = G_tp(x // p) + G_tp(x) is the recursion
-    G_tp(x) = G_t(x // p) - G_tp(x // p), which unrolls, as in
-    :func:`count_oddly_divisible_fast`, to the alternating series
-    G_tp(x) = sum over i >= 1 of (-1)**(i - 1) * G_t(x // p**i). Nested
-    once per prime of t, G_t(x) is the sum of (-1)**(i_1 + ... + i_r - r) *
-    Q(x // n) over n = p_1**i_1 * ... * p_r**i_r <= x, every i_j >= 1.
-    Every Q(y) has y <= x // t, so Moebius values up to sqrt(points[-1] // t)
-    serve every point, and Q(y) for y up to that bound is read from a
-    table. A point x costs about sqrt(x) * prod 1/(sqrt(p) - 1) divisions.
-    """
-    return _recursive_counts(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
-
-
-def _recursive_counts(primes: Sequence[int], pts: Sequence[int]) -> list[int]:
-    # count_squarefree_multiples_recursive for the checked primes of t and
-    # checked points
-    t = math.prod(primes)
-    top = pts[-1] if pts else 0
-    terms = [(1, 1)]  # (n, sign) for every n <= top
-    for p in primes:
-        deeper = []
-        for n, sign in terms:
-            n *= p
-            while n <= top:
-                deeper.append((n, sign))
-                n, sign = n * p, -sign
-        terms = deeper
-    root = math.isqrt(top // t)
-    codes = _moebius_codes(root)
-    plus = [d * d for d in compress(range(root + 1), codes.translate(_MU_PLUS))]
-    minus = [d * d for d in compress(range(root + 1), codes.translate(_MU_MINUS))]
-    small = list(accumulate(codes.translate(_MU_NONZERO)))  # Q(y), y <= root
-
-    def series(x: int, ns: list[int]) -> int:
-        # the sum of Q(x // n) over the n <= x of ascending ns: the Moebius
-        # sum while x // n > root, the table after
-        end = bisect_right(ns, x)
-        mid = bisect_right(ns, x // (root + 1), 0, end)
-        total = sum(map(small.__getitem__, map(floordiv, repeat(x), ns[mid:end])))
-        for y in map(floordiv, repeat(x, mid), ns):
-            total += sum(map(floordiv, repeat(y, bisect_right(plus, y)), plus))
-            total -= sum(map(floordiv, repeat(y, bisect_right(minus, y)), minus))
-        return total
-
-    added = sorted(n for n, sign in terms if sign > 0)
-    taken = sorted(n for n, sign in terms if sign < 0)
-    return [series(x, added) - series(x, taken) for x in pts]
-
-
-#: Seconds per unit of the recursion's work, sqrt(x) * prod 1/(sqrt(p) - 1)
-#: summed over the points x, and per k <= points[-1] // t that the flag
-#: walker sieves, plus the walker's fixed cost of importing numpy and
-#: :mod:`divrec.densities`. Calibrated in process on a shared 2-vCPU x86
-#: machine (Python 3.11, numpy 2.4) from paired runs of both paths on 12
-#: schedules, t from 1 to 30030 and 6 to 14 823 points up to 1e9: the
-#: recursion took 20-41 ns a unit, median 32, and the walker 1.0-2.0 ns a
-#: k, median 1.5, on the schedules with at least 1e7 k; 20 paired fresh
-#: interpreters took a median 0.145 s longer to import densities than arith.
-RECURSION_S_PER_UNIT = 32e-9
-SIEVE_S_PER_K = 1.5e-9
-SIEVE_START_S = 0.145
-
-
-def squarefree_path_costs(t: int, points: Sequence[int]) -> tuple[float, float]:
-    """Estimated seconds for the recursion and for the flag walker to count
-    the square-free multiples of t up to each of ascending ``points``.
-
-    Both estimates read only t and the points, never the environment, so a
-    given input always takes the same path.
-    """
-    return _path_costs(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
-
-
-def _path_costs(primes: Sequence[int], pts: Sequence[int]) -> tuple[float, float]:
-    # squarefree_path_costs for the checked primes of t and checked points
-    weight = math.prod(1 / (math.sqrt(p) - 1) for p in primes)
-    recursion = RECURSION_S_PER_UNIT * weight * sum(map(math.isqrt, pts))
-    top = pts[-1] // math.prod(primes) if pts else 0
-    return recursion, SIEVE_START_S + SIEVE_S_PER_K * top
-
-
-def count_squarefree_multiples_at(t: int, points: Sequence[int]) -> list[int]:
-    """Counts of square-free multiples of t up to each of ascending ``points``.
-
-    Runs :func:`count_squarefree_multiples_recursive` or the flag walker
-    :func:`divrec.densities.count_squarefree_multiples_sieved`, whichever
-    :func:`squarefree_path_costs` expects to finish first. Both give the
-    same counts. Only the walker loads numpy; it wins on dense schedules,
-    where the recursion's cost per point adds up past one sieve of
-    k <= points[-1] // t.
-    """
-    return squarefree_counts_at(squarefree_primes(t), checked_points(points, SIEVE_MAX_N))
-
-
-def squarefree_counts_at(primes: Sequence[int], points: Sequence[int]) -> list[int]:
-    """:func:`count_squarefree_multiples_at` on checked input: t is the
-    product of the distinct ascending ``primes``, and ``points`` ascend
-    from 0 to ``SIEVE_MAX_N``. Neither is checked again, so the estimate
-    and the counter it picks read what their caller checked once.
-    """
-    recursion_s, walker_s = _path_costs(primes, points)
-    if recursion_s <= walker_s:
-        return _recursive_counts(primes, points)
-    from . import densities
-
-    t = math.prod(primes)
-    return densities.squarefree_flag_counts(primes, [N // t for N in points])
-
-
-def count_squarefree_multiples(t: int, N: int) -> int:
-    """Count square-free r <= N with t | r, for square-free t."""
-    return count_squarefree_multiples_at(t, [N])[0]

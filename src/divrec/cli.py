@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import convergence, verify
+from . import convergence, densities, verify
 from .limits import MAX_LITERAL_EXPONENT, MAX_SHOWN_DIGITS, RangeLimitError
 from .limits import check_digits, check_range, positive_int
 
@@ -173,8 +173,6 @@ def _squarefree_family(args) -> convergence.SquarefreeFamily:
 def _cmd_squarefree(args) -> int:
     family = _squarefree_family(args)
     if args.check_identity is not None:
-        from . import densities  # the identity check sieves, loading numpy
-
         x = densities.squarefree_identity_first_failure(
             family.primes, args.check_identity, args.x
         )

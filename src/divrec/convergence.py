@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from . import arith, limits
+from . import arith, densities, limits
 from .limits import SCHEDULE_MAX_POINTS, RangeLimitError, Record, check_range, shown
 
 
@@ -144,9 +144,9 @@ class SquarefreeFamily(Record):
 
     def __init__(self, t: int, primes: Sequence[int] | None = None) -> None:
         if primes is None:
-            primes = arith.squarefree_primes(t)
+            primes = densities.squarefree_primes(t)
         else:
-            arith.predicted_density_squarefree(primes)  # distinct primes
+            densities.predicted_density_squarefree(primes)  # distinct primes
             primes = tuple(sorted(primes))
             if math.prod(primes) != t:
                 raise ValueError(f"t = {shown(t)} is not the product of its primes")
@@ -184,8 +184,9 @@ def run_convergence(
     the other families' parameters are checked by their counters, so a bad
     modulus raises ValueError before any work starts. ``threads`` sieves
     the totients of a float :class:`PhiSumFamily` ahead; the other tables
-    ignore it.
+    ignore it, but it must be an integer of at least 1 for every family.
     """
+    threads = check_range("threads", threads, 1)
     if schedule.start <= schedule.stop:
         check_range("N", schedule.stop, 1, _cap(family))
     points = schedule.points
@@ -195,11 +196,9 @@ def run_convergence(
     elif isinstance(family, SquarefreeFamily):
         # the family checked its primes, and the points ascend from 1 to
         # the stop checked above
-        pred = arith.predicted_density_squarefree(family.primes)
-        totals = arith.squarefree_counts_at(family.primes, points)
+        pred = densities.predicted_density_squarefree(family.primes)
+        totals = densities.squarefree_counts_at(family.primes, points)
     elif isinstance(family, PhiSumFamily):
-        from . import densities  # only long float walks load numpy
-
         pred = densities.predicted_phi_density(family.m)
         if family.mode == "exact":
             totals = densities.phi_ratio_pairs_at(family.m, points)

@@ -323,7 +323,9 @@ def iter_sieve_tables(
     segments are sieved ahead on a thread pool of at most the usable CPUs,
     but they are handed back strictly in range order, so any accumulation
     on the consumer side stays deterministic regardless of the thread count.
+    ``threads`` must be an integer of at least 1.
     """
+    threads = check_range("threads", threads, 1)
     lo, last = _checked_span(lo, hi, step)
     # threads sieving ahead hand the interpreter lock to each other and to
     # the consumer at every numpy call, so they take the longest segments;
@@ -333,9 +335,12 @@ def iter_sieve_tables(
     width = size * step
     spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
     # at most threads + 1 segments are in flight, so more threads than usable
-    # CPUs would only hold more memory
+    # CPUs would only hold more memory; where the OS cannot tell the usable
+    # CPUs (macOS, Windows), the CPU count caps them
     if hasattr(os, "sched_getaffinity"):
         threads = min(threads, len(os.sched_getaffinity(0)))
+    else:
+        threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         for span in spans:
             yield sieve_segment(*span, step=step)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from . import recursion
+from . import densities, recursion
 from .arith import (
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
@@ -170,8 +170,6 @@ def run_brown_suite(
     max_x: int = 10**4,
 ) -> SuiteResult:
     """Exhaustive square-free splitting identity over several (t, p) pairs."""
-    from . import densities
-
     failures: list[str] = []
     checks = 0
     for t, p in pairs:
@@ -194,8 +192,6 @@ def run_phi_claim_suite(
     max_n: int = 10**3,
 ) -> SuiteResult:
     """Exhaustive exact totient-ratio splitting over several (t, p, j) triples."""
-    from . import densities
-
     failures: list[str] = []
     checks = 0
     for t, p, j in triples:

@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from divrec import arith, densities, verify
+from divrec import densities, verify
 from divrec.arith import count_oddly_divisible_fast, divisibility_exponent
 from divrec.recursion import RecurrenceSpec, identity_counts, predicted_limit
 
@@ -116,8 +116,8 @@ def test_c5_squarefree_densities_at_1e7(capfd):
     details = []
     worst = 0.0
     for t, primes in cases:
-        density = arith.count_squarefree_multiples(t, 10**7) / 10**7
-        predicted = arith.predicted_density_squarefree(primes).float_value
+        density = densities.count_squarefree_multiples(t, 10**7) / 10**7
+        predicted = densities.predicted_density_squarefree(primes).float_value
         err = abs(density - predicted)
         worst = max(worst, err)
         details.append(f"t={t}: {density:.7f} vs {predicted:.7f}")

@@ -60,7 +60,7 @@ def test_squarefree_primes_flag(capsys):
     assert code == 0
     n, empirical = out.strip().split("\n")[1].split(",")[:2]
     assert n == "1000"
-    assert float(empirical) == arith.count_squarefree_multiples(6, 1000) / 1000
+    assert float(empirical) == densities.count_squarefree_multiples(6, 1000) / 1000
 
 
 def test_squarefree_empty_primes_is_all_squarefree(capsys):

@@ -21,8 +21,9 @@ from divrec.convergence import (
     emit_report,
     run_convergence,
 )
-from divrec.arith import count_oddly_divisible_fast, count_squarefree_multiples
+from divrec.arith import count_oddly_divisible_fast
 from divrec.densities import (
+    count_squarefree_multiples,
     phi_ratio_sum,
     phi_ratio_sums_at,
     predicted_phi_density,

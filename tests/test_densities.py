@@ -13,15 +13,15 @@ from divrec.arith import (
     PI_SQUARED,
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
-    count_squarefree_multiples,
     predicted_density_oddly,
-    predicted_density_squarefree,
 )
 from divrec.densities import (
     brown_identity_first_failure,
+    count_squarefree_multiples,
     phi_claim_first_failure,
     phi_ratio_counts,
     phi_ratio_sum,
+    predicted_density_squarefree,
     predicted_phi_density,
     squarefree_multiple_counts,
 )

@@ -10,15 +10,21 @@ import pytest
 from divrec.arith import (
     count_oddly_divisible_fast,
     count_oddly_divisible_oracle,
-    count_squarefree_multiples,
-    count_squarefree_multiples_recursive,
     divisibility_exponent,
     factorize,
     predicted_density_oddly,
 )
-from divrec.convergence import CheckpointSchedule, OddlyFamily, run_convergence
+from divrec import densities, sieves
+from divrec.convergence import (
+    CheckpointSchedule,
+    OddlyFamily,
+    PhiSumFamily,
+    run_convergence,
+)
 from divrec.densities import (
     brown_identity_first_failure,
+    count_squarefree_multiples,
+    count_squarefree_multiples_recursive,
     count_squarefree_multiples_sieved,
     phi_claim_first_failure,
     phi_ratio_counts,
@@ -192,6 +198,41 @@ def test_numpy_integers_reach_the_walks_as_python_integers():
     for walk in (phi_ratio_sums_at, count_squarefree_multiples_sieved):
         with pytest.raises(TypeError, match="^N must be an integer, not float$"):
             walk(1, [10, 20.5, 30])
+
+
+#: entry point -> a call of it with the given thread count, and a
+#: comparable view of what it returns
+THREADED = {
+    "run_convergence": lambda threads: run_convergence(
+        PhiSumFamily(3), CheckpointSchedule(10, 1000, Fraction(10)), threads=threads
+    ),
+    "phi_ratio_sum": lambda threads: phi_ratio_sum(1, 1000, threads=threads),
+    "phi_ratio_sums_at": lambda threads: phi_ratio_sums_at(
+        1, [10, 100], "exact", threads=threads
+    ),
+    "iter_sieve_tables": lambda threads: next(
+        iter_sieve_tables(1, 10, threads=threads)
+    ).phi.tolist(),
+}
+
+
+@pytest.mark.parametrize("call", THREADED.values(), ids=list(THREADED))
+def test_a_thread_count_is_checked_before_any_work(monkeypatch, call):
+    # a bad count raises before any totient is walked or sieved
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(densities, "_phi_ratio_walk", no_work)
+    monkeypatch.setattr(densities, "phi_ratio_pairs_at", no_work)
+    monkeypatch.setattr(sieves, "sieve_segment", no_work)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=f"^need threads >= 1, got {threads}$"):
+            call(threads)
+    for threads, kind in ((2.5, "float"), (True, "bool"), ("2", "str")):
+        with pytest.raises(TypeError, match=f"^threads must be an integer, not {kind}$"):
+            call(threads)
+    monkeypatch.undo()
+    assert call(np.int64(2)) == call(1)
 
 
 @pytest.mark.parametrize("name", ["DIVREC_THREADS"])

@@ -497,6 +497,15 @@ def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
         assert [t.phi.tolist() for t in tables] == seq
         assert [pool.max_workers for pool in pools] == pool_sizes
         assert [pool.peak for pool in pools] == ([peak] if pools else [])
+    # where os has no sched_getaffinity (macOS, Windows), the CPU count caps
+    # the pool, and an unknown count means one thread
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, pool_sizes in ((2, [2]), (None, [])):
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        tables = list(iter_sieve_tables(1, 500, threads=64))
+        assert [t.phi.tolist() for t in tables] == seq
+        assert [pool.max_workers for pool in pools] == pool_sizes
 
 
 def test_segment_argument_errors(monkeypatch):

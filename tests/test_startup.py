@@ -1,5 +1,8 @@
-"""Start-up: lazy package exports, and the engine commands run without numpy."""
+"""Start-up: lazy package exports, the engine commands run without numpy, and
+the modules import one another at load time, one way."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -8,7 +11,7 @@ import sys
 import pytest
 
 import divrec
-from divrec import arith
+from divrec import arith, densities
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -76,6 +79,8 @@ def fresh_cli(*argv: str, **preset: str) -> dict:
             "phisum", "--m", "2", "--schedule", "1e3:1e5:10",
             "--mode", "exact", "--format", "json",
         ],
+        # the recursion at the cap
+        ["squarefree", "--t", "1", "--n", "1e9"],
     ],
 )
 def test_engine_commands_do_not_load_numpy(argv):
@@ -167,6 +172,15 @@ def test_every_export_resolves_and_is_listed():
         assert name in listed
 
 
+#: the square-free names that densities defines, beside the flag walker
+SQUAREFREE_EXPORTS = (
+    "count_squarefree_multiples",
+    "count_squarefree_multiples_at",
+    "count_squarefree_multiples_recursive",
+    "predicted_density_squarefree",
+)
+
+
 def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from divrec import *", namespace)
@@ -174,6 +188,53 @@ def test_star_import_binds_every_export():
     # a name resolves to the object of the submodule that defines it
     assert namespace["factorize"] is arith.factorize
     assert namespace["count_oddly_divisible_fast"] is arith.count_oddly_divisible_fast
+    for name in SQUAREFREE_EXPORTS:
+        assert namespace[name] is getattr(densities, name)
+        assert not hasattr(arith, name)
+
+
+#: the numpy-free divrec modules; any module may import them at load time
+PLAIN_MODULES = {"arith", "limits", "recursion", "densities", "convergence", "verify"}
+
+
+def imported_modules(node: ast.AST) -> list[str]:
+    """The divrec modules an import statement names, without the package."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names if a.name.startswith("divrec.")]
+        return [name.removeprefix("divrec.") for name in names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = "." * node.level + (node.module or "")
+    if module in (".", "divrec"):  # from . import densities
+        return [a.name for a in node.names]
+    if module.startswith((".", "divrec.")):  # from .limits import shown
+        return [module.removeprefix("divrec.").lstrip(".")]
+    return []
+
+
+def test_the_module_graph_is_one_way():
+    # a function-level import hides an edge of the module graph, so only
+    # numpy, the modules that load it and the stdlib modules kept off
+    # start-up are imported late; the load-time edges form no cycle
+    graph, late = {}, []
+    for path in sorted(glob.glob(os.path.join(SRC, "divrec", "*.py"))):
+        name = os.path.basename(path)[:-3]
+        tree = ast.parse(open(path).read(), path)
+        graph[name] = {m for node in tree.body for m in imported_modules(node)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late += [
+                    (name, node.lineno, m)
+                    for node in ast.walk(func)
+                    for m in imported_modules(node)
+                    if m in PLAIN_MODULES
+                ]
+    assert len(graph) >= 10 and late == []
+    loaded: set = set()
+    while graph.keys() - loaded:
+        ready = {m for m in graph.keys() - loaded if graph[m] <= loaded}
+        assert ready, f"import cycle among {sorted(graph.keys() - loaded)}"
+        loaded |= ready
 
 
 def test_unknown_attribute_raises_attribute_error():

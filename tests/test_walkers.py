@@ -23,25 +23,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divrec import arith, densities, limits, sieves
+from divrec import densities, limits, sieves
 from divrec.accumulators import BLOCK, ExactFloatSum, ExactRatioSum
-from divrec.arith import (
-    FLOAT_UNIT_BITS,
-    count_squarefree_multiples,
-    count_squarefree_multiples_at,
-    count_squarefree_multiples_recursive,
-    factorize,
-    odd_totients,
-    squarefree_path_costs,
-)
+from divrec.arith import FLOAT_UNIT_BITS, factorize, odd_totients
 from divrec.convergence import CheckpointSchedule, SquarefreeFamily, run_convergence
 from divrec.densities import (
     brown_identity_first_failure,
+    count_squarefree_multiples,
+    count_squarefree_multiples_at,
+    count_squarefree_multiples_recursive,
     count_squarefree_multiples_sieved,
     phi_ratio_pairs_at,
     phi_ratio_sum,
     phi_ratio_sums_at,
     squarefree_multiple_counts,
+    squarefree_path_costs,
 )
 from divrec.limits import (
     EXACT_PHI_SUM_MAX_N,
@@ -439,14 +435,14 @@ def test_squarefree_paths_agree_either_side_of_the_switch(monkeypatch, t):
     # every N up to one short of the walker edge takes the recursion, every N
     # up to the edge the walker; both paths must give the oracle's counts on
     # both schedules, whichever the entry point runs. The entry point hands
-    # the walker proper, squarefree_flag_counts, its checked input
+    # the walker proper, _flag_counts, its checked input
     edge = walker_edge(t)
     expected = full_range_squarefree_counts(t, list(range(1, edge + 1)))
     walked = []
-    walker = densities.squarefree_flag_counts
+    walker = densities._flag_counts
     monkeypatch.setattr(
         densities,
-        "squarefree_flag_counts",
+        "_flag_counts",
         lambda *a: walked.append(a) or walker(*a),
     )
     for X, walks in [(edge - 1, False), (edge, True)]:
@@ -470,7 +466,6 @@ def test_a_count_checks_its_points_once_on_either_path(monkeypatch, t):
         calls.append(len(points))
         return check(points, cap)
 
-    monkeypatch.setattr(arith, "checked_points", counted)
     monkeypatch.setattr(densities, "checked_points", counted)
     for X in (edge - 1, edge):  # the recursion, then the walker
         calls.clear()
@@ -504,9 +499,7 @@ def test_squarefree_paths_agree_at_the_edges(t):
 def test_the_rule_picks_a_path_from_t_and_the_points_alone(monkeypatch):
     # the recursion for the squarefree-count table, the walker for a dense
     # t = 6 schedule to the cap; neither path runs
-    monkeypatch.setattr(
-        densities, "squarefree_flag_counts", lambda primes, ks: "walk"
-    )
+    monkeypatch.setattr(densities, "_flag_counts", lambda primes, points: "walk")
     sparse = CheckpointSchedule(10**3, 2 * 10**7, Fraction(10)).points
     dense = CheckpointSchedule(1, 10**9, Fraction("1.001")).points
     assert len(dense) == 14_823
