@@ -505,7 +505,9 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
     # the float pieces of _odd_pieces from the numpy totient sieve. Each
     # segment streams through the accumulator a block at a time, with only
     # the cuts inside the block, so no array of segment length is built but
-    # the sieve's own, and that is dropped before the next one is sieved
+    # the sieve's own, and that is dropped before the next one is sieved.
+    # A block holds BLOCK values on one thread and 4 * BLOCK on worker
+    # threads, where each numpy call gives the interpreter lock away
     import numpy as np
 
     from .accumulators import BLOCK, ExactFloatSum
@@ -513,16 +515,17 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
 
     sums: list[int] = []  # the running units at each cut
     acc = ExactFloatSum()
-    # m*k for the BLOCK odd k from the block's first, as doubles: whole
-    # numbers below 2**53, so moving on by a block adds exactly
-    ns = np.arange(m, 2 * m * BLOCK, 2 * m, dtype=np.float64)
-    ratios = np.empty(BLOCK)
+    block = BLOCK if threads == 1 else 4 * BLOCK
+    # m*k for the block's odd k from its first, as doubles: whole numbers
+    # below 2**53, so moving on by a block adds exactly
+    ns = np.arange(m, 2 * m * block, 2 * m, dtype=np.float64)
+    ratios = np.empty(block)
     factors = _totient_factors(m)
     cuts = [(k + 1) // 2 for k in ks]  # how many odd k lie up to each cut
     base = 0  # how many odd k precede the block
     for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
-        for start in range(0, table.phi.size, BLOCK):
-            size = min(BLOCK, table.phi.size - start)
+        for start in range(0, table.phi.size, block):
+            size = min(block, table.phi.size - start)
             phis = table.phi[start : start + size]
             if m > 1:
                 phis = _phi_of_multiples(phis, table.lo + 2 * start, factors, ratios)

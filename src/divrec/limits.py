@@ -80,20 +80,26 @@ SEGMENT_SIZE = 1 << 20
 #: Entries in each segment of the totient walk on one thread,
 #: ``iter_sieve_tables``, and so of the float totient-ratio walk: at most
 #: :data:`SEGMENT_SIZE`. Only memory and speed depend on it. The walk
-#: streams each table through the accumulator in blocks and drops it
-#: before the next is sieved, so on one thread it peaks at the sieve's 8
-#: bytes an entry, 2 MiB here. Since ``sieve_segment`` buckets its sparse
-#: strides, a segment costs per hit rather than per root prime, and on one
-#: thread this length is no slower than 2**20. Against 2**20 with the
-#: per-prime strides, in paired runs on a shared 2-vCPU x86 machine: the
-#: ``phisum-dense`` benchmark peaked at 32.9 MiB against 37.9 (10 of 10
-#: pairs) in the same wall time, and ``phisum --m 7 --schedule 1e3:1e9:10``
-#: took 2.17-2.84 s against 2.30-2.86 s. A walk on worker threads cuts
-#: :data:`SEGMENT_SIZE` instead: its threads hand the interpreter lock to
-#: one another and to the consumer at every numpy call, and at this length
-#: the same table on two threads took 2.43 s against 2.20 s, at 2**20 2.58 s
-#: against 2.63 s (``BENCH_bucket_strides.json``).
-TOTIENT_SEGMENT_SIZE = 1 << 18
+#: carries its bucketed strides from segment to segment and sieves into
+#: buffers it keeps, and the float walk streams each table through the
+#: accumulator in blocks and drops it before the next is sieved, so on one
+#: thread it peaks at the sieve's 8 bytes an entry, 512 KiB here, and no
+#: other array it makes per segment or per block reaches 128 KiB, glibc's
+#: default mmap threshold: what it frees is reused, not faulted in again.
+#: Against 2**18 with strides found anew in every segment, on a shared
+#: 2-vCPU x86 machine: the ``phisum-dense`` benchmark peaked at about 30.9
+#: MiB against 32.9 (10 of 10 pairs), and a second in-process
+#: ``phi_ratio_sums_at(1, [10**7])`` took about 160 minor page faults
+#: against 10 200; ``phisum --m 1 --n 1e8`` took 1.53 s against 1.75 s
+#: (medians of 7 alternating pairs; ``BENCH_carried_strides.json``).
+#: Segment length trades
+#: memory for time: in process the walk to 1e8 took 1.83, 1.51, 1.17 and
+#: 1.23 s at 2**15, 2**16, 2**17 and 2**18 entries, peaking at 30.2,
+#: 30.4, 30.7 and 31.8 MiB (medians of 5 alternating runs). A walk on
+#: worker threads cuts :data:`SEGMENT_SIZE` instead: its threads hand the
+#: interpreter lock to one another and to the consumer at every numpy
+#: call, so they take the longest segments (``BENCH_bucket_strides.json``).
+TOTIENT_SEGMENT_SIZE = 1 << 16
 
 
 #: Messages name an integer with more digits than this by its digit count.

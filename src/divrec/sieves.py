@@ -1,42 +1,53 @@
 """Segmented sieves: totient-only segment tables, and square-free flags.
 
 A totient segment holds every integer of [lo, hi], or with ``step=2`` the
-odd ones from an odd lo, and is sieved in int32 with the primes up to
-sqrt(hi), by multiplications along strides and no division but one. Two
-arrays start from a cached wheel for the primes up to 13: tiled from
-``lo % 30030`` (odd numbers read its odd residues, a wheel of period 15015),
-it gives each n the product of the wheel primes dividing it (``small``) and
-of their p - 1 (``phi``), so those six primes need no strides. Every larger
-root prime p multiplies ``small`` by p and ``phi`` by p - 1 along its
-stride, and the power strides p**2, p**3, ... of every root prime multiply
-both by p; entry i holds n = lo + step*i, so the stride of q starts at
-index -lo / step (mod q), and powers of 2 take none in odd tables. A stride
-of q up to the entry count // ``STRIDED_HITS`` takes its own two strided
-numpy calls. The sparser ones, most of the 3400 root primes and 3600
-prime powers at the cap, are bucketed, as in the segmented sieve of
-Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014): the indices of
-all their hits are built together from each stride's start, a chunk of at
-least ``HIT_CHUNK`` hits at a time, and ``np.multiply.at`` applies the
-factors, since two strides may hit one entry. So a segment costs about
-one numpy call per thousand hits, not two per root prime, and a short
-segment is no slower per entry than a long one. ``small`` is then the
-part of n made of root primes and ``phi`` its totient. Only after those
-strides is ``n // small`` taken, once for each ``FIX_CHUNK`` entries, n
-itself built a chunk at a time: it is 1 or a single prime q above
-sqrt(hi), and one branch-free pass multiplies ``phi`` by q - 1 where
-q > 1. A :class:`SieveTable` holds the totients only, as
-the int32 ``phi`` itself; square-free flags come from the separate
-:func:`squarefree_flags`, which builds no totients. A segment peaks at its
-two int32 arrays, 8 bytes an entry, and ``small`` is dropped once the
-fix is done, so a finished table holds 4. A segment holds at most
-:data:`divrec.limits.SEGMENT_SIZE` entries, a constant of 2**20, and the
-totient walk :func:`iter_sieve_tables` cuts segments of
-:data:`divrec.limits.TOTIENT_SEGMENT_SIZE`, 2**18, on one thread and of
-2**20 when it sieves ahead on worker threads; both set memory and speed,
-never a result. Segments never depend on each other, which keeps
-memory flat for ranges up to the 1e9 cap and lets callers sieve ahead on
-worker threads; the float totient walk reads each table in blocks and
-drops it before the next is sieved.
+odd ones from an odd lo, and is sieved in int32 by multiplications along
+strides and no division but one. Two arrays start from a cached wheel for
+the primes up to 13: one slice of it from ``lo % 30030``, at most a period
+long and then doubled by copies of itself (odd numbers read its odd
+residues, a wheel of period 15015), gives each n the product of the wheel
+primes dividing it (``small``) and of their p - 1 (``phi``), so those six
+primes need no strides. Every larger prime p up to sqrt(hi), a stride
+prime, multiplies ``small`` by p and ``phi`` by p - 1 along its stride, and
+the power strides p**2, p**3, ... of every stride prime multiply both by
+p; entry i holds n = lo + step*i, so the stride of q starts at index
+-lo / step (mod q), and powers of 2 take none in odd tables. A stride of q
+up to the entry count // ``STRIDED_HITS`` takes its
+own two strided numpy calls. The sparser ones, most of the 3400 root
+primes and 3600 prime powers at the cap, are bucketed, as in the segmented
+sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014): the
+indices of all their hits are built together from each stride's next hit,
+``HIT_CHUNK`` hits at a time, and ``np.multiply.at`` applies the factors,
+since two strides may hit one entry. ``small`` is then the part of n made
+of stride primes and ``phi`` its totient. Only after those strides is
+``n // small`` taken, once for each ``FIX_CHUNK`` entries: it is 1 or a
+single prime q above the stride primes, and one branch-free pass
+multiplies ``phi`` by q - 1 where q > 1.
+
+The totient walk :func:`iter_sieve_tables` cuts segments of
+:data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries, 2**16, on one thread.
+Like that sieve it takes its stride table once, for its last number (so
+its stride primes are those up to the root of that number), and carries
+each bucketed stride's next hit from one segment to the next, so a
+segment pays for the hits of the strides, not for finding where each
+starts. It sieves ``small``, and the n of the fix, into buffers it keeps
+for the whole walk; each table it yields owns a fresh ``phi``.
+:func:`sieve_segment` is the same sieve, a walk of one segment whose
+strides start from its lo. With worker threads the walk sieves ahead by
+``sieve_segment`` calls of :data:`divrec.limits.SEGMENT_SIZE` entries,
+2**20, the most a segment may hold; such segments never depend on each
+other. Both lengths set memory and speed, never a result.
+
+A :class:`SieveTable` holds the totients only, as the int32 ``phi``
+itself; square-free flags come from the separate :func:`squarefree_flags`,
+which builds no totients. A segment peaks at its two int32 arrays, 8 bytes
+an entry, and a finished table holds 4. Apart from each table's ``phi``,
+the one-thread walk makes no array of 128 KiB or more per segment, and
+the float totient walk reads each table in blocks of
+``divrec.accumulators.BLOCK`` values and drops it before the next is
+sieved, so memory stays flat for ranges up to the 1e9 cap, and what the
+walk frees is taken again by the next segment, not returned to the system
+and faulted in anew.
 
 This module imports numpy, as :mod:`divrec.accumulators` does, and no other
 module imports either at load time. The totient walk sieves here only past
@@ -99,26 +110,28 @@ class SieveTable(Record):
         return int(self.phi[(n - self.lo) // self.step])
 
 
-#: Entries whose large-prime factor ``sieve_segment`` finds at a time, so
-#: that n is never built at the length of the segment.
+#: Entries whose large-prime factor the sieve finds at a time, into a
+#: buffer of n that a walk keeps, so that n is never built at the length of
+#: a segment.
 FIX_CHUNK = 1 << 15
 
 #: A stride of q takes its own two numpy calls while q <= entries //
 #: STRIDED_HITS, so that each call covers at least about this many
-#: entries; the sparser strides of a segment are bucketed, so a segment
-#: costs about one numpy call for every thousand of their hits rather
-#: than two for every root prime and prime power.
-STRIDED_HITS = 128
+#: entries; the sparser strides of a segment are bucketed. At the walk's
+#: 2**16 entries that leaves 57 strides of odd numbers to their own calls
+#: near 1e8. The sieve of the odd numbers to 3e7 took 6-22% more time at
+#: 128, and from 5% less to 14% more at 512 (best of 15 alternating runs,
+#: two rounds).
+STRIDED_HITS = 256
 
-#: Fewest hits of the bucketed strides indexed at a time; a segment of
-#: more than 2**16 entries takes one for every 32 entries at a time. A hit
-#: takes about 32 bytes of temporaries (its stride's row, its index and
-#: numpy's intp copy of it), so a chunk takes about a byte an entry, an
-#: eighth of the segment's own arrays, or 64 KiB for the shorter segments.
-#: Fewer, longer chunks make fewer numpy calls: with 2**11 hits a chunk,
-#: ``phi_ratio_sums_at(7, ...)`` to 1e9 took 3.08 s against 2.82 s at
-#: 2**13 on one thread (medians of 6 alternating runs).
-HIT_CHUNK = 1 << 11
+#: Hits of the bucketed strides indexed at a time, whatever the length of
+#: the segment. A hit takes at most 24 bytes of temporaries (its index,
+#: and the repeats of its stride's q, offset and factor), so a chunk takes
+#: at most 96 KiB, every array in it 32 KiB or less. Fewer, longer chunks
+#: make fewer numpy calls: the sieve of the odd numbers to 3e7 took 15-30%
+#: more time at 2**11 hits a chunk, and no less at 2**13, nor a 2**20-entry
+#: segment at one chunk for every 32 entries.
+HIT_CHUNK = 1 << 12
 
 #: The wheel primes, and their product 30030, the period of the wheel.
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -160,41 +173,7 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     count = (hi - lo) // step + 1
     if count > size:
         raise RangeLimitError(f"segment [{lo}, {hi}] has more than {size} entries")
-
-    # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32 holds it
-    # small becomes the part of n made of primes <= sqrt(hi) and phi its
-    # totient; the wheel starts both with the primes <= 13, tiled from a
-    # slice of at most one period, so a short segment copies only its length.
-    # The odd numbers take the odd residues, a wheel of period WHEEL // 2.
-    radical, totient = (w[step - 1 :: step] for w in _wheel())
-    start = lo % WHEEL // step
-    tile = slice(start, start + min(count, WHEEL // step))
-    small = np.resize(radical[tile], count)
-    phi = np.resize(totient[tile], count)
-    # q | n from index -lo * step**-1 (mod q) on: (q + 1) // step is 1 mod q
-    # for step 1, and the inverse of 2 mod an odd q for step 2. A stride
-    # that hits about STRIDED_HITS entries or more takes its own two numpy
-    # calls; the sparser ones, most of them, are bucketed together
-    moduli, primes = _strides(hi, step)
-    dense = moduli <= count // STRIDED_HITS
-    for q, p in zip(moduli[dense].tolist(), primes[dense].tolist()):
-        s = -lo * ((q + 1) // step) % q
-        if s < count:
-            small[s::q] *= p
-            phi[s::q] *= p - (q == p)  # p - 1 for a prime, p for a power
-    _bucket(small, phi, lo, step, moduli[~dense], primes[~dense])
-
-    # what is left of n is 1 or one prime q > sqrt(hi): phi *= max(q - 1, 1),
-    # FIX_CHUNK entries at a time, so n is never built at segment length and
-    # the segment peaks at small and phi, 8 bytes an entry
-    for a in range(0, count, FIX_CHUNK):
-        b = min(a + FIX_CHUNK, count)
-        big = np.arange(lo + step * a, lo + step * b, step, dtype=np.int32)
-        np.floor_divide(big, small[a:b], out=big)
-        big -= 1
-        phi[a:b] *= np.maximum(big, 1, out=big)
-        del big  # so the next chunk's n is not made next to this one
-    return SieveTable(lo, hi, phi, step)
+    return _Walk(lo, hi, step, count).table(count)
 
 
 @lru_cache(maxsize=2)
@@ -227,49 +206,126 @@ def _strides(hi: int, step: int) -> np.ndarray:
     return table[:, (q <= hi) & ((q != p) | (p <= math.isqrt(hi)))]
 
 
-def _bucket(
-    small: np.ndarray,
-    phi: np.ndarray,
-    lo: int,
-    step: int,
-    moduli: np.ndarray,
-    primes: np.ndarray,
-) -> None:
-    # the strides of moduli over primes at once, a chunk of hits at a time:
-    # the index of each hit is built from its stride's start, and
-    # np.multiply.at applies all factors, for two strides may hit one entry,
-    # where a fancy-index *= would apply one of them only
-    if not moduli.size:
-        return
-    q = moduli.astype(np.int64)
-    # (lo mod q) * ((q + 1) // step) < 1e9 * (1e9 + 1) < 2**63: no overflow
-    starts = -(lo % q) * ((q + 1) // step) % q
-    hits = (small.size - 1 - starts) // q + 1  # 0 if it misses the segment
-    live = np.flatnonzero(hits)
-    hits = hits[live]
-    ends = np.cumsum(hits)
-    # per live stride, in int32 like the tables (every index is below the
-    # count): the hits before its first, q, its start and its two factors
-    rows = np.empty((live.size, 5), dtype=np.int32)
-    rows[:, 0] = ends - hits
-    rows[:, 1] = moduli[live]
-    rows[:, 2] = starts[live]
-    rows[:, 3] = primes[live]
-    rows[:, 4] = rows[:, 3] - (rows[:, 1] == rows[:, 3])
-    del starts  # so the chunks below are not made next to it
-    chunk = max(HIT_CHUNK, small.size // 32)
-    a = 0
-    while a < live.size:
-        first = int(rows[a, 0])
-        b = max(int(np.searchsorted(ends, first + chunk, "right")), a + 1)
-        each = np.repeat(rows[a:b], hits[a:b], axis=0)  # one row a hit
-        at = np.arange(first, int(ends[b - 1]), dtype=np.int32)
-        at -= each[:, 0]  # the hit's number along its stride
-        at *= each[:, 1]
-        at += each[:, 2]
-        np.multiply.at(small, at, each[:, 3])
-        np.multiply.at(phi, at, each[:, 4])
-        a = b
+class _Walk:
+    # The totient sieve of consecutive segments of at most size entries from
+    # lo on, up to last: the one-thread walk of iter_sieve_tables, and for
+    # sieve_segment a walk of one segment. It takes the strides of last
+    # once; a stride prime above sqrt(hi) of an early segment only leaves 1
+    # for the large-prime fix where it divides n. For each bucketed stride
+    # it keeps the index of its next hit, counted from the first entry of
+    # the next segment, and it sieves small, and n for the fix, into
+    # buffers it reuses
+
+    __slots__ = (
+        "lo", "step", "size", "dense", "moduli", "primes", "powers", "next",
+        "whole", "over", "small", "n",
+    )
+
+    def __init__(self, lo: int, last: int, step: int, size: int) -> None:
+        self.lo, self.step, self.size = lo, step, size
+        moduli, primes = _strides(last, step)
+        # a stride that hits about STRIDED_HITS entries of a segment or more
+        # takes its own two numpy calls; the sparser ones, most of them, are
+        # bucketed together
+        dense = moduli <= size // STRIDED_HITS
+        self.dense = [
+            (q, (q + 1) // step, p, p - (q == p))
+            for q, p in zip(moduli[dense].tolist(), primes[dense].tolist())
+        ]
+        self.moduli, self.primes = q, p = moduli[~dense], primes[~dense]
+        self.powers = int(np.count_nonzero(q == p))  # where the powers start
+        # q | n from index -lo * step**-1 (mod q) on: (q + 1) // step is 1
+        # mod q for step 1, and the inverse of 2 mod an odd q for step 2;
+        # (lo mod q) * ((q + 1) // step) < 1e9 * (1e9 + 1) < 2**63
+        q = q.astype(np.int64)
+        self.next = (-(lo % q) * ((q + 1) // step) % q).astype(np.int32)
+        self.whole, self.over = np.divmod(size, self.moduli)
+        self.small = np.empty(size, dtype=np.int32)
+        self.n = np.arange(lo, lo + step * min(size, FIX_CHUNK), step, dtype=np.int32)
+
+    def table(self, count: int) -> SieveTable:
+        # the next count entries of the walk, at most size, in a fresh phi
+        lo, step = self.lo, self.step
+        # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32
+        # holds it. small becomes the part of n made of the stride primes
+        # and phi its totient; the wheel starts both with the primes <= 13,
+        # from a slice of at most one period, then doubled by copies of the
+        # whole periods before. The odd numbers take the odd residues, a
+        # wheel of period WHEEL // 2
+        small = self.small[:count]
+        phi = np.empty(count, dtype=np.int32)
+        period = WHEEL // step
+        start = lo % WHEEL // step
+        for out, wheel in zip((small, phi), _wheel()):
+            a = min(count, period)
+            out[:a] = wheel[step - 1 :: step][start : start + a]
+            while a < count:
+                b = min(2 * a, count)
+                out[a:b] = out[: b - a]
+                a = b
+        # a prime's stride multiplies small by p and phi by p - 1, a
+        # power's both by p
+        for q, inverse, p, f in self.dense:
+            s = -lo * inverse % q
+            small[s::q] *= p
+            phi[s::q] *= f
+        self._bucket(small, phi)
+
+        # what is left of n is 1 or one prime q above the stride primes:
+        # phi *= max(q - 1, 1), FIX_CHUNK entries at a time, into small,
+        # which the fix is the last to read
+        n = self.n
+        for a in range(0, count, FIX_CHUNK):
+            b = min(a + FIX_CHUNK, count)
+            n += lo + step * a - int(n[0])
+            part = small[a:b]
+            np.floor_divide(n[: b - a], part, out=part)
+            part -= 1
+            phi[a:b] *= np.maximum(part, 1, out=part)
+        self.lo = lo + step * count
+        return SieveTable(lo, self.lo - step, phi, step)
+
+    def _bucket(self, small: np.ndarray, phi: np.ndarray) -> None:
+        # the bucketed strides at once, HIT_CHUNK hits at a time: the index
+        # of each hit is built from its stride's next hit, and
+        # np.multiply.at applies all factors, for two strides may hit one
+        # entry, where a fancy-index *= would apply one of them only. A
+        # stride of q hits count // q entries, and one more if its next hit
+        # lies below count % q; its next hit then moves on by its hits
+        # times q, less the count
+        count, q = small.size, self.moduli
+        whole, over = (
+            (self.whole, self.over) if count == self.size else np.divmod(count, q)
+        )
+        hits = whole + (self.next < over)
+        live = np.flatnonzero(hits)
+        each = hits[live]
+        ends = np.cumsum(each)
+        moduli, primes = q[live], self.primes[live]
+        # the segment's hits in stride order: hit k, the j-th of a stride
+        # whose first is hit c, lies at index next + j*q = k*q + next - c*q
+        offsets = (ends - each) * -moduli.astype(np.int64)
+        offsets += self.next[live]
+        hits *= q
+        hits -= count
+        self.next += hits
+        # a chunk takes prime strides only, whose factor of phi is p - 1,
+        # or powers only, whose factor is p
+        powers = int(np.searchsorted(live, self.powers))
+        a = 0
+        while a < live.size:
+            first = int(ends[a] - each[a])
+            b = max(int(np.searchsorted(ends, first + HIT_CHUNK, "right")), a + 1)
+            if a < powers:
+                b = min(b, powers)
+            at = np.arange(first, int(ends[b - 1]))  # intp, as .at takes it
+            at *= np.repeat(moduli[a:b], each[a:b])
+            at += np.repeat(offsets[a:b], each[a:b])
+            factors = np.repeat(primes[a:b], each[a:b])
+            np.multiply.at(small, at, factors)
+            factors -= a < powers
+            np.multiply.at(phi, at, factors)
+            a = b
 
 
 def _checked_span(lo: int, hi: int, step: int) -> tuple[int, int]:
@@ -317,13 +373,16 @@ def iter_sieve_tables(
 
     Segments hold :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries on one
     thread and :data:`divrec.limits.SEGMENT_SIZE` with ``threads > 1``, read
-    when the walk starts; the last may hold fewer.
+    at the call; the last may hold fewer.
     With ``step=2`` they hold the odd numbers only, from an odd lo, as
-    :func:`sieve_segment` sieves them. With ``threads > 1`` upcoming
+    :func:`sieve_segment` sieves them. On one thread the walk carries its
+    strides from segment to segment. With ``threads > 1`` upcoming
     segments are sieved ahead on a thread pool of at most the usable CPUs,
     but they are handed back strictly in range order, so any accumulation
     on the consumer side stays deterministic regardless of the thread count.
-    ``threads`` must be an integer of at least 1.
+    ``threads`` must be an integer of at least 1. The arguments are checked
+    at the call, before any table is asked for. Every table owns its
+    ``phi``, so a caller may keep the tables of a walk.
     """
     threads = check_range("threads", threads, 1)
     lo, last = _checked_span(lo, hi, step)
@@ -332,8 +391,6 @@ def iter_sieve_tables(
     # the length follows the threads asked for, not the usable CPUs, so the
     # segments a walk yields never depend on the machine
     size = limits.SEGMENT_SIZE if threads > 1 else limits.TOTIENT_SEGMENT_SIZE
-    width = size * step
-    spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
     # at most threads + 1 segments are in flight, so more threads than usable
     # CPUs would only hold more memory; where the OS cannot tell the usable
     # CPUs (macOS, Windows), the CPU count caps them
@@ -341,14 +398,25 @@ def iter_sieve_tables(
         threads = min(threads, len(os.sched_getaffinity(0)))
     else:
         threads = min(threads, os.cpu_count() or 1)
+    return _tables(lo, last, step, size, threads)
+
+
+def _tables(
+    lo: int, last: int, step: int, size: int, threads: int
+) -> Iterator[SieveTable]:
+    # the segments of size entries from lo to last: one walk on this thread,
+    # or sieve_segment calls sieved ahead on threads
     if threads <= 1:
-        for span in spans:
-            yield sieve_segment(*span, step=step)
+        walk = _Walk(lo, last, step, min(size, (last - lo) // step + 1))
+        while walk.lo <= last:
+            yield walk.table(min(size, (last - walk.lo) // step + 1))
         return
 
     # concurrent.futures loads logging, so one-thread walks leave it alone
     from concurrent.futures import ThreadPoolExecutor
 
+    width = size * step
+    spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
         for span in spans:

@@ -224,7 +224,7 @@ def test_a_thread_count_is_checked_before_any_work(monkeypatch, call):
 
     monkeypatch.setattr(densities, "_phi_ratio_walk", no_work)
     monkeypatch.setattr(densities, "phi_ratio_pairs_at", no_work)
-    monkeypatch.setattr(sieves, "sieve_segment", no_work)
+    monkeypatch.setattr(sieves, "_Walk", no_work)
     for threads in (0, -3):
         with pytest.raises(ValueError, match=f"^need threads >= 1, got {threads}$"):
             call(threads)

@@ -1,5 +1,6 @@
 """Sieve correctness against trial-division oracles and algebraic identities."""
 
+import itertools
 import math
 import os
 import random
@@ -291,9 +292,9 @@ def first_hit(q: int, lo: int, step: int) -> int:
 @pytest.mark.parametrize("entries", [1 << 16, 1 << 18])
 def test_strides_either_side_of_the_bucket_threshold(entries, step):
     # the largest prime and prime power up to entries // STRIDED_HITS take
-    # their own strides, the next ones are bucketed: 509 | 521 and 512 | 529
-    # (361 | 529 for odd numbers) at 2**16 entries, 2039 | 2053 and 2048 |
-    # 2187 (1849 | 2187) at 2**18
+    # their own strides, the next ones are bucketed: 251 | 257 and 256 | 289
+    # (243 | 289 for odd numbers) at 2**16 entries, 1021 | 1031 and 1024 |
+    # 1331 (961 | 1331) at 2**18
     edge = entries // STRIDED_HITS
     primes = base_primes()[step - 1 :]  # no power of 2 divides an odd n
     powers = sorted(
@@ -329,6 +330,87 @@ def test_an_entry_hit_by_two_bucketed_strides_takes_both(step):
         assert np.array_equal(table.phi, stride_sieve_phi(table.lo, table.hi, step))
 
 
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("entries", [13, 4099, 1 << 16, 1 << 20])
+def test_a_walk_equals_its_segments_sieved_alone(monkeypatch, entries, where, step):
+    # the one-thread walk takes the strides of its last number once and
+    # carries each bucketed stride's next hit from segment to segment;
+    # sieve_segment finds every start from its own lo. Over two and a half
+    # segments, from lo = 1, from 1e8 + 1 and ending at the last number
+    # below the cap, every table must equal the one sieved alone, and the
+    # whole walk the per-prime stride sieve
+    use_walk_length(monkeypatch, entries)
+    span = step * (5 * entries // 2)  # the numbers the walk covers
+    lo = {
+        "first": 1,
+        "middle": 10**8 + 1,
+        "last": (SIEVE_MAX_N if step == 1 else LAST_ODD) - span + step,
+    }[where]
+    hi = lo + span - step
+    tables = list(iter_sieve_tables(lo, hi, step=step))
+    assert [t.phi.size for t in tables] == [entries, entries, span // step - 2 * entries]
+    for table in tables:
+        assert table == sieve_segment(table.lo, table.hi, step=step)
+    got = np.concatenate([t.phi for t in tables])
+    assert np.array_equal(got, stride_sieve_phi(lo, hi, step))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_a_walk_sieves_early_segments_with_the_strides_of_its_last_number(
+    monkeypatch, step
+):
+    # the largest stride prime p of the walk lies above sqrt of its first
+    # segment's hi: sieving that segment alone leaves p to the large-prime
+    # fix, the walk takes its stride, and each multiple of p there then
+    # leaves 1 for the fix
+    use_walk_length(monkeypatch, 4099)
+    hi = 1 + step * (3 * 4099 - 1)
+    tables = list(iter_sieve_tables(1, hi, step=step))
+    first = tables[0]
+    p = max(q for q in base_primes() if q * q <= hi)
+    assert first.hi < p * p and 3 * p <= first.hi
+    for n in (p, 3 * p):
+        assert first.phi_of(n) == phi_oracle(n)
+    got = np.concatenate([t.phi for t in tables])
+    assert np.array_equal(got, stride_sieve_phi(1, hi, step))
+
+
+def test_tables_a_walk_yields_keep_their_totients(monkeypatch):
+    # the walk sieves into buffers it reuses, but every table owns its phi:
+    # tables kept in a list do not change as the walk goes on
+    use_walk_length(monkeypatch, 4099)
+    for step in (1, 2):
+        kept, copies = [], []
+        for table in iter_sieve_tables(10**8 + 1, 10**8 + 50_000, step=step):
+            kept.append(table)
+            copies.append(table.phi.copy())
+        assert len(kept) > 3
+        for table, copy in zip(kept, copies):
+            assert np.array_equal(table.phi, copy)
+        for a, b in itertools.combinations(kept, 2):
+            assert not np.shares_memory(a.phi, b.phi)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, error",
+    [
+        ((1, 10), {"threads": 0}, ValueError),
+        ((1, 10), {"threads": 1.5}, TypeError),
+        ((2, 11), {"step": 2}, ValueError),
+        ((1, 11), {"step": 3}, ValueError),
+        ((3, 2), {}, ValueError),
+        ((0, 10), {}, ValueError),
+        ((1, SIEVE_MAX_N + 1), {}, RangeLimitError),
+        ((1, LAST_ODD + 2), {"step": 2}, RangeLimitError),
+    ],
+)
+def test_a_walk_checks_its_arguments_at_the_call(args, kwargs, error):
+    # the error comes from the call itself, not from the first next()
+    with pytest.raises(error):
+        iter_sieve_tables(*args, **kwargs)
+
+
 def test_a_short_segment_copies_no_whole_wheel_period():
     # the wheel tiles are cut from at most one period, so a segment shorter
     # than the period allocates about its own length, not whole periods
@@ -345,17 +427,17 @@ def test_a_short_segment_copies_no_whole_wheel_period():
 
 @pytest.mark.parametrize("lo, step", [(1, 1), (10**8 + 1, 2)])
 def test_a_segment_peaks_at_its_two_int32_arrays(lo, step):
-    # small and phi take 8 bytes an entry; n is built one FIX_CHUNK at a
-    # time, and each chunk is dropped before the next, so the table is phi
-    # itself. The two wheel tiles may each run up to one period past the
-    # segment, and np.resize first copies a strided tile of one period; the
-    # one chunk of n, and the stride table and one HIT_CHUNK of hits of the
-    # bucketed strides, fit in what the tiles leave of that allowance.
-    # Measured with numpy 2.4 on x86-64 at 2**16 entries: 0.86 MB at lo = 1,
-    # 0.81 MB for odd numbers from 1e8 + 1; 0.86 and 0.90 MB with 4096 hits a
-    # chunk, 0.85 and 0.74 MB with a stride loop of one prime at a time, and
-    # 0.99 and 0.92 MB when n, small and phi were built whole and phi was
-    # copied to int64 (12 bytes an entry)
+    # small and phi take 8 bytes an entry; n is built into one buffer of
+    # FIX_CHUNK entries, and the table is phi itself. The wheel is copied
+    # into both by slices, so nothing runs past the segment; the buffer of
+    # n, the stride table with each stride's next hit, and one HIT_CHUNK of
+    # hits of the bucketed strides fit in the allowance of three wheel
+    # periods that np.resize's tiles once took. Measured with numpy 2.4 on
+    # x86-64 at 2**16 entries: 0.70 MB at lo = 1, 0.86 MB for odd numbers
+    # from 1e8 + 1; with np.resize, strides found anew from lo and 2048 hits
+    # a chunk 0.86 and 0.81 MB, 0.85 and 0.74 MB with a stride loop of one
+    # prime at a time, and 0.99 and 0.92 MB when n, small and phi were built
+    # whole and phi was copied to int64 (12 bytes an entry)
     size = 1 << 16
     hi = lo + step * (size - 1)
     sieve_segment(lo, hi, step=step)  # builds the cached wheel and base primes

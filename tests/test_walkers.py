@@ -333,13 +333,14 @@ def float_walk_peak(monkeypatch, m: int, size: int) -> int:
 def test_float_walk_holds_no_array_of_segment_length_but_the_sieve(monkeypatch, m):
     # The streamed walk peaks while the next segment sieves, at about 8
     # bytes an odd k of segment, the sieve's small and phi (the table before
-    # it, 4 bytes an entry, is dropped by then), above about 0.8 MB that
+    # it, 4 bytes an entry, is dropped by then), above about 0.4 MB that
     # does not grow with the segment: the walker's two BLOCK-long float64
-    # buffers, the sieve's one FIX_CHUNK of n, its wheel tiles, and its
-    # stride table and one chunk of bucketed hits. Measured with numpy 2.4
-    # on x86-64: 1.36 MB at 2**16 odd k, 2.83 MB at 2**18, 7.5 bytes an
-    # entry between them, for m = 1 and m = 15 alike, with the sparse
-    # strides bucketed or not; 1.59 MB and 3.81 MB, 11.3 bytes an entry,
+    # buffers, the sieve's buffer of FIX_CHUNK n, its stride table with
+    # each stride's next hit, and one chunk of bucketed hits. Measured with
+    # numpy 2.4 on x86-64: 0.94 MB at 2**16 odd k, 2.53 MB at 2**18, 8.1
+    # bytes an entry between them, for m = 1 and m = 15 alike; 1.36 MB and
+    # 2.83 MB, 7.5 bytes an entry, with strides found anew in each segment
+    # and blocks of 2**15 values; 1.59 MB and 3.81 MB, 11.3 bytes an entry,
     # while the sieve built n whole and copied phi to an int64 table. The
     # whole-segment walk before the streamed one held its ns and ratio
     # arrays and the previous table while the next segment sieved: 2.77 MB
@@ -348,6 +349,21 @@ def test_float_walk_holds_no_array_of_segment_length_but_the_sieve(monkeypatch, 
     assert small < 10 * (1 << 16) + 1_500_000
     large = float_walk_peak(monkeypatch, m, 1 << 18)
     assert large - small < 10 * ((1 << 18) - (1 << 16))
+
+
+def test_the_default_float_walk_to_1e7_peaks_under_1_2_mb():
+    # the walk's own segments and blocks, as the phisum-dense benchmark runs
+    # them: 2**16 odd k a segment sieved into buffers the walk keeps, and
+    # blocks of 2**13 values. Measured with numpy 2.4 on x86-64: 0.95 MB;
+    # 3.08 MB with 2**18-entry segments and 2**15-value blocks
+    phi_ratio_sums_at(1, [10**7])  # the cached primes and wheel
+    tracemalloc.start()
+    try:
+        phi_ratio_sums_at(1, [10**7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_200_000
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 5, 7, 12, 30, 360, 9973, 12348])
@@ -602,7 +618,8 @@ def test_squarefree_paths_build_no_totients(monkeypatch):
     def totient_sieve(*args, **kwargs):
         raise AssertionError("a square-free path built totients")
 
-    monkeypatch.setattr("divrec.sieves.sieve_segment", totient_sieve)
+    # every totient table, of sieve_segment or of a walk, is a _Walk's
+    monkeypatch.setattr("divrec.sieves._Walk", totient_sieve)
     monkeypatch.setattr("divrec.sieves.iter_sieve_tables", totient_sieve)
     use_segment_size(monkeypatch, 1000)
     assert count_squarefree_multiples_at(6, points) == counts[6]
