@@ -153,13 +153,17 @@ def _recursive_counts(primes: Sequence[int], pts: Sequence[int]) -> list[int]:
     codes = _moebius_codes(root)
     plus = [d * d for d in compress(range(root + 1), codes.translate(_MU_PLUS))]
     minus = [d * d for d in compress(range(root + 1), codes.translate(_MU_MINUS))]
-    small = list(accumulate(codes.translate(_MU_NONZERO)))  # Q(y), y <= root
+    # Q(y), y <= root, built when first read: the one n = 1 of a t = 1
+    # count reads it only at points x <= root
+    small: list[int] = []
 
     def series(x: int, ns: list[int]) -> int:
         # the sum of Q(x // n) over the n <= x of ascending ns: the Moebius
         # sum while x // n > root, the table after
         end = bisect_right(ns, x)
         mid = bisect_right(ns, x // (root + 1), 0, end)
+        if mid < end and not small:
+            small.extend(accumulate(codes.translate(_MU_NONZERO)))
         total = sum(map(small.__getitem__, map(floordiv, repeat(x), ns[mid:end])))
         for y in map(floordiv, repeat(x, mid), ns):
             total += sum(map(floordiv, repeat(y, bisect_right(plus, y)), plus))

@@ -2,41 +2,43 @@
 
 A totient segment holds every integer of [lo, hi], or with ``step=2`` the
 odd ones from an odd lo, and is sieved in int32 by multiplications along
-strides and no division but one. Two arrays start from a cached wheel for
-the primes up to 13: one slice of it from ``lo % 30030``, at most a period
-long and then doubled by copies of itself (odd numbers read its odd
-residues, a wheel of period 15015), gives each n the product of the wheel
-primes dividing it (``small``) and of their p - 1 (``phi``), so those six
-primes need no strides. Every larger prime p up to sqrt(hi), a stride
-prime, multiplies ``small`` by p and ``phi`` by p - 1 along its stride, and
-the power strides p**2, p**3, ... of every stride prime multiply both by
-p; entry i holds n = lo + step*i, so the stride of q starts at index
--lo / step (mod q), and powers of 2 take none in odd tables. A stride of q
-up to the entry count // ``STRIDED_HITS`` takes its
-own two strided numpy calls. The sparser ones, most of the 3400 root
-primes and 3600 prime powers at the cap, are bucketed, as in the segmented
-sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014): the
-indices of all their hits are built together from each stride's next hit,
-``HIT_CHUNK`` hits at a time, and ``np.multiply.at`` applies the factors,
-since two strides may hit one entry. ``small`` is then the part of n made
-of stride primes and ``phi`` its totient. Only after those strides is
-``n // small`` taken, once for each ``FIX_CHUNK`` entries: it is 1 or a
-single prime q above the stride primes, and one branch-free pass
-multiplies ``phi`` by q - 1 where q > 1.
+strides and no division but one. Two arrays start from a wheel for the
+primes up to 13, cached for each step in int16 over two periods of the
+residues that step reads (the odd ones for step 2, a wheel of period
+15015): one slice of it from the residue ``lo % 30030``, at most a period
+long and then doubled by copies of itself, gives each n the product of
+the wheel primes dividing it (``small``) and of their p - 1 (``phi``), so
+those six primes need no strides. Every larger prime p up to sqrt(hi), a
+stride prime, multiplies ``small`` by p and ``phi`` by p - 1 along its
+stride, and the power strides p**2, p**3, ... of every stride prime
+multiply both by p; entry i holds n = lo + step*i, so the stride of q
+starts at index -lo / step (mod q), and powers of 2 take none in odd
+tables. A stride of q up to the entry count // ``STRIDED_HITS`` takes its
+own two strided numpy calls. The sparser ones, most of the 3395 stride
+primes and 3689 prime powers of a segment at the cap, are bucketed, as in
+the segmented sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83,
+2014): the indices of all their hits are built together from each
+stride's next hit, ``HIT_CHUNK`` hits at a time, and ``np.multiply.at``
+applies the factors, since two strides may hit one entry. ``small`` is
+then the part of n made of stride primes and ``phi`` its totient. Only
+after those strides is ``n // small`` taken, once for each ``FIX_CHUNK``
+entries: it is 1 or a single prime q above the stride primes, and one
+branch-free pass multiplies ``phi`` by q - 1 where q > 1.
 
 The totient walk :func:`iter_sieve_tables` cuts segments of
 :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries, 2**16, on one thread.
-Like that sieve it takes its stride table once, for its last number (so
-its stride primes are those up to the root of that number), and carries
-each bucketed stride's next hit from one segment to the next, so a
-segment pays for the hits of the strides, not for finding where each
-starts. It sieves ``small``, and the n of the fix, into buffers it keeps
-for the whole walk; each table it yields owns a fresh ``phi``.
+Like that sieve it builds its stride table once, for its last number and
+from the primes up to its root alone (995 strides to 1e7, 973 for odd
+numbers), and carries each bucketed stride's next hit from one segment to
+the next, so a segment pays for the hits of the strides, not for finding
+where each starts. It sieves ``small``, and the n of the fix, into buffers
+it keeps for the whole walk; each table it yields owns a fresh ``phi``.
 :func:`sieve_segment` is the same sieve, a walk of one segment whose
 strides start from its lo. With worker threads the walk sieves ahead by
 ``sieve_segment`` calls of :data:`divrec.limits.SEGMENT_SIZE` entries,
-2**20, the most a segment may hold; such segments never depend on each
-other. Both lengths set memory and speed, never a result.
+2**20, the most a segment may hold, each building its own strides; such
+segments never depend on each other. Both lengths set memory and speed,
+never a result.
 
 A :class:`SieveTable` holds the totients only, as the int32 ``phi``
 itself; square-free flags come from the separate :func:`squarefree_flags`,
@@ -138,16 +140,19 @@ WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 WHEEL = math.prod(WHEEL_PRIMES)
 
 
-@lru_cache(maxsize=1)
-def _wheel() -> tuple[np.ndarray, np.ndarray]:
-    # entry k holds, for n = k (mod WHEEL), the product of the wheel primes
-    # dividing n and of their p - 1; two periods, so that any WHEEL entries
-    # from lo % WHEEL on are one slice
-    radical = np.ones(2 * WHEEL, dtype=np.int32)
-    totient = np.ones(2 * WHEEL, dtype=np.int32)
-    for p in WHEEL_PRIMES:
-        radical[::p] *= p
-        totient[::p] *= p - 1
+@lru_cache(maxsize=2)
+def _wheel(step: int) -> tuple[np.ndarray, np.ndarray]:
+    # entry k holds, for n = step*k + step - 1 (mod WHEEL), the product of
+    # the wheel primes dividing n and of their p - 1, in int16 (at most
+    # WHEEL < 2**15): the residues a table of this step reads, the odd ones
+    # for step 2, over two periods, so that any period from lo % WHEEL on is
+    # one slice. The multiples of p start at entry 0 (n = 0), or for odd
+    # numbers at entry p // 2 (n = p); 2 divides no odd n
+    radical = np.ones(2 * WHEEL // step, dtype=np.int16)
+    totient = np.ones(2 * WHEEL // step, dtype=np.int16)
+    for p in WHEEL_PRIMES[step - 1 :]:
+        radical[(step - 1) * p // 2 :: p] *= p
+        totient[(step - 1) * p // 2 :: p] *= p - 1
     radical.setflags(write=False)
     totient.setflags(write=False)
     return radical, totient
@@ -176,34 +181,25 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     return _Walk(lo, hi, step, count).table(count)
 
 
-@lru_cache(maxsize=2)
-def _moduli(step: int) -> np.ndarray:
-    # the modulus q of every stride a segment of this step may take, over
-    # the prime p of each, in int32: the primes past the wheel's, then each
-    # power q = p**k, k >= 2, of a base prime up to SIEVE_MAX_N; no power of
-    # 2 divides an odd n. A prime's stride multiplies small by p and phi by
-    # p - 1, a power's both by p
-    primes = np.array(base_primes(), dtype=np.int64)
+def _strides(last: int, step: int) -> np.ndarray:
+    # the modulus q of every stride that sieves a walk or segment ending at
+    # last, over the prime p of each, in int32: the primes past the wheel's
+    # up to sqrt(last), then each power p**k <= last, k >= 2, of those root
+    # primes, squares first, then cubes and so on (no power of 2 divides an
+    # odd n); a larger prime is left to the fix. A prime's stride multiplies
+    # small by p and phi by p - 1, a power's both by p
+    primes = np.array(_root_primes(last), dtype=np.int64)
     rest = primes[len(WHEEL_PRIMES) :]
     qs, ps = [rest], [rest]
     p = primes[step - 1 :]
-    q = p * p  # every base prime's square is at most SIEVE_MAX_N
+    q = p * p  # a root prime's square is at most last
     while p.size:
         ps.append(p)
         qs.append(q)
-        q = q * p  # at most SIEVE_MAX_N * 31607 < 2**63
-        p, q = p[q <= SIEVE_MAX_N], q[q <= SIEVE_MAX_N]
-    table = np.array([np.concatenate(qs), np.concatenate(ps)], dtype=np.int32)
-    table.setflags(write=False)
-    return table
-
-
-def _strides(hi: int, step: int) -> np.ndarray:
-    # the columns of _moduli that sieve a segment ending at hi: the powers
-    # up to hi and the primes up to sqrt(hi); a larger prime is left to the
-    # fix
-    q, p = table = _moduli(step)
-    return table[:, (q <= hi) & ((q != p) | (p <= math.isqrt(hi)))]
+        q = q * p  # at most last * sqrt(last) <= 1e9 * 31623 < 2**63
+        keep = q <= last
+        p, q = p[keep], q[keep]
+    return np.array([np.concatenate(qs), np.concatenate(ps)], dtype=np.int32)
 
 
 class _Walk:
@@ -248,17 +244,16 @@ class _Walk:
         lo, step = self.lo, self.step
         # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32
         # holds it. small becomes the part of n made of the stride primes
-        # and phi its totient; the wheel starts both with the primes <= 13,
-        # from a slice of at most one period, then doubled by copies of the
-        # whole periods before. The odd numbers take the odd residues, a
-        # wheel of period WHEEL // 2
+        # and phi its totient; the wheel of the step starts both with the
+        # primes <= 13, from a slice of at most one period (WHEEL // step
+        # entries), then doubled by copies of the whole periods before
         small = self.small[:count]
         phi = np.empty(count, dtype=np.int32)
         period = WHEEL // step
         start = lo % WHEEL // step
-        for out, wheel in zip((small, phi), _wheel()):
+        for out, wheel in zip((small, phi), _wheel(step)):
             a = min(count, period)
-            out[:a] = wheel[step - 1 :: step][start : start + a]
+            out[:a] = wheel[start : start + a]
             while a < count:
                 b = min(2 * a, count)
                 out[a:b] = out[: b - a]

@@ -20,6 +20,9 @@ from divrec.sieves import (
     FIX_CHUNK,
     STRIDED_HITS,
     WHEEL,
+    WHEEL_PRIMES,
+    _strides,
+    _wheel,
     iter_sieve_tables,
     sieve_segment,
     squarefree_flags,
@@ -328,6 +331,78 @@ def test_an_entry_hit_by_two_bucketed_strides_takes_both(step):
         table = sieve_segment(lo, lo + step * (entries - 1), step=step)
         assert table.phi_of(n) == phi_oracle(n)
         assert np.array_equal(table.phi, stride_sieve_phi(table.lo, table.hi, step))
+
+
+def capped_strides(last: int, step: int) -> np.ndarray:
+    """The (q, p) stride table of a walk ending at last the way the sieve
+    took it before it built one for each walk: a cached table of every
+    prime past the wheel's and every power p**k, k >= 2, of a base prime up
+    to SIEVE_MAX_N (no power of 2 for step 2), filtered to the powers up to
+    last and the primes up to sqrt(last)."""
+    primes = np.array(base_primes(), dtype=np.int64)
+    rest = primes[len(WHEEL_PRIMES) :]
+    qs, ps = [rest], [rest]
+    p = primes[step - 1 :]
+    q = p * p
+    while p.size:
+        ps.append(p)
+        qs.append(q)
+        q = q * p
+        p, q = p[q <= SIEVE_MAX_N], q[q <= SIEVE_MAX_N]
+    q, p = table = np.array([np.concatenate(qs), np.concatenate(ps)], dtype=np.int32)
+    return table[:, (q <= last) & ((q != p) | (p <= math.isqrt(last)))]
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize(
+    "last",
+    # no root prime, the first square 4 and 16 | 17, the last wheel prime
+    # 13 at 169 and the first stride prime 17 at 289 either side of their
+    # squares, either side of one wheel period, and up to the cap
+    [1, 2, 16, 17, 168, 169, 170, 288, 289, 290, 30029, 30030, 30031,
+     10**7, 10**8 + 1, SIEVE_MAX_N],
+)
+def test_a_walk_builds_the_strides_of_its_last_number(last, step):
+    table = _strides(last, step)
+    assert table.dtype == np.int32
+    assert np.array_equal(table, capped_strides(last, step))
+    q, p = table
+    assert q.size == 0 or q.max() <= last and p.max() <= math.isqrt(last)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_the_wheel_keeps_the_residues_its_step_reads(step):
+    # against the int32 wheel of every residue over two periods, which odd
+    # tables read every second entry of
+    radical = np.ones(2 * WHEEL, dtype=np.int32)
+    totient = np.ones(2 * WHEEL, dtype=np.int32)
+    for p in WHEEL_PRIMES:
+        radical[::p] *= p
+        totient[::p] *= p - 1
+    got = _wheel(step)
+    assert [w.dtype for w in got] == [np.int16, np.int16]
+    assert np.array_equal(got[0], radical[step - 1 :: step])
+    assert np.array_equal(got[1], totient[step - 1 :: step])
+
+
+@pytest.mark.parametrize("entries", [1, 13, 15_015, 15_016])
+@pytest.mark.parametrize(
+    "lo",
+    # odd tables from either side of a whole wheel period, and of an odd
+    # multiple of half a period, where the odd wheel's slice starts at its
+    # first and last entries; near 1e8 and near the cap
+    sorted(
+        lo
+        for k in (0, 1, 3_330, 33_298)
+        for lo in (30_030 * k - 1, 30_030 * k + 1, 15_015 * (2 * k + 1) - 2,
+                   15_015 * (2 * k + 1) + 2)
+        if lo > 0
+    ),
+)
+def test_odd_tables_from_the_edges_of_the_wheel(lo, entries):
+    hi = lo + 2 * (entries - 1)
+    table = sieve_segment(lo, hi, step=2)
+    assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, 2))
 
 
 @pytest.mark.parametrize("step", [1, 2])
