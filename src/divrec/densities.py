@@ -43,6 +43,7 @@ from .arith import (
     check_prime,
     factorize,
     odd_totients,
+    pair_sum,
     rounded_units,
     sum_pairs,
 )
@@ -393,7 +394,9 @@ def phi_ratio_sums_at(
     over k <= K // 2, less O(K // 2) / 2 for odd m. Each term phi(n)/n is
     the same double as over a sieve of all n, halving a double is exact,
     and every sum stays exact until it is read, so a row equals a
-    from-scratch sum of all its terms at its point bit for bit.
+    from-scratch sum of all its terms at its point bit for bit. A float walk
+    long enough for the numpy sieve splits the odd k again, with p = 3, and
+    sieves only the k prime to 6.
     """
     threads = check_range("threads", threads, 1)
     if mode == "exact":
@@ -442,6 +445,10 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     pos = {k: i for i, k in enumerate(ks, 1)} | {-1: 0}
     add = sum_pairs if exact else sum
 
+    def sum_of(items: list):
+        # a one-item list is its item, without a call into sum_pairs
+        return items[0] if len(items) == 1 else add(items)
+
     def halve(piece):
         # a shift of the units, exact since every term is an even number of
         # them (see arith.FLOAT_UNIT_BITS). A pair keeps the lcm of
@@ -463,8 +470,12 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
                 for piece in pieces[pos[(last >> a) - 1 | 1] : pos[(K >> a) - 1 | 1]]
             ]
             if rest:
-                terms.append(halve(add(rest)) if m % 2 else add(rest))
-            total = add([total, add(terms)])  # one fold into the long sum
+                terms.append(halve(sum_of(rest)) if m % 2 else sum_of(rest))
+            if terms:
+                # one fold into the long sum; a point of every-prefix reads
+                # brings one piece, added to the total straight away
+                new = sum_of(terms)
+                total = pair_sum(*total, *new) if exact else total + new
             last = K
         sums.append(total if exact else rounded_units(total))
     return sums
@@ -506,10 +517,60 @@ def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
 
 
 def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
-    # the float pieces of _odd_pieces from the numpy totient sieve. Each
-    # segment streams through the accumulator a block at a time, with only
-    # the cuts inside the block, so no array of segment length is built but
-    # the sieve's own, and that is dropped before the next one is sieved.
+    # the float pieces of _odd_pieces from the numpy totient sieve, which
+    # sieves only the k prime to 6. Every odd k is 3**a * j with j prime to
+    # 6, and the paper's splitting with p = 3 gives f(m*k) = f(m*j) if 3 | m
+    # or a = 0, and 2/3 of it otherwise. So with F1(y) the sum of f(m*j)
+    # and F2(y) that of 2/3 f(m*j) over the j <= y prime to 6, the odd part
+    # is, as in _phi_ratio_walk's split on 2,
+    #     O(x) = F1(x) + F2(x // 3) + F2(x // 9) + ...   for 3 not dividing m,
+    #     O(x) = F1(x) + F1(x // 3) + F1(x // 9) + ...   for 3 | m.
+    # This is exact in units: a term of F2 is the double nearest
+    # 2 phi(m*j) / (3*m*j), the same rational as phi(m*k) / (m*k), so the
+    # same double as the term of k; and every term is at least 1/8, an even
+    # number of units, so each sum and its parts are exact integers
+    two_thirds = m % 3 != 0
+    ones = ks if two_thirds else _third_shifts(ks, 0)
+    twos = _third_shifts(ks, 1) if two_thirds else []
+    f1, f2 = [0] * len(ones), [0] * len(twos)
+    for c in (1, 5):  # the two classes prime to 6, walked one after the other
+        s1, s2 = _class_sums(m, c, ones, twos, threads)
+        f1 = [a + b for a, b in zip(f1, s1)]
+        f2 = [a + b for a, b in zip(f2, s2)]
+    # O(x) from its shifts, smallest first, as F(x) plus O's part at x // 3
+    running = {0: 0}
+    if two_thirds:
+        for y, units in zip(twos, f2):
+            running[y] = units + running[y // 3]
+        odd = [units + running[x // 3] for x, units in zip(ones, f1)]
+    else:
+        for y, units in zip(ones, f1):
+            running[y] = units + running[y // 3]
+        odd = [running[x] for x in ks]
+    return [b - a for a, b in pairwise([0, *odd])]
+
+
+def _third_shifts(xs: list[int], first: int) -> list[int]:
+    # every positive x // 3**a, a >= first, of the x in xs, ascending; each
+    # x is divided only until it meets a shift already taken
+    shifts: set[int] = set()
+    for x in xs:
+        x //= 3**first
+        while x and x not in shifts:
+            shifts.add(x)
+            x //= 3
+    return sorted(shifts)
+
+
+def _class_sums(
+    m: int, c: int, ones: list[int], twos: list[int], threads: int
+) -> tuple[list[int], list[int]]:
+    # the running units of f(m*j), and of 2/3 f(m*j), over the j = c (mod 6)
+    # up to each y of ascending ones, and of twos, from one step-6 walk to
+    # ones[-1]; the 2/3 terms only over its first part, up to twos[-1].
+    # Each segment streams through the accumulators a block at a time, with
+    # only the cuts inside the block, so no array of segment length is built
+    # but the sieve's own, and that is dropped before the next one is sieved.
     # A block holds BLOCK values on one thread and 4 * BLOCK on worker
     # threads, where each numpy call gives the interpreter lock away
     import numpy as np
@@ -517,46 +578,68 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
     from .accumulators import BLOCK, ExactFloatSum
     from .sieves import iter_sieve_tables
 
-    sums: list[int] = []  # the running units at each cut
-    acc = ExactFloatSum()
+    # how many j of the class lie up to each y; none up to y < c
+    cuts1 = [(y + 6 - c) // 6 for y in ones]
+    cuts2 = [(y + 6 - c) // 6 for y in twos]
+    sums1, sums2 = [0] * cuts1.count(0), [0] * cuts2.count(0)
+    if not cuts1[-1]:
+        return sums1, sums2
+    count2 = cuts2[-1] if cuts2 else 0  # the j that take a 2/3 term too
+    acc1, acc2 = ExactFloatSum(), ExactFloatSum()
     block = BLOCK if threads == 1 else 4 * BLOCK
-    # m*k for the block's odd k from its first, as doubles: whole numbers
-    # below 2**53, so moving on by a block adds exactly
-    ns = np.arange(m, 2 * m * block, 2 * m, dtype=np.float64)
+    # m*j for the block's j from its first, as doubles: whole numbers below
+    # 2**53, so moving on by a block adds exactly
+    ns = np.arange(c * m, 6 * m * block, 6 * m, dtype=np.float64)
     ratios = np.empty(block)
-    factors = _totient_factors(m)
-    cuts = [(k + 1) // 2 for k in ks]  # how many odd k lie up to each cut
-    base = 0  # how many odd k precede the block
-    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
+    phis_m = np.empty(block) if m > 1 else None
+    phi_m, primes = _totient_factors(m)
+    factors = phi_m, [p for p in primes if p > 3]  # 3 divides no j
+    base = 0  # how many j precede the block
+    for table in iter_sieve_tables(c, ones[-1], threads=threads, step=6):
         for start in range(0, table.phi.size, block):
             size = min(block, table.phi.size - start)
             phis = table.phi[start : start + size]
             if m > 1:
-                phis = _phi_of_multiples(phis, table.lo + 2 * start, factors, ratios)
+                phis = _phi_of_multiples(phis, table.lo + 6 * start, factors, phis_m)
             # int32 totients or whole doubles, each exact as a double, so the
             # quotient is correctly rounded, as int / int is
             np.divide(phis, ns[:size], out=ratios[:size])
-            ns += 2 * m * size
-            here = cuts[len(sums) : bisect_right(cuts, base + size, len(sums))]
-            sums += acc.extend_at(ratios[:size], [c - base for c in here])
+            sums1 += _block_sums(acc1, ratios[:size], cuts1, len(sums1), base)
+            if base < count2:
+                # phi / (1.5 * m*j): 1.5 * m*j = 3*m*j / 2, below 2**32, is
+                # exact, so this is 2 phi / (3 m*j) correctly rounded
+                two = min(size, count2 - base)
+                np.multiply(ns[:two], 1.5, out=ratios[:two])
+                np.divide(phis[:two], ratios[:two], out=ratios[:two])
+                sums2 += _block_sums(acc2, ratios[:two], cuts2, len(sums2), base)
+            ns += 6 * m * size
             base += size
         del table, phis  # phis may be a view of the table
-    return [b - a for a, b in pairwise([0, *sums])]
+    return sums1, sums2
+
+
+def _block_sums(acc, values, cuts: list[int], done: int, base: int) -> list[int]:
+    # add a block of values, whose first is the (base + 1)-th of its walk,
+    # to acc, and return the running units at the cuts after the first done
+    # that fall in the block: the number of the walk's values up to each
+    here = cuts[done : bisect_right(cuts, base + values.size, done)]
+    return acc.extend_at(values, [c - base for c in here])
 
 
 def _phi_of_multiples(
     phi: np.ndarray, k: int, factors: tuple[int, list[int]], out: np.ndarray
 ) -> np.ndarray:
-    # phi(m*k) for the odd k, k + 2, ... of the int32 entries of phi, as
-    # whole doubles in out, from the _totient_factors of m > 1: each product is
-    # exact, at most m*k < 2**53, and each division leaves a whole number
+    # phi(m*j) for the j = k, k + 6, ... prime to 6 of the int32 entries of
+    # phi, as whole doubles in out, from phi(m) and the primes of m above 3:
+    # each product is exact, at most m*j < 2**53, and each division leaves a
+    # whole number
     import numpy as np
 
     phi_m, primes = factors
     phis = np.multiply(phi, float(phi_m), out=out[: phi.size])
     for p in primes:
-        # p | k from index -k / 2 (mod p) on, every p entries
-        fix = phis[-k * ((p + 1) // 2) % p :: p]
+        # p | j from index -k / 6 (mod p) on, every p entries
+        fix = phis[-k * pow(6, -1, p) % p :: p]
         fix /= p - 1
         fix *= p
     return phis

@@ -1,49 +1,57 @@
 """Segmented sieves: totient-only segment tables, and square-free flags.
 
 A totient segment holds every integer of [lo, hi], or with ``step=2`` the
-odd ones from an odd lo, and is sieved in int32 by multiplications along
-strides and no division but one. Two arrays start from a wheel for the
-primes up to 13, cached for each step in int16 over two periods of the
-residues that step reads (the odd ones for step 2, a wheel of period
-15015): one slice of it from the residue ``lo % 30030``, at most a period
+odd ones from an odd lo, or with ``step=6`` those of one class prime to 6,
+1 or 5 (mod 6), from an lo of that class. It is sieved in int32 by
+multiplications along strides and no division but one. Two arrays start
+from a wheel for the primes up to 13, cached in int16 for each step and
+class over two periods of the residues that class reads (a period of
+30030 entries for step 1, 15015 for the odd numbers, 5005 for each class
+mod 6): one slice of it from the residue ``lo % 30030``, at most a period
 long and then doubled by copies of itself, gives each n the product of
 the wheel primes dividing it (``small``) and of their p - 1 (``phi``), so
 those six primes need no strides. Every larger prime p up to sqrt(hi), a
 stride prime, multiplies ``small`` by p and ``phi`` by p - 1 along its
-stride, and the power strides p**2, p**3, ... of every stride prime
-multiply both by p; entry i holds n = lo + step*i, so the stride of q
-starts at index -lo / step (mod q), and powers of 2 take none in odd
-tables. A stride of q up to the entry count // ``STRIDED_HITS`` takes its
-own two strided numpy calls. The sparser ones, most of the 3395 stride
-primes and 3689 prime powers of a segment at the cap, are bucketed, as in
-the segmented sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83,
-2014): the indices of all their hits are built together from each
-stride's next hit, ``HIT_CHUNK`` hits at a time, and ``np.multiply.at``
-applies the factors, since two strides may hit one entry. ``small`` is
-then the part of n made of stride primes and ``phi`` its totient. Only
-after those strides is ``n // small`` taken, once for each ``FIX_CHUNK``
-entries: it is 1 or a single prime q above the stride primes, and one
-branch-free pass multiplies ``phi`` by q - 1 where q > 1.
+stride, and the power strides p**2, p**3, ... of every root prime not
+dividing the step multiply both by p; entry i holds n = lo + step*i, so
+the stride of q starts at index -lo / step (mod q), and no power of 2 (or
+of 3, for step 6) takes a stride where no n is even (or a multiple of 3).
+A stride of q up to the entry count // ``STRIDED_HITS`` takes its own two
+strided numpy calls. The sparser ones, most of the 3395 stride primes and
+3661 prime powers of an odd segment at the cap (3644 for step 6), are
+bucketed, as in the segmented sieve of Oliveira e Silva, Herzog and Pardi
+(Math. Comp. 83, 2014): the indices of all their hits are built together
+from each stride's next hit, ``HIT_CHUNK`` hits at a time, and
+``np.multiply.at`` applies the factors, since two strides may hit one
+entry. ``small`` is then the part of n made of stride primes and ``phi``
+its totient. Only after those strides is ``n // small`` taken, once for
+each ``FIX_CHUNK`` entries: it is 1 or a single prime q above the stride
+primes, and one branch-free pass multiplies ``phi`` by q - 1 where q > 1.
 
 The totient walk :func:`iter_sieve_tables` cuts segments of
 :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries, 2**16, on one thread.
 Like that sieve it builds its stride table once, for its last number and
 from the primes up to its root alone (995 strides to 1e7, 973 for odd
-numbers), and carries each bucketed stride's next hit from one segment to
-the next, so a segment pays for the hits of the strides, not for finding
-where each starts. It sieves ``small``, and the n of the fix, into buffers
-it keeps for the whole walk; each table it yields owns a fresh ``phi``.
-:func:`sieve_segment` is the same sieve, a walk of one segment whose
-strides start from its lo. With worker threads the walk sieves ahead by
-``sieve_segment`` calls of :data:`divrec.limits.SEGMENT_SIZE` entries,
-2**20, the most a segment may hold, each building its own strides; such
-segments never depend on each other. Both lengths set memory and speed,
-never a result.
+numbers, 960 for a class mod 6), and carries each bucketed stride's next
+hit from one segment to the next, so a segment pays for the hits of the
+strides, not for finding where each starts. It sieves ``small``, and the
+n of the fix, into buffers it keeps for the whole walk; each table it
+yields owns a fresh ``phi``. :func:`sieve_segment` is the same sieve, a
+walk of one segment whose strides start from its lo. With worker threads
+the walk sieves ahead by ``sieve_segment`` calls of
+:data:`divrec.limits.SEGMENT_SIZE` entries, 2**20, the most a segment may
+hold, each building its own strides; such segments never depend on each
+other. Both lengths set memory and speed, never a result. The float
+totient walk reads steps of 6, one class after the other; steps 1 and 2
+serve the benchmark's probes and any caller of the sieve.
 
 A :class:`SieveTable` holds the totients only, as the int32 ``phi``
 itself; square-free flags come from the separate :func:`squarefree_flags`,
 which builds no totients. A segment peaks at its two int32 arrays, 8 bytes
-an entry, and a finished table holds 4. Apart from each table's ``phi``,
+an entry, and a finished table holds 4. A bucketed stride keeps three
+int32 values, and two more while the bucket runs, and each hit's index is
+int32, so even a 2**16-entry segment at the cap, with about 7000 strides,
+holds under 0.36 MB beside its two arrays. Apart from each table's ``phi``,
 the one-thread walk makes no array of 128 KiB or more per segment, and
 the float totient walk reads each table in blocks of
 ``divrec.accumulators.BLOCK`` values and drops it before the next is
@@ -82,7 +90,8 @@ class SieveTable(Record):
         phi: read-only int32 array, ``phi[(n - lo) // step]`` is phi(n);
             every totient is below ``SIEVE_MAX_N`` < 2**31, and
             :meth:`phi_of` reads one as a Python int.
-        step: 1 for every integer, 2 for the odd ones only.
+        step: 1 for every integer, 2 for the odd ones only, 6 for one class
+            prime to 6.
 
     Two tables are equal when they cover the same numbers with equal
     totients; a table holds an array, so it is not hashable.
@@ -140,32 +149,35 @@ WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 WHEEL = math.prod(WHEEL_PRIMES)
 
 
-@lru_cache(maxsize=2)
-def _wheel(step: int) -> tuple[np.ndarray, np.ndarray]:
-    # entry k holds, for n = step*k + step - 1 (mod WHEEL), the product of
+@lru_cache(maxsize=4)
+def _wheel(step: int, residue: int) -> tuple[np.ndarray, np.ndarray]:
+    # entry k holds, for n = step*k + residue (mod WHEEL), the product of
     # the wheel primes dividing n and of their p - 1, in int16 (at most
-    # WHEEL < 2**15): the residues a table of this step reads, the odd ones
-    # for step 2, over two periods, so that any period from lo % WHEEL on is
-    # one slice. The multiples of p start at entry 0 (n = 0), or for odd
-    # numbers at entry p // 2 (n = p); 2 divides no odd n
+    # WHEEL < 2**15): the residues a table of this step and class reads,
+    # over two periods, so that any period from lo % WHEEL on is one slice.
+    # The multiples of p start at entry -residue / step (mod p): entry 0
+    # for step 1, p // 2 for the odd numbers; a prime of step divides no n
     radical = np.ones(2 * WHEEL // step, dtype=np.int16)
     totient = np.ones(2 * WHEEL // step, dtype=np.int16)
-    for p in WHEEL_PRIMES[step - 1 :]:
-        radical[(step - 1) * p // 2 :: p] *= p
-        totient[(step - 1) * p // 2 :: p] *= p - 1
+    for p in WHEEL_PRIMES:
+        if step % p:
+            start = -residue * pow(step, -1, p) % p
+            radical[start::p] *= p
+            totient[start::p] *= p - 1
     radical.setflags(write=False)
     totient.setflags(write=False)
     return radical, totient
 
 
 def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
-    """Sieve the totients of [lo, hi], or of its odd numbers for step 2.
+    """Sieve the totients of [lo, hi], or of every step-th number from lo.
 
     Args:
-        lo: Segment start, at least 1; odd for step 2.
-        hi: Segment end; the last number covered, hi or for step 2 the last
-            odd number up to hi, is at most ``SIEVE_MAX_N``.
-        step: 1 for every integer, 2 for the odd integers only.
+        lo: Segment start, at least 1; odd for step 2, prime to 6 for step 6.
+        hi: Segment end; the last number covered, the last of lo, lo +
+            step, ... up to hi, is at most ``SIEVE_MAX_N``.
+        step: 1 for every integer, 2 for the odd integers only, 6 for the
+            integers of lo's class mod 6, 1 or 5.
 
     A segment of more than :data:`divrec.limits.SEGMENT_SIZE` entries
     (2**20) is refused, so a typo cannot allocate an enormous array.
@@ -185,13 +197,14 @@ def _strides(last: int, step: int) -> np.ndarray:
     # the modulus q of every stride that sieves a walk or segment ending at
     # last, over the prime p of each, in int32: the primes past the wheel's
     # up to sqrt(last), then each power p**k <= last, k >= 2, of those root
-    # primes, squares first, then cubes and so on (no power of 2 divides an
-    # odd n); a larger prime is left to the fix. A prime's stride multiplies
-    # small by p and phi by p - 1, a power's both by p
+    # primes, squares first, then cubes and so on (no power of a prime of
+    # step divides an n of the walk: none of 2 for step 2, of 2 or 3 for
+    # step 6); a larger prime is left to the fix. A prime's stride
+    # multiplies small by p and phi by p - 1, a power's both by p
     primes = np.array(_root_primes(last), dtype=np.int64)
     rest = primes[len(WHEEL_PRIMES) :]
     qs, ps = [rest], [rest]
-    p = primes[step - 1 :]
+    p = primes[step % primes != 0]
     q = p * p  # a root prime's square is at most last
     while p.size:
         ps.append(p)
@@ -200,6 +213,13 @@ def _strides(last: int, step: int) -> np.ndarray:
         keep = q <= last
         p, q = p[keep], q[keep]
     return np.array([np.concatenate(qs), np.concatenate(ps)], dtype=np.int32)
+
+
+def _inverse(step, q):
+    # the inverse of step mod each q prime to it, for step 1, 2 or 6: such a
+    # q is 1 or -1 mod step, so (-q mod step) * q + 1 is a multiple of step.
+    # That gives 1 for step 1, (q + 1) // 2 for step 2, and below q always
+    return (-q % step * q + 1) // step
 
 
 class _Walk:
@@ -213,29 +233,26 @@ class _Walk:
     # buffers it reuses
 
     __slots__ = (
-        "lo", "step", "size", "dense", "moduli", "primes", "powers", "next",
-        "whole", "over", "small", "n",
+        "lo", "step", "dense", "moduli", "primes", "powers", "next", "small", "n",
     )
 
     def __init__(self, lo: int, last: int, step: int, size: int) -> None:
-        self.lo, self.step, self.size = lo, step, size
+        self.lo, self.step = lo, step
         moduli, primes = _strides(last, step)
         # a stride that hits about STRIDED_HITS entries of a segment or more
         # takes its own two numpy calls; the sparser ones, most of them, are
         # bucketed together
         dense = moduli <= size // STRIDED_HITS
         self.dense = [
-            (q, (q + 1) // step, p, p - (q == p))
+            (q, _inverse(step, q), p, p - (q == p))
             for q, p in zip(moduli[dense].tolist(), primes[dense].tolist())
         ]
         self.moduli, self.primes = q, p = moduli[~dense], primes[~dense]
         self.powers = int(np.count_nonzero(q == p))  # where the powers start
-        # q | n from index -lo * step**-1 (mod q) on: (q + 1) // step is 1
-        # mod q for step 1, and the inverse of 2 mod an odd q for step 2;
-        # (lo mod q) * ((q + 1) // step) < 1e9 * (1e9 + 1) < 2**63
+        # q | n from index -lo / step (mod q) on; the inverse is below q, so
+        # (lo mod q) * inverse < 1e9 * 1e9 < 2**63
         q = q.astype(np.int64)
-        self.next = (-(lo % q) * ((q + 1) // step) % q).astype(np.int32)
-        self.whole, self.over = np.divmod(size, self.moduli)
+        self.next = (-(lo % q) * _inverse(step, q) % q).astype(np.int32)
         self.small = np.empty(size, dtype=np.int32)
         self.n = np.arange(lo, lo + step * min(size, FIX_CHUNK), step, dtype=np.int32)
 
@@ -251,7 +268,7 @@ class _Walk:
         phi = np.empty(count, dtype=np.int32)
         period = WHEEL // step
         start = lo % WHEEL // step
-        for out, wheel in zip((small, phi), _wheel(step)):
+        for out, wheel in zip((small, phi), _wheel(step, lo % step)):
             a = min(count, period)
             out[:a] = wheel[start : start + a]
             while a < count:
@@ -285,51 +302,51 @@ class _Walk:
         # of each hit is built from its stride's next hit, and
         # np.multiply.at applies all factors, for two strides may hit one
         # entry, where a fancy-index *= would apply one of them only. A
-        # stride of q hits count // q entries, and one more if its next hit
-        # lies below count % q; its next hit then moves on by its hits
-        # times q, less the count
+        # stride of q whose next hit is at index next < q hits
+        # (count - 1 - next) // q + 1 entries, none if next >= count; its
+        # next hit then moves on by its hits times q, less the count. Every
+        # array of one entry a stride, and of one entry a hit, is int32:
+        # count - 1 + q < 2**31, and each index is below count
         count, q = small.size, self.moduli
-        whole, over = (
-            (self.whole, self.over) if count == self.size else np.divmod(count, q)
-        )
-        hits = whole + (self.next < over)
-        live = np.flatnonzero(hits)
-        each = hits[live]
-        ends = np.cumsum(each)
-        moduli, primes = q[live], self.primes[live]
-        # the segment's hits in stride order: hit k, the j-th of a stride
-        # whose first is hit c, lies at index next + j*q = k*q + next - c*q
-        offsets = (ends - each) * -moduli.astype(np.int64)
-        offsets += self.next[live]
+        hits = q - self.next
+        hits += count - 1
+        hits //= q
+        ends = np.cumsum(hits, dtype=np.int32)  # at most count + q.size
+        # a chunk takes prime strides only, whose factor of phi is p - 1,
+        # or powers only, whose factor is p
+        a = 0
+        while a < q.size:
+            first = int(ends[a] - hits[a])
+            b = max(int(np.searchsorted(ends, first + HIT_CHUNK, "right")), a + 1)
+            if a < self.powers:
+                b = min(b, self.powers)
+            # the chunk's hits in stride order: hit k, the j-th of a stride
+            # whose first is hit c, lies at index next + j*q, below count,
+            # with j = k - c
+            each = hits[a:b]
+            at = np.arange(first, int(ends[b - 1]), dtype=np.int32)
+            at -= np.repeat(ends[a:b] - each, each)
+            at *= np.repeat(q[a:b], each)
+            at += np.repeat(self.next[a:b], each)
+            factors = np.repeat(self.primes[a:b], each)
+            np.multiply.at(small, at, factors)
+            factors -= a < self.powers
+            np.multiply.at(phi, at, factors)
+            del at, factors  # before the next chunk builds its own
+            a = b
         hits *= q
         hits -= count
         self.next += hits
-        # a chunk takes prime strides only, whose factor of phi is p - 1,
-        # or powers only, whose factor is p
-        powers = int(np.searchsorted(live, self.powers))
-        a = 0
-        while a < live.size:
-            first = int(ends[a] - each[a])
-            b = max(int(np.searchsorted(ends, first + HIT_CHUNK, "right")), a + 1)
-            if a < powers:
-                b = min(b, powers)
-            at = np.arange(first, int(ends[b - 1]))  # intp, as .at takes it
-            at *= np.repeat(moduli[a:b], each[a:b])
-            at += np.repeat(offsets[a:b], each[a:b])
-            factors = np.repeat(primes[a:b], each[a:b])
-            np.multiply.at(small, at, factors)
-            factors -= a < powers
-            np.multiply.at(phi, at, factors)
-            a = b
 
 
 def _checked_span(lo: int, hi: int, step: int) -> tuple[int, int]:
     # lo and the last of lo, lo + step, ... up to hi, as Python ints (a
     # numpy int32 lo would overflow in -lo * (p + 1)), checked against the
     # sieve cap
-    if step not in (1, 2) or step == 2 and lo % 2 == 0:
+    if step not in (1, 2, 6) or step > 1 and lo % 2 == 0 or step == 6 and lo % 3 == 0:
         raise ValueError(
-            f"need step 1, or 2 from an odd lo; got step {shown(step)} from {shown(lo)}"
+            "need step 1, 2 from an odd lo, or 6 from an lo prime to 6; "
+            f"got step {shown(step)} from {shown(lo)}"
         )
     lo = check_range("lo", lo, 1)
     hi = check_range("hi", hi, lo)
@@ -369,8 +386,9 @@ def iter_sieve_tables(
     Segments hold :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries on one
     thread and :data:`divrec.limits.SEGMENT_SIZE` with ``threads > 1``, read
     at the call; the last may hold fewer.
-    With ``step=2`` they hold the odd numbers only, from an odd lo, as
-    :func:`sieve_segment` sieves them. On one thread the walk carries its
+    With ``step=2`` they hold the odd numbers only, from an odd lo, and
+    with ``step=6`` the numbers of lo's class mod 6, from an lo prime to 6,
+    as :func:`sieve_segment` sieves them. On one thread the walk carries its
     strides from segment to segment. With ``threads > 1`` upcoming
     segments are sieved ahead on a thread pool of at most the usable CPUs,
     but they are handed back strictly in range order, so any accumulation

@@ -165,6 +165,10 @@ def test_segment_equals_the_previous_sieve(lo, length):
 #: The last odd number the int32 sieve may reach.
 LAST_ODD = SIEVE_MAX_N - 1 + SIEVE_MAX_N % 2
 
+#: the last number up to the cap that a table of each step covers, from lo =
+#: 1 for steps 1 and 2 and from a lo of 1 (mod 6) for step 6
+LAST_OF_STEP = {1: SIEVE_MAX_N, 2: LAST_ODD, 6: SIEVE_MAX_N - (SIEVE_MAX_N - 1) % 6}
+
 
 @pytest.mark.parametrize(
     "lo, entries",
@@ -200,6 +204,10 @@ def test_odd_segments_refuse_what_they_cannot_hold(monkeypatch):
         sieve_segment(2, 11, step=2)
     with pytest.raises(ValueError, match="odd"):
         next(iter_sieve_tables(10, 20, step=2))
+    for lo in (2, 3, 4, 6, 9, 10**8):  # step 6 takes an lo prime to 6
+        with pytest.raises(ValueError, match="prime to 6"):
+            sieve_segment(lo, lo + 60, step=6)
+    assert sieve_segment(LAST_OF_STEP[6], SIEVE_MAX_N, step=6).hi == LAST_OF_STEP[6]
     for step in (0, 3, -2):
         with pytest.raises(ValueError, match="step"):
             sieve_segment(1, 11, step=step)
@@ -253,15 +261,18 @@ def stride_sieve_phi(lo: int, hi: int, step: int = 1) -> np.ndarray:
     """Totients of lo, lo + step, ... up to hi the way ``sieve_segment`` took
     them before it bucketed its sparse strides: two strided numpy calls for
     every root prime and every prime power up to hi, one stride at a time,
-    then the one large-prime fix; in int64, with no wheel."""
+    then the one large-prime fix; in int64, with no wheel. No prime of
+    step divides an n of the table."""
     count = (hi - lo) // step + 1
     small = np.ones(count, dtype=np.int64)
     phi = np.ones(count, dtype=np.int64)
     primes = base_primes()
-    for p in primes[step - 1 : bisect_right(primes, math.isqrt(hi))]:
+    for p in primes[: bisect_right(primes, math.isqrt(hi))]:
+        if step % p == 0:
+            continue
         q, f = p, p - 1
         while q <= hi:
-            s = -lo * ((q + 1) // step) % q  # q | lo + step * s
+            s = -lo * pow(step, -1, q) % q  # q | lo + step * s
             small[s::q] *= p
             phi[s::q] *= f
             q, f = q * p, p
@@ -269,7 +280,7 @@ def stride_sieve_phi(lo: int, hi: int, step: int = 1) -> np.ndarray:
     return phi * np.maximum(n // small - 1, 1)
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("entries", [13, 256, 1 << 16, 1 << 18, 1 << 20])
 def test_bucketed_segment_equals_the_per_prime_stride_sieve(entries, where, step):
@@ -279,7 +290,7 @@ def test_bucketed_segment_equals_the_per_prime_stride_sieve(entries, where, step
     lo = {
         "first": 1,
         "middle": 10**8 + 1,
-        "last": (SIEVE_MAX_N if step == 1 else LAST_ODD) - step * (entries - 1),
+        "last": LAST_OF_STEP[step] - step * (entries - 1),
     }[where]
     hi = lo + step * (entries - 1)
     table = sieve_segment(lo, hi, step=step)
@@ -337,12 +348,12 @@ def capped_strides(last: int, step: int) -> np.ndarray:
     """The (q, p) stride table of a walk ending at last the way the sieve
     took it before it built one for each walk: a cached table of every
     prime past the wheel's and every power p**k, k >= 2, of a base prime up
-    to SIEVE_MAX_N (no power of 2 for step 2), filtered to the powers up to
-    last and the primes up to sqrt(last)."""
+    to SIEVE_MAX_N (no power of 2 for step 2, of 2 or 3 for step 6),
+    filtered to the powers up to last and the primes up to sqrt(last)."""
     primes = np.array(base_primes(), dtype=np.int64)
     rest = primes[len(WHEEL_PRIMES) :]
     qs, ps = [rest], [rest]
-    p = primes[step - 1 :]
+    p = primes[(primes != 2) & (primes != 3)] if step == 6 else primes[step - 1 :]
     q = p * p
     while p.size:
         ps.append(p)
@@ -353,7 +364,7 @@ def capped_strides(last: int, step: int) -> np.ndarray:
     return table[:, (q <= last) & ((q != p) | (p <= math.isqrt(last)))]
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 @pytest.mark.parametrize(
     "last",
     # no root prime, the first square 4 and 16 | 17, the last wheel prime
@@ -368,21 +379,26 @@ def test_a_walk_builds_the_strides_of_its_last_number(last, step):
     assert np.array_equal(table, capped_strides(last, step))
     q, p = table
     assert q.size == 0 or q.max() <= last and p.max() <= math.isqrt(last)
+    if step == 6:  # no modulus of a step-6 walk is divisible by 2 or 3
+        assert not np.any((q % 2 == 0) | (q % 3 == 0))
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 def test_the_wheel_keeps_the_residues_its_step_reads(step):
-    # against the int32 wheel of every residue over two periods, which odd
-    # tables read every second entry of
-    radical = np.ones(2 * WHEEL, dtype=np.int32)
-    totient = np.ones(2 * WHEEL, dtype=np.int32)
+    # against the int32 wheel of every residue over two periods and a bit,
+    # which odd tables read every second entry of, and the tables of a
+    # class mod 6 every sixth from the class
+    radical = np.ones(2 * WHEEL + 5, dtype=np.int32)
+    totient = np.ones(2 * WHEEL + 5, dtype=np.int32)
     for p in WHEEL_PRIMES:
         radical[::p] *= p
         totient[::p] *= p - 1
-    got = _wheel(step)
-    assert [w.dtype for w in got] == [np.int16, np.int16]
-    assert np.array_equal(got[0], radical[step - 1 :: step])
-    assert np.array_equal(got[1], totient[step - 1 :: step])
+    for residue in {1: [0], 2: [1], 6: [1, 5]}[step]:
+        got = _wheel(step, residue)
+        assert [w.dtype for w in got] == [np.int16, np.int16]
+        assert [w.size for w in got] == [2 * WHEEL // step] * 2
+        assert np.array_equal(got[0], radical[residue::step][: 2 * WHEEL // step])
+        assert np.array_equal(got[1], totient[residue::step][: 2 * WHEEL // step])
 
 
 @pytest.mark.parametrize("entries", [1, 13, 15_015, 15_016])
@@ -405,7 +421,47 @@ def test_odd_tables_from_the_edges_of_the_wheel(lo, entries):
     assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, 2))
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("entries", [1, 13, 5005, 5006])
+@pytest.mark.parametrize(
+    "lo",
+    # tables of either class prime to 6 from either side of a whole wheel
+    # period, where the class wheel's slice starts at its first and last
+    # entries, near 1e8 and ending near the cap
+    sorted(
+        lo
+        for k in (0, 1, 3_330, 33_299)
+        for c in (1, 5)
+        for lo in (30_030 * k + c - 6, 30_030 * k + c)
+        if lo > 0
+    ),
+)
+def test_class_tables_from_the_edges_of_the_wheel(lo, entries):
+    hi = min(lo + 6 * (entries - 1), SIEVE_MAX_N)
+    table = sieve_segment(lo, hi, step=6)
+    assert (table.lo, table.step) == (lo, 6) and table.hi > hi - 6
+    assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, 6))
+    for n in (table.lo, table.hi):
+        assert table.phi_of(n) == phi_oracle(n)
+
+
+@pytest.mark.parametrize("lo", [1, 5, 30_029, 10**8 + 3])
+def test_class_walks_cover_their_class_in_order(monkeypatch, lo):
+    # a walk of one class mod 6 on one thread and on two, in segments
+    # shorter than a wheel period and of a prime length, against the whole
+    # class sieved at once
+    hi = lo + 6 * 5_000 + 5
+    whole = stride_sieve_phi(lo, hi, 6)
+    for size in (13, 4099):
+        use_walk_length(monkeypatch, size)
+        for threads in (1, 2):
+            tables = list(iter_sieve_tables(lo, hi, threads=threads, step=6))
+            assert all(t.step == 6 and t.lo % 6 == lo % 6 for t in tables)
+            assert [t.lo for t in tables[1:]] == [t.hi + 6 for t in tables[:-1]]
+            assert tables[0].lo == lo and tables[-1].hi == lo + 6 * 5_000
+            assert np.array_equal(np.concatenate([t.phi for t in tables]), whole)
+
+
+@pytest.mark.parametrize("step", [1, 2, 6])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("entries", [13, 4099, 1 << 16, 1 << 20])
 def test_a_walk_equals_its_segments_sieved_alone(monkeypatch, entries, where, step):
@@ -420,7 +476,7 @@ def test_a_walk_equals_its_segments_sieved_alone(monkeypatch, entries, where, st
     lo = {
         "first": 1,
         "middle": 10**8 + 1,
-        "last": (SIEVE_MAX_N if step == 1 else LAST_ODD) - span + step,
+        "last": LAST_OF_STEP[step] - span + step,
     }[where]
     hi = lo + span - step
     tables = list(iter_sieve_tables(lo, hi, step=step))
@@ -478,6 +534,9 @@ def test_tables_a_walk_yields_keep_their_totients(monkeypatch):
         ((0, 10), {}, ValueError),
         ((1, SIEVE_MAX_N + 1), {}, RangeLimitError),
         ((1, LAST_ODD + 2), {"step": 2}, RangeLimitError),
+        ((9, 61), {"step": 6}, ValueError),
+        ((10, 61), {"step": 6}, ValueError),
+        ((5, LAST_OF_STEP[6] + 6), {"step": 6}, RangeLimitError),
     ],
 )
 def test_a_walk_checks_its_arguments_at_the_call(args, kwargs, error):
@@ -500,16 +559,30 @@ def test_a_short_segment_copies_no_whole_wheel_period():
     assert np.array_equal(table.phi, previous_sieve_phi(1, 809))
 
 
-@pytest.mark.parametrize("lo, step", [(1, 1), (10**8 + 1, 2)])
+@pytest.mark.parametrize(
+    "lo, step",
+    [
+        (1, 1),
+        (10**8 + 1, 2),
+        (10**8 + 1, 6),
+        # near the cap, with about 7000 strides a segment
+        (SIEVE_MAX_N - (1 << 17) + 1, 2),
+        (LAST_OF_STEP[6] - 6 * ((1 << 16) - 1), 6),
+    ],
+)
 def test_a_segment_peaks_at_its_two_int32_arrays(lo, step):
     # small and phi take 8 bytes an entry; n is built into one buffer of
     # FIX_CHUNK entries, and the table is phi itself. The wheel is copied
     # into both by slices, so nothing runs past the segment; the buffer of
     # n, the stride table with each stride's next hit, and one HIT_CHUNK of
     # hits of the bucketed strides fit in the allowance of three wheel
-    # periods that np.resize's tiles once took. Measured with numpy 2.4 on
-    # x86-64 at 2**16 entries: 0.70 MB at lo = 1, 0.86 MB for odd numbers
-    # from 1e8 + 1; with np.resize, strides found anew from lo and 2048 hits
+    # periods that np.resize's tiles once took, up to the cap: each stride
+    # holds three int32 values and the bucket two more, and a hit's index
+    # is int32. Measured with numpy 2.4 on x86-64 at 2**16 entries: 0.69 MB
+    # at lo = 1, 0.78 MB for odd numbers and for 5 (mod 6) from 1e8 + 1,
+    # 0.87 MB for both near the cap; 1.05 MB there with int64 arrays of one
+    # entry a stride or a hit, when odd tables from 1e8 + 1 took 0.86 MB;
+    # with np.resize, strides found anew from lo and 2048 hits
     # a chunk 0.86 and 0.81 MB, 0.85 and 0.74 MB with a stride loop of one
     # prime at a time, and 0.99 and 0.92 MB when n, small and phi were built
     # whole and phi was copied to int64 (12 bytes an entry)
@@ -526,7 +599,7 @@ def test_a_segment_peaks_at_its_two_int32_arrays(lo, step):
     assert peak < 8 * size + 3 * 4 * WHEEL
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 @pytest.mark.parametrize(
     "where, entries",
     [
@@ -543,7 +616,7 @@ def test_int32_tables_equal_the_int64_oracle_at_the_edges(where, entries, step):
     lo = {
         "first": 1,
         "middle": 10**8 + 1,
-        "last": (SIEVE_MAX_N if step == 1 else LAST_ODD) - step * (entries - 1),
+        "last": LAST_OF_STEP[step] - step * (entries - 1),
     }[where]
     hi = lo + step * (entries - 1)
     table = sieve_segment(lo, hi, step=step)

@@ -286,7 +286,9 @@ def test_blocked_walk_is_bitwise_the_whole_segment_walk(monkeypatch, m):
 
 def test_every_block_without_a_cut_goes_through_extend(monkeypatch):
     # the benchmark traces ExactFloatSum.extend, so a sieved float walk hands
-    # it each block that holds no cut, once and whole, at every segment size
+    # it each block that holds no cut, once and whole, at every segment size:
+    # for each class of k prime to 6 in turn, each block of f(k) and then,
+    # over the k up to K // 3, the same block of 2/3 f(k)
     calls, seen = [], []
     extend, walk = ExactFloatSum.extend, densities._sieved_pieces
 
@@ -306,15 +308,92 @@ def test_every_block_without_a_cut_goes_through_extend(monkeypatch):
         seen.clear()
         phi_ratio_sums_at(1, [10**6])
         (ks,) = seen  # past PLAIN_WALK_MAX_K, so the walk sieves
-        cuts = [(k + 1) // 2 for k in ks]  # the odd k up to each cut
-        entries = cuts[-1]
-        blocks = [
-            (a, min(a + BLOCK, lo + size, entries))
-            for lo in range(0, entries, size)
-            for a in range(lo, min(lo + size, entries), BLOCK)
-        ]
-        uncut = [b - a for a, b in blocks if not any(a < c <= b for c in cuts)]
-        assert calls == uncut and calls
+        # F(k // 3**a) is read for every a >= 1 and k of ks
+        thirds = {k // 3**a for k in ks for a in range(1, 20)} - {0}
+        expected = []
+        for c in (1, 5):
+            # the k of the class up to each cut, and up to the last k
+            cuts = [(k + 6 - c) // 6 for k in ks]
+            cuts2 = [(y + 6 - c) // 6 for y in thirds]
+            entries, entries2 = cuts[-1], max(cuts2)
+            for lo in range(0, entries, size):
+                for a in range(lo, min(lo + size, entries), BLOCK):
+                    b = min(a + BLOCK, lo + size, entries)
+                    if not any(a < cut <= b for cut in cuts):
+                        expected.append(b - a)
+                    b = min(b, entries2)
+                    if a < b and not any(a < cut <= b for cut in cuts2):
+                        expected.append(b - a)
+        assert calls == expected and calls
+
+
+def odd_sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
+    """The float pieces of the sieved walk as it built them before it split
+    on p = 3: the sum, in units of 2**-FLOAT_UNIT_BITS, of phi(m*k)/(m*k)
+    over the odd k in (ks[i - 1], ks[i]] of ascending odd ks, from a step-2
+    walk of every odd k, streamed a block at a time."""
+    sums: list[int] = []
+    acc = ExactFloatSum()
+    block = BLOCK if threads == 1 else 4 * BLOCK
+    ns = np.arange(m, 2 * m * block, 2 * m, dtype=np.float64)
+    ratios = np.empty(block)
+    primes = [p for p, _ in factorize(m) if p > 2]
+    phi_m = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
+    cuts = [(k + 1) // 2 for k in ks]
+    base = 0
+    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
+        for start in range(0, table.phi.size, block):
+            size = min(block, table.phi.size - start)
+            phis = table.phi[start : start + size]
+            if m > 1:
+                phis = np.multiply(phis, float(phi_m), out=ratios[:size])
+                k = table.lo + 2 * start
+                for p in primes:
+                    fix = phis[-k * ((p + 1) // 2) % p :: p]
+                    fix /= p - 1
+                    fix *= p
+            np.divide(phis, ns[:size], out=ratios[:size])
+            ns += 2 * m * size
+            here = cuts[len(sums) : bisect_right(cuts, base + size, len(sums))]
+            sums += acc.extend_at(ratios[:size], [c - base for c in here])
+            base += size
+    return [b - a for a, b in zip([0, *sums], sums)]
+
+
+def third_edges(top: int) -> list[int]:
+    """Odd k up to top at and either side of every a*3**b, a < 6, and at
+    each k = 1..5 (mod 6) near top: where k // 3**b moves from one number
+    prime to 6 to the next, and the last k of each class."""
+    ks = {top - d for d in range(6)}
+    power = 1
+    while power <= top:
+        ks |= {a * power + d for a in range(1, 6) for d in (-2, -1, 0, 1, 2)}
+        power *= 3
+    return sorted(k for k in ks if 1 <= k <= top and k % 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9, 15, 12348, 30030])
+def test_the_split_on_3_gives_the_pieces_of_the_odd_walk(monkeypatch, m):
+    # the walk that sieves only the k prime to 6 and rebuilds the odd k
+    # from the split on 3 must give the pieces of the walk over every odd
+    # k, bit for bit: for 3 | m and for 3 not dividing m, at the edges of
+    # every k // 3**b, at segments of 13 and 4099 odd k and at the walk's
+    # own length, on one thread and two
+    for size, top in ((13, 2_000), (4099, 120_001), (TOTIENT_SEGMENT_SIZE, 120_001)):
+        use_segment_size(monkeypatch, size)
+        ks = third_edges(top)
+        for threads in (1, 2):
+            expected = odd_sieved_pieces(m, ks, threads)
+            assert densities._sieved_pieces(m, ks, threads) == expected
+    # and through the walker, at points whose K = N // m lie at 0..5 (mod 6)
+    monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", -1)
+    points = sorted({m * K + d for K in range(0, 40) for d in (0, m - 1)})
+    points += [m * 6**5 + m * d for d in range(6)]
+    walk = densities._sieved_pieces
+    monkeypatch.setattr(densities, "_sieved_pieces", odd_sieved_pieces)
+    expected = bits(phi_ratio_sums_at(m, points))
+    monkeypatch.setattr(densities, "_sieved_pieces", walk)
+    assert bits(phi_ratio_sums_at(m, points)) == expected
 
 
 def float_walk_peak(monkeypatch, m: int, size: int) -> int:
