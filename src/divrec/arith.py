@@ -1,12 +1,13 @@
-"""Pure-integer pieces: factorization, the odd totient list, exact pair
-sums, the odd-exponent family, the density type.
+"""Pure-integer pieces: factorization, the odd totient list, floor chains,
+exact pair sums, the odd-exponent family, the density type.
 
-Trial-division factorization, the plain list of odd totients, the adders of
-unreduced fractions, the odd-exponent counters and the closed-form density
-type that every family shares need no arrays, so this module, like the
-recursion engine, imports no numpy: ``import divrec``, ``oddly`` and
-``verify --suite lemma`` start without loading it. The square-free family,
-its recursion as well as its flag walker, lives in :mod:`divrec.densities`.
+Trial-division factorization, the plain list of odd totients, the floor
+chains, the adders of unreduced fractions, the odd-exponent counters and
+the closed-form density type that every family shares need no arrays, so
+this module, like the recursion engine, imports no numpy: ``import
+divrec``, ``oddly`` and ``verify --suite lemma`` start without loading it.
+The square-free family, its recursion as well as its flag walker, lives in
+:mod:`divrec.densities`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .limits import (
     ENGINE_MAX_N,
@@ -116,6 +117,22 @@ def odd_totients(K: int) -> list[int]:
         else:
             phi[i::p] = [v - v // p for v in phi[i::p]]
     return phi
+
+
+def floor_chain(xs: Iterable[int], p: int) -> list[int]:
+    """Every positive x // p**a, a >= 0, of the x in xs, ascending.
+
+    These are the floor chains x, x // p, x // p**2, ... that the recursion
+    G(N) = alpha*F(N // m) + beta*G(N // m) reads with p = m, since
+    (x // p) // p = x // p**2. Each chain stops at a value already taken,
+    for the rest of it is taken too. p is at least 2.
+    """
+    taken: set[int] = set()
+    for x in xs:
+        while x > 0 and x not in taken:
+            taken.add(x)
+            x //= p
+    return sorted(taken)
 
 
 def divisibility_exponent(n: int, m: int) -> int:

@@ -42,6 +42,7 @@ from .arith import (
     base_primes,
     check_prime,
     factorize,
+    floor_chain,
     odd_totients,
     pair_sum,
     rounded_units,
@@ -431,16 +432,10 @@ def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) ->
     # by the odd terms in (K' >> a, K >> a] for every a, times w for a >= 1.
     m = check_range("modulus m", m, 1)
     pts = checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
-    # O is cut at every K >> a, each K shifted only until it meets a shift of
-    # an earlier one, at the largest odd number up to it, (x - 1) | 1 (-1 for
-    # x = 0); pos counts the pieces up to each cut
-    shifts: set[int] = set()
-    for N in pts:
-        K = N // m
-        while K and K not in shifts:
-            shifts.add(K)
-            K >>= 1
-    ks = sorted({x - 1 | 1 for x in shifts})
+    # O is cut at every K >> a, the floor chain of each K on 2, at the
+    # largest odd number up to it, (x - 1) | 1 (-1 for x = 0); pos counts
+    # the pieces up to each cut
+    ks = sorted({x - 1 | 1 for x in floor_chain([N // m for N in pts], 2)})
     pieces = _odd_pieces(m, ks, exact, threads)
     pos = {k: i for i, k in enumerate(ks, 1)} | {-1: 0}
     add = sum_pairs if exact else sum
@@ -523,43 +518,25 @@ def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
     # or a = 0, and 2/3 of it otherwise. So with F1(y) the sum of f(m*j)
     # and F2(y) that of 2/3 f(m*j) over the j <= y prime to 6, the odd part
     # is, as in _phi_ratio_walk's split on 2,
-    #     O(x) = F1(x) + F2(x // 3) + F2(x // 9) + ...   for 3 not dividing m,
-    #     O(x) = F1(x) + F1(x // 3) + F1(x // 9) + ...   for 3 | m.
-    # This is exact in units: a term of F2 is the double nearest
-    # 2 phi(m*j) / (3*m*j), the same rational as phi(m*k) / (m*k), so the
-    # same double as the term of k; and every term is at least 1/8, an even
-    # number of units, so each sum and its parts are exact integers
+    #     O(x) = F1(x) + R(x // 3),   R(y) = W(y) + R(y // 3),   R(0) = 0,
+    # with W = F2 for 3 not dividing m and W = F1 for 3 | m; R is built
+    # over the floor chain of the ks // 3 on 3, smallest first. This is
+    # exact in units: a term of F2 is the double nearest 2 phi(m*j) /
+    # (3*m*j), the same rational as phi(m*k) / (m*k), so the same double as
+    # the term of k; and every term is at least 1/8, an even number of
+    # units, so each sum and its parts are exact integers
+    thirds = floor_chain([k // 3 for k in ks], 3)
     two_thirds = m % 3 != 0
-    ones = ks if two_thirds else _third_shifts(ks, 0)
-    twos = _third_shifts(ks, 1) if two_thirds else []
-    f1, f2 = [0] * len(ones), [0] * len(twos)
-    for c in (1, 5):  # the two classes prime to 6, walked one after the other
-        s1, s2 = _class_sums(m, c, ones, twos, threads)
-        f1 = [a + b for a, b in zip(f1, s1)]
-        f2 = [a + b for a, b in zip(f2, s2)]
-    # O(x) from its shifts, smallest first, as F(x) plus O's part at x // 3
-    running = {0: 0}
-    if two_thirds:
-        for y, units in zip(twos, f2):
-            running[y] = units + running[y // 3]
-        odd = [units + running[x // 3] for x, units in zip(ones, f1)]
-    else:
-        for y, units in zip(ones, f1):
-            running[y] = units + running[y // 3]
-        odd = [running[x] for x in ks]
+    ones, twos = (ks, thirds) if two_thirds else (sorted({*ks, *thirds}), [])
+    # the two classes prime to 6, walked one after the other
+    (a1, a2), (b1, b2) = (_class_sums(m, c, ones, twos, threads) for c in (1, 5))
+    f1 = {y: a + b for y, a, b in zip(ones, a1, b1)}
+    w = {y: a + b for y, a, b in zip(twos, a2, b2)} if two_thirds else f1
+    r = {0: 0}
+    for y in thirds:
+        r[y] = w[y] + r[y // 3]
+    odd = [f1[x] + r[x // 3] for x in ks]
     return [b - a for a, b in pairwise([0, *odd])]
-
-
-def _third_shifts(xs: list[int], first: int) -> list[int]:
-    # every positive x // 3**a, a >= first, of the x in xs, ascending; each
-    # x is divided only until it meets a shift already taken
-    shifts: set[int] = set()
-    for x in xs:
-        x //= 3**first
-        while x and x not in shifts:
-            shifts.add(x)
-            x //= 3
-    return sorted(shifts)
 
 
 def _class_sums(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
-from .arith import pair_sum
+from .arith import floor_chain, pair_sum
 from .limits import ENGINE_MAX_N, Record, check_range, shown
 
 #: Exact rational scalar used for all engine arithmetic.
@@ -93,16 +93,11 @@ def _walk(spec: RecurrenceSpec, N: int) -> tuple[list, list]:
     # L chain levels: fs[L - i] = F(N // m**i) for i = 1..L, and
     # gs[L - i] = G(N // m**i) as an unreduced (numerator, denominator) pair
     # for i = 0..L, where gs[0] = G(0) = 0
-    chain = []
-    v = N
-    while v:
-        chain.append(v)
-        v //= spec.m
     a, a_den = spec.alpha.numerator, spec.alpha.denominator
     b, b_den = spec.beta.numerator, spec.beta.denominator
     fs, gs = [], [(0, 1)]
     num, den = 0, 1
-    for v in reversed(chain):
+    for v in floor_chain([N], spec.m):
         f = spec.F(v // spec.m)
         # alpha * F + beta * G over the lcm of the two denominators
         f_num, f_den = a * f.numerator, a_den * f.denominator

@@ -1,49 +1,48 @@
 """Segmented sieves: totient-only segment tables, and square-free flags.
 
-A totient segment holds every integer of [lo, hi], or with ``step=2`` the
-odd ones from an odd lo, or with ``step=6`` those of one class prime to 6,
-1 or 5 (mod 6), from an lo of that class. It is sieved in int32 by
-multiplications along strides and no division but one. Two arrays start
-from a wheel for the primes up to 13, cached in int16 for each step and
-class over two periods of the residues that class reads (a period of
-30030 entries for step 1, 15015 for the odd numbers, 5005 for each class
-mod 6): one slice of it from the residue ``lo % 30030``, at most a period
-long and then doubled by copies of itself, gives each n the product of
-the wheel primes dividing it (``small``) and of their p - 1 (``phi``), so
-those six primes need no strides. Every larger prime p up to sqrt(hi), a
-stride prime, multiplies ``small`` by p and ``phi`` by p - 1 along its
-stride, and the power strides p**2, p**3, ... of every root prime not
-dividing the step multiply both by p; entry i holds n = lo + step*i, so
-the stride of q starts at index -lo / step (mod q), and no power of 2 (or
-of 3, for step 6) takes a stride where no n is even (or a multiple of 3).
-A stride of q up to the entry count // ``STRIDED_HITS`` takes its own two
-strided numpy calls. The sparser ones, most of the 3395 stride primes and
-3661 prime powers of an odd segment at the cap (3644 for step 6), are
-bucketed, as in the segmented sieve of Oliveira e Silva, Herzog and Pardi
-(Math. Comp. 83, 2014): the indices of all their hits are built together
-from each stride's next hit, ``HIT_CHUNK`` hits at a time, and
-``np.multiply.at`` applies the factors, since two strides may hit one
-entry. ``small`` is then the part of n made of stride primes and ``phi``
-its totient. Only after those strides is ``n // small`` taken, once for
-each ``FIX_CHUNK`` entries: it is 1 or a single prime q above the stride
-primes, and one branch-free pass multiplies ``phi`` by q - 1 where q > 1.
+A totient segment holds every integer of [lo, hi], or with ``step=6`` those
+of one class prime to 6, 1 or 5 (mod 6), from an lo of that class. It is
+sieved in int32 by multiplications along strides and no division but one.
+Two arrays start from a wheel for the primes up to 13, cached in int16 for
+each step and class over two periods of the residues that class reads (a
+period of 30030 entries for step 1, 5005 for each class mod 6): one slice
+of it from the residue ``lo % 30030``, at most a period long and then
+doubled by copies of itself, gives each n the product of the wheel primes
+dividing it (``small``) and of their p - 1 (``phi``), so those six primes
+need no strides. Every larger prime p up to sqrt(hi), a stride prime,
+multiplies ``small`` by p and ``phi`` by p - 1 along its stride, and the
+power strides p**2, p**3, ... of every root prime not dividing the step
+multiply both by p; entry i holds n = lo + step*i, so the stride of q
+starts at index -lo / step (mod q), and no power of 2 or 3 takes a stride
+in a class mod 6, where no n is even or a multiple of 3. A stride of q up
+to the entry count // ``STRIDED_HITS`` takes its own two strided numpy
+calls. The sparser ones, most of the 3395 stride primes and 3644 prime
+powers of a class segment at the cap, are bucketed, as in the segmented
+sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014): the
+indices of all their hits are built together from each stride's next hit,
+``HIT_CHUNK`` hits at a time, and ``np.multiply.at`` applies the factors,
+since two strides may hit one entry. ``small`` is then the part of n made
+of stride primes and ``phi`` its totient. Only after those strides is
+``n // small`` taken, once for each ``FIX_CHUNK`` entries: it is 1 or a
+single prime q above the stride primes, and one branch-free pass
+multiplies ``phi`` by q - 1 where q > 1.
 
 The totient walk :func:`iter_sieve_tables` cuts segments of
 :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries, 2**16, on one thread.
 Like that sieve it builds its stride table once, for its last number and
-from the primes up to its root alone (995 strides to 1e7, 973 for odd
-numbers, 960 for a class mod 6), and carries each bucketed stride's next
-hit from one segment to the next, so a segment pays for the hits of the
-strides, not for finding where each starts. It sieves ``small``, and the
-n of the fix, into buffers it keeps for the whole walk; each table it
-yields owns a fresh ``phi``. :func:`sieve_segment` is the same sieve, a
-walk of one segment whose strides start from its lo. With worker threads
-the walk sieves ahead by ``sieve_segment`` calls of
-:data:`divrec.limits.SEGMENT_SIZE` entries, 2**20, the most a segment may
-hold, each building its own strides; such segments never depend on each
-other. Both lengths set memory and speed, never a result. The float
-totient walk reads steps of 6, one class after the other; steps 1 and 2
-serve the benchmark's probes and any caller of the sieve.
+from the primes up to its root alone (995 strides to 1e7, 960 for a class
+mod 6), and carries each bucketed stride's next hit from one segment to the
+next, so a segment pays for the hits of the strides, not for finding where
+each starts. It sieves ``small``, and the n of the fix, into buffers it
+keeps for the whole walk; each table it yields owns a fresh ``phi``.
+:func:`sieve_segment` is the same sieve, a walk of one segment whose
+strides start from its lo. With worker threads the walk sieves ahead by
+``sieve_segment`` calls of :data:`divrec.limits.SEGMENT_SIZE` entries,
+2**20, the most a segment may hold, each building its own strides; such
+segments never depend on each other. Both lengths set memory and speed,
+never a result. The float totient walk reads steps of 6, one class after
+the other; step 1 serves the benchmark's probes and any caller of the
+sieve.
 
 A :class:`SieveTable` holds the totients only, as the int32 ``phi``
 itself; square-free flags come from the separate :func:`squarefree_flags`,
@@ -90,8 +89,7 @@ class SieveTable(Record):
         phi: read-only int32 array, ``phi[(n - lo) // step]`` is phi(n);
             every totient is below ``SIEVE_MAX_N`` < 2**31, and
             :meth:`phi_of` reads one as a Python int.
-        step: 1 for every integer, 2 for the odd ones only, 6 for one class
-            prime to 6.
+        step: 1 for every integer, 6 for one class prime to 6.
 
     Two tables are equal when they cover the same numbers with equal
     totients; a table holds an array, so it is not hashable.
@@ -129,7 +127,7 @@ FIX_CHUNK = 1 << 15
 #: A stride of q takes its own two numpy calls while q <= entries //
 #: STRIDED_HITS, so that each call covers at least about this many
 #: entries; the sparser strides of a segment are bucketed. At the walk's
-#: 2**16 entries that leaves 57 strides of odd numbers to their own calls
+#: 2**16 entries that leaves 53 strides of a class mod 6 to their own calls
 #: near 1e8. The sieve of the odd numbers to 3e7 took 6-22% more time at
 #: 128, and from 5% less to 14% more at 512 (best of 15 alternating runs,
 #: two rounds).
@@ -155,8 +153,8 @@ def _wheel(step: int, residue: int) -> tuple[np.ndarray, np.ndarray]:
     # the wheel primes dividing n and of their p - 1, in int16 (at most
     # WHEEL < 2**15): the residues a table of this step and class reads,
     # over two periods, so that any period from lo % WHEEL on is one slice.
-    # The multiples of p start at entry -residue / step (mod p): entry 0
-    # for step 1, p // 2 for the odd numbers; a prime of step divides no n
+    # The multiples of p start at entry -residue / step (mod p), entry 0 for
+    # step 1; a prime of step divides no n
     radical = np.ones(2 * WHEEL // step, dtype=np.int16)
     totient = np.ones(2 * WHEEL // step, dtype=np.int16)
     for p in WHEEL_PRIMES:
@@ -173,11 +171,11 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     """Sieve the totients of [lo, hi], or of every step-th number from lo.
 
     Args:
-        lo: Segment start, at least 1; odd for step 2, prime to 6 for step 6.
+        lo: Segment start, at least 1; prime to 6 for step 6.
         hi: Segment end; the last number covered, the last of lo, lo +
             step, ... up to hi, is at most ``SIEVE_MAX_N``.
-        step: 1 for every integer, 2 for the odd integers only, 6 for the
-            integers of lo's class mod 6, 1 or 5.
+        step: 1 for every integer, 6 for the integers of lo's class mod 6,
+            1 or 5. Any other step is a ValueError.
 
     A segment of more than :data:`divrec.limits.SEGMENT_SIZE` entries
     (2**20) is refused, so a typo cannot allocate an enormous array.
@@ -198,9 +196,9 @@ def _strides(last: int, step: int) -> np.ndarray:
     # last, over the prime p of each, in int32: the primes past the wheel's
     # up to sqrt(last), then each power p**k <= last, k >= 2, of those root
     # primes, squares first, then cubes and so on (no power of a prime of
-    # step divides an n of the walk: none of 2 for step 2, of 2 or 3 for
-    # step 6); a larger prime is left to the fix. A prime's stride
-    # multiplies small by p and phi by p - 1, a power's both by p
+    # step divides an n of the walk: none of 2 or 3 for step 6); a larger
+    # prime is left to the fix. A prime's stride multiplies small by p and
+    # phi by p - 1, a power's both by p
     primes = np.array(_root_primes(last), dtype=np.int64)
     rest = primes[len(WHEEL_PRIMES) :]
     qs, ps = [rest], [rest]
@@ -216,9 +214,9 @@ def _strides(last: int, step: int) -> np.ndarray:
 
 
 def _inverse(step, q):
-    # the inverse of step mod each q prime to it, for step 1, 2 or 6: such a
-    # q is 1 or -1 mod step, so (-q mod step) * q + 1 is a multiple of step.
-    # That gives 1 for step 1, (q + 1) // 2 for step 2, and below q always
+    # the inverse of step mod each q prime to it, for step 1 or 6: such a q
+    # is 1 or -1 mod step, so (-q mod step) * q + 1 is a multiple of step.
+    # That gives 1 for step 1, and below q always
     return (-q % step * q + 1) // step
 
 
@@ -341,17 +339,19 @@ class _Walk:
 
 def _checked_span(lo: int, hi: int, step: int) -> tuple[int, int]:
     # lo and the last of lo, lo + step, ... up to hi, as Python ints (a
-    # numpy int32 lo would overflow in -lo * (p + 1)), checked against the
+    # numpy int32 lo would overflow in -lo * inverse), checked against the
     # sieve cap
-    if step not in (1, 2, 6) or step > 1 and lo % 2 == 0 or step == 6 and lo % 3 == 0:
+    step = check_range("step", step, 1)
+    if step != 1 and (step != 6 or lo % 2 == 0 or lo % 3 == 0):
         raise ValueError(
-            "need step 1, 2 from an odd lo, or 6 from an lo prime to 6; "
+            "need step 1, or 6 from an lo prime to 6; "
             f"got step {shown(step)} from {shown(lo)}"
         )
     lo = check_range("lo", lo, 1)
     hi = check_range("hi", hi, lo)
     last = hi - (hi - lo) % step
-    check_range("hi" if step == 1 else "last odd number", last, lo, SIEVE_MAX_N)
+    name = "hi" if step == 1 else "last number of the class"
+    check_range(name, last, lo, SIEVE_MAX_N)
     return lo, last
 
 
@@ -385,17 +385,17 @@ def iter_sieve_tables(
 
     Segments hold :data:`divrec.limits.TOTIENT_SEGMENT_SIZE` entries on one
     thread and :data:`divrec.limits.SEGMENT_SIZE` with ``threads > 1``, read
-    at the call; the last may hold fewer.
-    With ``step=2`` they hold the odd numbers only, from an odd lo, and
-    with ``step=6`` the numbers of lo's class mod 6, from an lo prime to 6,
-    as :func:`sieve_segment` sieves them. On one thread the walk carries its
-    strides from segment to segment. With ``threads > 1`` upcoming
-    segments are sieved ahead on a thread pool of at most the usable CPUs,
-    but they are handed back strictly in range order, so any accumulation
-    on the consumer side stays deterministic regardless of the thread count.
-    ``threads`` must be an integer of at least 1. The arguments are checked
-    at the call, before any table is asked for. Every table owns its
-    ``phi``, so a caller may keep the tables of a walk.
+    at the call; the last may hold fewer. With ``step=6`` they hold the
+    numbers of lo's class mod 6, from an lo prime to 6, as
+    :func:`sieve_segment` sieves them; any step but 1 and 6 is a ValueError.
+    On one thread the walk carries its strides from segment to segment. With
+    ``threads > 1`` upcoming segments are sieved ahead on a thread pool of
+    at most the usable CPUs, but they are handed back strictly in range
+    order, so any accumulation on the consumer side stays deterministic
+    regardless of the thread count. ``threads`` must be an integer of at
+    least 1. The arguments are checked at the call, before any table is
+    asked for. Every table owns its ``phi``, so a caller may keep the tables
+    of a walk.
     """
     threads = check_range("threads", threads, 1)
     lo, last = _checked_span(lo, hi, step)

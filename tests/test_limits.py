@@ -169,7 +169,7 @@ def test_a_non_integer_argument_is_a_type_error_that_names_it(call, name, kind):
 def test_numpy_integers_pass_and_sieve_as_python_integers():
     # a numpy int32 lo would wrap where the sieve finds its stride starts
     lo, hi = 10**8 + 1, 10**8 + 1001
-    for step in (1, 2):
+    for step in (1, 6):  # lo is 5 (mod 6)
         table = sieve_segment(np.int32(lo), np.int64(hi), step=step)
         assert np.array_equal(table.phi, sieve_segment(lo, hi, step=step).phi)
         assert squarefree_flags(np.int32(lo), np.int32(hi)).tolist() == (

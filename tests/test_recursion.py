@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrec.arith import floor_chain
 from divrec.convergence import PhiSumFamily
 from divrec.limits import ENGINE_MAX_N, RangeLimitError
 from divrec.recursion import (
@@ -405,3 +406,68 @@ def test_evaluation_equals_the_previous_evaluation_along_a_chain(F):
         if v == 0:
             break
         v //= spec.m
+
+
+def halving_shifts(xs: list[int]) -> list[int]:
+    """The shift set of the split on 2 as ``densities._phi_ratio_walk`` built
+    it before ``arith.floor_chain``: each x halved until it meets a shift
+    already taken."""
+    shifts: set[int] = set()
+    for x in xs:
+        while x and x not in shifts:
+            shifts.add(x)
+            x >>= 1
+    return sorted(shifts)
+
+
+def third_shifts(xs: list[int], first: int) -> list[int]:
+    """The shift sets of the split on 3 as ``densities._third_shifts`` built
+    them: every positive x // 3**a, a >= first, each x divided only until it
+    meets a shift already taken."""
+    shifts: set[int] = set()
+    for x in xs:
+        x //= 3**first
+        while x and x not in shifts:
+            shifts.add(x)
+            x //= 3
+    return sorted(shifts)
+
+
+#: 0, 1, powers of 2 and 3 and their neighbours, where the chains on 2 and 3
+#: end or meet, among values up to the sieve cap and past it
+CHAIN_EDGES = sorted(
+    {0, 1, 2, 3}
+    | {b**k + d for b in (2, 3) for k in (2, 5, 12, 18) for d in (-1, 0, 1)}
+)
+
+
+@settings(max_examples=200)
+@given(
+    xs=st.lists(
+        st.one_of(st.sampled_from(CHAIN_EDGES), st.integers(0, ENGINE_MAX_N)),
+        max_size=30,
+    ).map(lambda xs: xs + xs[::2])  # repeats every other value
+)
+def test_floor_chain_builds_the_shift_sets_of_both_splits(xs):
+    assert floor_chain(xs, 2) == halving_shifts(xs)
+    assert floor_chain(xs, 3) == third_shifts(xs, 0)
+    assert floor_chain([x // 3 for x in xs], 3) == third_shifts(xs, 1)
+    for p in (2, 3, 7):
+        chains = {x // p**a for x in xs for a in range(41)} - {0}
+        assert floor_chain(xs, p) == sorted(chains)
+
+
+@settings(max_examples=100)
+@given(m=st.integers(min_value=2, max_value=12), N=st.integers(0, ENGINE_MAX_N))
+def test_the_walk_reads_F_once_a_level_along_the_chain(m, N):
+    # evaluate_G reads F(v // m) for v = N, N // m, ..., bottom-up, as it
+    # did when it built the chain itself
+    seen = []
+    F = CountingFunction(lambda n: seen.append(n) or Fraction(n), "F(n) = n")
+    seen.clear()  # the check that F vanishes at 0
+    evaluate_G(RecurrenceSpec(m, 1, -1, 1, F), N)
+    chain = []
+    while N:
+        chain.append(N)
+        N //= m
+    assert seen == [v // m for v in reversed(chain)]

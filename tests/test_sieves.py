@@ -7,6 +7,7 @@ import random
 from bisect import bisect_right
 import tracemalloc
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divrec.arith import base_primes, divisibility_exponent, factorize, is_prime
-from divrec import limits
+from divrec import limits, sieves
 from divrec.limits import SIEVE_MAX_N, RangeLimitError
 from divrec.sieves import (
     FIX_CHUNK,
@@ -166,17 +167,44 @@ def test_segment_equals_the_previous_sieve(lo, length):
 LAST_ODD = SIEVE_MAX_N - 1 + SIEVE_MAX_N % 2
 
 #: the last number up to the cap that a table of each step covers, from lo =
-#: 1 for steps 1 and 2 and from a lo of 1 (mod 6) for step 6
+#: 1 for step 1 and from a lo of 1 (mod 6) for step 6, and the last odd
+#: number, the last that the odd entries of step-1 tables reach
 LAST_OF_STEP = {1: SIEVE_MAX_N, 2: LAST_ODD, 6: SIEVE_MAX_N - (SIEVE_MAX_N - 1) % 6}
+
+
+class OddEntries(NamedTuple):
+    """The odd entries of the step-1 tables of a walk from an odd lo to the
+    odd hi: how the odd-walk oracles of ``tests/test_walkers.py`` read the
+    odd k, since the sieve has no odd-number mode. The checks below that
+    take step 2 hold this view to the oracles of the odd numbers."""
+
+    lo: int
+    hi: int
+    phi: np.ndarray
+
+    def phi_of(self, n: int) -> int:
+        assert self.lo <= n <= self.hi and n % 2
+        return int(self.phi[(n - self.lo) // 2])
+
+
+def sieved(lo: int, hi: int, step: int):
+    """The totients of lo, lo + step, ... up to hi: a table of step 1 or 6,
+    or for step 2 the odd entries of a step-1 walk over [lo, hi]."""
+    if step != 2:
+        return sieve_segment(lo, hi, step=step)
+    hi -= 1 - hi % 2
+    tables = iter_sieve_tables(lo, hi)
+    return OddEntries(lo, hi, np.concatenate([t.phi for t in tables])[::2])
 
 
 @pytest.mark.parametrize(
     "lo, entries",
     list(dict.fromkeys([
-        # one entry, a prime segment, one odd-wheel period and one more
+        # one entry, a prime segment, the 15015 odd numbers of a wheel
+        # period and one more
         *((1, n) for n in (1, 4099, 15_015, 15_016, 1 << 20)),
-        # odd lo at several places in the 15015-entry odd wheel, so tiles
-        # start and end part-way through a period
+        # odd lo at several places in a wheel period and half of one, so
+        # tiles start and end part-way through a period
         *(
             (lo, n)
             for lo in (15_013, 15_015, 30_029, 30_031, 30_030 * 3_330 + 7_777)
@@ -191,45 +219,62 @@ LAST_OF_STEP = {1: SIEVE_MAX_N, 2: LAST_ODD, 6: SIEVE_MAX_N - (SIEVE_MAX_N - 1) 
     ])),
 )
 def test_odd_segment_equals_the_odd_entries_of_the_previous_sieve(lo, entries):
+    # the odd numbers lo, lo + 2, ... up to hi as the sieve gives them: the
+    # odd entries of step-1 tables, and the tables of the two classes prime
+    # to 6 among them, which the float walk reads; an even hi ends each at
+    # the number of its class before it
     hi = lo + 2 * (entries - 1)
-    table = sieve_segment(lo, hi, step=2)
-    assert (table.lo, table.hi, table.step) == (lo, hi, 2)
-    assert np.array_equal(table.phi, previous_sieve_phi(lo, hi)[::2])
-    # an even hi ends the table at the odd number before it
-    assert np.array_equal(sieve_segment(lo, hi + 1, step=2).phi, table.phi)
+    expected = previous_sieve_phi(lo, hi)
+    view = sieved(lo, hi + 1, 2)
+    assert (view.lo, view.hi) == (lo, hi)
+    assert np.array_equal(view.phi, expected[::2])
+    for c in range(lo, min(lo + 4, hi) + 1, 2):
+        if c % 3:
+            table = sieve_segment(c, hi + 1, step=6)
+            assert (table.lo, table.step) == (c, 6) and hi - 6 < table.hi <= hi
+            assert np.array_equal(table.phi, expected[c - lo :: 6])
 
 
 def test_odd_segments_refuse_what_they_cannot_hold(monkeypatch):
-    with pytest.raises(ValueError, match="odd"):
-        sieve_segment(2, 11, step=2)
-    with pytest.raises(ValueError, match="odd"):
-        next(iter_sieve_tables(10, 20, step=2))
+    # the sieve takes odd numbers only as a class prime to 6, from an lo of
+    # that class; the step-2 odd-number mode is gone
     for lo in (2, 3, 4, 6, 9, 10**8):  # step 6 takes an lo prime to 6
         with pytest.raises(ValueError, match="prime to 6"):
             sieve_segment(lo, lo + 60, step=6)
-    assert sieve_segment(LAST_OF_STEP[6], SIEVE_MAX_N, step=6).hi == LAST_OF_STEP[6]
-    for step in (0, 3, -2):
+    for step in (0, 2, 3, -2):
         with pytest.raises(ValueError, match="step"):
             sieve_segment(1, 11, step=step)
         with pytest.raises(ValueError, match="step"):
             next(iter_sieve_tables(1, 11, step=step))
-    # the last odd number is what the cap applies to
-    assert sieve_segment(LAST_ODD, SIEVE_MAX_N, step=2).hi == LAST_ODD
-    for lo in (LAST_ODD, 1):
-        with pytest.raises(RangeLimitError):
-            sieve_segment(lo, LAST_ODD + 2, step=2)
-        with pytest.raises(RangeLimitError):
-            next(iter_sieve_tables(lo, LAST_ODD + 2, step=2))
+    # the last number of the class is what the cap applies to
+    for c in (LAST_OF_STEP[6], LAST_OF_STEP[6] - 2):  # 1 and 5 (mod 6)
+        assert sieve_segment(c, SIEVE_MAX_N, step=6).hi == c
+        message = rf"^last number of the class = {c + 6} exceeds the cap {SIEVE_MAX_N}$"
+        for lo in (c, c % 6):
+            with pytest.raises(RangeLimitError, match=message):
+                sieve_segment(lo, c + 6, step=6)
+            with pytest.raises(RangeLimitError, match=message):
+                iter_sieve_tables(lo, c + 6, step=6)
     # the segment size counts entries, not the numbers they span
     monkeypatch.setattr(limits, "SEGMENT_SIZE", 10)
-    assert sieve_segment(1, 20, step=2).phi.size == 10
+    assert sieve_segment(5, 60, step=6).phi.size == 10
     with pytest.raises(RangeLimitError):
-        sieve_segment(1, 21, step=2)
-    table = sieve_segment(11, 29, step=2)
-    assert [table.phi_of(n) for n in (11, 15, 29)] == [10, 8, 28]
-    for n in (12, 28, 9, 31):
+        sieve_segment(5, 65, step=6)
+    table = sieve_segment(11, 65, step=6)
+    assert [table.phi_of(n) for n in (11, 35, 65)] == [10, 24, 48]
+    for n in (12, 13, 5, 71):
         with pytest.raises(ValueError):
             table.phi_of(n)
+
+
+def test_step_2_is_refused_at_the_call(monkeypatch):
+    # step 2, even from an odd lo, is a ValueError from the call itself:
+    # without a walk to build, any table would fail otherwise
+    monkeypatch.setattr(sieves, "_Walk", None)
+    message = r"^need step 1, or 6 from an lo prime to 6; got step 2 from 1$"
+    for call in (sieve_segment, iter_sieve_tables):
+        with pytest.raises(ValueError, match=message):
+            call(1, 9, step=2)
 
 
 def use_walk_length(monkeypatch, size):
@@ -240,21 +285,27 @@ def use_walk_length(monkeypatch, size):
 
 
 def test_odd_tables_cover_the_odd_numbers_in_order(monkeypatch):
+    # the odd numbers prime to 3 as the float walk reads them: a walk of
+    # each class prime to 6 from the first of its numbers from lo, on one
+    # thread and two, in segments of a prime length, of three wheel periods
+    # of a class and longer, covers its class up to hi in order
     whole = sieve_segment(1, 40_000)
     for size in (101, 997, 15015, 30000):
         use_walk_length(monkeypatch, size)
         for lo, hi in ((1, 40_000), (9_999, 39_999)):
-            for threads in (1, 2):
-                tables = list(iter_sieve_tables(lo, hi, threads=threads, step=2))
-                assert all(t.step == 2 and t.lo % 2 for t in tables)
-                assert [t.lo for t in tables[1:]] == [t.hi + 2 for t in tables[:-1]]
-                assert tables[0].lo == lo and tables[-1].hi == hi - 1 + hi % 2
-                assert all(t.phi.size == size for t in tables[:-1])
-                got = np.concatenate([t.phi for t in tables])
-                assert np.array_equal(got, whole.phi[lo - 1 : hi : 2])
+            for c in (n for n in range(lo, lo + 6, 2) if n % 3):
+                last = hi - (hi - c) % 6
+                for threads in (1, 2):
+                    tables = list(iter_sieve_tables(c, hi, threads=threads, step=6))
+                    assert all(t.step == 6 and t.lo % 6 == c % 6 for t in tables)
+                    assert [t.lo for t in tables[1:]] == [t.hi + 6 for t in tables[:-1]]
+                    assert tables[0].lo == c and tables[-1].hi == last
+                    assert all(t.phi.size == size for t in tables[:-1])
+                    got = np.concatenate([t.phi for t in tables])
+                    assert np.array_equal(got, whole.phi[c - 1 : hi : 6])
     monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 7)
-    spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 40, step=2)]
-    assert spans == [(5, 17), (19, 31), (33, 39)]
+    spans = [(t.lo, t.hi) for t in iter_sieve_tables(5, 100, step=6)]
+    assert spans == [(5, 41), (47, 83), (89, 95)]
 
 
 def stride_sieve_phi(lo: int, hi: int, step: int = 1) -> np.ndarray:
@@ -286,31 +337,34 @@ def stride_sieve_phi(lo: int, hi: int, step: int = 1) -> np.ndarray:
 def test_bucketed_segment_equals_the_per_prime_stride_sieve(entries, where, step):
     # segments too short to take any stride of their own, the walk's length
     # and the longest segment, from lo = 1, from 1e8 + 1 and ending at the
-    # last number below the cap, against the stride loop they replaced
+    # last number below the cap, against the stride loop they replaced; for
+    # step 2 the odd entries of the step-1 walk over the same numbers
     lo = {
         "first": 1,
         "middle": 10**8 + 1,
         "last": LAST_OF_STEP[step] - step * (entries - 1),
     }[where]
     hi = lo + step * (entries - 1)
-    table = sieve_segment(lo, hi, step=step)
+    table = sieved(lo, hi, step)
     assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, step))
 
 
 def first_hit(q: int, lo: int, step: int) -> int:
-    """The first n = lo + step*i, i >= 0, that q divides (q odd for step 2)."""
-    return lo + step * (-lo * ((q + 1) // step) % q)
+    """The first n = lo + step*i, i >= 0, that q, prime to step, divides."""
+    return lo + step * (-lo * pow(step, -1, q) % q)
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 @pytest.mark.parametrize("entries", [1 << 16, 1 << 18])
 def test_strides_either_side_of_the_bucket_threshold(entries, step):
     # the largest prime and prime power up to entries // STRIDED_HITS take
     # their own strides, the next ones are bucketed: 251 | 257 and 256 | 289
-    # (243 | 289 for odd numbers) at 2**16 entries, 1021 | 1031 and 1024 |
-    # 1331 (961 | 1331) at 2**18
+    # (243 | 289 for the odd numbers, 169 | 289 for a class mod 6) at 2**16
+    # entries, 1021 | 1031 and 1024 | 1331 (961 | 1331) at 2**18. Step 2
+    # reads the odd entries of a walk of twice the numbers, whose segments
+    # hold their own threshold, at the same hits
     edge = entries // STRIDED_HITS
-    primes = base_primes()[step - 1 :]  # no power of 2 divides an odd n
+    primes = [p for p in base_primes() if step % p]  # no power of p divides n
     powers = sorted(
         p**k for p in primes[:40] for k in range(2, 32) if p**k <= SIEVE_MAX_N
     )
@@ -321,25 +375,25 @@ def test_strides_either_side_of_the_bucket_threshold(entries, step):
     assert strides[0] <= edge < strides[1] and strides[2] <= edge < strides[3]
     lo = 10**8 + 1
     hi = lo + step * (entries - 1)
-    table = sieve_segment(lo, hi, step=step)
+    table = sieved(lo, hi, step)
     assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, step))
     for q in strides:
         n = first_hit(q, lo, step)
         assert n <= hi and table.phi_of(n) == phi_oracle(n)
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 def test_an_entry_hit_by_two_bucketed_strides_takes_both(step):
     # np.multiply.at applies every hit on one entry, where a fancy-index *=
     # would keep only one of them: n has two prime factors above the
     # threshold, or the square of one and another, and a third factor
-    # from the strides of its own
+    # from the strides of its own; each n is prime to 6
     entries = 1 << 16
     edge = entries // STRIDED_HITS
     p, q = [x for x in base_primes() if x > edge][:2]
     for n in (p * q * 367, p * p * q, p * q):
         lo = max(1, n - step * 1000)
-        table = sieve_segment(lo, lo + step * (entries - 1), step=step)
+        table = sieved(lo, lo + step * (entries - 1), step)
         assert table.phi_of(n) == phi_oracle(n)
         assert np.array_equal(table.phi, stride_sieve_phi(table.lo, table.hi, step))
 
@@ -374,7 +428,12 @@ def capped_strides(last: int, step: int) -> np.ndarray:
      10**7, 10**8 + 1, SIEVE_MAX_N],
 )
 def test_a_walk_builds_the_strides_of_its_last_number(last, step):
-    table = _strides(last, step)
+    if step == 2:
+        # the odd entries of a step-1 walk take its strides of odd modulus
+        table = _strides(last, 1)
+        table = table[:, table[0] % 2 == 1]
+    else:
+        table = _strides(last, step)
     assert table.dtype == np.int32
     assert np.array_equal(table, capped_strides(last, step))
     q, p = table
@@ -383,17 +442,17 @@ def test_a_walk_builds_the_strides_of_its_last_number(last, step):
         assert not np.any((q % 2 == 0) | (q % 3 == 0))
 
 
-@pytest.mark.parametrize("step", [1, 2, 6])
+@pytest.mark.parametrize("step", [1, 6])
 def test_the_wheel_keeps_the_residues_its_step_reads(step):
     # against the int32 wheel of every residue over two periods and a bit,
-    # which odd tables read every second entry of, and the tables of a
-    # class mod 6 every sixth from the class
+    # which the tables of a class mod 6 read every sixth entry of, from the
+    # class
     radical = np.ones(2 * WHEEL + 5, dtype=np.int32)
     totient = np.ones(2 * WHEEL + 5, dtype=np.int32)
     for p in WHEEL_PRIMES:
         radical[::p] *= p
         totient[::p] *= p - 1
-    for residue in {1: [0], 2: [1], 6: [1, 5]}[step]:
+    for residue in {1: [0], 6: [1, 5]}[step]:
         got = _wheel(step, residue)
         assert [w.dtype for w in got] == [np.int16, np.int16]
         assert [w.size for w in got] == [2 * WHEEL // step] * 2
@@ -404,9 +463,8 @@ def test_the_wheel_keeps_the_residues_its_step_reads(step):
 @pytest.mark.parametrize("entries", [1, 13, 15_015, 15_016])
 @pytest.mark.parametrize(
     "lo",
-    # odd tables from either side of a whole wheel period, and of an odd
-    # multiple of half a period, where the odd wheel's slice starts at its
-    # first and last entries; near 1e8 and near the cap
+    # tables of odd numbers from either side of a whole wheel period and of
+    # an odd multiple of half a period; near 1e8 and near the cap
     sorted(
         lo
         for k in (0, 1, 3_330, 33_298)
@@ -416,9 +474,13 @@ def test_the_wheel_keeps_the_residues_its_step_reads(step):
     ),
 )
 def test_odd_tables_from_the_edges_of_the_wheel(lo, entries):
-    hi = lo + 2 * (entries - 1)
-    table = sieve_segment(lo, hi, step=2)
-    assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, 2))
+    # 15015 is 3 (mod 6), so every lo is prime to 6 and starts a table of
+    # its class: at the first and last entries of the class wheel's period
+    # and half-way through it, over three class periods and one more entry
+    hi = min(lo + 6 * (entries - 1), SIEVE_MAX_N)
+    table = sieve_segment(lo, hi, step=6)
+    assert (table.lo, table.step) == (lo, 6) and table.hi > hi - 6
+    assert np.array_equal(table.phi, stride_sieve_phi(lo, hi, 6))
 
 
 @pytest.mark.parametrize("entries", [1, 13, 5005, 5006])
@@ -470,40 +532,47 @@ def test_a_walk_equals_its_segments_sieved_alone(monkeypatch, entries, where, st
     # sieve_segment finds every start from its own lo. Over two and a half
     # segments, from lo = 1, from 1e8 + 1 and ending at the last number
     # below the cap, every table must equal the one sieved alone, and the
-    # whole walk the per-prime stride sieve
+    # whole walk the per-prime stride sieve. Step 2 walks every number of
+    # twice the span and reads the odd ones
     use_walk_length(monkeypatch, entries)
-    span = step * (5 * entries // 2)  # the numbers the walk covers
+    span = step * (5 * entries // 2)  # the numbers the walk reads
     lo = {
         "first": 1,
         "middle": 10**8 + 1,
         "last": LAST_OF_STEP[step] - span + step,
     }[where]
     hi = lo + span - step
-    tables = list(iter_sieve_tables(lo, hi, step=step))
-    assert [t.phi.size for t in tables] == [entries, entries, span // step - 2 * entries]
+    walk = 1 if step == 2 else step
+    tables = list(iter_sieve_tables(lo, hi, step=walk))
+    count = (hi - lo) // walk + 1
+    sizes = [entries] * (count // entries) + [count % entries] * (count % entries > 0)
+    assert [t.phi.size for t in tables] == sizes
     for table in tables:
-        assert table == sieve_segment(table.lo, table.hi, step=step)
-    got = np.concatenate([t.phi for t in tables])
+        assert table == sieve_segment(table.lo, table.hi, step=walk)
+    got = np.concatenate([t.phi for t in tables])[:: step // walk]
     assert np.array_equal(got, stride_sieve_phi(lo, hi, step))
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 def test_a_walk_sieves_early_segments_with_the_strides_of_its_last_number(
     monkeypatch, step
 ):
     # the largest stride prime p of the walk lies above sqrt of its first
     # segment's hi: sieving that segment alone leaves p to the large-prime
     # fix, the walk takes its stride, and each multiple of p there then
-    # leaves 1 for the fix
+    # leaves 1 for the fix. Step 2 walks every number and reads the odd ones
     use_walk_length(monkeypatch, 4099)
     hi = 1 + step * (3 * 4099 - 1)
-    tables = list(iter_sieve_tables(1, hi, step=step))
+    walk = 1 if step == 2 else step
+    tables = list(iter_sieve_tables(1, hi, step=walk))
     first = tables[0]
     p = max(q for q in base_primes() if q * q <= hi)
-    assert first.hi < p * p and 3 * p <= first.hi
-    for n in (p, 3 * p):
+    # p and its next multiple in the walk's class, 3p or 7p
+    multiple = next(k * p for k in (3, 7) if (k * p - 1) % walk == 0)
+    assert first.hi < p * p and multiple <= first.hi
+    for n in (p, multiple):
         assert first.phi_of(n) == phi_oracle(n)
-    got = np.concatenate([t.phi for t in tables])
+    got = np.concatenate([t.phi for t in tables])[:: step // walk]
     assert np.array_equal(got, stride_sieve_phi(1, hi, step))
 
 
@@ -511,9 +580,9 @@ def test_tables_a_walk_yields_keep_their_totients(monkeypatch):
     # the walk sieves into buffers it reuses, but every table owns its phi:
     # tables kept in a list do not change as the walk goes on
     use_walk_length(monkeypatch, 4099)
-    for step in (1, 2):
+    for step in (1, 6):
         kept, copies = [], []
-        for table in iter_sieve_tables(10**8 + 1, 10**8 + 50_000, step=step):
+        for table in iter_sieve_tables(10**8 + 1, 10**8 + 50_000 * step, step=step):
             kept.append(table)
             copies.append(table.phi.copy())
         assert len(kept) > 3
@@ -528,15 +597,18 @@ def test_tables_a_walk_yields_keep_their_totients(monkeypatch):
     [
         ((1, 10), {"threads": 0}, ValueError),
         ((1, 10), {"threads": 1.5}, TypeError),
-        ((2, 11), {"step": 2}, ValueError),
+        ((1, 9), {"step": 2}, ValueError),
         ((1, 11), {"step": 3}, ValueError),
         ((3, 2), {}, ValueError),
         ((0, 10), {}, ValueError),
         ((1, SIEVE_MAX_N + 1), {}, RangeLimitError),
-        ((1, LAST_ODD + 2), {"step": 2}, RangeLimitError),
+        ((1, LAST_OF_STEP[6] + 6), {"step": 6}, RangeLimitError),
         ((9, 61), {"step": 6}, ValueError),
         ((10, 61), {"step": 6}, ValueError),
         ((5, LAST_OF_STEP[6] + 6), {"step": 6}, RangeLimitError),
+        # the step is an integer, not a bool or a float equal to one
+        ((1, 10), {"step": True}, TypeError),
+        ((1, 13), {"step": 6.0}, TypeError),
     ],
 )
 def test_a_walk_checks_its_arguments_at_the_call(args, kwargs, error):
@@ -563,10 +635,10 @@ def test_a_short_segment_copies_no_whole_wheel_period():
     "lo, step",
     [
         (1, 1),
-        (10**8 + 1, 2),
+        (10**8 + 1, 1),
         (10**8 + 1, 6),
-        # near the cap, with about 7000 strides a segment
-        (SIEVE_MAX_N - (1 << 17) + 1, 2),
+        # ending at the cap, with about 7000 strides a segment
+        (SIEVE_MAX_N - (1 << 16) + 1, 1),
         (LAST_OF_STEP[6] - 6 * ((1 << 16) - 1), 6),
     ],
 )
@@ -579,9 +651,10 @@ def test_a_segment_peaks_at_its_two_int32_arrays(lo, step):
     # periods that np.resize's tiles once took, up to the cap: each stride
     # holds three int32 values and the bucket two more, and a hit's index
     # is int32. Measured with numpy 2.4 on x86-64 at 2**16 entries: 0.69 MB
-    # at lo = 1, 0.78 MB for odd numbers and for 5 (mod 6) from 1e8 + 1,
-    # 0.87 MB for both near the cap; 1.05 MB there with int64 arrays of one
-    # entry a stride or a hit, when odd tables from 1e8 + 1 took 0.86 MB;
+    # at lo = 1, 0.78 MB for every number and for 5 (mod 6) from 1e8 + 1,
+    # 0.87 MB for both near the cap, as for the odd numbers of the retired
+    # step 2; 1.05 MB there with int64 arrays of one entry a stride or a
+    # hit, when odd tables from 1e8 + 1 took 0.86 MB;
     # with np.resize, strides found anew from lo and 2048 hits
     # a chunk 0.86 and 0.81 MB, 0.85 and 0.74 MB with a stride loop of one
     # prime at a time, and 0.99 and 0.92 MB when n, small and phi were built
@@ -612,14 +685,15 @@ def test_int32_tables_equal_the_int64_oracle_at_the_edges(where, entries, step):
     # the large-prime fix runs one FIX_CHUNK of entries at a time: a segment
     # of one entry, of one chunk and one either side, and the last segment
     # below the cap, whose n and totients are the largest the int32 arrays
-    # hold, against the int64 oracle
+    # hold, against the int64 oracle; for step 2 the odd entries of the
+    # step-1 walk over the same numbers
     lo = {
         "first": 1,
         "middle": 10**8 + 1,
         "last": LAST_OF_STEP[step] - step * (entries - 1),
     }[where]
     hi = lo + step * (entries - 1)
-    table = sieve_segment(lo, hi, step=step)
+    table = sieved(lo, hi, step)
     assert table.phi.dtype == np.int32 and table.phi.size == entries
     assert np.array_equal(table.phi, previous_sieve_phi(lo, hi)[::step])
     for n in (lo, hi):
@@ -682,7 +756,7 @@ def test_a_walk_on_threads_cuts_the_longest_segments(monkeypatch, cpus):
     monkeypatch.setattr(limits, "SEGMENT_SIZE", 1000)
     monkeypatch.setattr(limits, "TOTIENT_SEGMENT_SIZE", 300)
     for threads, size in ((1, 300), (2, 1000), (4, 1000)):
-        for step in (1, 2):
+        for step in (1, 6):
             tables = list(iter_sieve_tables(1, 5000, threads=threads, step=step))
             assert [t.lo for t in tables] == list(range(1, 5001, size * step))
             got = np.concatenate([t.phi for t in tables])

@@ -217,21 +217,34 @@ def test_phisum_float_paths_agree_either_side_of_the_switch(monkeypatch, m):
         assert len(set(map(tuple, got.values()))) == 1, (m, K)
 
 
+def odd_tables(hi: int, threads: int):
+    """(lo, phi) for each table of a step-1 walk of [1, hi]: lo is its first
+    odd number and phi a view of its odd entries, the totients of lo,
+    lo + 2, ... up to the table's end. The odd-walk oracles below read the
+    odd k through it; the sieve itself has no odd-number mode."""
+    for table in iter_sieve_tables(1, hi, threads=threads):
+        lo = table.lo | 1
+        if lo <= table.hi:
+            yield lo, table.phi[lo - table.lo :: 2]
+
+
 def whole_segment_pieces(m: int, ks: list[int], threads: int) -> list[int]:
     """The float pieces of the sieved walk as it built them before it streamed
-    blocks: phi(m*k) and m*k as int64 arrays over a whole segment, their
-    quotient, and one ``extend_at`` with every cut of the segment."""
+    blocks: phi(m*k) and m*k as int64 arrays over the odd k of a whole
+    segment, their quotient, and one ``extend_at`` with every cut of the
+    segment."""
     pieces: list[int] = []
     acc, last = ExactFloatSum(), 0
-    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
-        end = bisect_right(ks, table.hi)
-        cuts = [(k - table.lo) // 2 + 1 for k in ks[len(pieces) : end]]
-        ns = np.arange(table.lo * m, table.hi * m + 1, 2 * m, dtype=np.int64)
-        phis = table.phi.astype(np.int64) * m
+    for lo, phi in odd_tables(ks[-1], threads):
+        hi = lo + 2 * (phi.size - 1)
+        end = bisect_right(ks, hi)
+        cuts = [(k - lo) // 2 + 1 for k in ks[len(pieces) : end]]
+        ns = np.arange(lo * m, hi * m + 1, 2 * m, dtype=np.int64)
+        phis = phi.astype(np.int64) * m
         for p, _ in factorize(m):
             # phi(m*k) is m*phi(k) times (p - 1)/p for each prime p of m not
             # dividing k; p | k every p entries from index -lo / 2 (mod p)
-            s = -table.lo * ((p + 1) // 2) % p if p > 2 else phis.size
+            s = -lo * ((p + 1) // 2) % p if p > 2 else phis.size
             keep = phis[s::p].copy()
             phis //= p
             phis *= p - 1
@@ -330,8 +343,8 @@ def test_every_block_without_a_cut_goes_through_extend(monkeypatch):
 def odd_sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
     """The float pieces of the sieved walk as it built them before it split
     on p = 3: the sum, in units of 2**-FLOAT_UNIT_BITS, of phi(m*k)/(m*k)
-    over the odd k in (ks[i - 1], ks[i]] of ascending odd ks, from a step-2
-    walk of every odd k, streamed a block at a time."""
+    over the odd k in (ks[i - 1], ks[i]] of ascending odd ks, from a walk
+    of every odd k, streamed a block at a time."""
     sums: list[int] = []
     acc = ExactFloatSum()
     block = BLOCK if threads == 1 else 4 * BLOCK
@@ -341,13 +354,13 @@ def odd_sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
     phi_m = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
     cuts = [(k + 1) // 2 for k in ks]
     base = 0
-    for table in iter_sieve_tables(1, ks[-1], threads=threads, step=2):
-        for start in range(0, table.phi.size, block):
-            size = min(block, table.phi.size - start)
-            phis = table.phi[start : start + size]
+    for lo, phi in odd_tables(ks[-1], threads):
+        for start in range(0, phi.size, block):
+            size = min(block, phi.size - start)
+            phis = phi[start : start + size]
             if m > 1:
                 phis = np.multiply(phis, float(phi_m), out=ratios[:size])
-                k = table.lo + 2 * start
+                k = lo + 2 * start
                 for p in primes:
                     fix = phis[-k * ((p + 1) // 2) % p :: p]
                     fix /= p - 1
