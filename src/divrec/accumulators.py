@@ -13,7 +13,6 @@ block at the cuts it is handed; with no cut it calls ``extend``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, pairwise
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -27,11 +26,11 @@ from .arith import FLOAT_UNIT_BITS, pair_sum, rounded_units
 #: block is reused by the next rather than mapped and faulted in again;
 #: ``extend_at`` makes about 0.13 MB of them a block. At 2**14 values the
 #: temporaries reach the threshold and a float walk to 1e8 took about
-#: 73 000 minor page faults against 100. A walk on worker threads reads
-#: blocks of 4 * BLOCK values: each numpy call of the walk there hands the
-#: interpreter lock to a sieving thread and waits to take it back, and
-#: ``phi_ratio_sums_at(7, [10**9], threads=2)`` took 2.1-2.7 s at 2**13
-#: values a block against 1.6-2.0 s at 2**15 (9 runs each).
+#: 73 000 minor page faults against 100. A walk on two or more threads
+#: reads blocks of 4 * BLOCK values, as each numpy call there hands the
+#: interpreter lock to the helper thread and waits to take it back:
+#: ``phi_ratio_sums_at(1, [10**8], threads=2)`` took 1.21 s at 2**13 values
+#: a block against 0.85 s at 2**15 (medians of 7 alternating runs).
 BLOCK = 1 << 13
 
 
@@ -90,13 +89,17 @@ def _units(block: np.ndarray, ends: Sequence[int] = ()) -> list[int]:
     # the sums of block[:e] for each e in ends, then of the whole block, in
     # units of 2**-FLOAT_UNIT_BITS: each scaled value is an integer below
     # 2**57, and the int64 sums of its 32-bit halves over n values stay below
-    # n * 2**32, under 2**63 for any n < 2**31
-    ints = (block * 2.0**FLOAT_UNIT_BITS).astype(np.int64)
+    # n * 2**32, under 2**63 for any n < 2**31. Entry 0 of each half is 0,
+    # so after a running sum in place entry e holds the sum of the first e
+    ints = np.zeros(block.size + 1, dtype=np.int64)
+    np.multiply(block, 2.0**FLOAT_UNIT_BITS, out=ints[1:], casting="unsafe")
     high = ints >> 32
     ints &= 0xFFFFFFFF
-    pieces = pairwise([0, *ends, block.size])
-    sums = ((int(high[a:b].sum()) << 32) + int(ints[a:b].sum()) for a, b in pieces)
-    return list(accumulate(sums))
+    if not ends:
+        return [(int(high.sum()) << 32) + int(ints.sum())]
+    at = np.minimum([*ends, block.size], block.size)  # past the end: the total
+    high, low = (np.cumsum(half, out=half)[at].tolist() for half in (high, ints))
+    return [(h << 32) + l for h, l in zip(high, low)]
 
 
 # the name the benchmark's layer probes import and trace

@@ -310,8 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=_thread_count,
-        help="worker threads for the totient sieve (default $DIVREC_THREADS or 1); "
-        "results do not depend on this",
+        help="threads for the totient walk (default $DIVREC_THREADS or 1): "
+        "above 1, one helper thread sieves ahead; results do not depend on this",
     )
     p.set_defaults(handler=_cmd_phisum)
 

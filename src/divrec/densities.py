@@ -371,8 +371,8 @@ def phi_ratio_sum(m: int, N: int, mode: str = "float", *, threads: int = 1):
         mode: "float" for the exact sum of the double terms rounded once to
             a double (cap 1e9), "exact" for a full-precision Fraction
             (cap 1e5).
-        threads: Worker threads for sieving, at least 1; never affects the
-            result.
+        threads: At least 1; above 1 a long float walk sieves ahead on
+            one helper thread. Never affects the result.
 
     Returns:
         float in "float" mode, Fraction in "exact" mode. Both are exact sums
@@ -548,8 +548,8 @@ def _class_sums(
     # Each segment streams through the accumulators a block at a time, with
     # only the cuts inside the block, so no array of segment length is built
     # but the sieve's own, and that is dropped before the next one is sieved.
-    # A block holds BLOCK values on one thread and 4 * BLOCK on worker
-    # threads, where each numpy call gives the interpreter lock away
+    # A block holds BLOCK values on one thread and 4 * BLOCK on two, where
+    # each numpy call hands the interpreter lock to the sieving helper
     import numpy as np
 
     from .accumulators import BLOCK, ExactFloatSum

@@ -65,8 +65,8 @@ LEMMA_MAX_COUNT = 10**4
 SCHEDULE_MAX_POINTS = 30_000
 
 #: Longest sieve segment in entries: ``sieve_segment`` refuses a longer
-#: one, and the square-free flag walker, and the totient walk on worker
-#: threads, cut their ranges into pieces of this length. It only affects
+#: one, and the square-free flag walker, and the totient walk on two or
+#: more threads, cut their ranges into pieces of this length. It only affects
 #: memory and speed, never any numeric result.
 #: ``sieve_segment`` peaks at 8 bytes an entry (two int32 arrays; n is built
 #: a chunk at a time) and its table holds 4, the int32 totients. The flag
@@ -95,10 +95,10 @@ SEGMENT_SIZE = 1 << 20
 #: Segment length trades
 #: memory for time: in process the walk to 1e8 took 1.83, 1.51, 1.17 and
 #: 1.23 s at 2**15, 2**16, 2**17 and 2**18 entries, peaking at 30.2,
-#: 30.4, 30.7 and 31.8 MiB (medians of 5 alternating runs). A walk on
-#: worker threads cuts :data:`SEGMENT_SIZE` instead: its threads hand the
-#: interpreter lock to one another and to the consumer at every numpy
-#: call, so they take the longest segments (``BENCH_bucket_strides.json``).
+#: 30.4, 30.7 and 31.8 MiB (medians of 5 alternating runs). A walk on two
+#: or more threads cuts :data:`SEGMENT_SIZE` instead: the helper thread
+#: that sieves its next table and the consumer hand the interpreter lock
+#: to each other at every numpy call, so they take the longest segments.
 TOTIENT_SEGMENT_SIZE = 1 << 16
 
 

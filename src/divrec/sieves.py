@@ -34,15 +34,14 @@ from the primes up to its root alone (995 strides to 1e7, 960 for a class
 mod 6), and carries each bucketed stride's next hit from one segment to the
 next, so a segment pays for the hits of the strides, not for finding where
 each starts. It sieves ``small``, and the n of the fix, into buffers it
-keeps for the whole walk; each table it yields owns a fresh ``phi``.
-:func:`sieve_segment` is the same sieve, a walk of one segment whose
-strides start from its lo. With worker threads the walk sieves ahead by
-``sieve_segment`` calls of :data:`divrec.limits.SEGMENT_SIZE` entries,
-2**20, the most a segment may hold, each building its own strides; such
-segments never depend on each other. Both lengths set memory and speed,
-never a result. The float totient walk reads steps of 6, one class after
-the other; step 1 serves the benchmark's probes and any caller of the
-sieve.
+keeps for the whole walk; each table it yields owns a fresh ``phi``. On
+two or more threads the same walk cuts :data:`divrec.limits.SEGMENT_SIZE`
+entries, 2**20, the most a segment may hold, and one helper thread sieves
+its next table while the caller reads the current one. Both lengths set
+memory and speed, never a result. :func:`sieve_segment` is the same sieve,
+a walk of one segment whose strides start from its lo. The float totient
+walk reads steps of 6, one class after the other; step 1 serves the
+benchmark's probes and any caller of the sieve.
 
 A :class:`SieveTable` holds the totients only, as the int32 ``phi``
 itself; square-free flags come from the separate :func:`squarefree_flags`,
@@ -69,7 +68,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections import deque
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -188,7 +186,7 @@ def sieve_segment(lo: int, hi: int, *, step: int = 1) -> SieveTable:
     count = (hi - lo) // step + 1
     if count > size:
         raise RangeLimitError(f"segment [{lo}, {hi}] has more than {size} entries")
-    return _Walk(lo, hi, step, count).table(count)
+    return _Walk(lo, hi, step, count).table()
 
 
 def _strides(last: int, step: int) -> np.ndarray:
@@ -222,20 +220,22 @@ def _inverse(step, q):
 
 class _Walk:
     # The totient sieve of consecutive segments of at most size entries from
-    # lo on, up to last: the one-thread walk of iter_sieve_tables, and for
-    # sieve_segment a walk of one segment. It takes the strides of last
-    # once; a stride prime above sqrt(hi) of an early segment only leaves 1
-    # for the large-prime fix where it divides n. For each bucketed stride
-    # it keeps the index of its next hit, counted from the first entry of
-    # the next segment, and it sieves small, and n for the fix, into
-    # buffers it reuses
+    # lo on, up to last: the walk of iter_sieve_tables, on the caller's
+    # thread or its helper, and for sieve_segment a walk of one segment. It
+    # takes the strides of last once; a stride prime above sqrt(hi) of an
+    # early segment only leaves 1 for the large-prime fix where it divides
+    # n. For each bucketed stride it keeps the index of its next hit,
+    # counted from the first entry of the next segment, and it sieves
+    # small, and n for the fix, into buffers it reuses
 
     __slots__ = (
-        "lo", "step", "dense", "moduli", "primes", "powers", "next", "small", "n",
+        "lo", "last", "step", "dense", "moduli", "primes", "powers", "next",
+        "small", "n",
     )
 
     def __init__(self, lo: int, last: int, step: int, size: int) -> None:
-        self.lo, self.step = lo, step
+        self.lo, self.last, self.step = lo, last, step
+        size = min(size, (last - lo) // step + 1)
         moduli, primes = _strides(last, step)
         # a stride that hits about STRIDED_HITS entries of a segment or more
         # takes its own two numpy calls; the sparser ones, most of them, are
@@ -254,9 +254,10 @@ class _Walk:
         self.small = np.empty(size, dtype=np.int32)
         self.n = np.arange(lo, lo + step * min(size, FIX_CHUNK), step, dtype=np.int32)
 
-    def table(self, count: int) -> SieveTable:
-        # the next count entries of the walk, at most size, in a fresh phi
+    def table(self) -> SieveTable:
+        # the next segment of the walk, up to size entries, in a fresh phi
         lo, step = self.lo, self.step
+        count = min(self.small.size, (self.last - lo) // step + 1)
         # every value below stays <= hi <= SIEVE_MAX_N < 2**31, so int32
         # holds it. small becomes the part of n made of the stride primes
         # and phi its totient; the wheel of the step starts both with the
@@ -388,53 +389,46 @@ def iter_sieve_tables(
     at the call; the last may hold fewer. With ``step=6`` they hold the
     numbers of lo's class mod 6, from an lo prime to 6, as
     :func:`sieve_segment` sieves them; any step but 1 and 6 is a ValueError.
-    On one thread the walk carries its strides from segment to segment. With
-    ``threads > 1`` upcoming segments are sieved ahead on a thread pool of
-    at most the usable CPUs, but they are handed back strictly in range
-    order, so any accumulation on the consumer side stays deterministic
-    regardless of the thread count. ``threads`` must be an integer of at
-    least 1. The arguments are checked at the call, before any table is
-    asked for. Every table owns its ``phi``, so a caller may keep the tables
-    of a walk.
+    The walk carries its strides from segment to segment. With ``threads >
+    1`` and more than one usable CPU, one helper thread sieves the next
+    segment while the caller reads the current one; more threads add none.
+    The tables come in range order, so any accumulation on the consumer
+    side stays deterministic regardless of the thread count. ``threads``
+    must be an integer of at least 1. The arguments are checked at the
+    call, before any table is asked for. Every table owns its ``phi``, so a
+    caller may keep the tables of a walk.
     """
     threads = check_range("threads", threads, 1)
     lo, last = _checked_span(lo, hi, step)
-    # threads sieving ahead hand the interpreter lock to each other and to
-    # the consumer at every numpy call, so they take the longest segments;
-    # the length follows the threads asked for, not the usable CPUs, so the
-    # segments a walk yields never depend on the machine
+    # the helper thread and the consumer hand the interpreter lock to each
+    # other at every numpy call, so a walk on threads takes the longest
+    # segments; the length follows the threads asked for, not the usable
+    # CPUs, so the segments a walk yields never depend on the machine
     size = limits.SEGMENT_SIZE if threads > 1 else limits.TOTIENT_SEGMENT_SIZE
-    # at most threads + 1 segments are in flight, so more threads than usable
-    # CPUs would only hold more memory; where the OS cannot tell the usable
-    # CPUs (macOS, Windows), the CPU count caps them
-    if hasattr(os, "sched_getaffinity"):
-        threads = min(threads, len(os.sched_getaffinity(0)))
-    else:
-        threads = min(threads, os.cpu_count() or 1)
-    return _tables(lo, last, step, size, threads)
+    # a helper only pays where a second CPU can run it; where the OS cannot
+    # tell the usable CPUs (macOS, Windows), the CPU count decides
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return _tables(lo, last, step, size, threads > 1 and cpus > 1)
 
 
-def _tables(
-    lo: int, last: int, step: int, size: int, threads: int
-) -> Iterator[SieveTable]:
-    # the segments of size entries from lo to last: one walk on this thread,
-    # or sieve_segment calls sieved ahead on threads
-    if threads <= 1:
-        walk = _Walk(lo, last, step, min(size, (last - lo) // step + 1))
+def _tables(lo, last, step, size, ahead: bool) -> Iterator[SieveTable]:
+    # the segments of size entries from lo to last, from one walk sieved on
+    # this thread, or ahead on one helper thread, one table pending at a time
+    walk = _Walk(lo, last, step, size)
+    if not ahead:
         while walk.lo <= last:
-            yield walk.table(min(size, (last - walk.lo) // step + 1))
+            yield walk.table()
         return
 
     # concurrent.futures loads logging, so one-thread walks leave it alone
     from concurrent.futures import ThreadPoolExecutor
 
-    width = size * step
-    spans = ((s, min(s + width - step, last)) for s in range(lo, last + 1, width))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for span in spans:
-            pending.append(pool.submit(sieve_segment, *span, step=step))
-            if len(pending) > threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(walk.table)
+        while pending is not None:
+            table = pending.result()
+            # the helper is idle until the next submit, so walk.lo is read
+            # here only, between a result and that submit
+            pending = pool.submit(walk.table) if walk.lo <= last else None
+            yield table

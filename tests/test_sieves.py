@@ -4,6 +4,8 @@ import itertools
 import math
 import os
 import random
+import sys
+import threading
 from bisect import bisect_right
 import tracemalloc
 from types import SimpleNamespace
@@ -763,15 +765,15 @@ def test_a_walk_on_threads_cuts_the_longest_segments(monkeypatch, cpus):
             assert np.array_equal(got, whole.phi[::step])
 
 
-def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
+def test_a_threaded_walk_sieves_ahead_on_one_helper_thread(monkeypatch):
     pools = []
 
     class RecordingPool:
-        """Runs each job at submit and records pool size and jobs in flight."""
+        """Runs each job at submit and records pool size and jobs pending."""
 
         def __init__(self, max_workers):
             self.max_workers = max_workers
-            self.in_flight = self.peak = 0
+            self.pending = self.peak = 0
             pools.append(self)
 
         def __enter__(self):
@@ -781,35 +783,89 @@ def test_thread_pool_is_capped_at_usable_cpus(monkeypatch):
             return None
 
         def submit(self, fn, *args, **kwargs):
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
+            self.pending += 1
+            self.peak = max(self.peak, self.pending)
             value = fn(*args, **kwargs)
             return SimpleNamespace(result=lambda: self.hand_back(value))
 
         def hand_back(self, value):
-            self.in_flight -= 1
+            self.pending -= 1
             return value
 
     # iter_sieve_tables imports the pool class only when it uses threads
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     use_walk_length(monkeypatch, 10)
     seq = [t.phi.tolist() for t in iter_sieve_tables(1, 500)]
-    for cpus, pool_sizes, peak in (({0, 1, 2}, [3], 4), ({0}, [], None)):
+
+    def walk(threads):
         pools.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        tables = list(iter_sieve_tables(1, 500, threads=64))
+        tables = list(iter_sieve_tables(1, 500, threads=threads))
         assert [t.phi.tolist() for t in tables] == seq
-        assert [pool.max_workers for pool in pools] == pool_sizes
-        assert [pool.peak for pool in pools] == ([peak] if pools else [])
-    # where os has no sched_getaffinity (macOS, Windows), the CPU count caps
-    # the pool, and an unknown count means one thread
+        return [(pool.max_workers, pool.peak) for pool in pools]
+
+    # one helper with one table pending, however many threads are asked for
+    # and CPUs usable; none where only one CPU is usable
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert walk(2) == walk(64) == [(1, 1)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert walk(64) == []
+    # where os has no sched_getaffinity (macOS, Windows), the CPU count
+    # decides, and an unknown count means one thread
     monkeypatch.delattr(os, "sched_getaffinity")
-    for count, pool_sizes in ((2, [2]), (None, [])):
-        pools.clear()
+    for count, helpers in ((2, [(1, 1)]), (None, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        tables = list(iter_sieve_tables(1, 500, threads=64))
-        assert [t.phi.tolist() for t in tables] == seq
-        assert [pool.max_workers for pool in pools] == pool_sizes
+        assert walk(64) == helpers
+
+
+def test_a_threaded_walk_holds_under_frequent_thread_switches(monkeypatch):
+    # the consumer reads the walk's position between the helper's tables
+    # only; with the interpreter switching threads every microsecond, a
+    # read or write out of turn would skip or repeat a segment
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_walk_length(monkeypatch, 97)
+    for step in (1, 6):
+        seq = list(iter_sieve_tables(1, 30_000, step=step))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = list(iter_sieve_tables(1, 30_000, threads=2, step=step))
+        finally:
+            sys.setswitchinterval(interval)
+        assert par == seq
+
+
+def test_a_threaded_walk_closed_early_joins_its_helper(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_walk_length(monkeypatch, 1000)
+    before = threading.active_count()
+    tables = iter_sieve_tables(1, 50_000, threads=2)
+    assert next(tables) == sieve_segment(1, 1000)
+    tables.close()
+    assert threading.active_count() == before
+
+
+def test_an_error_on_the_helper_reaches_the_consumer(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_walk_length(monkeypatch, 1000)
+    table = sieves._Walk.table
+    sievers = []
+
+    def failing(walk):
+        sievers.append(threading.get_ident())
+        if len(sievers) == 3:
+            raise RuntimeError("third table")
+        return table(walk)
+
+    monkeypatch.setattr(sieves._Walk, "table", failing)
+    before = threading.active_count()
+    got = []
+    with pytest.raises(RuntimeError, match="third table"):
+        for t in iter_sieve_tables(1, 50_000, threads=2):
+            got.append(t.lo)
+    # the first two tables came back; the third failed on the helper
+    assert got == [1, 1001]
+    assert threading.get_ident() not in sievers
+    assert threading.active_count() == before
 
 
 def test_segment_argument_errors(monkeypatch):
