@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure or failed reproduction,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -375,3 +376,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
+
+
+def run() -> int:
+    """The entry of ``python -m divrec`` and the ``divrec`` script: ``main``,
+    then ``gc.freeze()``, so the exit leaves the import heap to the OS."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

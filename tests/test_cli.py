@@ -3,6 +3,7 @@
 import contextlib
 import decimal
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -347,6 +348,21 @@ def test_bad_threads_variable_exits_two(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--threads", "2"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oddly", "--m", "2", "--n", "1e6"],
+        ["phisum", "--m", "1", "--n", "1e6"],  # loads numpy
+    ],
+)
+def test_main_leaves_the_collector_alone(capsys, argv):
+    # only the program entry, divrec.cli.run, freezes the heap at exit:
+    # tests, harnesses and library callers run main in process and go on
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_exit_code_schedule_with_too_many_points(capsys):

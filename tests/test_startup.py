@@ -1,17 +1,19 @@
-"""Start-up: lazy package exports, the engine commands run without numpy, and
-the modules import one another at load time, one way."""
+"""Start-up and exit: lazy package exports, the engine commands run without
+numpy, the modules import one another at load time, one way, and both
+launchers exit through the program entry as cli.main would."""
 
 import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import divrec
-from divrec import arith, densities
+from divrec import arith, cli, densities
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -58,6 +60,119 @@ def fresh_cli(*argv: str, **preset: str) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def script_entry() -> str:
+    """The ``module:function`` the ``divrec`` script of pyproject.toml runs,
+    read with a regex: Python 3.10 has no tomllib."""
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as f:
+        return re.search(r'^divrec = "([\w.]+:\w+)"$', f.read(), re.M)[1]
+
+
+def buffered_env(**preset: str) -> dict:
+    """``child_env`` with stdout block-buffered, as in a shell, so that an
+    exit which skipped the final flush would lose the report."""
+    env = child_env(**preset)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def launcher(name: str) -> list[str]:
+    """``python -m divrec``, or what the installed ``divrec`` script runs."""
+    if name == "module":
+        return [sys.executable, "-m", "divrec"]
+    module, function = script_entry().split(":")
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    return [sys.executable, "-c", code]
+
+
+@pytest.mark.parametrize("name", ["module", "script"])
+@pytest.mark.parametrize(
+    "argv, preset, code",
+    [
+        (["reproduce-paper"], {}, 0),
+        (["--help"], {}, 0),
+        (["oddly", "--m", "1", "--n", "10"], {}, 2),
+        (["oddly", "--m", "2", "--n", "abc"], {}, 2),
+        (["oddly", "--m", "2", "--n", "1e10000000"], {}, 3),
+        (["reproduce-paper"], {"DIVREC_THREADS": "0"}, 2),
+    ],
+    ids=["paper", "help", "bad-m", "bad-n", "huge-literal", "bad-threads-variable"],
+)
+def test_both_launchers_exit_as_main_returns(
+    name, argv, preset, code, tmp_path, monkeypatch, capsysbinary
+):
+    # the program entry freezes the collector only once cli.main is done:
+    # exit code, stdout redirected to a file and stderr are what cli.main
+    # gives in process, with no traceback. argparse wraps --help and usage
+    # to the terminal's width, so both sides read a fixed COLUMNS
+    preset = {"COLUMNS": "80", **preset}
+    out = tmp_path / "stdout"
+    with open(out, "wb") as stdout:
+        proc = subprocess.run(
+            [*launcher(name), *argv], stdout=stdout, stderr=subprocess.PIPE,
+            env=buffered_env(**preset),
+        )
+    for key, value in preset.items():
+        monkeypatch.setenv(key, value)
+    try:
+        returned = cli.main(argv)
+    except SystemExit as exc:  # --help and usage errors
+        returned = exc.code
+    captured = capsysbinary.readouterr()
+    assert proc.returncode == returned == code
+    assert out.read_bytes() == captured.out
+    assert proc.stderr == captured.err and b"Traceback" not in proc.stderr
+    assert bool(captured.out) == (code == 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["module", "script"])
+def test_a_failed_flush_at_exit_still_exits_120(name):
+    # the freeze leaves the interpreter's final flush of stdout in place
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [*launcher(name), "reproduce-paper"], stdout=full, stderr=subprocess.PIPE,
+            env=buffered_env(),
+        )
+    assert proc.returncode == 120 and b"No space left on device" in proc.stderr
+
+
+#: run cli.main on argv in a fresh interpreter, then collect what cycles it
+#: left alive: the program entry's gc.freeze() leaves them to the OS at exit,
+#: so none may hold a resource that warns or needs a finaliser
+COLLECT = """
+import contextlib, gc, io, sys
+from divrec import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(sys.argv[1:])
+gc.collect()
+print(code, bool(out.getvalue()), gc.garbage)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phisum", "--m", "1", "--n", "1e6", "--threads", "2"],  # the helper thread
+        [
+            "phisum", "--m", "2", "--schedule", "1e3:1e5:10",
+            "--mode", "exact", "--format", "json",
+        ],
+        ["verify", "--suite", "lemma", "--count", "300", "--seed", "0"],
+        ["reproduce-paper"],
+        ["squarefree", "--t", "1", "--schedule", "1e3:2e7:10", "--threads", "2"],
+    ],
+)
+def test_nothing_waits_for_the_exit_collector(argv):
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", COLLECT]
+        + argv,
+        capture_output=True,
+        env=child_env(),
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True []\n", "")
 
 
 @pytest.mark.parametrize(
