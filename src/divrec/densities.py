@@ -20,17 +20,18 @@ function sieve the same flags. The totient-ratio family is whole here.
 
 Importing it loads no numpy. The flag walker, the checker and the prefix
 tables import numpy and :mod:`divrec.sieves` where they start; the
-recursion never does. The totient walk takes its totients from the plain
-:func:`divrec.arith.odd_totients` for every exact sum and for float sums
-up to ``PLAIN_WALK_MAX_K`` odd k; only longer float walks load the numpy
-sieve and :mod:`divrec.accumulators`.
+recursion never does. Every totient walk sums only the j prime to 6 and
+splits on 3 and on 2 by one rule, taking its totients from the plain
+:func:`divrec.arith.odd_totients` for every exact sum and for float sums to
+K = N // m up to ``PLAIN_WALK_MAX_K``; only longer float walks load the
+numpy sieve and :mod:`divrec.accumulators`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, compress, pairwise, repeat
+from itertools import accumulate, compress, cycle, pairwise, repeat
 from math import gcd, isqrt, prod, sqrt
 from operator import floordiv, truediv
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -387,17 +388,22 @@ def phi_ratio_sums_at(
 ) -> list:
     """:func:`phi_ratio_sum` at each of ascending ``points``, in one pass.
 
-    Only the odd k <= points[-1] // m are sieved: phi(m*k) is
-    phi(m)*phi(k) times p/(p-1) for every prime p of m that divides k, and
-    every intermediate stays at most m*k. The even k come from the paper's
-    splitting with p = 2: phi(2n)/(2n) is phi(n)/n for even n and half of
-    it for odd n, so the sum over k <= K is the odd part O(K) plus the sum
-    over k <= K // 2, less O(K // 2) / 2 for odd m. Each term phi(n)/n is
-    the same double as over a sieve of all n, halving a double is exact,
-    and every sum stays exact until it is read, so a row equals a
-    from-scratch sum of all its terms at its point bit for bit. A float walk
-    long enough for the numpy sieve splits the odd k again, with p = 3, and
-    sieves only the k prime to 6.
+    Every walk, exact or float, sums the terms of only the j <= K = N // m
+    prime to 6, and the paper's splitting gives the rest, with p = 3 and
+    then p = 2. With f(n) = phi(n)/n, an odd k is 3**a * j, and f(m*k) is
+    f(m*j) if a = 0 or 3 | m, else f(3*m*j) = 2/3 f(m*j); and f(2n) is f(n)
+    for even n and f(n) / 2 for odd n. So with F(y) and T(y) the sums of
+    f(m*j) and of f(3*m*j) over the j <= y prime to 6, and W = T, or W = F
+    for 3 | m, the part over odd k <= x and the whole sum are
+
+        O(x) = F(x) + W(x // 3) + W(x // 9) + ...
+        S(K) = O(K) + w * (O(K // 2) + O(K // 4) + ...),  w = 1/2 for odd m, else 1.
+
+    Each term is the same double as over a sieve of all n, halving a double
+    is exact, and every sum stays exact until it is read, so a row equals a
+    from-scratch sum of all its terms at its point bit for bit. Float walks
+    to K past ``PLAIN_WALK_MAX_K`` take their totients from the numpy
+    sieve, and all others from :func:`divrec.arith.odd_totients`.
     """
     threads = check_range("threads", threads, 1)
     if mode == "exact":
@@ -414,129 +420,121 @@ def phi_ratio_pairs_at(m: int, points: Sequence[int]) -> list[tuple[int, int]]:
     point pays for the gcd of two numbers that grow to thousands of digits.
     The denominator is the lcm of the reduced denominators of the terms, so
     a pair does not depend on threads, segment size or the other points.
-    The walk sieves odd k only, as in :func:`phi_ratio_sums_at`: between two
-    points it sums the new odd terms of every halving of the range as
-    balanced trees and folds them into the long sum once.
+    The walk splits as in :func:`phi_ratio_sums_at`, whose T holds the
+    reduced f(3*m*j) themselves: between two points it sums the new terms
+    as balanced trees and folds them into the long sum once.
     """
     return _phi_ratio_walk(m, points, True, 1)  # exact walks never sieve
 
 
 def _phi_ratio_walk(m: int, points: Sequence[int], exact: bool, threads: int) -> list:
-    # the one totient-ratio walker: the unreduced exact pair or the rounded
-    # float sum at each point. With f(n) = phi(n)/n, S(K) the sum of f(m*k)
-    # over k <= K and O(K) its part over odd k, the paper's splitting with
-    # p = 2 (f(2n) is f(n) for even n and f(n) / 2 for odd n) gives
-    #     S(K) = O(K) + S(K // 2) - [m odd] O(K // 2) / 2
-    #          = O(K) + w * (O(K >> 1) + O(K >> 2) + ...),  w = 1/2 or 1,
-    # so only odd k are sieved. From one point's K' to the next K, S grows
-    # by the odd terms in (K' >> a, K >> a] for every a, times w for a >= 1.
+    # the one totient-ratio walker (see phi_ratio_sums_at): the pieces of F
+    # and T between the cuts x // 3**a of every K // 2**a split on 3 into
+    # those of O at the halvings, and these on 2 into each point's growth
     m = check_range("modulus m", m, 1)
     pts = checked_points(points, EXACT_PHI_SUM_MAX_N if exact else SIEVE_MAX_N)
-    # O is cut at every K >> a, the floor chain of each K on 2, at the
-    # largest odd number up to it, (x - 1) | 1 (-1 for x = 0); pos counts
-    # the pieces up to each cut
-    ks = sorted({x - 1 | 1 for x in floor_chain([N // m for N in pts], 2)})
-    pieces = _odd_pieces(m, ks, exact, threads)
-    pos = {k: i for i, k in enumerate(ks, 1)} | {-1: 0}
-    add = sum_pairs if exact else sum
+    ks = [N // m for N in pts]
+    halvings = floor_chain(ks, 2)
+    thirds = floor_chain([x // 3 for x in halvings], 3)
+    ones, twos = (halvings, thirds) if m % 3 else (sorted({*halvings, *thirds}), [])
+    if exact:
+        def ranged(cuts: list[int], pieces: list) -> Callable:
+            # the pieces over (lo, hi], lo and hi cuts or 0, but the (0, 1)
+            # of a span with no term, which would cost pair sums
+            pos, kept = {0: 0}, []
+            for y, piece in zip(cuts, pieces):
+                if piece[0]:
+                    kept.append(piece)
+                pos[y] = len(kept)
+            return lambda lo, hi: kept[pos[lo] : pos[hi]]
 
-    def sum_of(items: list):
-        # a one-item list is its item, without a call into sum_pairs
-        return items[0] if len(items) == 1 else add(items)
+        # every reduced term numerator is even but that of f(1) = 1, whose
+        # half puts a 2 into the lcm for m = 1 and K >= 2
+        halve = (lambda q: (q[0], 2 * q[1])) if m == 1 else (lambda q: (q[0] >> 1, q[1]))
+        add, zero, plus = sum_pairs, (0, 1), lambda a, b: pair_sum(*a, *b)
+    else:
+        def ranged(cuts: list[int], pieces: list) -> Callable:
+            # the sum over (lo, hi], lo and hi cuts or 0, in a one-item list
+            run = dict(zip([0, *cuts], accumulate(pieces, initial=0)))
+            return lambda lo, hi: [run[hi] - run[lo]]
 
-    def halve(piece):
-        # a shift of the units, exact since every term is an even number of
-        # them (see arith.FLOAT_UNIT_BITS). A pair keeps the lcm of
-        # the reduced term denominators: phi(n) is even for odd n >= 3, so
-        # every reduced numerator is even but that of f(1) = 1, whose half
-        # puts a 2 into the lcm for m = 1 and K >= 2
-        if not exact:
-            return piece >> 1
-        return (piece[0], 2 * piece[1]) if m == 1 else (piece[0] >> 1, piece[1])
-
-    sums: list = []
-    total, last = ((0, 1) if exact else 0), 0
-    for K in (N // m for N in pts):
-        if K > last:  # the a with K >> a > last >> a: a < (K ^ last).bit_length()
-            terms = pieces[pos[last - 1 | 1] : pos[K - 1 | 1]]
-            rest = [
-                piece
-                for a in range(1, (K ^ last).bit_length())
-                for piece in pieces[pos[(last >> a) - 1 | 1] : pos[(K >> a) - 1 | 1]]
-            ]
-            if rest:
-                terms.append(halve(sum_of(rest)) if m % 2 else sum_of(rest))
-            if terms:
-                # one fold into the long sum; a point of every-prefix reads
-                # brings one piece, added to the total straight away
-                new = sum_of(terms)
-                total = pair_sum(*total, *new) if exact else total + new
-            last = K
-        sums.append(total if exact else rounded_units(total))
-    return sums
+        # halving shifts the units, exact since every term is an even number
+        # of them (see arith.FLOAT_UNIT_BITS); accumulate adds with +
+        add, zero, plus, halve = sum, 0, None, lambda piece: piece >> 1
+    f, t = _term_pieces(m, ones, twos, exact, threads) if ones else ([], [])
+    F = ranged(ones, f)
+    odd = ranged(halvings, _split(3, halvings, F, ranged(twos, t) if m % 3 else F, add))
+    tops = sorted(set(ks) - {0})
+    grown = _split(2, tops, odd, odd, add, halve if m % 2 else None)
+    sums = accumulate(grown, plus, initial=zero)  # one fold a point
+    at = dict(zip([0, *tops], sums if exact else map(rounded_units, sums)))
+    return [at[K] for K in ks]
 
 
-#: Largest k whose float walk takes its totients from the plain-Python
+def _split(p: int, xs: list[int], base, rest, add, scale=None) -> list:
+    # the paper's splitting S(x) = B(x) + w * (C(x // p) + C(x // p**2) + ...)
+    # as the growth of S from each ascending positive x of xs to the next,
+    # the first from S(0) = 0: B over (x', x] and C over each (x' // p**a,
+    # x // p**a] that is not empty. base and rest give lists that sum to B
+    # and C over (lo, hi], add sums a list, scale multiplies by w or is None
+    grown, last = [], 0
+    for x in xs:
+        terms = base(last, x)
+        lo, hi = last // p, x // p
+        if hi > lo:
+            parts = []
+            while hi > lo:
+                parts += rest(lo, hi)
+                lo, hi = lo // p, hi // p
+            if parts:
+                more = add(parts)
+                terms.append(scale(more) if scale else more)
+        grown.append(add(terms))
+        last = x
+    return grown
+
+
+#: Largest K = N // m whose float walk takes its totients from the plain-Python
 #: :func:`divrec.arith.odd_totients` rather than the numpy sieve; exact walks
-#: always do (their k stay at most EXACT_PHI_SUM_MAX_N). Set from paired runs
-#: of both paths: see ``BENCH_small_walks.json``.
+#: always do (their K stay at most EXACT_PHI_SUM_MAX_N). Set from paired runs
+#: of both paths: see ``BENCH_small_walks.json`` and ``BENCH_one_split.json``.
 PLAIN_WALK_MAX_K = 1 << 17
 
 
-def _odd_pieces(m: int, ks: list[int], exact: bool, threads: int) -> list:
-    # entry i: the sum of f(m*k) over the odd k in (ks[i - 1], ks[i]] of the
-    # ascending odd ks, the first from k = 1, as an unreduced pair or in
-    # units of 2**-FLOAT_UNIT_BITS
-    if not ks:
-        return []
-    if not exact and ks[-1] > PLAIN_WALK_MAX_K:
-        return _sieved_pieces(m, ks, threads)
-    phis = odd_totients(ks[-1])
+def _term_pieces(m: int, ones: list, twos: list, exact: bool, threads: int) -> tuple:
+    # the pieces of F over the ascending cuts ones and of T over twos: entry
+    # i sums f(m*j), or f(3*m*j), over the j prime to 6 in (cuts[i - 1],
+    # cuts[i]], as an unreduced pair or in units of 2**-FLOAT_UNIT_BITS. A
+    # term of T is 2 phi(m*j) / (3*m*j) reduced, or the double nearest: the
+    # same rational as phi(3*m*j) / (3*m*j) for 3 not dividing m
+    if not exact and ones[-1] > PLAIN_WALK_MAX_K:
+        (a1, a2), (b1, b2) = (_class_sums(m, c, ones, twos, threads) for c in (1, 5))
+        runs = ([a + b for a, b in zip(a1, b1)], [a + b for a, b in zip(a2, b2)])
+        return tuple([b - a for a, b in pairwise([0, *run])] for run in runs)
+    phis = odd_totients(ones[-1])
     phi_m, primes = _totient_factors(m)
-    if m > 1:
-        phis = [v * phi_m for v in phis]
+    phis = [v * phi_m for v in phis] if m > 1 else phis
     for p in primes:
         # as in _phi_of_multiples: p | k every p entries from k = p
         fix = slice((p - 1) // 2, None, p)
         phis[fix] = [v // (p - 1) * p for v in phis[fix]]
-    ns = range(m, m * ks[-1] + 1, 2 * m)
-    cuts = [0, *((k + 1) // 2 for k in ks)]
+    # the j prime to 6 are the odd k but k = 3 (mod 6), entries 1 (mod 3)
+    phis = list(compress(phis, cycle((1, 0, 1))))
+    ns = list(compress(range(m, m * ones[-1] + 1, 2 * m), cycle((1, 0, 1))))
+    # how many j prime to 6, = 1 or 5 (mod 6), lie up to each cut
+    ends = [[0, *((y + 5) // 6 + (y + 1) // 6 for y in cs)] for cs in (ones, twos)]
+    phi3 = phis[: ends[1][-1]]
     if exact:
-        terms = [(ph // (g := gcd(ph, n)), n // g) for ph, n in zip(phis, ns)]
-        return [sum_pairs(terms[a:b]) for a, b in pairwise(cuts)]
-    # int / int is the correctly rounded double, as numpy's float64 quotient
-    scale = float(1 << FLOAT_UNIT_BITS)
-    units = [int(x * scale) for x in map(truediv, phis, ns)]
-    running = list(accumulate(units, initial=0))
-    return [running[b] - running[a] for a, b in pairwise(cuts)]
-
-
-def _sieved_pieces(m: int, ks: list[int], threads: int) -> list[int]:
-    # the float pieces of _odd_pieces from the numpy totient sieve, which
-    # sieves only the k prime to 6. Every odd k is 3**a * j with j prime to
-    # 6, and the paper's splitting with p = 3 gives f(m*k) = f(m*j) if 3 | m
-    # or a = 0, and 2/3 of it otherwise. So with F1(y) the sum of f(m*j)
-    # and F2(y) that of 2/3 f(m*j) over the j <= y prime to 6, the odd part
-    # is, as in _phi_ratio_walk's split on 2,
-    #     O(x) = F1(x) + R(x // 3),   R(y) = W(y) + R(y // 3),   R(0) = 0,
-    # with W = F2 for 3 not dividing m and W = F1 for 3 | m; R is built
-    # over the floor chain of the ks // 3 on 3, smallest first. This is
-    # exact in units: a term of F2 is the double nearest 2 phi(m*j) /
-    # (3*m*j), the same rational as phi(m*k) / (m*k), so the same double as
-    # the term of k; and every term is at least 1/8, an even number of
-    # units, so each sum and its parts are exact integers
-    thirds = floor_chain([k // 3 for k in ks], 3)
-    two_thirds = m % 3 != 0
-    ones, twos = (ks, thirds) if two_thirds else (sorted({*ks, *thirds}), [])
-    # the two classes prime to 6, walked one after the other
-    (a1, a2), (b1, b2) = (_class_sums(m, c, ones, twos, threads) for c in (1, 5))
-    f1 = {y: a + b for y, a, b in zip(ones, a1, b1)}
-    w = {y: a + b for y, a, b in zip(twos, a2, b2)} if two_thirds else f1
-    r = {0: 0}
-    for y in thirds:
-        r[y] = w[y] + r[y // 3]
-    odd = [f1[x] + r[x // 3] for x in ks]
-    return [b - a for a, b in pairwise([0, *odd])]
+        f = [(ph // (g := gcd(ph, n)), n // g) for ph, n in zip(phis, ns)]
+        t = [(2 * ph // (g := gcd(2 * ph, 3 * n)), 3 * n // g) for ph, n in zip(phi3, ns)]
+    else:
+        # int / int is the correctly rounded double, as numpy's float64
+        # quotient; so is phi / (1.5 * n), whose 1.5 * n = 3n / 2 is exact
+        scale = float(1 << FLOAT_UNIT_BITS)
+        f = [int(x * scale) for x in map(truediv, phis, ns)]
+        t = [int(ph / (1.5 * n) * scale) for ph, n in zip(phi3, ns)]
+    add = sum_pairs if exact else sum
+    return tuple([add(ts[a:b]) for a, b in pairwise(e)] for ts, e in zip((f, t), ends))
 
 
 def _class_sums(
@@ -569,8 +567,7 @@ def _class_sums(
     ns = np.arange(c * m, 6 * m * block, 6 * m, dtype=np.float64)
     ratios = np.empty(block)
     phis_m = np.empty(block) if m > 1 else None
-    phi_m, primes = _totient_factors(m)
-    factors = phi_m, [p for p in primes if p > 3]  # 3 divides no j
+    factors = _totient_factors(m)
     base = 0  # how many j precede the block
     for table in iter_sieve_tables(c, ones[-1], threads=threads, step=6):
         for start in range(0, table.phi.size, block):
@@ -623,11 +620,12 @@ def _phi_of_multiples(
 
 
 def _totient_factors(m: int) -> tuple[int, list[int]]:
-    # phi(m) and the odd primes of m: phi(m*k) is phi(m)*phi(k) times
-    # p/(p - 1) for each prime p of m that divides k, and no odd k is even
+    # phi(m) and the primes of m above 3: phi(m*j) is phi(m)*phi(j) times
+    # p/(p - 1) for each prime p of m that divides j, and no j prime to 6
+    # has the prime 2 or 3
     primes = factorize(m)
     phi_m = prod((p - 1) * p ** (e - 1) for p, e in primes)
-    return phi_m, [p for p, _ in primes if p > 2]
+    return phi_m, [p for p, _ in primes if p > 3]
 
 
 def _phi_ratio_prefix_pairs(step: int, limit: int) -> list[tuple[int, int]]:
@@ -652,9 +650,11 @@ def phi_claim_first_failure(t: int, p: int, j: int, X: int) -> int | None:
     cross-multiplication, p*L*F_d*G_d == L_d*((p-1)*F*G_d + G*F_d).
 
     The sums come from :func:`phi_ratio_pairs_at`, which itself applies this
-    identity for p = 2 to sieve only odd multiples, so for p = 2 the check
-    is partly the walker's own algebra. The walker oracle tests in
-    ``tests/test_walkers.py`` keep it honest against a sieve of all n.
+    identity for p = 3 and p = 2 to sum only the j prime to 6, so for p = 2
+    and p = 3 (the suite's triple (1, 3, 1)) the check is partly the
+    walker's own algebra. The walker oracle tests in ``tests/test_walkers.py``
+    keep it honest against a sieve of all n, and
+    ``test_phi_claim_identity_by_hand`` against trial-division sums.
     """
     check_range("t", t, 1)
     check_prime(p)

@@ -58,9 +58,9 @@ walk frees is taken again by the next segment, not returned to the system
 and faulted in anew.
 
 This module imports numpy, as :mod:`divrec.accumulators` does, and no other
-module imports either at load time. The totient walk sieves here only past
-``densities.PLAIN_WALK_MAX_K`` odd k; shorter walks and every exact sum read
-the plain-Python :func:`divrec.arith.odd_totients` instead.
+module imports either at load time. A float totient walk sieves here only
+to K = N // m past ``densities.PLAIN_WALK_MAX_K``; shorter walks and every
+exact sum read the plain-Python :func:`divrec.arith.odd_totients` instead.
 """
 
 from __future__ import annotations

@@ -185,8 +185,9 @@ def test_nothing_waits_for_the_exit_collector(argv):
         # square-free tables the recursion counts
         ["squarefree", "--t", "1", "--schedule", "1e3:2e7:10", "--threads", "2"],
         ["squarefree", "--primes", "2,3", "--n", "1e6"],
-        # totient walks the plain odd totient list serves: every exact walk,
-        # and float walks up to densities.PLAIN_WALK_MAX_K
+        # totient walks the plain totient list serves: every exact walk, with
+        # and without the factor 3 in m, and float walks to K = N // m up to
+        # densities.PLAIN_WALK_MAX_K
         ["reproduce-paper"],
         ["verify", "--suite", "phi-claim"],
         ["phisum", "--m", "5", "--n", "1e3"],
@@ -194,6 +195,7 @@ def test_nothing_waits_for_the_exit_collector(argv):
             "phisum", "--m", "2", "--schedule", "1e3:1e5:10",
             "--mode", "exact", "--format", "json",
         ],
+        ["phisum", "--m", "3", "--schedule", "1:1e5:1.01", "--mode", "exact"],
         # the recursion at the cap
         ["squarefree", "--t", "1", "--n", "1e9"],
     ],
@@ -212,7 +214,7 @@ DENSE_PHISUM = ("phisum", "--m", "1", "--n", "1e7", "--threads", "1")
 
 
 def test_sieve_commands_still_load_numpy():
-    # 5e6 odd k, past densities.PLAIN_WALK_MAX_K: the numpy sieve
+    # K = 1e7, past densities.PLAIN_WALK_MAX_K: the numpy sieve
     run = fresh_cli(*DENSE_PHISUM)
     assert run["code"] == 0 and run["numpy"]
     assert not run["concurrent.futures"]  # one thread needs no pool

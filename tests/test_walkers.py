@@ -22,6 +22,7 @@ import sys
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -196,9 +197,9 @@ SWITCH_MS += random.Random(16).sample(range(3, 8000), 3)
 
 @pytest.mark.parametrize("m", SWITCH_MS)
 def test_phisum_float_paths_agree_either_side_of_the_switch(monkeypatch, m):
-    # the plain odd totient list and the numpy sieve, each forced through
-    # the switch, give the same doubles; the default takes the plain list
-    # while the last odd k is at most PLAIN_WALK_MAX_K, the sieve after
+    # the plain totient list and the numpy sieve, each forced through the
+    # switch, give the same doubles; the default takes the plain list while
+    # K = N // m is at most PLAIN_WALK_MAX_K, the sieve after
     rng = random.Random(m)
     sieved = []
     sieve = sieves.iter_sieve_tables
@@ -213,7 +214,7 @@ def test_phisum_float_paths_agree_either_side_of_the_switch(monkeypatch, m):
             monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", plain_max_k)
             sieved.clear()
             got[plain_max_k] = bits(phi_ratio_sums_at(m, points))
-            assert bool(sieved) is (plain_max_k < (K - 1 | 1) and K > 0)
+            assert bool(sieved) is (plain_max_k < K and K > 0)
         assert len(set(map(tuple, got.values()))) == 1, (m, K)
 
 
@@ -274,15 +275,37 @@ BLOCK_SEGMENT_SIZES = (
 )
 
 
+def reference_rows(m: int, points: list[int], odd_pieces, threads: int) -> list:
+    """The float rows of a walk over every odd k, split on 2 as the walker
+    split it before it split every walk on 3 too.
+
+    ``odd_pieces`` is one of the odd-walk oracles of this module. It gives
+    the sums O over the odd k up to the largest odd number at or below each
+    K // 2**a, and each row is S(K) = O(K) + w * (O(K // 2) + O(K // 4) +
+    ...), w = 1/2 for odd m and 1 for even m, in units of
+    2**-FLOAT_UNIT_BITS, rounded once.
+    """
+    ks = [N // m for N in points]
+    odds = sorted({(K >> a) - 1 | 1 for K in ks for a in range(K.bit_length())})
+    odd = dict(zip(odds, accumulate(odd_pieces(m, odds, threads)))) if odds else {}
+    odd[-1] = 0
+    rows = []
+    for K in ks:
+        rest = sum(odd[(K >> a) - 1 | 1] for a in range(1, K.bit_length()))
+        units = odd[K - 1 | 1] + (rest >> 1 if m % 2 else rest)
+        rows.append(units / 2**FLOAT_UNIT_BITS)
+    return rows
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 15, 12348])
 def test_blocked_walk_is_bitwise_the_whole_segment_walk(monkeypatch, m):
-    # the streamed walk builds phi(m*k) and m*k a block at a time and hands
+    # the streamed walk builds phi(m*j) and m*j a block at a time and hands
     # each block only its own cuts; its rows must equal those of the
-    # whole-segment walk it replaced at every segment size and thread count,
-    # on schedules cut at the last and first k of every block and segment.
-    # The plain odd totient list is switched off, so every walk sieves
+    # whole-segment walk over every odd k it replaced, split on 2, at every
+    # segment size and thread count, on schedules cut at the last and first
+    # k of every block and segment of that walk. The plain totient list is
+    # switched off, so every walk sieves
     monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", -1)
-    walk = densities._sieved_pieces
     for size in BLOCK_SEGMENT_SIZES:
         use_segment_size(monkeypatch, size)
         # three segments, or three blocks of short segments, and at least
@@ -291,44 +314,38 @@ def test_blocked_walk_is_bitwise_the_whole_segment_walk(monkeypatch, m):
         points = block_edge_points(m, entries, size)
         assert len(points) > 6 and (size == 13 or points[-1] // m > 2 * BLOCK)
         for threads in (1, 2):
-            monkeypatch.setattr(densities, "_sieved_pieces", whole_segment_pieces)
-            expected = bits(phi_ratio_sums_at(m, points, threads=threads))
-            monkeypatch.setattr(densities, "_sieved_pieces", walk)
+            expected = bits(reference_rows(m, points, whole_segment_pieces, threads))
             assert bits(phi_ratio_sums_at(m, points, threads=threads)) == expected
 
 
 def test_every_block_without_a_cut_goes_through_extend(monkeypatch):
     # the benchmark traces ExactFloatSum.extend, so a sieved float walk hands
     # it each block that holds no cut, once and whole, at every segment size:
-    # for each class of k prime to 6 in turn, each block of f(k) and then,
-    # over the k up to K // 3, the same block of 2/3 f(k)
-    calls, seen = [], []
-    extend, walk = ExactFloatSum.extend, densities._sieved_pieces
+    # for each class of j prime to 6 in turn, each block of f(j) and then,
+    # over the j up to K // 3, the same block of 2/3 f(j). For m = 1 the
+    # f(j) are cut at every K // 2**a and the 2/3 f(j) at every
+    # (K // 2**a) // 3**b, b >= 1
+    calls = []
+    extend = ExactFloatSum.extend
 
     def counted(self, values):
         calls.append(len(values))
         extend(self, values)
 
-    def recorded(m, ks, threads):
-        seen.append(ks)
-        return walk(m, ks, threads)
-
     monkeypatch.setattr(ExactFloatSum, "extend", counted)
-    monkeypatch.setattr(densities, "_sieved_pieces", recorded)
+    K = 10**6  # past PLAIN_WALK_MAX_K, so the walk sieves
+    halvings = {K >> a for a in range(20)} - {0}
+    thirds = {x // 3**b for x in halvings for b in range(1, 13)} - {0}
     for size in (TOTIENT_SEGMENT_SIZE, SEGMENT_SIZE, 65521):
         use_segment_size(monkeypatch, size)
         calls.clear()
-        seen.clear()
-        phi_ratio_sums_at(1, [10**6])
-        (ks,) = seen  # past PLAIN_WALK_MAX_K, so the walk sieves
-        # F(k // 3**a) is read for every a >= 1 and k of ks
-        thirds = {k // 3**a for k in ks for a in range(1, 20)} - {0}
+        phi_ratio_sums_at(1, [K])
         expected = []
         for c in (1, 5):
-            # the k of the class up to each cut, and up to the last k
-            cuts = [(k + 6 - c) // 6 for k in ks]
+            # the j of the class up to each cut, and up to the last cut
+            cuts = [(y + 6 - c) // 6 for y in halvings]
             cuts2 = [(y + 6 - c) // 6 for y in thirds]
-            entries, entries2 = cuts[-1], max(cuts2)
+            entries, entries2 = max(cuts), max(cuts2)
             for lo in range(0, entries, size):
                 for a in range(lo, min(lo + size, entries), BLOCK):
                     b = min(a + BLOCK, lo + size, entries)
@@ -387,26 +404,26 @@ def third_edges(top: int) -> list[int]:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9, 15, 12348, 30030])
 def test_the_split_on_3_gives_the_pieces_of_the_odd_walk(monkeypatch, m):
-    # the walk that sieves only the k prime to 6 and rebuilds the odd k
-    # from the split on 3 must give the pieces of the walk over every odd
-    # k, bit for bit: for 3 | m and for 3 not dividing m, at the edges of
-    # every k // 3**b, at segments of 13 and 4099 odd k and at the walk's
-    # own length, on one thread and two
+    # the walk that sieves only the j prime to 6 and splits on 3 and then 2
+    # must give the rows of the walk over every odd k split on 2, bit for
+    # bit: for 3 | m and for 3 not dividing m, at the edges of every
+    # K // 3**b, at segments of 13 and 4099 odd k and at the walk's own
+    # length, on one thread and two. K stays at most SIEVE_MAX_N // m
+    monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", -1)
     for size, top in ((13, 2_000), (4099, 120_001), (TOTIENT_SEGMENT_SIZE, 120_001)):
         use_segment_size(monkeypatch, size)
-        ks = third_edges(top)
+        points = [m * k for k in third_edges(min(top, SIEVE_MAX_N // m))]
         for threads in (1, 2):
-            expected = odd_sieved_pieces(m, ks, threads)
-            assert densities._sieved_pieces(m, ks, threads) == expected
-    # and through the walker, at points whose K = N // m lie at 0..5 (mod 6)
-    monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", -1)
+            expected = bits(reference_rows(m, points, odd_sieved_pieces, threads))
+            assert bits(phi_ratio_sums_at(m, points, threads=threads)) == expected
+    # and at points whose K = N // m lie at 0..5 (mod 6), from the sieve and
+    # from the plain totient list
     points = sorted({m * K + d for K in range(0, 40) for d in (0, m - 1)})
     points += [m * 6**5 + m * d for d in range(6)]
-    walk = densities._sieved_pieces
-    monkeypatch.setattr(densities, "_sieved_pieces", odd_sieved_pieces)
-    expected = bits(phi_ratio_sums_at(m, points))
-    monkeypatch.setattr(densities, "_sieved_pieces", walk)
-    assert bits(phi_ratio_sums_at(m, points)) == expected
+    expected = bits(reference_rows(m, points, odd_sieved_pieces, 1))
+    for plain_max_k in (-1, SIEVE_MAX_N):
+        monkeypatch.setattr(densities, "PLAIN_WALK_MAX_K", plain_max_k)
+        assert bits(phi_ratio_sums_at(m, points)) == expected
 
 
 def float_walk_peak(monkeypatch, m: int, size: int) -> int:
@@ -493,12 +510,19 @@ def test_a_first_float_walk_builds_only_the_strides_and_wheel_it_reads():
     assert held < 250_000
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 5, 7, 12, 30, 360, 9973, 12348])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 9, 12, 30, 360, 9973, 12348])
 def test_phisum_exact_walker_equals_the_full_range_sum(monkeypatch, m):
     N = 3000 if m < 360 else 10**5
     # one-term pieces at the first 40 multiples, then long pieces that
-    # straddle the edges of the odd-sized segments
-    points = sorted(set(checkpoints(m, N)) | set(range(m, min(40 * m, N) + 1, m)))
+    # straddle the edges of the odd-sized segments; and for some m, with
+    # and without the factor 3, the first and last N of each K = N // m =
+    # a * 3**b + d, a < 6 and |d| <= 2: the edges of the split on 3
+    points = set(checkpoints(m, N)) | set(range(m, min(40 * m, N) + 1, m))
+    if m in (1, 3, 7, 9, 12348):
+        powers = [3**b for b in range(N.bit_length())]
+        ks = {a * q + d for q in powers for a in range(1, 6) for d in range(-2, 3)}
+        points |= {m * K + e for K in ks if K >= 0 for e in (0, m - 1)}
+    points = sorted(x for x in points if x <= N)
     expected = full_range_phi_sums(m, points, "exact")
     expected_pairs = full_range_phi_sums(m, points, "pairs")
     for size in SEGMENT_SIZES:
